@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench-engines bench-serving bench-topo paper
+.PHONY: build test race bench-serving bench-topo paper
 
 build:
 	$(GO) build ./...
@@ -8,17 +8,14 @@ build:
 test:
 	$(GO) test ./...
 
+# The scheduler and the algorithms on it run at -cpu 1,4, so the
+# multi-worker pool paths (the golden suite included) are raced on any host.
 race:
-	$(GO) test -race ./internal/machine/... ./internal/collective/... \
+	$(GO) test -race -cpu 1,4 ./internal/machine/... ./internal/algs/...
+	$(GO) test -race ./internal/collective/... \
 		./internal/experiments/... ./internal/obs/... ./internal/topo/... \
 		./internal/plan/... ./internal/service/... ./internal/store/... \
 		./internal/hbl/...
-
-# Record the goroutine-vs-event scheduler head-to-head matrix
-# (P = 1024, 4096, 65536) to BENCH_engine_scaling.json. Same cells as
-# `go test -bench EngineScaling`; see "Event engine" in DESIGN.md.
-bench-engines:
-	$(GO) run ./cmd/benchrec -out BENCH_engine_scaling.json
 
 # Record serving throughput, latency percentiles, and singleflight dedup
 # evidence to BENCH_serving.json by driving mixed traffic at an in-process

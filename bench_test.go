@@ -344,26 +344,6 @@ func BenchmarkWorldScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineScaling races the two machine backends on the identical
-// scheduler-stress workload at the processor counts where they diverge: the
-// goroutine engine keeps every rank runnable at once (P goroutines fighting
-// for the scheduler), while the event engine multiplexes parked tasks onto
-// a small worker pool with targeted handoffs. The recorded expectation is
-// the event engine at least matching at P=4096 and winning at P=65536.
-// cmd/benchrec runs the same cells via testing.Benchmark and writes
-// BENCH_engine_scaling.json, so `go test -bench EngineScaling` and the
-// tracked JSON always measure the same thing.
-func BenchmarkEngineScaling(b *testing.B) {
-	for _, engine := range []machine.Engine{machine.EngineGoroutine, machine.EngineEvent} {
-		for _, p := range []int{1024, 4096, 65536} {
-			engine, p := engine, p
-			b.Run(fmt.Sprintf("engine=%s/P=%d", engine, p), func(b *testing.B) {
-				benchrec.Bench(b, engine, p)
-			})
-		}
-	}
-}
-
 // BenchmarkAlg1Scaling runs the paper's Algorithm 1 end-to-end at large
 // processor counts — the full hot path (collectives over fibers, pooled
 // buffers, local tiled matmul) rather than the synthetic scheduler stress of

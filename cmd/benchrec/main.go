@@ -1,11 +1,6 @@
-// Command benchrec records simulator performance as JSON so the perf
-// trajectory is tracked across PRs (ROADMAP item 4). Two modes:
+// Command benchrec records simulator performance. Two modes:
 //
-//	benchrec [-out BENCH_engine_scaling.json] [-p 1024,4096,65536]
-//	    runs the engine-scaling matrix (goroutine and event engines at each
-//	    P) through testing.Benchmark and writes the JSON record.
-//
-//	benchrec -counting 1000000 [-engine event]
+//	benchrec -counting 1000000
 //	    runs a single BandwidthOnly counting world of that many ranks and
 //	    prints wall time and totals — the CI smoke proving a million-rank
 //	    world fits and finishes.
@@ -13,9 +8,10 @@
 //	benchrec -topo [-out BENCH_topo_scaling.json] [-p 1024,4096,65536]
 //	    records topology charge-oracle construction time and Charge
 //	    throughput per fabric at each P (table mode at small P, O(hops)
-//	    walk mode at 65536).
+//	    walk mode at 65536) and writes the JSON record.
 //
-// Exit status is 0 on success, 1 on any failure.
+// Exit status is 0 on success, 2 when no mode is chosen, 1 on any other
+// failure.
 package main
 
 import (
@@ -26,34 +22,30 @@ import (
 	"strings"
 
 	"repro/internal/benchrec"
-	"repro/internal/machine"
 )
 
 func main() {
-	out := flag.String("out", "BENCH_engine_scaling.json", "output path for the scaling record")
-	plist := flag.String("p", "1024,4096,65536", "comma-separated processor counts for the scaling matrix")
-	counting := flag.Int("counting", 0, "run one BandwidthOnly counting world of this many ranks instead of the matrix")
-	engine := flag.String("engine", "event", "engine for -counting runs")
-	topoScaling := flag.Bool("topo", false, "record the topology charge-oracle scaling matrix instead of the engine matrix")
+	out := flag.String("out", "BENCH_topo_scaling.json", "output path for the -topo record")
+	plist := flag.String("p", "1024,4096,65536", "comma-separated processor counts for the -topo matrix")
+	counting := flag.Int("counting", 0, "run one BandwidthOnly counting world of this many ranks")
+	topoScaling := flag.Bool("topo", false, "record the topology charge-oracle scaling matrix")
 	flag.Parse()
 
-	if *topoScaling && *out == "BENCH_engine_scaling.json" {
-		*out = "BENCH_topo_scaling.json"
+	if *counting <= 0 && !*topoScaling {
+		fmt.Fprintln(os.Stderr, "benchrec: choose a mode: -counting N or -topo")
+		flag.Usage()
+		os.Exit(2)
 	}
-	if err := run(*out, *plist, *counting, *engine, *topoScaling); err != nil {
+	if err := run(*out, *plist, *counting); err != nil {
 		fmt.Fprintln(os.Stderr, "benchrec:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out, plist string, counting int, engineName string, topoScaling bool) error {
+func run(out, plist string, counting int) error {
 	if counting > 0 {
-		eng, err := machine.ParseEngine(engineName)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("counting run: engine=%s P=%d\n", eng, counting)
-		wall, stats, err := benchrec.CountingRun(eng, counting)
+		fmt.Printf("counting run: P=%d\n", counting)
+		wall, stats, err := benchrec.CountingRun(counting)
 		if err != nil {
 			return err
 		}
@@ -66,28 +58,15 @@ func run(out, plist string, counting int, engineName string, topoScaling bool) e
 	if err != nil {
 		return err
 	}
-	if topoScaling {
-		rec, err := benchrec.RunTopoScaling(ps, func(fabric string, p int) {
-			fmt.Printf("bench: fabric=%s P=%d\n", fabric, p)
-		})
-		if err != nil {
-			return err
-		}
-		for _, s := range rec.Samples {
-			fmt.Printf("  %-18s P=%-6d %-5s build %10.0f ns  charge %8.1f ns/op %12.0f charges/s\n",
-				s.Fabric, s.P, s.Mode, s.BuildNs, s.ChargeNsPerOp, s.ChargesPerSec)
-		}
-		if err := rec.WriteFile(out); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d samples)\n", out, len(rec.Samples))
-		return nil
-	}
-	rec := benchrec.RunEngineScaling(ps, func(engine string, p int) {
-		fmt.Printf("bench: engine=%s P=%d\n", engine, p)
+	rec, err := benchrec.RunTopoScaling(ps, func(fabric string, p int) {
+		fmt.Printf("bench: fabric=%s P=%d\n", fabric, p)
 	})
+	if err != nil {
+		return err
+	}
 	for _, s := range rec.Samples {
-		fmt.Printf("  %-9s P=%-6d %12.0f ns/op %12.0f msgs/s\n", s.Engine, s.P, s.NsPerOp, s.MsgsPerSec)
+		fmt.Printf("  %-18s P=%-6d %-5s build %10.0f ns  charge %8.1f ns/op %12.0f charges/s\n",
+			s.Fabric, s.P, s.Mode, s.BuildNs, s.ChargeNsPerOp, s.ChargesPerSec)
 	}
 	if err := rec.WriteFile(out); err != nil {
 		return err

@@ -37,7 +37,6 @@ type cliConfig struct {
 	trace               string
 	timeline, traffic   bool
 	topoSpec, placeName string
-	engine              string
 }
 
 // parseFlags parses args (not including the program name) into a cliConfig.
@@ -62,7 +61,6 @@ func parseFlags(args []string, errOut io.Writer) (cliConfig, error) {
 	fs.BoolVar(&c.traffic, "traffic", false, "print the traffic heatmap (single algorithm only)")
 	fs.StringVar(&c.topoSpec, "topo", "", "interconnect topology: "+strings.Join(topo.Kinds(), ", ")+" (empty = flat dedicated links)")
 	fs.StringVar(&c.placeName, "place", "", "rank placement on the topology: "+strings.Join(topo.Policies(), ", ")+" (default contiguous)")
-	fs.StringVar(&c.engine, "engine", "", "simulator scheduling backend: "+strings.Join(machine.EngineNames(), ", ")+" (default goroutine; use event for very large P)")
 	if err := fs.Parse(args); err != nil {
 		return c, err
 	}
@@ -107,17 +105,11 @@ func resolve(c cliConfig) (runSpec, error) {
 		return s, fmt.Errorf("unknown algorithm %q (valid: %s, or \"all\"): %w",
 			c.alg, strings.Join(algs.Names(), ", "), core.ErrUnsupportedAlg)
 	}
-	engine, err := machine.ParseEngine(c.engine)
-	if err != nil {
-		return s, fmt.Errorf("unknown engine %q (valid: %s): %w",
-			c.engine, strings.Join(machine.EngineNames(), ", "), core.ErrBadOpts)
-	}
 	s.opts = algs.Opts{
 		Config:  machine.Config{Alpha: c.alpha, Beta: c.beta, Gamma: c.gamma},
 		Layers:  c.layers,
 		Trace:   c.trace != "" || c.timeline,
 		Traffic: c.traffic,
-		Engine:  engine,
 	}
 	if c.topoSpec != "" {
 		fabric, err := topo.Parse(c.topoSpec, c.p, topo.Link{Alpha: c.alpha, Beta: c.beta})

@@ -57,7 +57,7 @@ func main() {
 	jobTimeout := flag.Duration("job-timeout", time.Minute, "per-job deadline (negative: none)")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown drain budget for in-flight jobs")
 	maxFlops := flag.Float64("max-sim-flops", 1e9, "largest n1·n2·n3 a simulation may request")
-	maxProcs := flag.Int("max-sim-procs", 4096, "largest P a simulation may request")
+	maxProcs := flag.Int("max-sim-procs", 1<<20, "largest P a simulation may request")
 	maxTopoProcs := flag.Int("max-topo-procs", 1<<17, "largest P a synchronous topology prediction may request")
 	maxPlanPoints := flag.Int("max-plan-points", 1<<20, "largest point count a /v1/plan problem may expand to")
 	planInline := flag.Int("plan-inline", 512, "total plan points up to which /v1/plan answers inline JSON instead of NDJSON")

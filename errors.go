@@ -43,9 +43,8 @@ var (
 	// the run's processor count, or an unknown placement policy.
 	ErrBadTopology = core.ErrBadTopology
 
-	// ErrTooManyRanks marks a processor count beyond what the selected
-	// execution engine supports (the goroutine engine caps P at 2^21−1;
-	// the event engine, selected with WithEngine(EngineEvent), at 2^31−1).
+	// ErrTooManyRanks marks a processor count beyond what the simulator
+	// supports (2^31−1 ranks).
 	ErrTooManyRanks = core.ErrTooManyRanks
 
 	// ErrBadPlanRange marks an invalid strong-scaling plan request: a

@@ -65,11 +65,6 @@ type Opts struct {
 	// Place selects how ranks are embedded onto Topo's endpoints; the zero
 	// value is contiguous. Ignored when Topo is nil.
 	Place topo.Policy
-	// Engine selects the machine's scheduling backend. The zero value is
-	// the goroutine engine; machine.EngineEvent multiplexes ranks onto a
-	// worker pool for cluster-scale P. Results are bit-identical either
-	// way (pinned by the golden-stats tests).
-	Engine machine.Engine
 }
 
 // Validate reports whether the options are self-consistent, before any
@@ -95,11 +90,6 @@ func (o Opts) Validate() error {
 	default:
 		return fmt.Errorf("algs: unknown placement policy %d: %w", int(o.Place), core.ErrBadTopology)
 	}
-	switch o.Engine {
-	case machine.EngineGoroutine, machine.EngineEvent:
-	default:
-		return fmt.Errorf("algs: unknown engine %d: %w", int(o.Engine), core.ErrBadOpts)
-	}
 	if o.Grid != (grid.Grid{}) {
 		return o.Grid.Validate()
 	}
@@ -111,7 +101,7 @@ func (o Opts) Validate() error {
 // endpoints and every send is priced through the resulting Network; a
 // topology whose endpoint count differs from p wraps core.ErrBadTopology.
 func newWorld(p int, opts Opts) (*machine.World, *machine.Trace, error) {
-	w, err := machine.New(p, opts.Config, machine.WithEngine(opts.Engine))
+	w, err := machine.New(p, opts.Config)
 	if err != nil {
 		return nil, nil, err
 	}

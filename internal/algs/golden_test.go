@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/machine"
@@ -14,17 +15,20 @@ import (
 )
 
 // The golden-stats test pins the simulator's observable accounting across
-// engine rewrites: every scheduler change (global lock → sharded mailboxes,
-// broadcast wakeups → targeted signals) must leave WorldStats bit-identical,
-// because critical paths and per-phase word counts are the measured
-// quantities the paper's experiments compare against Theorem 3. The golden
-// file is regenerated with
+// scheduler rewrites: every scheduler change (global lock → sharded
+// mailboxes, goroutine per rank → tasks on a worker pool) must leave
+// WorldStats bit-identical, because critical paths and per-phase word
+// counts are the measured quantities the paper's experiments compare
+// against Theorem 3. Stats are pure functions of the deterministic
+// communication pattern, so any correct scheduler, at any pool width, must
+// land on the same bits; "close enough" is deliberately not on offer. The
+// golden file is regenerated with
 //
 //	go test ./internal/algs -run TestGoldenWorldStats -update-golden
 //
 // and must only ever be refreshed for a change that deliberately alters the
-// simulated communication pattern, never for an engine-internal one.
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_stats.json from the current engine")
+// simulated communication pattern, never for a scheduler-internal one.
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_stats.json from the current simulator")
 
 // goldenRun is one pinned simulation: an algorithm on fixed inputs under a
 // fixed cost model, with the full per-rank statistics it produced.
@@ -86,11 +90,8 @@ func toGolden(s machine.WorldStats) goldenWorldStats {
 // goldenSuite runs every registered algorithm on fixed inputs under two cost
 // models (bandwidth-only and a full α-β-γ), covering both collective
 // families through the power-of-two / non-power-of-two processor counts,
-// plus one topology-enabled case so contention charging is pinned too. The
-// engine parameter selects the scheduler; every engine must reproduce the
-// same suite bit-for-bit, which is what makes the event backend a drop-in
-// replacement for the goroutine reference.
-func goldenSuite(t *testing.T, engine machine.Engine) []goldenRun {
+// plus one topology-enabled case so contention charging is pinned too.
+func goldenSuite(t *testing.T) []goldenRun {
 	t.Helper()
 	n := 48
 	a := matrix.Random(n, n, 17)
@@ -108,9 +109,9 @@ func goldenSuite(t *testing.T, engine machine.Engine) []goldenRun {
 		runs = append(runs, goldenRun{Name: name, Stats: toGolden(res.Stats)})
 	}
 	for _, e := range Registry() {
-		res, err := e.Run(a, b, 16, Opts{Config: machine.BandwidthOnly(), Engine: engine})
+		res, err := e.Run(a, b, 16, Opts{Config: machine.BandwidthOnly()})
 		add(fmt.Sprintf("%s/n=%d/p=16/bandwidth", e.Name, n), res, err)
-		res, err = e.Run(a, b, 16, Opts{Config: full, Engine: engine})
+		res, err = e.Run(a, b, 16, Opts{Config: full})
 		add(fmt.Sprintf("%s/n=%d/p=16/abg", e.Name, n), res, err)
 	}
 	// Non-power-of-two fibers exercise the ring collectives; a rectangular
@@ -119,24 +120,24 @@ func goldenSuite(t *testing.T, engine machine.Engine) []goldenRun {
 		name string
 		run  Runner
 	}{{"Alg1", Alg1}, {"AllToAll3D", AllToAll3D}, {"OneD", OneD}} {
-		res, err := e.run(ra, rb, 12, Opts{Config: full, Engine: engine})
+		res, err := e.run(ra, rb, 12, Opts{Config: full})
 		add(fmt.Sprintf("%s/rect/p=12/abg", e.name), res, err)
 	}
 	// A congested tree topology pins the contention-aware charge arithmetic
-	// on top of the scheduler, so an engine rewrite cannot silently bypass
-	// the network oracle.
+	// on top of the scheduler, so a scheduler rewrite cannot silently
+	// bypass the network oracle.
 	tree, err := topo.Parse("tree=2x4", 16, topo.Link{Alpha: full.Alpha, Beta: full.Beta})
 	if err != nil {
 		t.Fatalf("golden topology: %v", err)
 	}
-	res, err := Alg1(a, b, 16, Opts{Config: full, Topo: tree, Engine: engine})
+	res, err := Alg1(a, b, 16, Opts{Config: full, Topo: tree})
 	add("Alg1/n=48/p=16/abg/tree=2x4", res, err)
 	return runs
 }
 
 func TestGoldenWorldStats(t *testing.T) {
 	path := filepath.Join("testdata", "golden_stats.json")
-	got := goldenSuite(t, machine.EngineGoroutine)
+	got := goldenSuite(t)
 
 	if *updateGolden {
 		blob, err := json.MarshalIndent(got, "", "\t")
@@ -153,36 +154,30 @@ func TestGoldenWorldStats(t *testing.T) {
 		return
 	}
 
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading golden file (regenerate with -update-golden): %v", err)
-	}
-	var want []goldenRun
-	if err := json.Unmarshal(blob, &want); err != nil {
-		t.Fatalf("decoding golden file: %v", err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("suite has %d runs, golden file has %d", len(got), len(want))
-	}
-	for i := range got {
-		compareGoldenRun(t, got[i], want[i])
-	}
+	compareGoldenSuite(t, got, readGolden(t))
 }
 
 // TestGoldenWorldStatsEventEngine replays the identical pinned suite on the
-// event-driven backend and holds it to the same golden file. Stats are pure
-// functions of the deterministic communication pattern, so a correct
-// scheduler — any correct scheduler — must land on the same bits the
-// goroutine reference produced; the weakest acceptable claim ("close
-// enough") is deliberately not on offer.
+// event scheduler at fixed pool widths and holds every width to the same
+// golden file. The pool takes one worker per GOMAXPROCS, so a single
+// worker stepping every rank and four workers handing messages across
+// shards must both land on the pinned bits, whatever the host's core count.
 func TestGoldenWorldStatsEventEngine(t *testing.T) {
 	if *updateGolden {
-		t.Skip("golden file is regenerated from the goroutine reference engine")
+		t.Skip("golden file is regenerated by TestGoldenWorldStats")
 	}
-	path := filepath.Join("testdata", "golden_stats.json")
-	got := goldenSuite(t, machine.EngineEvent)
+	want := readGolden(t)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+			compareGoldenSuite(t, goldenSuite(t), want)
+		})
+	}
+}
 
-	blob, err := os.ReadFile(path)
+func readGolden(t *testing.T) []goldenRun {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("testdata", "golden_stats.json"))
 	if err != nil {
 		t.Fatalf("reading golden file (regenerate with -update-golden): %v", err)
 	}
@@ -190,6 +185,11 @@ func TestGoldenWorldStatsEventEngine(t *testing.T) {
 	if err := json.Unmarshal(blob, &want); err != nil {
 		t.Fatalf("decoding golden file: %v", err)
 	}
+	return want
+}
+
+func compareGoldenSuite(t *testing.T, got, want []goldenRun) {
+	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("suite has %d runs, golden file has %d", len(got), len(want))
 	}

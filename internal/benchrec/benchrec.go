@@ -1,17 +1,16 @@
-// Package benchrec records simulator performance to JSON so the perf
-// trajectory is tracked across PRs instead of living in scrollback. It owns
-// the scheduler-stress SPMD body shared by the Go benchmarks and the
-// cmd/benchrec recorder, and runs the engine-scaling matrix (every machine
-// engine × a list of processor counts) through testing.Benchmark, which
-// works outside `go test` and reports the same ns/op the benchmarks print.
+// Package benchrec records performance to JSON so the perf trajectory is
+// tracked across changes instead of living in scrollback. It owns the
+// scheduler-stress SPMD body shared by the Go benchmarks and the
+// repository benchmark (bench/), the million-rank counting smoke, the
+// topology charge-oracle record (topo.go, measured through
+// testing.Benchmark, which works outside `go test`), and the serving record
+// cmd/loadgen writes (serving.go).
 package benchrec
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
-	"testing"
 	"time"
 
 	"repro/internal/machine"
@@ -47,114 +46,11 @@ func ScalingBody(p, rounds int) func(*machine.Rank) {
 	}
 }
 
-// Sample is one engine × P cell of the scaling matrix.
-type Sample struct {
-	Engine      string  `json:"engine"`
-	P           int     `json:"p"`
-	NsPerOp     float64 `json:"nsPerOp"`
-	MsgsPerOp   int     `json:"msgsPerOp"`
-	MsgsPerSec  float64 `json:"msgsPerSec"`
-	AllocsPerOp int64   `json:"allocsPerOp"`
-	BytesPerOp  int64   `json:"bytesPerOp"`
-	Iterations  int     `json:"iterations"`
-}
-
-// Record is the whole perf snapshot written to BENCH_engine_scaling.json.
-// Environment fields make records comparable across machines and PRs.
-type Record struct {
-	Benchmark  string   `json:"benchmark"`
-	Date       string   `json:"date"`
-	GoVersion  string   `json:"goVersion"`
-	GOOS       string   `json:"goos"`
-	GOARCH     string   `json:"goarch"`
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	Rounds     int      `json:"rounds"`
-	Samples    []Sample `json:"samples"`
-}
-
-// RunEngineScaling measures the scaling body on every engine at every
-// processor count and returns the filled record. progress, when non-nil, is
-// called before each cell so a CLI can narrate long runs.
-func RunEngineScaling(ps []int, progress func(engine string, p int)) Record {
-	rec := Record{
-		Benchmark:  "EngineScaling",
-		Date:       time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Rounds:     ScalingRounds,
-	}
-	for _, engine := range []machine.Engine{machine.EngineGoroutine, machine.EngineEvent} {
-		for _, p := range ps {
-			if progress != nil {
-				progress(engine.String(), p)
-			}
-			res := testing.Benchmark(benchCell(engine, p))
-			msgs := scalingMessages(p)
-			ns := float64(res.NsPerOp())
-			rec.Samples = append(rec.Samples, Sample{
-				Engine:      engine.String(),
-				P:           p,
-				NsPerOp:     ns,
-				MsgsPerOp:   msgs,
-				MsgsPerSec:  float64(msgs) / (ns / 1e9),
-				AllocsPerOp: res.AllocsPerOp(),
-				BytesPerOp:  res.AllocedBytesPerOp(),
-				Iterations:  res.N,
-			})
-		}
-	}
-	return rec
-}
-
-// benchCell is one matrix cell as a testing.Benchmark function; it is also
-// what BenchmarkEngineScaling runs per sub-benchmark, so the recorded JSON
-// and `go test -bench` measure the identical workload.
-func benchCell(engine machine.Engine, p int) func(b *testing.B) {
-	return func(b *testing.B) {
-		body := ScalingBody(p, ScalingRounds)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			w, err := machine.New(p, machine.BandwidthOnly(), machine.WithEngine(engine))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := w.Run(body); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(scalingMessages(p)), "msgs/op")
-	}
-}
-
-// Bench exposes one matrix cell to `go test -bench` harnesses.
-func Bench(b *testing.B, engine machine.Engine, p int) {
-	benchCell(engine, p)(b)
-}
-
-// scalingMessages is the exact message count ScalingBody generates: every
-// rank sends one ring shift per round plus, when its butterfly partner is
-// in range, one exchange message each way.
-func scalingMessages(p int) int {
-	msgs := ScalingRounds * p // ring shifts
-	for round := 0; round < ScalingRounds; round++ {
-		bit := 1 << (round % 10)
-		for id := 0; id < p; id++ {
-			if peer := id ^ bit; peer < p && peer != id {
-				msgs++
-			}
-		}
-	}
-	return msgs
-}
-
-// CountingRun simulates one BandwidthOnly counting world of p ranks on the
-// given engine — the regime the event backend exists for at P ≥ 10^6 — and
-// returns wall time plus the stats that prove the run really happened.
-func CountingRun(engine machine.Engine, p int) (wall time.Duration, stats machine.WorldStats, err error) {
-	w, err := machine.New(p, machine.BandwidthOnly(), machine.WithEngine(engine))
+// CountingRun simulates one BandwidthOnly counting world of p ranks — the
+// P ≥ 10^6 regime — and returns wall time plus the stats that prove the
+// run really happened.
+func CountingRun(p int) (wall time.Duration, stats machine.WorldStats, err error) {
+	w, err := machine.New(p, machine.BandwidthOnly())
 	if err != nil {
 		return 0, machine.WorldStats{}, err
 	}
@@ -171,12 +67,6 @@ func CountingRun(engine machine.Engine, p int) (wall time.Duration, stats machin
 		return 0, machine.WorldStats{}, err
 	}
 	return time.Since(start), w.Stats(), nil
-}
-
-// WriteFile writes the record as indented JSON, the format the repo tracks
-// in git as BENCH_engine_scaling.json.
-func (rec Record) WriteFile(path string) error {
-	return writeJSONFile(rec, path)
 }
 
 // writeJSONFile writes v as indented JSON with a trailing newline, the

@@ -39,10 +39,10 @@ var (
 	// topology too large for per-pair charge tables.
 	ErrBadTopology = errors.New("invalid topology")
 
-	// ErrTooManyRanks marks a world size beyond what the selected execution
-	// engine supports: the goroutine engine's packed idle accounting caps P
-	// at machine.MaxRanks, and the event engine at 2^31−1. The HTTP service
-	// maps it to 400 so an oversize request is rejected, not a crash.
+	// ErrTooManyRanks marks a world size beyond what the simulator supports
+	// (machine.MaxRanks, 2^31−1) or a serving admission limit allows. The
+	// HTTP service maps it to 400 so an oversize request is rejected, not a
+	// crash.
 	ErrTooManyRanks = errors.New("too many ranks")
 
 	// ErrBadPlanRange marks an invalid strong-scaling plan request: a

@@ -8,7 +8,6 @@ import (
 	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/grid"
-	"repro/internal/machine"
 	"repro/internal/matrix"
 	"repro/internal/model"
 	"repro/internal/report"
@@ -101,7 +100,6 @@ func FabricScaleContext(ctx context.Context, p int) (Artifact, error) {
 			}
 			res, err := algs.Alg1(a, b, p, algs.Opts{
 				Config: cfg, Grid: g, Topo: fabric, Place: place,
-				Engine: machine.EngineEvent,
 			})
 			if err != nil {
 				return Artifact{}, fmt.Errorf("fabric scale %s/%v: %w", spec, place, err)

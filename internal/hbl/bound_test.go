@@ -105,7 +105,7 @@ func TestMemIndependentBoundErrors(t *testing.T) {
 // the zero-exponent handling: one position reference can carry exponent 0
 // and must then sit exactly at its access bound.
 func TestNBodyBound(t *testing.T) {
-	n, p := 1 << 12, 64
+	n, p := 1<<12, 64
 	b, err := MemIndependentBound(NBody(n), p)
 	if err != nil {
 		t.Fatal(err)

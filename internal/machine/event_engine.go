@@ -9,8 +9,8 @@ import (
 	"repro/internal/obs"
 )
 
-// eventEngine is the cluster-scale scheduling backend: ranks run as
-// cooperatively scheduled tasks multiplexed onto a small worker pool.
+// eventEngine is the simulator's scheduler: ranks run as cooperatively
+// scheduled tasks multiplexed onto a small worker pool.
 //
 // Go has no stack-capturing continuations, so each task still owns a
 // goroutine — but a parked one, blocked on its private handoff channel.
@@ -55,9 +55,19 @@ import (
 // stuck, and every blocked task is requeued so it can observe the failure
 // and abort. A task that was pushed but not yet resumed keeps the verdict
 // conservative: it is neither waiting nor finished, so the state sum check
-// fails and the verifier stands down. The verdict strings are shared with
-// the goroutine engine (deadlockMessage), so a stuck pattern reports
-// identically on both engines.
+// fails and the verifier stands down.
+//
+// Quiescence rule: every change that can turn a stood-down verdict into a
+// deadlock passes through a parked worker. Queued work was pushed with a
+// signal to its idle shard's worker; a held token is released with a
+// signal to its own worker; a finished world is stopped with a broadcast.
+// Each of those workers re-parks when it runs out of work, and the last
+// one to park verifies again. So a verifier that stands down and finds
+// nothing to do on its own shard waits on its condvar, still counted as
+// parked, instead of re-verifying: the pending wakeup it stood down for
+// belongs to another worker, which has not run yet and so still counts as
+// parked too — re-verifying until it runs would spin, taking every shard
+// lock each time, for as long as the Go scheduler leaves it unscheduled.
 //
 // Lock ordering: outside verifyStalled, at most one engine lock is held at
 // a time (barrier release snapshots its waiters under the barrier lock,
@@ -74,8 +84,7 @@ type eventEngine struct {
 	errs   []error
 
 	// remaining counts unfinished tasks; the last finisher (panicked or
-	// not — unlike the goroutine engine there is no per-rank WaitGroup)
-	// stops the pool.
+	// not — there is no per-rank WaitGroup) stops the pool.
 	remaining atomic.Int64
 	// parked counts workers blocked on their shard condvar; active counts
 	// shards whose execution token is held by a task chain. parked == nw
@@ -115,7 +124,7 @@ type eventEngine struct {
 // drained before the cold main queue. Without this two-level order a woken
 // receiver waits behind every previously queued task — at P=65536 up to
 // tens of thousands of steps — and every payload copy touches cold memory,
-// which alone made the engine twice as slow as the goroutine backend.
+// which alone made the scheduler twice as slow as one goroutine per rank.
 // Batch wakeups (barrier releases, failure paths) go straight to the main
 // queue: they carry no hot data. The trailing padding keeps adjacent
 // shards off one cache line.
@@ -182,8 +191,9 @@ func (sh *eventShard) pop() int32 {
 type eventTask struct {
 	id      int32
 	started bool
-	// waiting/wantSrc/wantTag describe a parked Recv, exactly like the
-	// goroutine engine's mailbox fields.
+	// waiting/wantSrc/wantTag describe a parked Recv: senders use them to
+	// decide whether to requeue the task, and the deadlock verifier to
+	// recognize a pending wakeup (a queued matching message).
 	waiting bool
 	wantSrc int32
 	wantTag int32
@@ -191,7 +201,7 @@ type eventTask struct {
 	store   msgStore
 }
 
-// newEventEngine builds the backend for w with the given worker count
+// newEventEngine builds the scheduler for w with the given worker count
 // (values below one select GOMAXPROCS, capped at P).
 func newEventEngine(w *World, workers int) *eventEngine {
 	if workers < 1 {
@@ -282,8 +292,14 @@ func (e *eventEngine) worker(si int) {
 				sh.mu.Unlock()
 				e.verifyStalled()
 				sh.mu.Lock()
-				e.parked.Add(-1)
-				continue
+				if e.stop.Load() || (sh.running == 0 && !sh.empty()) {
+					e.parked.Add(-1)
+					continue
+				}
+				// Stood down for another shard's pending wakeup (or
+				// requeued only other shards): wait, still parked, for
+				// that worker to run and re-park — see the quiescence
+				// rule in the type comment.
 			}
 			sh.cond.Wait()
 			e.parked.Add(-1)
@@ -476,11 +492,9 @@ func (e *eventEngine) enqueueReady(ids []int32) {
 }
 
 // send enqueues a message (eager, non-blocking delivery), requeueing the
-// receiver only if it is parked waiting for exactly this (src, tag) — the
-// same sender-side matching the goroutine engine does, with a run-queue
-// push in place of a condvar signal. The receiver's shard is woken only if
-// its token is free; otherwise the chain holding it picks the receiver up
-// on its next handoff.
+// receiver only if it is parked waiting for exactly this (src, tag). The
+// receiver's shard is woken only if its token is free; otherwise the chain
+// holding it picks the receiver up on its next handoff.
 func (e *eventEngine) send(m *message) {
 	t := &e.tasks[m.dst]
 	sh := &e.shards[e.shardOf(m.dst)]
@@ -507,7 +521,7 @@ func (e *eventEngine) send(m *message) {
 
 // recv returns the next message from src to dst with the given tag,
 // suspending the task if none is queued yet. FIFO order among same-tag
-// messages is preserved by the store, identically to the goroutine engine.
+// messages is preserved by the store.
 func (e *eventEngine) recv(dst, src, tag int) *message {
 	t := &e.tasks[dst]
 	sh := &e.shards[e.shardOf(dst)]

@@ -3,60 +3,24 @@ package machine
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
 
-// eventWorld creates a world on the event engine, failing the test on
-// construction errors.
-func eventWorld(t *testing.T, p int, cfg Config, opts ...Option) *World {
+// testWorld creates a world on a scheduler pool of the given width (below
+// one: GOMAXPROCS), failing the test on construction errors. Pinning the
+// width exercises the multi-worker paths on any host.
+func testWorld(t *testing.T, p int, cfg Config, workers int) *World {
 	t.Helper()
-	w, err := New(p, cfg, append([]Option{WithEngine(EngineEvent)}, opts...)...)
+	w, err := newWorld(p, cfg, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return w
-}
-
-// runBothEngines runs the same body on a goroutine-engine world and an
-// event-engine world and returns the two stats, failing on any run error.
-// The body must be engine-agnostic (pure Rank API), which is the contract
-// the event engine exists to preserve.
-func runBothEngines(t *testing.T, p int, cfg Config, body func(*Rank)) (gor, evt WorldStats) {
-	t.Helper()
-	gw := NewWorld(p, cfg)
-	if err := gw.Run(body); err != nil {
-		t.Fatalf("goroutine engine: %v", err)
-	}
-	ew := eventWorld(t, p, cfg)
-	if err := ew.Run(body); err != nil {
-		t.Fatalf("event engine: %v", err)
-	}
-	return gw.Stats(), ew.Stats()
-}
-
-func TestParseEngine(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		want Engine
-	}{
-		{"", EngineGoroutine},
-		{"goroutine", EngineGoroutine},
-		{"event", EngineEvent},
-	} {
-		got, err := ParseEngine(tc.name)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseEngine(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
-		}
-	}
-	if _, err := ParseEngine("fibers"); !errors.Is(err, core.ErrBadOpts) {
-		t.Errorf("ParseEngine(fibers) err = %v, want ErrBadOpts", err)
-	}
-	if EngineGoroutine.String() != "goroutine" || EngineEvent.String() != "event" {
-		t.Errorf("engine names: %v %v", EngineGoroutine, EngineEvent)
-	}
 }
 
 func TestNewValidatesRankCount(t *testing.T) {
@@ -64,59 +28,52 @@ func TestNewValidatesRankCount(t *testing.T) {
 		t.Errorf("New(0) err = %v, want ErrBadProcessorCount", err)
 	}
 	if _, err := New(MaxRanks+1, BandwidthOnly()); !errors.Is(err, core.ErrTooManyRanks) {
-		t.Errorf("New(MaxRanks+1) on goroutine engine err = %v, want ErrTooManyRanks", err)
-	}
-	// The event engine lifts the packed-state cap: a world one past the
-	// goroutine limit constructs fine (construction only — running it
-	// would be a multi-gigabyte simulation).
-	w, err := New(MaxRanks+1, BandwidthOnly(), WithEngine(EngineEvent))
-	if err != nil {
-		t.Fatalf("New(MaxRanks+1) on event engine: %v", err)
-	}
-	if w.P() != MaxRanks+1 || w.Engine() != EngineEvent {
-		t.Errorf("world: P=%d engine=%v", w.P(), w.Engine())
-	}
-	if _, err := New(MaxEventRanks+1, BandwidthOnly(), WithEngine(EngineEvent)); !errors.Is(err, core.ErrTooManyRanks) {
-		t.Errorf("New(MaxEventRanks+1) err = %v, want ErrTooManyRanks", err)
-	}
-	if _, err := New(4, BandwidthOnly(), WithEngine(Engine(99))); !errors.Is(err, core.ErrBadOpts) {
-		t.Errorf("New with bogus engine err = %v, want ErrBadOpts", err)
+		t.Errorf("New(MaxRanks+1) err = %v, want ErrTooManyRanks", err)
 	}
 }
 
-// TestEventEnginePingPong pins the event engine's clock arithmetic to the
-// same hand-computed values the goroutine-engine test uses.
-func TestEventEnginePingPong(t *testing.T) {
-	cfg := Config{Alpha: 10, Beta: 2, Gamma: 0}
-	w := eventWorld(t, 2, cfg)
+// TestIdleWorkerDoesNotSpin is the regression test for a busy-spin in the
+// worker pool. A verifier that stood down for another shard's pending
+// wakeup used to re-park and re-verify in a loop until that shard's worker
+// got a CPU, so with every P busy each cross-shard handoff cost about one
+// preemption slice (~10 ms). One P, two workers and a cross-shard
+// ping-pong put every round trip on that path: 50 round trips took over
+// two seconds with the spin and take well under a millisecond without it.
+func TestIdleWorkerDoesNotSpin(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const rounds = 50
+	w := testWorld(t, 2, BandwidthOnly(), 2)
+	start := time.Now()
 	err := w.Run(func(r *Rank) {
-		switch r.ID() {
-		case 0:
-			r.Send(1, 7, []float64{1, 2, 3}) // clock: 10 + 2*3 = 16
-			got := r.Recv(1, 8)              // arrives at 16+10+2 = 28
-			if len(got) != 1 || got[0] != 42 {
-				t.Errorf("reply = %v", got)
+		peer := 1 - r.ID()
+		for i := 0; i < rounds; i++ {
+			if r.ID() == 0 {
+				r.Send(peer, i, []float64{1})
+				r.PutBuffer(r.Recv(peer, i))
+			} else {
+				r.PutBuffer(r.Recv(peer, i))
+				r.Send(peer, i, []float64{1})
 			}
-		case 1:
-			msg := r.Recv(0, 7) // clock: max(0, 16) = 16
-			if len(msg) != 3 || msg[2] != 3 {
-				t.Errorf("msg = %v", msg)
-			}
-			r.Send(0, 8, []float64{42}) // clock: 16 + 10 + 2 = 28
 		}
 	})
+	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := w.Stats().CriticalPath; got != 28 {
-		t.Errorf("critical path = %v, want 28", got)
+	if got := w.Stats().TotalMessages; got != 2*rounds {
+		t.Errorf("total messages = %v, want %d", got, 2*rounds)
+	}
+	if elapsed > 200*time.Millisecond {
+		t.Fatalf("%d cross-shard round trips on one P took %v, want < 200ms: idle workers are spinning", rounds, elapsed)
 	}
 }
 
 // TestEventEngineStatsBitIdentical runs a body exercising every Rank
 // operation — tagged sends consumed out of order, SendRecv exchanges,
-// phases, compute, memory accounting, barriers — on both engines and
-// requires the full WorldStats to match exactly.
+// phases, compute, memory accounting, barriers — and requires the full
+// WorldStats to match, bit for bit, the stats the one-goroutine-per-rank
+// reference scheduler produced for the same body (captured once, pinned
+// below), on a one-worker and a multi-worker pool.
 func TestEventEngineStatsBitIdentical(t *testing.T) {
 	const p = 12
 	body := func(r *Rank) {
@@ -144,72 +101,83 @@ func TestEventEngineStatsBitIdentical(t *testing.T) {
 		}
 		r.Recv(prev, 201)
 	}
-	gor, evt := runBothEngines(t, p, Config{Alpha: 2, Beta: 0.5, Gamma: 0.125}, body)
-	if !reflect.DeepEqual(gor, evt) {
-		t.Fatalf("WorldStats diverge between engines:\ngoroutine: %+v\nevent:     %+v", gor, evt)
-	}
-}
-
-// TestEventEngineFIFOAndTagMatching mirrors the goroutine-engine matching
-// tests: FIFO within a tag, arbitrary order across tags.
-func TestEventEngineFIFOAndTagMatching(t *testing.T) {
-	w := eventWorld(t, 2, BandwidthOnly())
-	err := w.Run(func(r *Rank) {
-		if r.ID() == 0 {
-			r.Send(1, 1, []float64{10})
-			for i := 0; i < 5; i++ {
-				r.Send(1, 3, []float64{float64(i)})
-			}
-			r.Send(1, 2, []float64{20})
-		} else {
-			if got := r.Recv(0, 2); got[0] != 20 {
-				t.Errorf("tag 2 payload = %v", got)
-			}
-			for i := 0; i < 5; i++ {
-				if got := r.Recv(0, 3); got[0] != float64(i) {
-					t.Errorf("message %d = %v", i, got[0])
-				}
-			}
-			if got := r.Recv(0, 1); got[0] != 10 {
-				t.Errorf("tag 1 payload = %v", got)
-			}
+	// Rank me sends 4 shifts of 3+me%3 words, one 5-word exchange, and 3
+	// words after the barrier; it receives its predecessor's shifts.
+	rank := func(sent, recv, flops, peak, shiftRecv, shiftSent float64) RankStats {
+		return RankStats{
+			WordsSent: sent, WordsRecv: recv, MsgsSent: 7, MsgsRecv: 7,
+			Flops: flops, PeakMemory: peak, FinalClock: 38,
+			PhaseRecvWords: map[string]float64{"exchange": 5, "shift": shiftRecv},
+			PhaseSentWords: map[string]float64{"exchange": 5, "shift": shiftSent},
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
+	}
+	want := WorldStats{
+		Ranks: []RankStats{
+			rank(20, 28, 40, 8, 20, 12),
+			rank(24, 20, 80, 16, 12, 16),
+			rank(28, 24, 40, 24, 16, 20),
+			rank(20, 28, 80, 32, 20, 12),
+			rank(24, 20, 40, 40, 12, 16),
+			rank(28, 24, 80, 48, 16, 20),
+			rank(20, 28, 40, 56, 20, 12),
+			rank(24, 20, 80, 64, 12, 16),
+			rank(28, 24, 40, 72, 16, 20),
+			rank(20, 28, 80, 80, 20, 12),
+			rank(24, 20, 40, 88, 12, 16),
+			rank(28, 24, 80, 96, 16, 20),
+		},
+		CriticalPath:   38,
+		TotalWordsSent: 288,
+		TotalMessages:  84,
+		MaxWordsRecv:   28,
+		MaxWordsSent:   28,
+		MaxPeakMemory:  96,
+	}
+	for _, workers := range []int{1, 4} {
+		w := testWorld(t, p, Config{Alpha: 2, Beta: 0.5, Gamma: 0.125}, workers)
+		if err := w.Run(body); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got := w.Stats(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: WorldStats diverge from the pinned reference:\ngot:  %+v\nwant: %+v", workers, got, want)
+		}
 	}
 }
 
-// TestEventEngineDeadlockParity drives the deadlock suites on both engines
-// and requires identical diagnostics: same verdict from the shared message
-// formatter, reported by the same (lowest panicking) rank.
+// TestEventEngineDeadlockParity drives the deadlock suites and requires
+// the exact diagnostics the one-goroutine-per-rank reference scheduler
+// printed (captured once, pinned below): the verdict from the shared
+// message formatter, reported by the same (lowest panicking) rank, on a
+// one-worker and a multi-worker pool.
 func TestEventEngineDeadlockParity(t *testing.T) {
 	cases := []struct {
 		name string
 		p    int
 		body func(*Rank)
+		want string
 	}{
-		{"all-recv", 3, func(r *Rank) { r.Recv((r.ID()+1)%3, 0) }},
+		{"all-recv", 3, func(r *Rank) { r.Recv((r.ID()+1)%3, 0) },
+			"rank 0: machine: aborted: deadlock: all 3 ranks blocked in Recv with 0 undeliverable messages in flight"},
 		{"recv-plus-barrier", 2, func(r *Rank) {
 			if r.ID() == 0 {
 				r.Recv(1, 0)
 			} else {
 				r.Barrier()
 			}
-		}},
+		}, "rank 0: machine: aborted: deadlock: 1 ranks blocked in Recv, 1 in Barrier, 0 finished, with 0 undeliverable messages in flight"},
 		{"barrier-early-exit", 4, func(r *Rank) {
 			if r.ID() == 0 {
 				return
 			}
 			r.Barrier()
-		}},
+		}, "rank 1: machine: aborted: deadlock: 3 ranks in Barrier can never be released (1 ranks already finished)"},
 		{"undeliverable-inflight", 2, func(r *Rank) {
 			if r.ID() == 0 {
 				r.Send(1, 5, []float64{1})
 				return
 			}
 			r.Recv(0, 6)
-		}},
+		}, "rank 1: machine: aborted: deadlock: 1 ranks blocked in Recv, 0 in Barrier, 1 finished, with 1 undeliverable messages in flight"},
 		{"mixed", 4, func(r *Rank) {
 			switch r.ID() {
 			case 0:
@@ -219,39 +187,17 @@ func TestEventEngineDeadlockParity(t *testing.T) {
 			default:
 				r.Recv(0, 9)
 			}
-		}},
+		}, "rank 1: machine: aborted: deadlock: 2 ranks blocked in Recv, 1 in Barrier, 1 finished, with 0 undeliverable messages in flight"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			gw := NewWorld(tc.p, BandwidthOnly())
-			gerr := gw.Run(tc.body)
-			ew := eventWorld(t, tc.p, BandwidthOnly())
-			eerr := ew.Run(tc.body)
-			if gerr == nil || eerr == nil {
-				t.Fatalf("expected deadlock on both engines, got goroutine=%v event=%v", gerr, eerr)
-			}
-			if !strings.Contains(eerr.Error(), "deadlock") {
-				t.Fatalf("event engine error lacks deadlock verdict: %v", eerr)
-			}
-			if gerr.Error() != eerr.Error() {
-				t.Fatalf("deadlock diagnostics diverge:\ngoroutine: %v\nevent:     %v", gerr, eerr)
+			for _, workers := range []int{1, 4} {
+				err := testWorld(t, tc.p, BandwidthOnly(), workers).Run(tc.body)
+				if err == nil || err.Error() != tc.want {
+					t.Fatalf("workers=%d: diagnostic\ngot:  %v\nwant: %s", workers, err, tc.want)
+				}
 			}
 		})
-	}
-}
-
-// TestEventEnginePanicPropagates mirrors the goroutine-engine test: a
-// panicking rank must fail the world and unblock parked peers.
-func TestEventEnginePanicPropagates(t *testing.T) {
-	w := eventWorld(t, 2, BandwidthOnly())
-	err := w.Run(func(r *Rank) {
-		if r.ID() == 0 {
-			panic("boom")
-		}
-		r.Recv(0, 0) // would block forever without failure propagation
-	})
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("expected panic propagation, got %v", err)
 	}
 }
 
@@ -268,7 +214,7 @@ func TestEventEngineWorkerPoolStress(t *testing.T) {
 		rounds = 6
 	)
 	for _, workers := range []int{2, 4, 7} {
-		w := eventWorld(t, p, BandwidthOnly(), WithEventWorkers(workers))
+		w := testWorld(t, p, BandwidthOnly(), workers)
 		err := w.Run(func(r *Rank) {
 			me := r.ID()
 			for round := 0; round < rounds; round++ {
@@ -298,7 +244,7 @@ func TestEventEngineWorkerPoolStress(t *testing.T) {
 // with a pool wider than one: the last parking worker must verify and
 // abort the world even when the blocked tasks span several shards.
 func TestEventEngineDeadlockUnderManyWorkers(t *testing.T) {
-	w := eventWorld(t, 16, BandwidthOnly(), WithEventWorkers(4))
+	w := testWorld(t, 16, BandwidthOnly(), 4)
 	err := w.Run(func(r *Rank) {
 		r.Recv((r.ID()+1)%16, 0) // nobody ever sends
 	})
@@ -308,15 +254,14 @@ func TestEventEngineDeadlockUnderManyWorkers(t *testing.T) {
 }
 
 // TestEventEngineLargeWorldCounting is the in-package scale smoke: a
-// BandwidthOnly ring-counting run at P far beyond what the goroutine
-// engine could schedule comfortably. CI drives the full P=10^6 version
-// through cmd/benchrec; this keeps a quarter-scale variant in `go test`.
+// BandwidthOnly ring-counting run at P = 2^17. CI drives the full P=10^6
+// version through cmd/benchrec; this keeps a smaller variant in `go test`.
 func TestEventEngineLargeWorldCounting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-world smoke skipped in -short mode")
 	}
 	const p = 1 << 17 // 131072 ranks
-	w := eventWorld(t, p, BandwidthOnly())
+	w := NewWorld(p, BandwidthOnly())
 	err := w.Run(func(r *Rank) {
 		me := r.ID()
 		r.Send((me+1)%p, 0, []float64{float64(me)})

@@ -20,40 +20,35 @@
 // The simulator is deterministic: matching is FIFO per (source,
 // destination, tag), clocks are pure functions of the communication
 // pattern, and no wall-clock time leaks into results. Every observable
-// statistic is therefore independent of how rank execution is scheduled,
-// which is what lets the two execution engines below produce bit-identical
-// WorldStats.
+// statistic is therefore independent of how rank execution is scheduled —
+// pinned by the golden-stats test in internal/algs over the full algorithm
+// registry.
 //
-// # Execution engines
+// # Scheduler
 //
-// Two engines run the SPMD bodies (select with WithEngine):
-//
-//   - EngineGoroutine (the default and reference): one goroutine per rank,
-//     per-receiver sharded mailboxes with targeted wakeups, and packed-
-//     atomic idle accounting with exact two-phase deadlock detection. See
-//     goroutine_engine.go. Scale is bounded by MaxRanks (the packed
-//     accounting) and, in practice, by Go scheduler pressure well below it.
-//
-//   - EngineEvent: ranks run as cooperatively scheduled tasks multiplexed
-//     onto a small worker pool, suspending at the blocking points (Recv,
-//     Barrier) and resuming when the event that unblocks them (a matching
-//     message, a barrier release) is delivered. The Go scheduler never
-//     sees more than a handful of runnable goroutines, there are no
-//     per-rank condition variables or broadcast storms, and deadlock
-//     detection is an exact, nearly free check when the worker pool goes
-//     idle. This is the engine for cluster-scale worlds (P ≥ 10^6 for
-//     communication counting). See event_engine.go.
-//
-// The SPMD body API (Rank) is identical on both engines, and WorldStats
-// are bit-identical across them — pinned by the golden-stats test in
-// internal/algs over the full algorithm registry.
+// Ranks run as cooperatively scheduled tasks multiplexed onto a small
+// worker pool (one worker per GOMAXPROCS, capped at P), suspending at the
+// blocking points (Recv, Barrier) and resuming when the event that
+// unblocks them (a matching message, a barrier release) is delivered. The
+// Go scheduler never sees more than a handful of runnable goroutines,
+// there are no per-rank condition variables or broadcast storms, and
+// deadlock detection is an exact, nearly free check when the worker pool
+// goes idle. A rank body may block only in Recv or Barrier: anything else
+// that waits on another rank (a channel, a mutex held across ranks) stalls
+// its whole shard. See event_engine.go.
 package machine
 
 import (
 	"fmt"
+	"math"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
+
+// MaxRanks is the largest world the simulator supports; task ids are kept
+// in 32-bit run queues.
+const MaxRanks = math.MaxInt32
 
 // Config sets the machine cost parameters of the α-β-γ model.
 type Config struct {
@@ -101,15 +96,14 @@ type msgQueue struct {
 }
 
 // msgStore holds one receiver's undelivered messages, keyed by source, with
-// the in-flight count the deadlock verifiers report. It carries no lock of
-// its own: the goroutine engine guards each store with its mailbox mutex,
-// the event engine with the receiver's shard mutex.
+// the in-flight count the deadlock verifier reports. It carries no lock of
+// its own: the receiver's shard mutex guards it.
 type msgStore struct {
 	// queues holds the undelivered messages per source rank, created
 	// lazily so worlds whose pairs never communicate pay nothing.
 	queues map[int]*msgQueue
 	// inflight counts undelivered messages queued here; the deadlock
-	// verifiers sum it across receivers for diagnostics.
+	// verifier sums it across receivers for diagnostics.
 	inflight int
 }
 
@@ -174,30 +168,13 @@ func (s *msgStore) peek(src, tag int) bool {
 	return false
 }
 
-// engineCore is the scheduling backend of a World: it executes the SPMD
-// bodies and implements the blocking points. Rank's bookkeeping (clocks,
-// stats, tracing) is engine-independent and lives in rank.go; everything
-// behind these four calls is engine-private.
-type engineCore interface {
-	// run executes body on every rank and blocks until all return; it
-	// reports the first (lowest-rank) panic, including detected deadlocks.
-	run(body func(*Rank)) error
-	// send delivers m eagerly (never blocks the caller).
-	send(m *message)
-	// recv blocks rank dst until a message from src with tag is available.
-	recv(dst, src, tag int) *message
-	// barrier parks r until all P ranks arrive, aligning clocks to the max.
-	barrier(r *Rank)
-}
-
 // World is a simulated machine of P ranks.
 type World struct {
-	p      int
-	cfg    Config
-	engine Engine
+	p   int
+	cfg Config
 
-	// eng is the scheduling backend selected by WithEngine.
-	eng engineCore
+	// eng executes the SPMD bodies and implements the blocking points.
+	eng *eventEngine
 
 	trace   *Trace
 	traffic *TrafficMatrix
@@ -210,44 +187,48 @@ type World struct {
 	ranks []Rank
 }
 
-// New creates a machine with p ranks, the given cost model, and any engine
-// options, reporting invalid configurations as typed errors: a non-positive
-// p wraps core.ErrBadProcessorCount, and a p beyond the selected engine's
-// capacity (MaxRanks for the goroutine engine) wraps core.ErrTooManyRanks.
-func New(p int, cfg Config, opts ...Option) (*World, error) {
+// New creates a machine with p ranks and the given cost model, reporting
+// invalid sizes as typed errors: a non-positive p wraps
+// core.ErrBadProcessorCount, and a p beyond MaxRanks wraps
+// core.ErrTooManyRanks.
+func New(p int, cfg Config) (*World, error) { return newWorld(p, cfg, 0) }
+
+// newWorld is New with an explicit scheduler pool width; workers below one
+// select GOMAXPROCS. Tests pin the width to exercise multi-worker paths on
+// any host.
+func newWorld(p int, cfg Config, workers int) (*World, error) {
+	if err := checkRankCount(p); err != nil {
+		return nil, err
+	}
 	w := &World{p: p, cfg: cfg}
-	var wopts worldOptions
-	for _, o := range opts {
-		o(&wopts)
-	}
-	w.engine = wopts.engine
-	if err := w.engine.validate(); err != nil {
-		return nil, err
-	}
-	if err := checkRankCount(p, w.engine); err != nil {
-		return nil, err
-	}
 	// Ranks are allocated in one block; per-phase stat maps are created
 	// lazily on first use (see Rank.addPhase).
 	w.ranks = make([]Rank, p)
 	for i := range w.ranks {
 		w.ranks[i] = Rank{id: i, world: w}
 	}
-	switch w.engine {
-	case EngineEvent:
-		w.eng = newEventEngine(w, wopts.workers)
-	default:
-		w.eng = newGoroutineEngine(w)
-	}
+	w.eng = newEventEngine(w, workers)
 	if obs.Enabled() {
 		mWorlds.Inc()
 	}
 	return w, nil
 }
 
-// NewWorld creates a machine with p ranks and the given cost model on the
-// default (goroutine) engine, panicking on invalid sizes. Prefer New in
-// paths that must report capacity limits as errors instead of crashing.
+// checkRankCount validates p against the simulator's capacity.
+func checkRankCount(p int) error {
+	if p <= 0 {
+		return fmt.Errorf("%w: world size %d", core.ErrBadProcessorCount, p)
+	}
+	if p > MaxRanks {
+		return fmt.Errorf("%w: world size %d exceeds the limit of %d",
+			core.ErrTooManyRanks, p, MaxRanks)
+	}
+	return nil
+}
+
+// NewWorld creates a machine with p ranks and the given cost model,
+// panicking on invalid sizes. Prefer New in paths that must report
+// capacity limits as errors instead of crashing.
 func NewWorld(p int, cfg Config) *World {
 	w, err := New(p, cfg)
 	if err != nil {
@@ -265,9 +246,6 @@ func (w *World) P() int { return w.p }
 
 // Config returns the cost model.
 func (w *World) Config() Config { return w.cfg }
-
-// Engine returns the execution engine the world runs on.
-func (w *World) Engine() Engine { return w.engine }
 
 // Run executes body on every rank concurrently and blocks until all ranks
 // return. It returns an error if any rank panicked (including simulator-
@@ -300,10 +278,8 @@ func (w *World) Stats() WorldStats {
 	return ws
 }
 
-// deadlockMessage renders the verdict of a deadlock verification. Both
-// engines use it, so a given stuck communication pattern aborts with the
-// same diagnostic regardless of the engine. The empty string means the
-// state is not a deadlock (all ranks parked in a barrier with no finished
+// deadlockMessage renders the verdict of a deadlock verification. The
+// empty string means the state is not a deadlock (all ranks parked in a barrier with no finished
 // rank resolves via the barrier's own release).
 func deadlockMessage(recvBlocked, barParked, done, inflight int) string {
 	switch {

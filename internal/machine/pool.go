@@ -74,7 +74,7 @@ func (a *arena) put(buf []float64) {
 	if c >= arenaClasses {
 		return
 	}
-	buf = buf[:0 : 1<<c]
+	buf = buf[: 0 : 1<<c]
 	a.mu.Lock()
 	a.free[c] = append(a.free[c], buf)
 	a.mu.Unlock()
@@ -106,7 +106,7 @@ func (a *arena) putInts(buf []int) {
 	if c >= intClasses {
 		return
 	}
-	buf = buf[:0 : 1<<c]
+	buf = buf[: 0 : 1<<c]
 	a.mu.Lock()
 	a.ints[c] = append(a.ints[c], buf)
 	a.mu.Unlock()

@@ -243,11 +243,10 @@ type SimulateRequest struct {
 	// every message is priced through its routes and contention factors.
 	// The spec must fit every problem's P (batch entries included).
 	Topology *TopologyJSON `json:"topology,omitempty"`
-	// Engine selects the simulator's scheduling backend: "goroutine" (the
-	// default) or "event". Results are bit-identical; the event engine
-	// admits far larger P (see Config.MaxSimProcsEvent), so requests
-	// rejected as too large on the goroutine engine can retry with
-	// "engine": "event". Unknown names answer 400 with kind "bad_opts".
+	// Engine names a scheduling backend of earlier versions, which had two.
+	// The simulator now has one, so "goroutine" and "event" (and the empty
+	// string) are accepted and ignored, keeping old bodies valid; any other
+	// name answers 400 with kind "bad_opts".
 	Engine string `json:"engine,omitempty"`
 	// Trace records each run's event timeline and stores it as a Chrome
 	// trace-event JSON artifact (trace.json, or trace-<i>.json per batch

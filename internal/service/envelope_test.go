@@ -81,7 +81,7 @@ func TestSimulateEnvelope(t *testing.T) {
 	status, raw := post(t, ts, "/v1/simulate", `{"problems":[
 		{"n1":64,"n2":64,"n3":64,"p":8},
 		{"n1":0,"n2":64,"n3":64,"p":8},
-		{"n1":64,"n2":64,"n3":64,"p":100000}]}`)
+		{"n1":64,"n2":64,"n3":64,"p":2000000}]}`)
 	if status != http.StatusBadRequest {
 		t.Fatalf("status %d: %s", status, raw)
 	}

@@ -105,16 +105,16 @@ func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
 		byState[string(st)] = n
 	}
 	writeJSON(w, http.StatusOK, VarsResponse{
-		Requests:       s.requests.Load(),
-		CacheHits:      hits,
-		CacheMisses:    misses,
-		CacheShared:    s.cache.Shared(),
-		CacheEntries:   s.cache.Len(),
-		Overloads:      s.overloads.Load(),
-		PlanPoints:     s.planPoints.Load(),
-		JobsInFlight:   s.jobs.InFlight(),
-		JobsTotal:      int(s.jobsTotal.Load()),
-		JobsByState:    byState,
+		Requests:         s.requests.Load(),
+		CacheHits:        hits,
+		CacheMisses:      misses,
+		CacheShared:      s.cache.Shared(),
+		CacheEntries:     s.cache.Len(),
+		Overloads:        s.overloads.Load(),
+		PlanPoints:       s.planPoints.Load(),
+		JobsInFlight:     s.jobs.InFlight(),
+		JobsTotal:        int(s.jobsTotal.Load()),
+		JobsByState:      byState,
 		JobsEvicted:      s.jobs.Evicted(),
 		WordsSimulated:   s.WordsSimulated(),
 		ArtifactsWritten: s.artifactsWritten.Load(),
@@ -338,26 +338,15 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 }
 
 // checkSimProblem validates one simulation instance against the
-// engine-aware admission limits: each engine has its own P ceiling (the
-// goroutine engine schedules one goroutine per rank, so it gets the tight
-// default), and a goroutine-engine rejection points the client at the
-// event engine instead of just refusing.
-func (s *Server) checkSimProblem(p Problem, engine machine.Engine) (core.Dims, error) {
+// admission limits on P and flops.
+func (s *Server) checkSimProblem(p Problem) (core.Dims, error) {
 	d, err := parseProblem(p)
 	if err != nil {
 		return d, err
 	}
-	switch engine {
-	case machine.EngineEvent:
-		if p.P > s.cfg.MaxSimProcsEvent {
-			return d, fmt.Errorf("service: P=%d exceeds the event-engine simulation limit %d: %w",
-				p.P, s.cfg.MaxSimProcsEvent, core.ErrTooManyRanks)
-		}
-	default:
-		if p.P > s.cfg.MaxSimProcs {
-			return d, fmt.Errorf(`service: P=%d exceeds the goroutine-engine simulation limit %d; retry with "engine": "event" (limit %d): %w`,
-				p.P, s.cfg.MaxSimProcs, s.cfg.MaxSimProcsEvent, core.ErrTooManyRanks)
-		}
+	if p.P > s.cfg.MaxSimProcs {
+		return d, fmt.Errorf("service: P=%d exceeds the simulation limit %d: %w",
+			p.P, s.cfg.MaxSimProcs, core.ErrTooManyRanks)
 	}
 	if d.Flops() > s.cfg.MaxSimFlops {
 		return d, fmt.Errorf("service: %v needs %.3g flops, over the simulation limit %.3g: %w",
@@ -383,14 +372,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if !s.checkBatch(w, len(problems)) {
 		return
 	}
-	engine, err := machine.ParseEngine(req.Engine)
-	if err != nil {
-		writeError(w, err)
+	switch req.Engine {
+	case "", "goroutine", "event":
+	default:
+		writeError(w, fmt.Errorf(`%w: unknown engine %q (valid: "goroutine", "event")`, core.ErrBadOpts, req.Engine))
 		return
 	}
 	opts := algs.Opts{
 		Config: machine.Config{Alpha: req.Alpha, Beta: req.Beta, Gamma: req.Gamma},
-		Engine: engine,
 	}
 	if req.Alpha == 0 && req.Beta == 0 && req.Gamma == 0 {
 		opts.Config = machine.BandwidthOnly()
@@ -413,7 +402,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// legacy forms keep their first-error behavior.
 	var envErrs []EnvelopeError
 	for i, p := range problems {
-		_, err := s.checkSimProblem(p, engine)
+		_, err := s.checkSimProblem(p)
 		if err == nil && req.Topology != nil {
 			_, _, err = parseTopology(req.Topology, p.P,
 				topo.Link{Alpha: opts.Config.Alpha, Beta: opts.Config.Beta})

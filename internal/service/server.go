@@ -34,17 +34,10 @@ type Config struct {
 	// (the simulator is exact, not sampled, so flops are real work); ≤ 0
 	// selects 1e9.
 	MaxSimFlops float64
-	// MaxSimProcs rejects goroutine-engine simulation requests whose P
-	// exceeds it (that engine runs one goroutine per rank, so admitting
-	// huge P would let one request exhaust the daemon); ≤ 0 selects 4096.
-	// The rejection message points at the event engine, whose own limit is
-	// MaxSimProcsEvent.
+	// MaxSimProcs rejects simulation requests whose P exceeds it, so one
+	// request cannot exhaust the daemon's memory (each rank costs a task
+	// struct and a parked goroutine stack); ≤ 0 selects 1 << 20.
 	MaxSimProcs int
-	// MaxSimProcsEvent rejects event-engine simulation requests whose P
-	// exceeds it; ≤ 0 selects 1 << 20. The event engine multiplexes ranks
-	// onto a worker pool, so it admits far larger worlds than the
-	// goroutine engine for the same memory budget.
-	MaxSimProcsEvent int
 	// MaxSearchProcs rejects grid/predict requests whose P exceeds it (the
 	// divisor search is linear in P); ≤ 0 selects 1 << 24.
 	MaxSearchProcs int
@@ -126,10 +119,7 @@ func (c Config) withDefaults() Config {
 		c.MaxSimFlops = 1e9
 	}
 	if c.MaxSimProcs <= 0 {
-		c.MaxSimProcs = 4096
-	}
-	if c.MaxSimProcsEvent <= 0 {
-		c.MaxSimProcsEvent = 1 << 20
+		c.MaxSimProcs = 1 << 20
 	}
 	if c.MaxSearchProcs <= 0 {
 		c.MaxSearchProcs = 1 << 24

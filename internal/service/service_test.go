@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -154,7 +157,7 @@ func TestErrorStatusMapping(t *testing.T) {
 		{"bad grid extents", "/v1/predict", `{"n1":64,"n2":64,"n3":64,"p":8,"grid":{"p1":0,"p2":2,"p3":4},"beta":1}`, 422, "grid_mismatch"},
 		{"unknown alg", "/v1/simulate", `{"alg":"Strassen9000","n1":8,"n2":8,"n3":8,"p":4}`, 404, "unsupported_alg"},
 		{"sim too large", "/v1/simulate", `{"n1":4000,"n2":4000,"n3":4000,"p":8}`, 400, "bad_dims"},
-		{"sim too many procs", "/v1/simulate", `{"n1":64,"n2":64,"n3":64,"p":100000}`, 400, "too_many_ranks"},
+		{"sim too many procs", "/v1/simulate", `{"n1":64,"n2":64,"n3":64,"p":2000000}`, 400, "too_many_ranks"},
 		{"sim too many procs event", "/v1/simulate", `{"n1":64,"n2":64,"n3":64,"p":2000000,"engine":"event"}`, 400, "too_many_ranks"},
 		{"unknown engine", "/v1/simulate", `{"n1":64,"n2":64,"n3":64,"p":8,"engine":"fibers"}`, 400, "bad_opts"},
 		{"sim grid mismatch", "/v1/simulate", `{"n1":64,"n2":64,"n3":64,"p":8,"grid":{"p1":-1,"p2":2,"p3":4}}`, 422, "grid_mismatch"},
@@ -290,6 +293,40 @@ func waitJob(t *testing.T, ts *httptest.Server, id string) JobResponse {
 			t.Fatalf("job %s stuck in %s", id, resp.Status)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestSimAdmissionOneCap pins the single simulation P limit: by default
+// every P up to 2^20 is admitted, with or without the legacy "engine"
+// field, and one more rank is refused. The legacy names are accepted and
+// ignored, so the same body answers the same result under each of them.
+func TestSimAdmissionOneCap(t *testing.T) {
+	s, ts := newTestServer(t)
+	for _, tc := range []struct {
+		p    int
+		want error
+	}{{4097, nil}, {100000, nil}, {1 << 20, nil}, {1<<20 + 1, core.ErrTooManyRanks}} {
+		if _, err := s.checkSimProblem(Problem{N1: 64, N2: 64, N3: 64, P: tc.p}); !errors.Is(err, tc.want) {
+			t.Errorf("P=%d: admission err = %v, want %v", tc.p, err, tc.want)
+		}
+	}
+	var first SimulateResult
+	for i, engine := range []string{"", "goroutine", "event"} {
+		body := fmt.Sprintf(`{"n1":16,"n2":16,"n3":16,"p":8,"engine":%q}`, engine)
+		status, raw := post(t, ts, "/v1/simulate", body)
+		if status != http.StatusAccepted {
+			t.Fatalf("engine %q: status %d: %s", engine, status, raw)
+		}
+		final := waitJob(t, ts, decode[JobResponse](t, raw).ID)
+		if final.Status != string(JobDone) {
+			t.Fatalf("engine %q: job = %+v", engine, final)
+		}
+		res := decode[SimulateResult](t, mustMarshal(t, final.Result))
+		if i == 0 {
+			first = res
+		} else if !reflect.DeepEqual(res, first) {
+			t.Errorf("engine %q: result %+v differs from %+v", engine, res, first)
+		}
 	}
 }
 

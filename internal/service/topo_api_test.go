@@ -149,8 +149,8 @@ func TestPredictTopologyProcsLimit(t *testing.T) {
 }
 
 // TestSimulateTopologyLargeP runs a P = 65536 torus problem through the
-// job API on the event engine — above the goroutine engine's admission cap,
-// legal on the event engine, and served by the walk-mode charge oracle.
+// job API, served by the walk-mode charge oracle. The body keeps the legacy
+// "engine" field, which is accepted and ignored.
 func TestSimulateTopologyLargeP(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("65536-rank simulation")

@@ -148,16 +148,18 @@ func TestKeyValidationRejectsTraversal(t *testing.T) {
 
 func TestFSConcurrentPutOpen(t *testing.T) {
 	// Hammer one key with writers and readers; atomic rename means every
-	// read observes a complete value. Run with -race.
+	// read observes a complete value. Every value is exactly 4 bytes
+	// ("v" + writer digit + two-digit index), so any other length is a
+	// partial write. Run with -race.
 	s := newFS(t)
-	s.Put("k", strings.NewReader("v00"))
+	s.Put("k", strings.NewReader("v000"))
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if _, err := s.Put("k", strings.NewReader(fmt.Sprintf("v%d%d", w, i))); err != nil {
+				if _, err := s.Put("k", strings.NewReader(fmt.Sprintf("v%d%02d", w, i))); err != nil {
 					t.Errorf("Put: %v", err)
 					return
 				}
@@ -176,7 +178,7 @@ func TestFSConcurrentPutOpen(t *testing.T) {
 				}
 				got, err := io.ReadAll(obj)
 				obj.Close()
-				if err != nil || int64(len(got)) != size || len(got) != 3 {
+				if err != nil || int64(len(got)) != size || len(got) != 4 {
 					t.Errorf("read %q (size %d): %v — partial write visible", got, size, err)
 					return
 				}

@@ -70,7 +70,7 @@ func TestTwoLevelCharges(t *testing.T) {
 		t.Errorf("intra-node Charge = (%v, %v), want (%v, %v)", a, b, testLink.Alpha, testLink.Beta)
 	}
 
-	a, b = n.Charge(1, 60) // different nodes
+	a, b = n.Charge(1, 60)                     // different nodes
 	wantChi := float64(g*(p-g)) / float64(p-1) // 448/63 ≈ 7.11
 	if a != 2*testLink.Alpha {
 		t.Errorf("inter-node latency = %v, want %v", a, 2*testLink.Alpha)
@@ -103,7 +103,7 @@ func TestTorusChargeSymmetry(t *testing.T) {
 			}
 		}
 	}
-	near, _ := n.Charge(0, 1)  // one hop
+	near, _ := n.Charge(0, 1) // one hop
 	far, _ := n.Charge(0, 42) // multi-hop
 	if near >= far {
 		t.Errorf("one-hop latency %v not below multi-hop %v", near, far)
@@ -114,12 +114,12 @@ func TestTorusChargeSymmetry(t *testing.T) {
 // NewNetwork onto the quadratic enumeration fallback.
 type opaqueTopo struct{ inner Topology }
 
-func (o *opaqueTopo) Name() string                      { return o.inner.Name() }
-func (o *opaqueTopo) P() int                            { return o.inner.P() }
-func (o *opaqueTopo) NodeSize() int                     { return o.inner.NodeSize() }
-func (o *opaqueTopo) NumLinks() int                     { return o.inner.NumLinks() }
-func (o *opaqueTopo) Route(buf []int, s, d int) []int   { return o.inner.Route(buf, s, d) }
-func (o *opaqueTopo) Link(id int) Link                  { return o.inner.Link(id) }
+func (o *opaqueTopo) Name() string                    { return o.inner.Name() }
+func (o *opaqueTopo) P() int                          { return o.inner.P() }
+func (o *opaqueTopo) NodeSize() int                   { return o.inner.NodeSize() }
+func (o *opaqueTopo) NumLinks() int                   { return o.inner.NumLinks() }
+func (o *opaqueTopo) Route(buf []int, s, d int) []int { return o.inner.Route(buf, s, d) }
+func (o *opaqueTopo) Link(id int) Link                { return o.inner.Link(id) }
 
 // TestNetworkCapOnlyBindsEnumeratedFabrics checks the lifted cap: every
 // Parse-able fabric has closed-form link loads, so it builds beyond the

@@ -54,21 +54,21 @@ func TestParseInvalid(t *testing.T) {
 		spec string
 		p    int
 	}{
-		{"mesh", 16},          // unknown kind
-		{"", 16},              // empty
-		{"flat=3", 16},        // flat takes no parameter
-		{"twolevel=0", 16},    // non-positive group
-		{"twolevel=x", 16},    // non-numeric
-		{"twolevel=5", 16},    // does not divide
-		{"torus=", 16},        // empty extents
-		{"torus=4x0", 16},     // non-positive extent
-		{"torus=4x4", 64},     // wrong product
-		{"fattree=4", 64},     // missing levels
-		{"fattree=1x3", 1},    // radix < 2
-		{"fattree=4x0", 1},    // levels < 1
-		{"fattree=4x2", 64},   // wrong leaf count
-		{"tree=4x4x4", 64},    // too many extents
-		{"flat", 0},           // non-positive p
+		{"mesh", 16},              // unknown kind
+		{"", 16},                  // empty
+		{"flat=3", 16},            // flat takes no parameter
+		{"twolevel=0", 16},        // non-positive group
+		{"twolevel=x", 16},        // non-numeric
+		{"twolevel=5", 16},        // does not divide
+		{"torus=", 16},            // empty extents
+		{"torus=4x0", 16},         // non-positive extent
+		{"torus=4x4", 64},         // wrong product
+		{"fattree=4", 64},         // missing levels
+		{"fattree=1x3", 1},        // radix < 2
+		{"fattree=4x0", 1},        // levels < 1
+		{"fattree=4x2", 64},       // wrong leaf count
+		{"tree=4x4x4", 64},        // too many extents
+		{"flat", 0},               // non-positive p
 		{"fattree=2x40", 1 << 30}, // overflow guard
 	}
 	for _, tc := range cases {

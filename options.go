@@ -2,28 +2,7 @@ package parmm
 
 import (
 	"repro/internal/collective"
-	"repro/internal/machine"
 )
-
-// Engine selects the scheduling backend of the simulated machine. The
-// choice affects only wall-clock performance and capacity — every
-// simulated observable is bit-identical across engines.
-type Engine = machine.Engine
-
-// The execution engines.
-const (
-	// EngineGoroutine runs one goroutine per simulated rank — the default
-	// and the reference implementation, capped at 2^21−1 ranks.
-	EngineGoroutine = machine.EngineGoroutine
-	// EngineEvent multiplexes ranks onto a small worker pool, suspending
-	// them at the blocking points. Use it for cluster-scale runs: P=65536
-	// full simulations interactively, P ≥ 10^6 for communication counting.
-	EngineEvent = machine.EngineEvent
-)
-
-// ParseEngine resolves an engine name ("goroutine" or "event"; empty
-// selects the default goroutine engine). Unknown names wrap ErrBadOpts.
-func ParseEngine(name string) (Engine, error) { return machine.ParseEngine(name) }
 
 // Collective selects the collective-algorithm family used by the simulated
 // runs (see internal/collective): Auto picks recursive doubling/halving for
@@ -91,7 +70,3 @@ func WithTrace() Option { return func(o *Opts) { o.Trace = true } }
 // WithTraffic enables per-pair traffic accounting (returned in
 // Result.Traffic).
 func WithTraffic() Option { return func(o *Opts) { o.Traffic = true } }
-
-// WithEngine selects the simulator's scheduling backend; the default is
-// EngineGoroutine. Results are bit-identical across engines.
-func WithEngine(e Engine) Option { return func(o *Opts) { o.Engine = e } }
