@@ -14,7 +14,8 @@ race:
 	$(GO) test -race -cpu 1,4 ./internal/machine/... ./internal/algs/...
 	$(GO) test -race ./internal/collective/... \
 		./internal/experiments/... ./internal/obs/... ./internal/topo/... \
-		./internal/plan/... ./internal/service/... ./internal/store/... \
+		./internal/plan/... ./internal/grid/... ./internal/model/... \
+		./internal/kkt/... ./internal/service/... ./internal/store/... \
 		./internal/hbl/...
 
 # Record serving throughput, latency percentiles, and singleflight dedup

@@ -1,18 +1,19 @@
 // Command loadgen drives mixed traffic at a parmmd instance —
 // /v1/lowerbound, /v1/predict, and generalized HBL /v1/bound envelopes
 // plus inline and streaming /v1/plan sweeps — and records sustained
-// throughput, latency percentiles, and the singleflight dedup evidence to
+// throughput, latency percentiles, and the memo counters to
 // BENCH_serving.json.
 //
 //	loadgen -duration 10s -clients 8 -out BENCH_serving.json
 //
 // With no -addr, an in-process parmmd serves on a loopback listener, so the
 // run needs no external setup (this is what the CI smoke uses). Clients in
-// the same 250 ms epoch issue identical plan requests over a fresh key
-// space, so every epoch is a burst of concurrent cold misses — the workload
-// singleflight coalescing exists for; the recorded cacheShared counter is
-// the number of duplicate computations it absorbed. Exits non-zero when no
-// request succeeds, making any short run a liveness assertion.
+// the same 250 ms epoch issue identical plan requests with a fresh memory
+// budget, so every epoch is a burst of concurrent cold sweeps. The plans
+// are closed-form, which the service computes without its memo, so the
+// clients compute their points side by side; the recorded cacheShared
+// counter covers only memoized work. Exits non-zero when no request
+// succeeds, making any short run a liveness assertion.
 package main
 
 import (
@@ -70,11 +71,9 @@ func client(ctx context.Context, base string, epoch0 time.Time, artifacts bool, 
 		}
 		if i%4 == 3 {
 			// Every client sleeps to the next epoch boundary and then fires
-			// the identical plan request over a key space nobody has
-			// computed before: a synchronized burst of concurrent cold
-			// misses, the singleflight showcase. The large P range makes
-			// each cold point a real divisor search, so the burst genuinely
-			// overlaps in flight.
+			// the identical plan request with a memory budget nobody has
+			// swept before: a synchronized burst of concurrent cold sweeps,
+			// each point a real divisor search.
 			const epochLen = 250 * time.Millisecond
 			wait := epochLen - time.Since(epoch0)%epochLen
 			select {

@@ -2,72 +2,67 @@ package grid
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// factorize returns the prime factorization of n > 0 as parallel slices of
-// primes (ascending) and exponents.
-func factorize(n int) (primes, exps []int) {
+// maxDivisors is the most divisors any P ≤ 2^24 has: 14414400 =
+// 2^6·3^2·5^2·7·11·13 has 504. Up to that P, the service's search limit,
+// the searches keep the divisor list in an array on their own stack.
+const maxDivisors = 504
+
+// appendDivisors appends the divisors of n > 0 to dst in ascending order.
+// It factors n by trial division over 2, 3 and the 6k±1 wheel and expands
+// the factorization, so it costs about √n/3 divisions plus d(n) products.
+// It allocates only when dst lacks room for all d(n) divisors, and then
+// once.
+func appendDivisors(dst []int, n int) []int {
 	if n <= 0 {
-		panic(fmt.Sprintf("grid: factorize(%d)", n))
+		panic(fmt.Sprintf("grid: divisors of %d", n))
 	}
-	for f := 2; f*f <= n; f++ {
-		if n%f != 0 {
-			continue
+	// No int has more than 15 distinct prime factors: the product of the
+	// first 16 primes exceeds 2^63.
+	var primes, exps [15]int
+	k := 0
+	m := n
+	divide := func(f int) {
+		if m%f != 0 {
+			return
 		}
 		e := 0
-		for n%f == 0 {
-			n /= f
+		for m%f == 0 {
+			m /= f
 			e++
 		}
-		primes = append(primes, f)
-		exps = append(exps, e)
+		primes[k], exps[k] = f, e
+		k++
 	}
-	if n > 1 {
-		primes = append(primes, n)
-		exps = append(exps, 1)
+	divide(2)
+	divide(3)
+	for f := 5; uint64(f)*uint64(f) <= uint64(m); f += 6 {
+		divide(f)
+		divide(f + 2)
 	}
-	return primes, exps
-}
-
-// divisorsOf returns all divisors of n in ascending order, generated from
-// the prime factorization: d(n) values instead of the n trial divisions the
-// nested search loops used to spend, a large win for prime-rich P (a prime
-// P has 2 divisors but cost P to scan).
-func divisorsOf(n int) []int {
-	primes, exps := factorize(n)
-	divs := []int{1}
-	for i, p := range primes {
-		base := len(divs)
-		pk := 1
+	if m > 1 {
+		primes[k], exps[k] = m, 1
+		k++
+	}
+	count := 1
+	for _, e := range exps[:k] {
+		count *= e + 1
+	}
+	dst = slices.Grow(dst, count)
+	base := len(dst)
+	dst = append(dst, 1)
+	for i, q := range primes[:k] {
+		have := len(dst)
+		qe := 1
 		for e := 0; e < exps[i]; e++ {
-			pk *= p
-			for j := 0; j < base; j++ {
-				divs = append(divs, divs[j]*pk)
+			qe *= q
+			for j := base; j < have; j++ {
+				dst = append(dst, dst[j]*qe)
 			}
 		}
 	}
-	sort.Ints(divs)
-	return divs
-}
-
-// forEachTriple visits every ordered triple (p1, p2, p3) of positive
-// integers with p1·p2·p3 = p, exactly once each, as Grid{p1, p2, p3}. The
-// visit order — p1 ascending, then p2 ascending within each p1 — matches
-// the nested trial-division loops this helper replaced, so searches that
-// break cost ties by first-seen order are unchanged. Both Optimal and
-// OptimalUnderMemory enumerate through here.
-func forEachTriple(p int, visit func(Grid)) {
-	divs := divisorsOf(p)
-	for _, p1 := range divs {
-		rest := p / p1
-		for _, p2 := range divs {
-			if p2 > rest {
-				break
-			}
-			if rest%p2 == 0 {
-				visit(Grid{p1, p2, rest / p2})
-			}
-		}
-	}
+	slices.Sort(dst[base:])
+	return dst
 }

@@ -123,8 +123,7 @@ func (g Grid) FiberInto(dst []int, rank int, axis Axis) []int {
 //	n1n2/(p1p2) + n2n3/(p2p3) + n1n3/(p1p3) − (n1n2 + n2n3 + n1n3)/P.
 func CommCost(d core.Dims, g Grid) float64 {
 	p1, p2, p3 := float64(g.P1), float64(g.P2), float64(g.P3)
-	p := p1 * p2 * p3
-	return d.SizeA()/(p1*p2) + d.SizeB()/(p2*p3) + d.SizeC()/(p1*p3) - d.InputOutputWords()/p
+	return MemoryCost(d, g) - d.InputOutputWords()/(p1*p2*p3)
 }
 
 // MemoryCost returns the per-processor words Algorithm 1 holds on this

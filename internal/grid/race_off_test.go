@@ -1,0 +1,5 @@
+//go:build !race
+
+package grid
+
+const raceEnabled = false

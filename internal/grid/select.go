@@ -53,28 +53,40 @@ func sortPerm(d core.Dims) [3]int {
 // are broken toward grids that divide the matrix dimensions, then
 // lexicographically, so the result is deterministic. This is the grid a
 // practical implementation would use when the analytic §5.2 grid is not
-// integral.
+// integral. No heap allocation for P ≤ 2^24.
 func Optimal(d core.Dims, p int) Grid {
 	if p <= 0 {
 		panic(fmt.Sprintf("grid: Optimal with P=%d", p))
 	}
+	var buf [maxDivisors]int
+	divs := appendDivisors(buf[:0], p)
 	best := Grid{p, 1, 1}
 	bestCost := math.Inf(1)
 	bestDivides := false
-	forEachTriple(p, func(g Grid) {
-		cost := CommCost(d, g)
-		div := Divides(d, g)
-		better := cost < bestCost-1e-9
-		if !better && math.Abs(cost-bestCost) <= 1e-9 {
-			// Tie: prefer dividing grids, then lexicographic order.
-			if div && !bestDivides {
-				better = true
+	for _, p1 := range divs {
+		rest := p / p1
+		for _, p2 := range divs {
+			if p2 > rest {
+				break
+			}
+			if rest%p2 != 0 {
+				continue
+			}
+			g := Grid{p1, p2, rest / p2}
+			cost := CommCost(d, g)
+			div := Divides(d, g)
+			better := cost < bestCost-1e-9
+			if !better && math.Abs(cost-bestCost) <= 1e-9 {
+				// Tie: prefer dividing grids, then lexicographic order.
+				if div && !bestDivides {
+					better = true
+				}
+			}
+			if better {
+				best, bestCost, bestDivides = g, cost, div
 			}
 		}
-		if better {
-			best, bestCost, bestDivides = g, cost, div
-		}
-	})
+	}
 	return best
 }
 
@@ -85,22 +97,84 @@ func Optimal(d core.Dims, p int) Grid {
 // best feasible grid flattens from 3D toward 2D and 1D and the cost rises —
 // the §6.2 memory/communication trade-off made concrete. (Below
 // (mn+mk+nk)/P nothing can fit, matching core.MinLocalMemory.)
+//
+// Triples are visited in Optimal's order. A p1 row whose floor cannot beat
+// the best cost is skipped, and past p2* a row stops at the first cost that
+// cannot either. No heap allocation for P ≤ 2^24.
 func OptimalUnderMemory(d core.Dims, p int, mem float64) (Grid, bool) {
 	if p <= 0 {
 		panic(fmt.Sprintf("grid: OptimalUnderMemory with P=%d", p))
 	}
+	var buf [maxDivisors]int
+	divs := appendDivisors(buf[:0], p)
+	s := newSearch(d, p)
 	var best Grid
 	bestCost := math.Inf(1)
 	found := false
-	forEachTriple(p, func(g Grid) {
-		if MemoryCost(d, g) > mem {
-			return
+	for _, p1 := range divs {
+		rest := p / p1
+		floor, p2star := s.row(p1, rest)
+		if floor-s.owned >= bestCost-1e-9 {
+			continue
 		}
-		if cost := CommCost(d, g); cost < bestCost-1e-9 {
-			best, bestCost, found = g, cost, true
+		for _, p2 := range divs {
+			if p2 > rest {
+				break
+			}
+			if rest%p2 != 0 {
+				continue
+			}
+			g := Grid{p1, p2, rest / p2}
+			foot, cost := s.costs(g)
+			if !(foot > mem) && cost < bestCost-1e-9 {
+				best, bestCost, found = g, cost, true
+			} else if float64(p2) > p2star*(1+slack) && foot*(1-slack)-s.owned >= bestCost-1e-9 {
+				break
+			}
 		}
-	})
+	}
 	return best, found
+}
+
+// slack is a relative margin of 32 float64 roundings. Bounds are shrunk by
+// it, so a pruned triple is always one the full scan provably rejects.
+const slack = 0x1p-48
+
+// search holds the per-(dims, P) constants of the divisor-triple searches,
+// which visit p1 ascending, then p2 ascending: the order first-seen ties
+// are broken in.
+type search struct {
+	d      core.Dims
+	sa, sb float64 // |A| = n1n2, |B| = n2n3
+	perP   float64 // |C|/P
+	owned  float64 // (|A|+|B|+|C|)/P, the words a rank starts with
+}
+
+func newSearch(d core.Dims, p int) search {
+	return search{
+		d: d, sa: d.SizeA(), sb: d.SizeB(),
+		perP:  d.SizeC() / float64(p),
+		owned: d.InputOutputWords() / float64(p),
+	}
+}
+
+// costs returns g's footprint and eq. (3) cost, bit for bit what
+// MemoryCost and CommCost return (below 2^53, float64 of p1·p2·p3 is
+// float64(P) exactly), evaluating the footprint once.
+func (s *search) costs(g Grid) (foot, cost float64) {
+	foot = MemoryCost(s.d, g)
+	return foot, foot - s.owned
+}
+
+// row bounds the triples (p1, p2, rest/p2) with rest = P/p1. Their
+// footprint A/p2 + B + C·p2, with A = |A|/p1, B = |B|/rest and C = |C|/P,
+// is at least 2√(AC) + B over real p2 > 0, reached at p2* = √(A/C). floor
+// is that shrunk by slack, below any footprint costs computes in the row;
+// rounding is monotone, so floor − owned is below any cost too.
+func (s *search) row(p1, rest int) (floor, p2star float64) {
+	a := s.sa / float64(p1)
+	b := s.sb / float64(rest)
+	return (2*math.Sqrt(a*s.perP) + b) * (1 - slack), math.Sqrt(a / s.perP)
 }
 
 // CaseGrid builds the §5.2 grid with integer rounding of the analytic

@@ -10,7 +10,7 @@
 // The sweep is embarrassingly parallel and chunked: Planner.Sweep fans
 // points out over the experiments worker pool and hands results to an emit
 // callback one chunk at a time, so a 10⁵-point range streams in bounded
-// memory. The service layer memoizes individual points through
+// memory. The service layer memoizes topology-priced points through
 // Planner.PointMemo; the package itself has no cache and no HTTP types.
 package plan
 
@@ -107,6 +107,9 @@ func (r Request) Validate() error {
 	}
 	if !(r.Mem > 0) || math.IsInf(r.Mem, 1) {
 		return fmt.Errorf("plan: memory per rank must be positive and finite, got %g: %w", r.Mem, core.ErrBadPlanRange)
+	}
+	if math.IsInf(memoryFloorP(r.Dims, r.Mem), 0) || math.IsInf(core.CrossoverP(r.Dims, r.Mem), 0) {
+		return fmt.Errorf("plan: memory per rank %g is so small that the summary's thresholds overflow float64: %w", r.Mem, core.ErrBadPlanRange)
 	}
 	if r.PMin < 1 || r.PMax < r.PMin {
 		return fmt.Errorf("plan: processor range [%d, %d] is empty or inverted: %w", r.PMin, r.PMax, core.ErrBadPlanRange)
@@ -234,14 +237,16 @@ type Summary struct {
 }
 
 // Planner computes plans. The zero value works; PointMemo optionally puts
-// a cache in front of per-point computation.
+// a cache in front of the points worth caching.
 type Planner struct {
-	// PointMemo, when non-nil, wraps every point computation. key uniquely
-	// identifies the point (problem, memory, machine, topology, and P —
+	// PointMemo, when non-nil, wraps the computation of every point of a
+	// request with a TopoSpec, and of no other: pricing a fabric costs
+	// 0.3–130 ms per point at P ≈ 64000, a closed-form point a few
+	// microseconds, less than a cache round trip. key uniquely identifies
+	// the point (problem, memory, machine, topology, and P —
 	// range-independent, so a point cached from one sweep is valid in any
 	// other), and compute is the miss path. Implementations typically
-	// collapse concurrent identical computations (singleflight) and return
-	// the shared result.
+	// collapse concurrent identical computations (singleflight).
 	PointMemo func(key string, compute func() (Point, error)) (Point, error)
 }
 
@@ -313,7 +318,7 @@ func (s *sweeper) summary() Summary {
 		PMin: s.req.PMin, PMax: s.req.PMax, Log2: s.req.Log2,
 		Points:         s.req.Points(),
 		CaseBoundaries: [2]float64{one, two},
-		MemoryFloorP:   math.Ceil(d.InputOutputWords() / mem),
+		MemoryFloorP:   memoryFloorP(d, mem),
 		CrossoverP:     core.CrossoverP(d, mem),
 		Topology:       s.req.TopoSpec,
 	}
@@ -333,6 +338,12 @@ func (s *sweeper) summary() Summary {
 		}
 	}
 	return sum
+}
+
+// memoryFloorP is the smallest P whose 1/P share of inputs and output fits
+// in mem words: ⌈(mn+mk+nk)/M⌉.
+func memoryFloorP(d core.Dims, mem float64) float64 {
+	return math.Ceil(d.InputOutputWords() / mem)
 }
 
 // crossoverAt reports whether point i is the memory-dependent→independent
@@ -402,6 +413,12 @@ func (s *sweeper) compute(p int) (Point, error) {
 		pt.Speedup = s.serial / pt.Time
 		pt.Efficiency = pt.Speedup / float64(p)
 	}
+	for _, v := range [...]float64{pt.Time, pt.Words, pt.Speedup, pt.Efficiency, pt.Slowdown} {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return Point{}, fmt.Errorf("plan: the P=%d prediction overflows float64 (α=%g, β=%g, γ=%g): %w",
+				p, s.cfg.Alpha, s.cfg.Beta, s.cfg.Gamma, core.ErrBadOpts)
+		}
+	}
 	return pt, nil
 }
 
@@ -412,7 +429,7 @@ func (s *sweeper) at(pl Planner, i int) (Point, error) {
 	p := s.pAt(i)
 	var pt Point
 	var err error
-	if pl.PointMemo != nil {
+	if pl.PointMemo != nil && s.req.TopoSpec != "" {
 		pt, err = pl.PointMemo(s.prefix+strconv.Itoa(p), func() (Point, error) { return s.compute(p) })
 	} else {
 		pt, err = s.compute(p)

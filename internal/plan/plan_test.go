@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -201,6 +202,8 @@ func TestValidate(t *testing.T) {
 		{"zero mem", func(r *Request) { r.Mem = 0 }, core.ErrBadPlanRange},
 		{"negative mem", func(r *Request) { r.Mem = -5 }, core.ErrBadPlanRange},
 		{"infinite mem", func(r *Request) { r.Mem = math.Inf(1) }, core.ErrBadPlanRange},
+		{"mem overflowing the crossover", func(r *Request) { r.Mem = 1e-250 }, core.ErrBadPlanRange},
+		{"mem overflowing the memory floor", func(r *Request) { r.Mem = 5e-324 }, core.ErrBadPlanRange},
 		{"zero pmin", func(r *Request) { r.PMin = 0 }, core.ErrBadPlanRange},
 		{"inverted range", func(r *Request) { r.PMin = 8; r.PMax = 4 }, core.ErrBadPlanRange},
 		{"negative stride", func(r *Request) { r.PStep = -1 }, core.ErrBadPlanRange},
@@ -268,9 +271,10 @@ func TestSweepCancel(t *testing.T) {
 	}
 }
 
-// TestPointMemo checks the memo hook carries points across sweeps — keys
-// are range-independent, so a second overlapping range computes nothing
-// new — while the range-dependent Crossover flag is still recomputed.
+// TestPointMemo checks the memo hook carries topology-priced points across
+// sweeps — keys are range-independent, so a second overlapping range
+// computes nothing new — while the range-dependent Crossover flag is still
+// recomputed.
 func TestPointMemo(t *testing.T) {
 	var mu sync.Mutex
 	store := map[string]Point{}
@@ -293,7 +297,7 @@ func TestPointMemo(t *testing.T) {
 		return pt, nil
 	}}
 
-	req := Request{Dims: core.NewDims(2000, 2000, 2000), Mem: 1e4, PMin: 2300, PMax: 2400}
+	req := Request{Dims: core.NewDims(2000, 2000, 2000), Mem: 1e4, PMin: 2300, PMax: 2400, TopoSpec: "flat"}
 	if _, _, err := pl.Run(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
@@ -317,6 +321,52 @@ func TestPointMemo(t *testing.T) {
 	}
 	if !found {
 		t.Error("cached sweep lost the Crossover flag at P=2371")
+	}
+}
+
+// TestPointMemoScope: the memo wraps exactly the topology-priced points.
+// A closed-form point costs less to compute than to cache, so closed-form
+// sweeps never call PointMemo, and topology sweeps call it once per point.
+func TestPointMemoScope(t *testing.T) {
+	var calls atomic.Int64
+	pl := Planner{PointMemo: func(_ string, compute func() (Point, error)) (Point, error) {
+		calls.Add(1)
+		return compute()
+	}}
+	base := Request{Dims: core.NewDims(512, 512, 512), Mem: 1e6, PMin: 8, PMax: 4096, Log2: true,
+		Config: machine.Config{Alpha: 2, Beta: 1, Gamma: 1.0 / 16}}
+	for _, c := range []struct {
+		spec string
+		want int64
+	}{{"", 0}, {"flat", 10}, {"twolevel=4", 10}} {
+		calls.Store(0)
+		req := base
+		req.TopoSpec = c.spec
+		_, pts, err := pl.Run(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pts) != 10 || calls.Load() != c.want {
+			t.Errorf("TopoSpec %q: %d points, %d PointMemo calls, want 10 and %d", c.spec, len(pts), calls.Load(), c.want)
+		}
+	}
+}
+
+// TestOverflowingPredictionIsBadOpts: an α, β or γ so large (or so
+// negative) that a predicted time leaves float64 fails the point with
+// ErrBadOpts instead of producing a point JSON cannot encode.
+func TestOverflowingPredictionIsBadOpts(t *testing.T) {
+	for _, cfg := range []machine.Config{
+		{Alpha: 1e308, Beta: 1}, {Alpha: -1e308, Beta: 1},
+		{Beta: 1e308}, {Beta: -1e308}, {Beta: 1, Gamma: 1e308}, {Beta: 1, Gamma: -1e308},
+	} {
+		for _, spec := range []string{"", "flat"} {
+			req := Request{Dims: core.NewDims(64, 64, 64), Mem: 1e9, PMin: 1, PMax: 64, Config: cfg, TopoSpec: spec}
+			_, _, err := Run(context.Background(), req)
+			if !errors.Is(err, core.ErrBadOpts) {
+				t.Errorf("config %+v topology %q: err = %v, want ErrBadOpts", cfg, spec, err)
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -307,12 +308,18 @@ func (s *Server) predictOne(pp PredictProblem) (PredictResponse, error) {
 		resp.Words, resp.Messages = pred.Words, pred.Messages
 		resp.Topology, resp.Placement = pred.Topology, pred.Placement
 		resp.FlatTotal, resp.Slowdown = pred.FlatTotal, pred.Slowdown
-		return resp, nil
+	} else {
+		pred := s.predict(d, g, cfg)
+		resp.Total = pred.Total()
+		resp.Compute, resp.Bandwidth, resp.Latency = pred.Compute, pred.Bandwidth, pred.Latency
+		resp.Words, resp.Messages = pred.Words, pred.Messages
 	}
-	pred := s.predict(d, g, cfg)
-	resp.Total = pred.Total()
-	resp.Compute, resp.Bandwidth, resp.Latency = pred.Compute, pred.Bandwidth, pred.Latency
-	resp.Words, resp.Messages = pred.Words, pred.Messages
+	for _, v := range [...]float64{resp.Total, resp.Compute, resp.Bandwidth, resp.Latency, resp.FlatTotal, resp.Slowdown} {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return PredictResponse{}, fmt.Errorf("service: the prediction overflows float64 (α=%g, β=%g, γ=%g): %w",
+				cfg.Alpha, cfg.Beta, cfg.Gamma, core.ErrBadOpts)
+		}
+	}
 	return resp, nil
 }
 

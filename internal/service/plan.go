@@ -1,11 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -25,9 +28,10 @@ import (
 // one envelope error per bad problem. Runtime failures after that (e.g. a
 // fabric outgrowing the per-pair charge tables mid-range) surface as an
 // error row (streaming) or an envelope error (inline) for that problem
-// only. Per-point results are memoized under range-independent keys, so
-// overlapping ranges and repeated plans share work; concurrent identical
-// requests collapse to one computation per point (singleflight).
+// only. Topology-priced points are memoized under range-independent keys,
+// so overlapping ranges share their fabric pricing and concurrent identical
+// requests collapse to one computation per point (singleflight);
+// closed-form points cost less than a cache lookup and are always computed.
 
 // PlanProblem is one planning problem: shape, per-rank memory, machine,
 // optional topology, and the P range to sweep.
@@ -60,8 +64,9 @@ type PlanRequest struct {
 	// Problems lists the plans to compute.
 	Problems []PlanProblem `json:"problems"`
 	// Stream forces the response mode: true streams NDJSON regardless of
-	// size, false forces one inline envelope (still subject to
-	// MaxPlanPoints). Absent, the server picks by total point count.
+	// size, false forces one inline envelope, which holds every point at
+	// once, so its total across problems must fit MaxPlanPoints. Absent,
+	// the server picks by total point count.
 	Stream *bool `json:"stream,omitempty"`
 	// Job runs the sweep asynchronously instead: the request answers 202
 	// with a job id, the sweep executes on the job pool, and the full
@@ -115,6 +120,10 @@ type PlanRow struct {
 // MapChunksContext chunk, and therefore per flush.
 const planChunk = 256
 
+// planRowBytes bounds one NDJSON point row: the point and its
+// {"problem":i,"point":…} wrapper. A chunk's buffer is presized with it.
+const planRowBytes = plan.MaxPointJSON + len(`{"problem":,"point":}`+"\n") + 20
+
 // planRequest converts the wire problem into the plan package's request,
 // attaching the server's point budget.
 func (s *Server) planRequest(p PlanProblem) plan.Request {
@@ -139,8 +148,8 @@ type planPointResult struct {
 	err error
 }
 
-// planner returns a planner whose points go through the memo cache with
-// singleflight, under the "pp:" namespace.
+// planner returns a planner whose topology-priced points go through the
+// memo cache with singleflight, under the "pp:" namespace.
 func (s *Server) planner() plan.Planner {
 	return plan.Planner{PointMemo: func(key string, compute func() (plan.Point, error)) (plan.Point, error) {
 		r := s.cache.GetOrCompute("pp:"+key, func() any {
@@ -197,6 +206,11 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	stream := total > s.cfg.PlanInlineLimit
 	if req.Stream != nil {
 		stream = *req.Stream
+		if !stream && total > s.cfg.MaxPlanPoints {
+			writeError(w, fmt.Errorf("service: an inline plan holds all %d points at once, over the limit %d; stream it instead: %w",
+				total, s.cfg.MaxPlanPoints, core.ErrBadPlanRange))
+			return
+		}
 	}
 	if stream {
 		s.streamPlan(w, r, reqs)
@@ -215,42 +229,12 @@ func (s *Server) submitPlanJob(w http.ResponseWriter, reqs []plan.Request) {
 		return
 	}
 	id, err := s.jobs.Submit(func(ctx context.Context) (any, error) {
-		pl := s.planner()
 		result := PlanJobResult{Problems: len(reqs), Artifact: "plan.ndjson"}
 		_, err := s.writeArtifact(ctx, "plan.ndjson", "application/x-ndjson", func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetEscapeHTML(false)
-			for i, pr := range reqs {
-				sum, err := plan.Summarize(pr)
-				if err == nil {
-					if err = enc.Encode(PlanRow{Problem: i, Summary: &sum}); err != nil {
-						return err
-					}
-					n := 0
-					_, err = pl.Sweep(ctx, pr, planChunk, func(chunk []plan.Point) error {
-						for j := range chunk {
-							if encErr := enc.Encode(PlanRow{Problem: i, Point: &chunk[j]}); encErr != nil {
-								return encErr
-							}
-						}
-						n += len(chunk)
-						return nil
-					})
-					result.Points += n
-					s.planPoints.Add(int64(n))
-				}
-				if err != nil {
-					if ctx.Err() != nil {
-						return err // cancelled job: fail, don't persist a truncated sweep
-					}
-					ee := EnvelopeError{Index: i, Code: kindFor(err), Message: err.Error()}
-					result.Errors = append(result.Errors, ee)
-					if encErr := enc.Encode(PlanRow{Problem: i, Error: &ee}); encErr != nil {
-						return encErr
-					}
-				}
-			}
-			return enc.Encode(PlanRow{Done: true})
+			var err error
+			// A cancelled job fails rather than persist a truncated sweep.
+			result.Points, result.Errors, err = s.writePlanRows(ctx, w, reqs, func() {})
+			return err
 		})
 		if err != nil {
 			return nil, err
@@ -268,75 +252,157 @@ func (s *Server) submitPlanJob(w http.ResponseWriter, reqs []plan.Request) {
 // inlinePlan evaluates every problem and answers one envelope. Runtime
 // failures are partial: the envelope carries the successes plus one error
 // per failed problem, under 200 (validation already passed; what failed
-// is the computation, not the request).
+// is the computation, not the request). The envelope is encoding/json's
+// bytes for a PlanEnvelope, built in one presized buffer as the sweeps
+// emit, each point by plan.Point.AppendJSON.
 func (s *Server) inlinePlan(w http.ResponseWriter, r *http.Request, reqs []plan.Request) {
-	pl := s.planner()
-	env := PlanEnvelope{Results: make([]*PlanResult, len(reqs))}
-	for i, pr := range reqs {
-		sum, pts, err := pl.Run(r.Context(), pr)
-		if err != nil {
-			if r.Context().Err() != nil {
-				return // client gone; nobody to answer
-			}
-			env.Errors = append(env.Errors, EnvelopeError{Index: i, Code: kindFor(err), Message: err.Error()})
-			continue
-		}
-		s.planPoints.Add(int64(len(pts)))
-		env.Results[i] = &PlanResult{Summary: sum, Points: pts}
-	}
-	writeJSON(w, http.StatusOK, env)
-}
-
-// streamPlan writes the NDJSON stream: per problem a summary row then its
-// point rows in P order, flushed every planChunk points so the client
-// reads progress while later chunks are still computing and the server
-// never buffers more than one chunk per problem. An encode failure (the
-// client hung up) or context cancellation aborts the sweep — the emit
-// error/ctx paths stop pool workers from claiming further points.
-func (s *Server) streamPlan(w http.ResponseWriter, r *http.Request, reqs []plan.Request) {
 	ctx := r.Context()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
 	pl := s.planner()
+	size := 64
+	for _, pr := range reqs {
+		size += 1024 + pr.Points()*(plan.MaxPointJSON+1)
+	}
+	b := append(make([]byte, 0, size), `{"results":[`...)
+	var errs []EnvelopeError
 	for i, pr := range reqs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		start := len(b)
 		sum, err := plan.Summarize(pr)
 		if err == nil {
-			if err = enc.Encode(PlanRow{Problem: i, Summary: &sum}); err != nil {
-				return
-			}
-			flush()
-			n := 0
+			b, err = appendJSON(append(b, `{"summary":`...), sum)
+		}
+		n := 0
+		if err == nil {
+			b = append(b, `,"points":[`...)
 			_, err = pl.Sweep(ctx, pr, planChunk, func(chunk []plan.Point) error {
 				for j := range chunk {
-					if encErr := enc.Encode(PlanRow{Problem: i, Point: &chunk[j]}); encErr != nil {
-						return encErr
+					if n > 0 {
+						b = append(b, ',')
+					}
+					n++
+					var err error
+					if b, err = chunk[j].AppendJSON(b); err != nil {
+						return err
 					}
 				}
-				n += len(chunk)
-				flush()
 				return nil
 			})
-			s.planPoints.Add(int64(n))
 		}
 		if err != nil {
 			if ctx.Err() != nil {
-				return // client cancelled; the truncated stream says it all
+				return // client gone; nobody to answer
 			}
-			ee := EnvelopeError{Index: i, Code: kindFor(err), Message: err.Error()}
-			if encErr := enc.Encode(PlanRow{Problem: i, Error: &ee}); encErr != nil {
-				return
-			}
-			flush()
+			b = append(b[:start], "null"...)
+			errs = append(errs, EnvelopeError{Index: i, Code: kindFor(err), Message: err.Error()})
+			continue
+		}
+		s.planPoints.Add(int64(n))
+		b = append(b, "]}"...)
+	}
+	b = append(b, ']')
+	if len(errs) > 0 {
+		b = append(b, `,"errors":`...)
+		var err error
+		if b, err = appendJSON(b, errs); err != nil {
+			writeError(w, err)
+			return
 		}
 	}
-	_ = enc.Encode(PlanRow{Done: true})
-	flush()
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(append(b, "}\n"...)) // the status line is out; a failed write means the client left
+}
+
+// appendJSON appends v as encoding/json encodes it with HTML escaping off,
+// without the newline Encode ends with. On error it returns b unchanged.
+func appendJSON(b []byte, v any) ([]byte, error) {
+	buf := bytes.NewBuffer(b)
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		return b, err
+	}
+	out := buf.Bytes()
+	return out[:len(out)-1], nil
+}
+
+// streamPlan writes the NDJSON stream, flushed after every row batch so
+// the client reads progress while later chunks are still computing. A
+// failed write (the client hung up) or cancellation aborts the sweep and
+// leaves the stream without its done row, which says it all.
+func (s *Server) streamPlan(w http.ResponseWriter, r *http.Request, reqs []plan.Request) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flush := func() {}
+	if f, ok := w.(http.Flusher); ok {
+		flush = f.Flush
+	}
+	_, _, _ = s.writePlanRows(r.Context(), w, reqs, flush)
+}
+
+// writePlanRows writes the NDJSON rows of reqs to w: per problem a summary
+// row, then its point rows in P order with one Write per planChunk points,
+// so neither side holds more than a chunk, or an error row once its sweep
+// fails; then the done row. after runs after every Write. It returns the
+// point rows written and the per-problem failures; its error is a failed
+// Write or ctx's, and stops everything.
+func (s *Server) writePlanRows(ctx context.Context, w io.Writer, reqs []plan.Request, after func()) (points int, errs []EnvelopeError, err error) {
+	pl := s.planner()
+	var buf []byte
+	write := func() error {
+		_, err := w.Write(buf)
+		if err == nil {
+			after()
+		}
+		return err
+	}
+	writeRow := func(row PlanRow) (err error) {
+		if buf, err = appendJSON(buf[:0], row); err == nil {
+			buf = append(buf, '\n')
+			err = write()
+		}
+		return err
+	}
+	for i, pr := range reqs {
+		sum, err := plan.Summarize(pr)
+		if err == nil {
+			if err := writeRow(PlanRow{Problem: i, Summary: &sum}); err != nil {
+				return points, errs, err
+			}
+			buf = slices.Grow(buf[:0], min(pr.Points(), planChunk)*planRowBytes)
+			var werr error
+			_, err = pl.Sweep(ctx, pr, planChunk, func(chunk []plan.Point) error {
+				buf = buf[:0]
+				for j := range chunk {
+					buf = strconv.AppendInt(append(buf, `{"problem":`...), int64(i), 10)
+					var err error
+					if buf, err = chunk[j].AppendJSON(append(buf, `,"point":`...)); err != nil {
+						return err
+					}
+					buf = append(buf, "}\n"...)
+				}
+				if werr = write(); werr == nil {
+					points += len(chunk)
+					s.planPoints.Add(int64(len(chunk)))
+				}
+				return werr
+			})
+			if werr != nil {
+				return points, errs, werr
+			}
+		}
+		if err != nil {
+			if ctx.Err() != nil {
+				return points, errs, ctx.Err()
+			}
+			ee := EnvelopeError{Index: i, Code: kindFor(err), Message: err.Error()}
+			errs = append(errs, ee)
+			if err := writeRow(PlanRow{Problem: i, Error: &ee}); err != nil {
+				return points, errs, err
+			}
+		}
+	}
+	return points, errs, writeRow(PlanRow{Done: true})
 }

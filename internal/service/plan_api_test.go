@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -230,9 +231,11 @@ func TestPlanOverload503(t *testing.T) {
 	}
 }
 
-// TestPlanSingleflightCollapse: concurrent identical plans compute each
-// point exactly once — the singleflight guarantee the serving benchmark
-// relies on. 6 clients × 200 points must cost 200 misses, not 1200.
+// TestPlanSingleflightCollapse: concurrent identical topology-priced plans
+// compute each point exactly once, the guarantee that makes a fleet of
+// clients planning one fabric cost one fabric build per point. 6 clients ×
+// 200 points must cost 200 misses, not 1200. Closed-form points skip the
+// memo, so this needs a topology.
 func TestPlanSingleflightCollapse(t *testing.T) {
 	s := New(Config{Workers: 2, PlanConcurrency: 8, PlanInlineLimit: 1000})
 	ts := httptest.NewServer(s.Handler())
@@ -240,7 +243,7 @@ func TestPlanSingleflightCollapse(t *testing.T) {
 	defer s.Shutdown(context.Background())
 
 	const clients, points = 6, 200
-	body := `{"problems":[{"n1":64,"n2":64,"n3":64,"mem":1e9,"pMin":1,"pMax":200}]}`
+	body := `{"problems":[{"n1":64,"n2":64,"n3":64,"mem":1e9,"pMin":1,"pMax":200,"topology":{"spec":"flat"}}]}`
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
@@ -328,5 +331,97 @@ func TestJobListEndpoint(t *testing.T) {
 		if status, raw := get(t, ts, "/v1/jobs?"+q); status != http.StatusBadRequest {
 			t.Fatalf("%s status %d: %s", q, status, raw)
 		}
+	}
+}
+
+// TestOverflowingPredictionIsBadOpts: an α, β or γ that pushes a predicted
+// time past float64 is that problem's bad_opts error on every shape —
+// inline plan, stream, job, predict envelope and single predict — where
+// encoding/json used to refuse the +Inf after a 200 status line was out.
+// A mem so small that the summary's crossover or memory floor overflows is
+// bad_plan_range before any plan answer starts.
+func TestOverflowingPredictionIsBadOpts(t *testing.T) {
+	_, ts := newArtifactServer(t, Config{})
+	const ok = `{"n1":64,"n2":64,"n3":64,"mem":1e9,"pMin":1,"pMax":8}`
+	for _, mem := range []string{"1e-250", "5e-324"} {
+		body := `{"problems":[` + ok + `,{"n1":64,"n2":64,"n3":64,"mem":` + mem + `,"pMin":1,"pMax":8}]`
+		for _, mode := range []string{`"stream":false`, `"stream":true`, `"job":true`} {
+			status, raw := post(t, ts, "/v1/plan", body+`,`+mode+`}`)
+			env := decode[PlanEnvelope](t, raw)
+			if status != http.StatusBadRequest || len(env.Errors) != 1 || env.Errors[0].Index != 1 ||
+				env.Errors[0].Code != "bad_plan_range" {
+				t.Errorf("mem %s, %s: status %d, %s", mem, mode, status, raw)
+			}
+		}
+	}
+	for _, field := range []string{`"alpha":1e308`, `"alpha":-1e308`, `"beta":1e308`, `"beta":-1e308`, `"gamma":1e308`, `"gamma":-1e308`} {
+		bad := `{"n1":64,"n2":64,"n3":64,"mem":1e9,"pMin":2,"pMax":8,` + field + `}`
+		body := `{"problems":[` + ok + `,` + bad + `]`
+
+		status, raw := post(t, ts, "/v1/plan", body+`,"stream":false}`)
+		env := decode[PlanEnvelope](t, raw)
+		if status != http.StatusOK || len(env.Results) != 2 || env.Results[0] == nil || env.Results[1] != nil ||
+			len(env.Errors) != 1 || env.Errors[0].Index != 1 || env.Errors[0].Code != "bad_opts" {
+			t.Errorf("%s inline: status %d, %s", field, status, raw)
+		}
+
+		rows := streamPlanRows(t, ts, body+`,"stream":true}`)
+		var errRows []*EnvelopeError
+		for _, r := range rows {
+			if r.Error != nil {
+				errRows = append(errRows, r.Error)
+			}
+		}
+		if len(errRows) != 1 || errRows[0].Index != 1 || errRows[0].Code != "bad_opts" || !rows[len(rows)-1].Done {
+			t.Errorf("%s stream: error rows %+v", field, errRows)
+		}
+
+		status, raw = post(t, ts, "/v1/plan", body+`,"job":true}`)
+		if status != http.StatusAccepted {
+			t.Fatalf("%s job submit: status %d: %s", field, status, raw)
+		}
+		job := waitJob(t, ts, decode[JobResponse](t, raw).ID)
+		var res PlanJobResult
+		if err := json.Unmarshal(mustJSON(t, job.Result), &res); err != nil {
+			t.Fatal(err)
+		}
+		if job.Status != string(JobDone) || len(res.Errors) != 1 || res.Errors[0].Code != "bad_opts" {
+			t.Errorf("%s job: %+v", field, job)
+		}
+
+		single := `{"n1":64,"n2":64,"n3":64,"p":8,` + field + `}`
+		status, raw = post(t, ts, "/v1/predict", `{"problems":[{"n1":64,"n2":64,"n3":64,"p":8,"beta":1},`+single+`]}`)
+		penv := decode[Envelope[PredictResponse]](t, raw)
+		if status != http.StatusOK || penv.Results[0] == nil || penv.Results[1] != nil ||
+			len(penv.Errors) != 1 || penv.Errors[0].Code != "bad_opts" {
+			t.Errorf("%s predict envelope: status %d, %s", field, status, raw)
+		}
+		status, raw = post(t, ts, "/v1/predict", single)
+		if status != http.StatusBadRequest || decode[ErrorResponse](t, raw).Kind != "bad_opts" {
+			t.Errorf("%s predict: status %d, %s", field, status, raw)
+		}
+	}
+}
+
+// TestForcedInlinePlanCapsTotal: "stream": false buffers every problem of
+// the batch in one envelope, so MaxPlanPoints caps their total; streams
+// and jobs hold one chunk at a time and keep the per-problem cap.
+func TestForcedInlinePlanCapsTotal(t *testing.T) {
+	_, ts := newArtifactServer(t, Config{MaxPlanPoints: 100})
+	p := `{"n1":64,"n2":64,"n3":64,"mem":1e9,"pMin":1,"pMax":100}`
+	body := `{"problems":[` + p + `,` + p + `,` + p + `]`
+	status, raw := post(t, ts, "/v1/plan", body+`,"stream":false}`)
+	if e := decode[ErrorResponse](t, raw); status != http.StatusBadRequest || e.Kind != "bad_plan_range" ||
+		!strings.Contains(e.Error, "300") || !strings.Contains(e.Error, "100") {
+		t.Fatalf("forced inline: status %d: %s", status, raw)
+	}
+	if rows := streamPlanRows(t, ts, body+`,"stream":true}`); len(rows) != 3*101+1 {
+		t.Fatalf("stream: %d rows, want %d", len(rows), 3*101+1)
+	}
+	if status, raw := post(t, ts, "/v1/plan", body+`,"job":true}`); status != http.StatusAccepted {
+		t.Fatalf("job: status %d: %s", status, raw)
+	}
+	if status, raw := post(t, ts, "/v1/plan", `{"problems":[`+p+`],"stream":false}`); status != http.StatusOK {
+		t.Fatalf("one problem at the cap: status %d: %s", status, raw)
 	}
 }
