@@ -13,6 +13,8 @@ test:
 race:
 	$(GO) test -race -cpu 1,4 ./internal/machine/... ./internal/algs/...
 	$(GO) test -race ./internal/collective/... \
+		./internal/caps/... ./internal/extension/... ./internal/bsp/... \
+		./internal/benchrec/... \
 		./internal/experiments/... ./internal/obs/... ./internal/topo/... \
 		./internal/plan/... ./internal/grid/... ./internal/model/... \
 		./internal/kkt/... ./internal/service/... ./internal/store/... \

@@ -348,13 +348,17 @@ func TestGroupValidation(t *testing.T) {
 			}()
 			NewGroup(r, []int{1}, 0, Auto)
 		} else {
-			// Duplicate member.
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic for duplicate member")
-				}
-			}()
-			NewGroup(r, []int{1, 1}, 0, Auto)
+			// Duplicate members, adjacent and not.
+			for _, members := range [][]int{{1, 1}, {1, 0, 1}} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("expected panic for duplicate member in %v", members)
+						}
+					}()
+					NewGroup(r, members, 0, Auto)
+				}()
+			}
 		}
 	})
 	if err != nil {

@@ -89,6 +89,9 @@ func NewGroup(r *machine.Rank, members []int, tagBase int, alg Algorithm) *Group
 // Group value plus Init/Release to keep communicator setup allocation-free.
 func (g *Group) Init(r *machine.Rank, members []int, tagBase int, alg Algorithm) {
 	me := -1
+	// A strictly ascending list has no duplicates; fibers always are one,
+	// so the duplicate scan runs only for other orders.
+	ascending := true
 	for i, m := range members {
 		if m < 0 || m >= r.P() {
 			panic(fmt.Sprintf("collective: member %d out of range", m))
@@ -96,8 +99,11 @@ func (g *Group) Init(r *machine.Rank, members []int, tagBase int, alg Algorithm)
 		if m == r.ID() {
 			me = i
 		}
+		if i > 0 && m <= members[i-1] {
+			ascending = false
+		}
 	}
-	if dupMember(members) {
+	if !ascending && dupMember(members) {
 		panic(fmt.Sprintf("collective: duplicate member in %v", members))
 	}
 	if me < 0 {

@@ -50,3 +50,47 @@ func TestSendRecvSteadyStateAllocs(t *testing.T) {
 		t.Errorf("2-rank world with 68 round trips costs %.1f allocs, want <= 60", heavy)
 	}
 }
+
+// TestArenaDoesNotHoard runs one-way traffic across two shards: ranks 0–3
+// on one shard only send, ranks 4–7 on the other only receive. The sending
+// shard's cache only gets and the receiving shard's only puts, so without
+// the spill bound every buffer and header would pile up in the receiving
+// cache and each new world would allocate its traffic afresh (about 1640
+// allocs per world). With it, the pool reaches a steady state and a world
+// costs its fixed construction, about 35 allocs.
+func TestArenaDoesNotHoard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts shift under -race instrumentation")
+	}
+	const msgs, words = 200, 100
+	payload := make([]float64, words)
+	world := func() {
+		w, err := newWorld(8, BandwidthOnly(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = w.Run(func(r *Rank) {
+			me := r.ID()
+			if me < 4 {
+				for i := 0; i < msgs; i++ {
+					r.Send(me+4, 0, payload)
+				}
+				return
+			}
+			buf := r.GetBuffer(words)
+			for i := 0; i < msgs; i++ {
+				r.RecvInto(me-4, 0, buf)
+			}
+			r.PutBuffer(buf)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		world()
+	}
+	if allocs := testing.AllocsPerRun(10, world); allocs > 88 {
+		t.Errorf("a one-way world after 50 others costs %.1f allocs, want <= 88: a shard cache is hoarding", allocs)
+	}
+}

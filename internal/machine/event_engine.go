@@ -128,6 +128,13 @@ type eventEngine struct {
 // Batch wakeups (barrier releases, failure paths) go straight to the main
 // queue: they carry no hot data. The trailing padding keeps adjacent
 // shards off one cache line.
+//
+// The shard also holds the message store of the ranks homed on it: one
+// map from (destination, source) to that pair's FIFO, under the same lock
+// senders and receivers already take to requeue and park. A pair's entry
+// is deleted when its queue drains, so the map holds only pairs with
+// messages in flight, and a world allocates a handful of maps rather than
+// one per rank plus one queue per peer.
 type eventShard struct {
 	mu      sync.Mutex
 	cond    sync.Cond
@@ -138,7 +145,68 @@ type eventShard struct {
 	running int
 	next    int32
 
+	queues map[uint64]msgQueue
+	// inflight counts the undelivered messages in queues; the deadlock
+	// verifier sums it across shards for diagnostics.
+	inflight int
+
 	_ [32]byte
+}
+
+// queueMsg appends m to its (destination, source) queue. Callers hold mu.
+func (sh *eventShard) queueMsg(m *message) {
+	k := pairKey(m.dst, m.src)
+	q := sh.queues[k]
+	if q.tail == nil {
+		q.head = m
+	} else {
+		q.tail.next = m
+	}
+	q.tail = m
+	sh.queues[k] = q
+	sh.inflight++
+}
+
+// takeMsg removes and returns the oldest message from src to dst with the
+// given tag, or nil. Skipping non-matching tags preserves FIFO order among
+// same-tag messages, the simulator's matching guarantee. Callers hold mu.
+func (sh *eventShard) takeMsg(dst, src, tag int) *message {
+	k := pairKey(dst, src)
+	q := sh.queues[k]
+	var prev *message
+	for m := q.head; m != nil; prev, m = m, m.next {
+		if m.tag != tag {
+			continue
+		}
+		if prev == nil {
+			q.head = m.next
+		} else {
+			prev.next = m.next
+		}
+		if q.tail == m {
+			q.tail = prev
+		}
+		if q.head == nil {
+			delete(sh.queues, k)
+		} else {
+			sh.queues[k] = q
+		}
+		m.next = nil
+		sh.inflight--
+		return m
+	}
+	return nil
+}
+
+// peekMsg reports whether a message from src to dst with the given tag is
+// queued. Callers hold mu.
+func (sh *eventShard) peekMsg(dst, src, tag int) bool {
+	for m := sh.queues[pairKey(dst, src)].head; m != nil; m = m.next {
+		if m.tag == tag {
+			return true
+		}
+	}
+	return false
 }
 
 // empty reports whether no runnable id is queued (hot slot, hot queue, and
@@ -184,8 +252,8 @@ func (sh *eventShard) pop() int32 {
 	return id
 }
 
-// eventTask is the suspension state of one rank: its handoff channel, its
-// message store, and the description of the Recv it is parked in, if any.
+// eventTask is the suspension state of one rank: its handoff channel and
+// the description of the Recv it is parked in, if any.
 // All fields except ch are guarded by the home shard's lock; ch is touched
 // only by the home worker and the task itself.
 type eventTask struct {
@@ -198,7 +266,6 @@ type eventTask struct {
 	wantSrc int32
 	wantTag int32
 	ch      chan struct{}
-	store   msgStore
 }
 
 // newEventEngine builds the scheduler for w with the given worker count
@@ -220,6 +287,7 @@ func newEventEngine(w *World, workers int) *eventEngine {
 	for i := range e.shards {
 		e.shards[i].cond.L = &e.shards[i].mu
 		e.shards[i].next = -1
+		e.shards[i].queues = make(map[uint64]msgQueue)
 	}
 	for i := range e.tasks {
 		e.tasks[i].id = int32(i)
@@ -389,6 +457,8 @@ func (e *eventEngine) taskMain(t *eventTask) {
 		if rec := recover(); rec != nil {
 			e.errs[t.id] = fmt.Errorf("rank %d: %v", t.id, rec)
 			e.fail(fmt.Sprintf("rank %d panicked: %v", t.id, rec))
+			// Keep the words moved in an unfinished phase in the stats.
+			r.foldPhase()
 		} else {
 			// Close any phase span left open by the body. Completion
 			// while peers still wait for this rank's messages is caught
@@ -499,7 +569,7 @@ func (e *eventEngine) send(m *message) {
 	t := &e.tasks[m.dst]
 	sh := &e.shards[e.shardOf(m.dst)]
 	sh.mu.Lock()
-	t.store.enqueue(m)
+	sh.queueMsg(m)
 	if t.waiting && int(t.wantSrc) == m.src && int(t.wantTag) == m.tag {
 		t.waiting = false
 		// Schedule the receiver in the hot slot so it consumes m while the
@@ -521,7 +591,7 @@ func (e *eventEngine) send(m *message) {
 
 // recv returns the next message from src to dst with the given tag,
 // suspending the task if none is queued yet. FIFO order among same-tag
-// messages is preserved by the store.
+// messages is preserved by the shard's message store.
 func (e *eventEngine) recv(dst, src, tag int) *message {
 	t := &e.tasks[dst]
 	sh := &e.shards[e.shardOf(dst)]
@@ -530,7 +600,7 @@ func (e *eventEngine) recv(dst, src, tag int) *message {
 		sh.mu.Unlock()
 		e.abort()
 	}
-	if m := t.store.take(src, tag); m != nil {
+	if m := sh.takeMsg(dst, src, tag); m != nil {
 		sh.mu.Unlock()
 		return m
 	}
@@ -546,7 +616,7 @@ func (e *eventEngine) recv(dst, src, tag int) *message {
 		sh.mu.Unlock()
 		e.abort()
 	}
-	m := t.store.take(src, tag)
+	m := sh.takeMsg(dst, src, tag)
 	sh.mu.Unlock()
 	if m == nil {
 		panic("machine: woken without a matching message")
@@ -643,13 +713,16 @@ func (e *eventEngine) verifyStalled() {
 			return // queued work: its worker has a pending wakeup
 		}
 	}
-	recvBlocked, inflight := 0, 0
+	inflight := 0
+	for i := range e.shards {
+		inflight += e.shards[i].inflight
+	}
+	recvBlocked := 0
 	for i := range e.tasks {
 		t := &e.tasks[i]
-		inflight += t.store.inflight
 		if t.waiting {
 			recvBlocked++
-			if t.store.peek(int(t.wantSrc), int(t.wantTag)) {
+			if e.shards[e.shardOf(i)].peekMsg(i, int(t.wantSrc), int(t.wantTag)) {
 				unlock()
 				return // pending wakeup: a matching message is queued
 			}

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -279,4 +281,124 @@ func TestEventEngineLargeWorldCounting(t *testing.T) {
 	if s.TotalWordsSent != p {
 		t.Errorf("total words = %v, want %d", s.TotalWordsSent, p)
 	}
+}
+
+// TestFanInScales gathers one word from every rank of a P = 65536 world at
+// rank 0, which receives in descending source order, so nearly every
+// sender's message is queued before it is asked for. Finding a queued
+// message must not scan the receiver's other pending messages: one list
+// per receiver made this run quadratic (6.6–11 s); keyed by (destination,
+// source) it takes about 0.13 s.
+func TestFanInScales(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("large-world timing skipped in -short mode and under -race")
+	}
+	const p = 1 << 16
+	w := NewWorld(p, BandwidthOnly())
+	start := time.Now()
+	err := w.Run(func(r *Rank) {
+		if r.ID() != 0 {
+			r.Send(0, 0, []float64{float64(r.ID())})
+			return
+		}
+		for src := p - 1; src > 0; src-- {
+			if got := r.Recv(src, 0); got[0] != float64(src) {
+				t.Errorf("message from %d carries %v", src, got[0])
+			}
+		}
+	})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Stats().Ranks[0].MsgsRecv; got != p-1 {
+		t.Errorf("rank 0 received %d messages, want %d", got, p-1)
+	}
+	if elapsed > 2*time.Second {
+		t.Fatalf("P=%d fan-in took %v, want < 2s", p, elapsed)
+	}
+}
+
+// TestConcurrentWorldsShareShardCaches runs many worlds at once. Their
+// shards share the arena's shard caches by index, so buffers, integer
+// scratch and message headers pass between worlds through those caches and
+// the process-wide tier. Every world must still produce exactly the stats
+// of one serial run. Under -race this is the test that checks the caches'
+// locking.
+func TestConcurrentWorldsShareShardCaches(t *testing.T) {
+	const (
+		p          = 256
+		goroutines = 8
+		worlds     = 20
+	)
+	cfg := Config{Alpha: 3, Beta: 0.5, Gamma: 0.25}
+	body := func(r *Rank) {
+		me := r.ID()
+		scratch := r.GetInts(me%7 + 1)
+		for i := range scratch {
+			scratch[i] = me
+		}
+		r.SetPhase("ring")
+		out := r.GetBuffer(me%5 + 1)
+		for i := range out {
+			out[i] = float64(me)
+		}
+		r.Send((me+1)%p, 0, out)
+		r.PutBuffer(out)
+		from := (me + p - 1) % p
+		got := r.Recv(from, 0)
+		if len(got) != from%5+1 || slices.ContainsFunc(got, func(v float64) bool { return v != float64(from) }) {
+			t.Errorf("rank %d: ring message from %d is %v", me, from, got)
+		}
+		r.PutBuffer(got)
+		r.SetPhase("butterfly")
+		buf := r.GetBuffer(p)
+		for k := 1; k < p; k <<= 1 {
+			peer := me ^ k
+			n := r.SendRecvInto(peer, peer, k, buf[:k], buf)
+			r.Compute(float64(n))
+		}
+		r.PutBuffer(buf)
+		for _, v := range scratch {
+			if v != me {
+				t.Errorf("rank %d: its integer scratch was handed to another owner", me)
+				break
+			}
+		}
+		r.PutInts(scratch)
+	}
+	run := func(workers int) (WorldStats, error) {
+		w, err := newWorld(p, cfg, workers)
+		if err != nil {
+			return WorldStats{}, err
+		}
+		if err := w.Run(body); err != nil {
+			return WorldStats{}, err
+		}
+		return w.Stats(), nil
+	}
+	want, err := run(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < worlds; i++ {
+				workers := 2 + 2*((g+i)%2)
+				got, err := run(workers)
+				if err != nil {
+					t.Errorf("goroutine %d world %d (workers=%d): %v", g, i, workers, err)
+					return
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("goroutine %d world %d (workers=%d): stats differ from the serial run", g, i, workers)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

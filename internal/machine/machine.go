@@ -76,8 +76,8 @@ type Network interface {
 	Charge(src, dst int) (alpha, beta float64)
 }
 
-// message is one in-flight point-to-point message. Structs are pooled in
-// the global arena and queues link them intrusively through next, so the
+// message is one in-flight point-to-point message. Headers are pooled in
+// the arena and queues link them intrusively through next, so the
 // steady-state send path allocates nothing.
 type message struct {
 	src, dst int
@@ -89,84 +89,15 @@ type message struct {
 	next      *message
 }
 
-// msgQueue is a FIFO of in-flight messages from one source, linked
-// intrusively so enqueue/dequeue never allocate.
+// msgQueue is a FIFO of in-flight messages from one source to one
+// destination, linked intrusively so enqueue/dequeue never allocate.
 type msgQueue struct {
 	head, tail *message
 }
 
-// msgStore holds one receiver's undelivered messages, keyed by source, with
-// the in-flight count the deadlock verifier reports. It carries no lock of
-// its own: the receiver's shard mutex guards it.
-type msgStore struct {
-	// queues holds the undelivered messages per source rank, created
-	// lazily so worlds whose pairs never communicate pay nothing.
-	queues map[int]*msgQueue
-	// inflight counts undelivered messages queued here; the deadlock
-	// verifier sums it across receivers for diagnostics.
-	inflight int
-}
-
-// enqueue appends m to the queue for its source.
-func (s *msgStore) enqueue(m *message) {
-	q := s.queues[m.src]
-	if q == nil {
-		if s.queues == nil {
-			s.queues = make(map[int]*msgQueue, 4)
-		}
-		q = &msgQueue{}
-		s.queues[m.src] = q
-	}
-	if q.tail == nil {
-		q.head, q.tail = m, m
-	} else {
-		q.tail.next = m
-		q.tail = m
-	}
-	s.inflight++
-}
-
-// take removes and returns the oldest message from src with the given tag,
-// or nil. Skipping non-matching tags preserves FIFO order among same-tag
-// messages, the simulator's matching guarantee.
-func (s *msgStore) take(src, tag int) *message {
-	q := s.queues[src]
-	if q == nil {
-		return nil
-	}
-	var prev *message
-	for m := q.head; m != nil; prev, m = m, m.next {
-		if m.tag != tag {
-			continue
-		}
-		if prev == nil {
-			q.head = m.next
-		} else {
-			prev.next = m.next
-		}
-		if q.tail == m {
-			q.tail = prev
-		}
-		m.next = nil
-		s.inflight--
-		return m
-	}
-	return nil
-}
-
-// peek reports whether a message from src with the given tag is queued.
-func (s *msgStore) peek(src, tag int) bool {
-	q := s.queues[src]
-	if q == nil {
-		return false
-	}
-	for m := q.head; m != nil; m = m.next {
-		if m.tag == tag {
-			return true
-		}
-	}
-	return false
-}
+// pairKey packs a (destination, source) pair into one message-store key;
+// both fit in 32 bits (see MaxRanks).
+func pairKey(dst, src int) uint64 { return uint64(dst)<<32 | uint64(src) }
 
 // World is a simulated machine of P ranks.
 type World struct {
@@ -201,13 +132,14 @@ func newWorld(p int, cfg Config, workers int) (*World, error) {
 		return nil, err
 	}
 	w := &World{p: p, cfg: cfg}
-	// Ranks are allocated in one block; per-phase stat maps are created
-	// lazily on first use (see Rank.addPhase).
+	w.eng = newEventEngine(w, workers)
+	// Ranks are allocated in one block, each bound to its home shard's
+	// arena cache; per-phase stat maps are created lazily on first use
+	// (see addPhase).
 	w.ranks = make([]Rank, p)
 	for i := range w.ranks {
-		w.ranks[i] = Rank{id: i, world: w}
+		w.ranks[i] = Rank{id: i, world: w, cache: &shardCaches[w.eng.shardOf(i)%len(shardCaches)]}
 	}
-	w.eng = newEventEngine(w, workers)
 	if obs.Enabled() {
 		mWorlds.Inc()
 	}

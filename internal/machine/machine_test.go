@@ -355,6 +355,12 @@ func TestSendRecvExchangeOverlaps(t *testing.T) {
 	}
 }
 
+// TestPhaseAccounting checks per-phase words against the per-message
+// sums: a phase re-entered after another sums both stretches, unlabelled
+// traffic is counted only in the totals, a zero-word message creates its
+// phase's keys with value 0, a phase in which a rank only sends has no
+// receive key on it (and vice versa), and a phase still open when the body
+// returns is counted.
 func TestPhaseAccounting(t *testing.T) {
 	w := NewWorld(2, BandwidthOnly())
 	err := w.Run(func(r *Rank) {
@@ -365,19 +371,52 @@ func TestPhaseAccounting(t *testing.T) {
 		r.SendRecv(peer, peer, 1, make([]float64, 6))
 		r.SetPhase("")
 		r.SendRecv(peer, peer, 2, make([]float64, 5))
+		r.SetPhase("warmup")
+		r.SendRecv(peer, peer, 3, make([]float64, 3))
+		r.SetPhase("empty")
+		r.SendRecv(peer, peer, 4, nil)
+		r.SetPhase("oneway")
+		if r.ID() == 0 {
+			r.Send(1, 5, make([]float64, 7))
+		} else {
+			r.PutBuffer(r.Recv(0, 5))
+		}
+		r.SetPhase("tail")
+		r.SendRecv(peer, peer, 6, make([]float64, 2))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := w.Stats()
-	if s.PhaseRecvTotal("warmup") != 8 || s.PhaseRecvTotal("main") != 12 {
-		t.Errorf("phase totals: warmup %v main %v", s.PhaseRecvTotal("warmup"), s.PhaseRecvTotal("main"))
+	for phase, want := range map[string]float64{"warmup": 14, "main": 12, "empty": 0, "oneway": 7, "tail": 4} {
+		if got := s.PhaseRecvTotal(phase); got != want {
+			t.Errorf("phase %q received %v words in total, want %v", phase, got, want)
+		}
 	}
 	if s.MaxPhaseRecv("main") != 6 {
 		t.Errorf("max phase recv = %v", s.MaxPhaseRecv("main"))
 	}
-	if s.Ranks[0].WordsRecv != 15 {
-		t.Errorf("unlabelled words missing: %v", s.Ranks[0].WordsRecv)
+	for id, rs := range s.Ranks {
+		if got := rs.PhaseSentWords["warmup"]; got != 7 {
+			t.Errorf("rank %d sent %v words in the re-entered phase, want 7", id, got)
+		}
+		for _, m := range []map[string]float64{rs.PhaseSentWords, rs.PhaseRecvWords} {
+			if v, ok := m["empty"]; !ok || v != 0 {
+				t.Errorf("rank %d: zero-word phase reads %v (present %v), want 0 present", id, v, ok)
+			}
+			if _, ok := m[""]; ok {
+				t.Errorf("rank %d: unlabelled traffic has a phase key", id)
+			}
+		}
+	}
+	if _, ok := s.Ranks[0].PhaseRecvWords["oneway"]; ok {
+		t.Error("rank 0 only sent in phase oneway but has a receive key for it")
+	}
+	if _, ok := s.Ranks[1].PhaseSentWords["oneway"]; ok {
+		t.Error("rank 1 only received in phase oneway but has a send key for it")
+	}
+	if s.Ranks[0].WordsRecv != 20 || s.Ranks[1].WordsRecv != 27 {
+		t.Errorf("total words received = %v, %v; want 20, 27", s.Ranks[0].WordsRecv, s.Ranks[1].WordsRecv)
 	}
 }
 

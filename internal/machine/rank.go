@@ -11,6 +11,8 @@ import (
 type Rank struct {
 	id    int
 	world *World
+	// cache is the home shard's arena cache every get and put goes to.
+	cache *shardCache
 	clock float64
 	phase string
 	stats RankStats
@@ -18,6 +20,12 @@ type Rank struct {
 	// phaseStart is the clock when the current phase label was set; used by
 	// the trace's per-phase span recorder.
 	phaseStart float64
+	// sentFrom, recvFrom, msgsSentFrom and msgsRecvFrom snapshot the
+	// rank's totals when the current phase label was set; leaving the
+	// phase folds the difference into the per-phase maps (see foldPhase),
+	// so messages do no phase bookkeeping of their own.
+	sentFrom, recvFrom         float64
+	msgsSentFrom, msgsRecvFrom int
 
 	curMemory float64
 }
@@ -37,6 +45,7 @@ func (r *Rank) Clock() float64 { return r.clock }
 // PhaseSpan — the per-rank, per-phase intervals the Chrome-trace export
 // renders as one span per algorithm phase.
 func (r *Rank) SetPhase(name string) {
+	r.foldPhase()
 	if t := r.world.trace; t != nil && name != r.phase {
 		if r.phase != "" {
 			t.addPhase(PhaseSpan{Rank: r.id, Phase: r.phase, Start: r.phaseStart, End: r.clock})
@@ -44,6 +53,24 @@ func (r *Rank) SetPhase(name string) {
 		r.phaseStart = r.clock
 	}
 	r.phase = name
+	r.sentFrom, r.msgsSentFrom = r.stats.WordsSent, r.stats.MsgsSent
+	r.recvFrom, r.msgsRecvFrom = r.stats.WordsRecv, r.stats.MsgsRecv
+}
+
+// foldPhase adds the words moved since the current phase label was set to
+// the per-phase maps, creating a key only for a direction in which a
+// message moved. Word counts are integers, so the differences of the
+// running totals are exact and equal the per-message sums.
+func (r *Rank) foldPhase() {
+	if r.phase == "" {
+		return
+	}
+	if r.stats.MsgsSent != r.msgsSentFrom {
+		addPhase(&r.stats.PhaseSentWords, r.phase, r.stats.WordsSent-r.sentFrom)
+	}
+	if r.stats.MsgsRecv != r.msgsRecvFrom {
+		addPhase(&r.stats.PhaseRecvWords, r.phase, r.stats.WordsRecv-r.recvFrom)
+	}
 }
 
 // endPhase closes a phase span left open when the SPMD body returns.
@@ -57,7 +84,7 @@ func (r *Rank) endPhase() {
 // eager (non-blocking): the sender's clock advances by the link-occupancy
 // cost α + β·w and the message becomes available to the receiver at that
 // time. The data is copied, simulating serialization into the network; the
-// copy lands in a pooled buffer from the world's arena, so the caller keeps
+// copy lands in a pooled buffer from the arena, so the caller keeps
 // ownership of data and steady-state sends allocate nothing. The in-flight
 // buffer is recycled when the receiver uses RecvInto (or releases it with
 // PutBuffer after a plain Recv).
@@ -69,7 +96,7 @@ func (r *Rank) Send(dst, tag int, data []float64) {
 		panic("machine: self-send; keep local data local")
 	}
 	w := float64(len(data))
-	cp := globalArena.get(len(data))
+	cp := r.cache.get(len(data))
 	copy(cp, data)
 	start := r.clock
 	if n := r.world.net; n != nil {
@@ -86,14 +113,11 @@ func (r *Rank) Send(dst, tag int, data []float64) {
 	}
 	r.stats.WordsSent += w
 	r.stats.MsgsSent++
-	if r.phase != "" {
-		addPhase(&r.stats.PhaseSentWords, r.phase, w)
-	}
 	if obs.Enabled() {
 		mSends.Inc(r.id)
 		mWordsSent.Add(r.id, uint64(len(data)))
 	}
-	m := globalArena.getMsg()
+	m := r.cache.getMsg()
 	m.src, m.dst, m.tag, m.data, m.sendClock = r.id, dst, tag, cp, r.clock
 	r.world.eng.send(m)
 }
@@ -127,9 +151,6 @@ func (r *Rank) recvMsg(src, tag int) *message {
 	}
 	r.stats.WordsRecv += w
 	r.stats.MsgsRecv++
-	if r.phase != "" {
-		addPhase(&r.stats.PhaseRecvWords, r.phase, w)
-	}
 	if obs.Enabled() {
 		mRecvs.Inc(r.id)
 		mWordsRecv.Add(r.id, uint64(len(m.data)))
@@ -148,7 +169,7 @@ func (r *Rank) recvMsg(src, tag int) *message {
 func (r *Rank) Recv(src, tag int) []float64 {
 	m := r.recvMsg(src, tag)
 	data := m.data
-	globalArena.putMsg(m)
+	r.cache.putMsg(m)
 	return data
 }
 
@@ -163,8 +184,8 @@ func (r *Rank) RecvInto(src, tag int, dst []float64) int {
 		panic(fmt.Sprintf("machine: RecvInto buffer holds %d words, message has %d", len(dst), n))
 	}
 	copy(dst[:n], m.data)
-	globalArena.put(m.data)
-	globalArena.putMsg(m)
+	r.cache.put(m.data)
+	r.cache.putMsg(m)
 	return n
 }
 
