@@ -26,10 +26,10 @@ race:
 bench-serving:
 	$(GO) run ./cmd/loadgen -duration 15s -clients 8 -out BENCH_serving.json
 
-# Record topology charge-oracle construction time and Charge throughput
-# per fabric (P = 1024, 4096, 65536; table mode below 2048 ranks, O(hops)
-# walk mode above) to BENCH_topo_scaling.json; see "Topology at scale" in
-# DESIGN.md.
+# Record topology charge-oracle construction time and O(hops) Charge
+# throughput per fabric (P = 1024, 4096, 65536) to BENCH_topo_scaling.json;
+# the checked-in record is made with GOMAXPROCS=1. See "Topology at scale"
+# in DESIGN.md.
 bench-topo:
 	$(GO) run ./cmd/benchrec -topo -out BENCH_topo_scaling.json
 

@@ -6,9 +6,8 @@
 //	    world fits and finishes.
 //
 //	benchrec -topo [-out BENCH_topo_scaling.json] [-p 1024,4096,65536]
-//	    records topology charge-oracle construction time and Charge
-//	    throughput per fabric at each P (table mode at small P, O(hops)
-//	    walk mode at 65536) and writes the JSON record.
+//	    records topology charge-oracle construction time and O(hops)
+//	    Charge throughput per fabric at each P and writes the JSON record.
 //
 // Exit status is 0 on success, 2 when no mode is chosen, 1 on any other
 // failure.
@@ -65,8 +64,8 @@ func run(out, plist string, counting int) error {
 		return err
 	}
 	for _, s := range rec.Samples {
-		fmt.Printf("  %-18s P=%-6d %-5s build %10.0f ns  charge %8.1f ns/op %12.0f charges/s\n",
-			s.Fabric, s.P, s.Mode, s.BuildNs, s.ChargeNsPerOp, s.ChargesPerSec)
+		fmt.Printf("  %-18s P=%-6d build %10.0f ns  charge %8.1f ns/op %12.0f charges/s\n",
+			s.Fabric, s.P, s.BuildNs, s.ChargeNsPerOp, s.ChargesPerSec)
 	}
 	if err := rec.WriteFile(out); err != nil {
 		return err

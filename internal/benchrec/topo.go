@@ -14,9 +14,6 @@ import (
 type TopoSample struct {
 	Fabric string `json:"fabric"`
 	P      int    `json:"p"`
-	// Mode is "table" (per-pair fast path, P ≤ 2048) or "walk" (O(hops)
-	// arithmetic pricing at larger P).
-	Mode string `json:"mode"`
 	// Links is the fabric's link id space — the oracle's memory scale.
 	Links int `json:"links"`
 	// BuildNs is NewNetwork wall time in nanoseconds.
@@ -129,15 +126,10 @@ func topoCell(spec string, p int) (TopoSample, error) {
 		}
 		topoSink = sink
 	})
-	mode := "walk"
-	if n.Tabulated() {
-		mode = "table"
-	}
 	ns := float64(res.NsPerOp())
 	return TopoSample{
 		Fabric:         spec,
 		P:              p,
-		Mode:           mode,
 		Links:          t.NumLinks(),
 		BuildNs:        float64(best.Nanoseconds()),
 		ChargeNsPerOp:  ns,

@@ -23,9 +23,6 @@ func TestRunTopoScalingSmall(t *testing.T) {
 		if s.Fabric != fabrics[i] || s.P != 64 {
 			t.Errorf("sample %d is %s/P=%d, want %s/P=64", i, s.Fabric, s.P, fabrics[i])
 		}
-		if s.Mode != "table" {
-			t.Errorf("%s at P=64: mode %q, want table", s.Fabric, s.Mode)
-		}
 		if s.BuildNs <= 0 || s.ChargeNsPerOp <= 0 || s.ChargesPerSec <= 0 {
 			t.Errorf("%s: non-positive timings %+v", s.Fabric, s)
 		}

@@ -36,7 +36,7 @@ var (
 	// ErrBadTopology marks an invalid interconnect topology: an unknown or
 	// malformed spec, a shape whose endpoint count does not match the
 	// machine's rank count, an unknown placement policy, or a non-flat
-	// topology too large for per-pair charge tables.
+	// topology with more link ids than the charge oracle admits.
 	ErrBadTopology = errors.New("invalid topology")
 
 	// ErrTooManyRanks marks a world size beyond what the simulator supports

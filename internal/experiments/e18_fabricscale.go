@@ -87,8 +87,6 @@ func FabricScaleContext(ctx context.Context, p int) (Artifact, error) {
 			mode := "walk"
 			if net.Uniform() {
 				mode = "uniform"
-			} else if net.Tabulated() {
-				mode = "table"
 			}
 			congest, err := topo.Congest(g, fabric, pl)
 			if err != nil {

@@ -150,48 +150,3 @@ func (p ProductMin) DualCertificate() Point {
 	}
 	return Point{X: x, Mu: mu}
 }
-
-// BruteForce numerically minimizes the problem with a coarse multiplicative
-// grid search followed by iterated local refinement, projecting onto the
-// tight product constraint. It is slow and approximate by design — an
-// independent oracle used in tests to validate Solve. The dimension must
-// be 3.
-func (p ProductMin) BruteForce(steps, refinements int) Vector {
-	if len(p.Lower) != 3 {
-		panic("kkt: BruteForce supports d = 3 only")
-	}
-	if p.L <= p.Lower.Prod() {
-		return p.Lower.Clone()
-	}
-	// Search x1 in [l1, hi1], x2 in [l2, hi2]; x3 = max(l3, L/(x1 x2)).
-	// Upper limits: at the optimum each x_i ≤ L / (l_j l_k) (since the
-	// others are at least their bounds and the product is tight).
-	lo1, lo2 := p.Lower[0], p.Lower[1]
-	hi1 := p.L / (p.Lower[1] * p.Lower[2])
-	hi2 := p.L / (p.Lower[0] * p.Lower[2])
-	best := Vector{hi1, p.Lower[1], p.Lower[2]}
-	best[2] = math.Max(p.Lower[2], p.L/(best[0]*best[1]))
-	bestVal := best.Sum()
-	eval := func(x1, x2 float64) {
-		x3 := math.Max(p.Lower[2], p.L/(x1*x2))
-		if v := x1 + x2 + x3; v < bestVal {
-			bestVal = v
-			best = Vector{x1, x2, x3}
-		}
-	}
-	for r := 0; r <= refinements; r++ {
-		d1 := (hi1 - lo1) / float64(steps)
-		d2 := (hi2 - lo2) / float64(steps)
-		for i := 0; i <= steps; i++ {
-			for j := 0; j <= steps; j++ {
-				eval(lo1+float64(i)*d1, lo2+float64(j)*d2)
-			}
-		}
-		// Refine around the incumbent.
-		lo1 = math.Max(p.Lower[0], best[0]-2*d1)
-		hi1 = best[0] + 2*d1
-		lo2 = math.Max(p.Lower[1], best[1]-2*d2)
-		hi2 = best[1] + 2*d2
-	}
-	return best
-}

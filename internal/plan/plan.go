@@ -51,10 +51,9 @@ type Request struct {
 	// TopoSpec, when non-empty, prices each point on that interconnect
 	// (topo.Parse syntax) instead of the paper's fully connected model.
 	// Only size-flexible fabrics (flat, twolevel=g) can span a multi-point
-	// range; a fixed-size spec is rejected by Validate. Fabrics with
-	// closed-form link loads (torus, twolevel, fat/skinny trees) price in
-	// O(links) per point, so datacenter-scale sweeps — twolevel=64 across
-	// P up to 2^17 and beyond — stay cheap.
+	// range; a fixed-size spec is rejected by Validate. Every fabric prices
+	// in O(links) per point, so datacenter-scale sweeps — twolevel=64
+	// across P up to 2^17 and beyond — stay cheap.
 	TopoSpec string
 	// Place names the rank placement policy for TopoSpec ("" = contiguous).
 	Place string

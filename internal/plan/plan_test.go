@@ -411,9 +411,9 @@ func TestTopologyPlan(t *testing.T) {
 }
 
 // TestTopologyPlanDatacenterP sweeps a shared-NIC fabric across P = 8192 …
-// 65536 — every point above the charge oracle's table fast path, priced
-// through the O(links) analytic loads and the walk-mode Charge. The sweep
-// exists to pin that datacenter-scale topology planning stays feasible.
+// 65536, every point priced through the O(links) analytic loads and the
+// O(hops) Charge walk. The sweep exists to pin that datacenter-scale
+// topology planning stays feasible.
 func TestTopologyPlanDatacenterP(t *testing.T) {
 	req := Request{
 		Dims: core.NewDims(4096, 4096, 4096),

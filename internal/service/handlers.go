@@ -35,20 +35,14 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 }
 
 // parseTopology resolves a request's topology block against a rank count:
-// the spec must describe exactly p endpoints, the rank count must fit the
-// fabric's charge-oracle limit (unbounded for every spec'd fabric — their
-// link loads have closed forms — so this binds only custom fabrics), and
-// the placement must name a known policy. All failure modes wrap
-// core.ErrBadTopology, and the limit rejection names the fabric's actual
-// limit.
+// the spec must describe exactly p endpoints (topo.Parse also bounds the
+// fabric's link id space, which sizes its charge oracle), and the
+// placement must name a known policy. All failure modes wrap
+// core.ErrBadTopology.
 func parseTopology(t *TopologyJSON, p int, link topo.Link) (topo.Topology, topo.Policy, error) {
 	fabric, err := topo.Parse(t.Spec, p, link)
 	if err != nil {
 		return nil, 0, err
-	}
-	if m := topo.MaxP(fabric); p > m {
-		return nil, 0, fmt.Errorf("service: P=%d exceeds %s's charge-oracle limit %d: %w",
-			p, fabric.Name(), m, core.ErrBadTopology)
 	}
 	pol, err := topo.ParsePolicy(t.Place)
 	if err != nil {
@@ -80,17 +74,11 @@ func (s *Server) checkSearchP(p int) error {
 
 // checkTopoP guards synchronous topology-aware predictions: the
 // worst-fiber sweep is linear in P on fabrics without translation
-// symmetry, so it gets its own ceiling, tightened further by the fabric's
-// charge-oracle limit. The rejection names the effective limit so clients
-// learn the actual per-fabric bound, not a generic refusal.
+// symmetry, so it gets its own ceiling. The rejection names the limit.
 func (s *Server) checkTopoP(fabric topo.Topology, p int) error {
-	limit := s.cfg.MaxTopoProcs
-	if m := topo.MaxP(fabric); m < limit {
-		limit = m
-	}
-	if p > limit {
+	if p > s.cfg.MaxTopoProcs {
 		return fmt.Errorf("service: P=%d exceeds the topology prediction limit %d for %s: %w",
-			p, limit, fabric.Name(), core.ErrBadTopology)
+			p, s.cfg.MaxTopoProcs, fabric.Name(), core.ErrBadTopology)
 	}
 	return nil
 }

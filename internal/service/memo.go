@@ -68,18 +68,17 @@ func (s *Server) predict(d core.Dims, g grid.Grid, cfg machine.Config) model.Pre
 }
 
 // topoPredictResult caches model.Alg1TimeTopo's outcome, error included —
-// a too-large fabric is as deterministic as a prediction.
+// a failed prediction is as deterministic as a successful one.
 type topoPredictResult struct {
 	pred model.TopoPrediction
 	err  error
 }
 
 // predictTopo is model.Alg1TimeTopo through the cache: building the
-// network's charge oracle is O(links) (plus the p² table fast path below
-// 2048 ranks) and the fiber sweep is linear in P on fabrics without
-// translation symmetry, so repeated requests for the same fabric amortize
-// both. The key extends the flat predict key with the fabric name and
-// placement.
+// network's charge oracle is O(links) and the fiber sweep is linear in P
+// on fabrics without translation symmetry, so repeated requests for the
+// same fabric amortize both. The key extends the flat predict key with the
+// fabric name and placement.
 func (s *Server) predictTopo(d core.Dims, g grid.Grid, cfg machine.Config, fabric topo.Topology, place topo.Policy) (model.TopoPrediction, error) {
 	key := fmt.Sprintf("pt:%s:%d:%d:%d:%g:%g:%g:%s:%s",
 		dimsKey(d, g.Size()), g.P1, g.P2, g.P3, cfg.Alpha, cfg.Beta, cfg.Gamma, fabric.Name(), place)

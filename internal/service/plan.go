@@ -26,7 +26,7 @@ import (
 // Validation is all-or-nothing: every problem is vetted before any point
 // is computed, and a request with invalid problems answers 400 carrying
 // one envelope error per bad problem. Runtime failures after that (e.g. a
-// fabric outgrowing the per-pair charge tables mid-range) surface as an
+// twolevel fabric outgrowing the link id limit mid-range) surface as an
 // error row (streaming) or an envelope error (inline) for that problem
 // only. Topology-priced points are memoized under range-independent keys,
 // so overlapping ranges share their fabric pricing and concurrent identical

@@ -44,10 +44,7 @@ type Config struct {
 	// MaxTopoProcs rejects topology-aware predict requests whose P exceeds
 	// it: the synchronous worst-fiber sweep is linear in P on fabrics
 	// without translation symmetry, so it gets its own ceiling below
-	// MaxSearchProcs. A fabric's own charge-oracle limit (topo.MaxP, which
-	// binds only custom fabrics without closed-form link loads) tightens
-	// the effective limit further; rejections name whichever limit fired.
-	// ≤ 0 selects 1 << 17.
+	// MaxSearchProcs; rejections name the limit. ≤ 0 selects 1 << 17.
 	MaxTopoProcs int
 	// MaxBatch bounds the batch length of batch requests; ≤ 0 selects
 	// 1024.

@@ -165,6 +165,10 @@ func TestErrorStatusMapping(t *testing.T) {
 		{"topology size mismatch", "/v1/predict", `{"n1":64,"n2":64,"n3":64,"p":8,"beta":1,"topology":{"spec":"torus=4x4"}}`, 400, "bad_topology"},
 		{"unknown placement", "/v1/simulate", `{"n1":64,"n2":64,"n3":64,"p":8,"topology":{"spec":"flat","place":"zigzag"}}`, 400, "bad_topology"},
 		{"batch topology mismatch", "/v1/simulate", `{"batch":[{"n1":64,"n2":64,"n3":64,"p":8},{"n1":48,"n2":48,"n3":48,"p":4}],"topology":{"spec":"torus=2x2x2"}}`, 400, "bad_topology"},
+		{"torus extents overflow", "/v1/predict", `{"n1":64,"n2":64,"n3":64,"p":64,"beta":1,"topology":{"spec":"torus=64x288230376151711745"}}`, 400, "bad_topology"},
+		{"torus extents overflow sim", "/v1/simulate", `{"n1":64,"n2":64,"n3":64,"p":64,"topology":{"spec":"torus=64x288230376151711745"}}`, 400, "bad_topology"},
+		{"topology link limit", "/v1/predict", `{"n1":64,"n2":64,"n3":64,"p":131072,"beta":1,"topology":{"spec":"twolevel=131072"}}`, 400, "bad_topology"},
+		{"topology link limit sim", "/v1/simulate", `{"n1":64,"n2":64,"n3":64,"p":131072,"topology":{"spec":"twolevel=131072"}}`, 400, "bad_topology"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -176,6 +180,12 @@ func TestErrorStatusMapping(t *testing.T) {
 				t.Fatalf("kind = %q, want %q (%s)", e.Kind, tc.wantKind, e.Error)
 			}
 		})
+	}
+	// /v1/plan refuses a bad problem with a 400 envelope naming its index.
+	status, raw := post(t, ts, "/v1/plan",
+		`{"problems":[{"n1":64,"n2":64,"n3":64,"mem":1e9,"pMin":64,"pMax":64,"topology":{"spec":"torus=64x288230376151711745"}}]}`)
+	if env := decode[PlanEnvelope](t, raw); status != 400 || len(env.Errors) != 1 || env.Errors[0].Code != "bad_topology" {
+		t.Fatalf("overflowing torus plan = %d %s, want 400 bad_topology", status, raw)
 	}
 	if status, raw := get(t, ts, "/v1/jobs/nope"); status != 404 {
 		t.Fatalf("unknown job status = %d: %s", status, raw)

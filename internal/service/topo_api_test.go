@@ -97,10 +97,9 @@ func TestSimulateTopologyJob(t *testing.T) {
 	}
 }
 
-// TestPredictTopologyWalkMode checks a synchronous topology prediction
-// above the table fast-path threshold (P = 4096 > 2048): the walk-mode
-// charge oracle must serve it with the usual Total = FlatTotal · Slowdown
-// decomposition intact.
+// TestPredictTopologyWalkMode checks a synchronous topology prediction at
+// P = 4096: the walk-mode charge oracle must serve it with the usual
+// Total = FlatTotal · Slowdown decomposition intact.
 func TestPredictTopologyWalkMode(t *testing.T) {
 	_, ts := newTestServer(t)
 	body := `{"n1":512,"n2":512,"n3":512,"p":4096,"alpha":2,"beta":1,"gamma":0.0625,` +

@@ -1,10 +1,13 @@
 package topo
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestChargeDoesNotAllocate pins the Charge hot path: the simulator calls
-// it once per message, so both the Flat uniform fast path and the
-// table-backed non-flat path must be allocation-free.
+// it once per message, so both the Flat uniform fast path and the non-flat
+// route walk must be allocation-free.
 func TestChargeDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts shift under -race instrumentation")
@@ -26,10 +29,9 @@ func TestChargeDoesNotAllocate(t *testing.T) {
 }
 
 // TestChargeDoesNotAllocateAtScale pins the walk path at datacenter size:
-// P=65536 is far past tableP, so Charge prices each route arithmetically
-// through WalkCharge — which must stay allocation-free, since the
-// simulator calls it once per message and an event-engine run at this
-// scale sends tens of millions.
+// WalkCharge must stay allocation-free at P=65536, since the simulator
+// calls it once per message and a run at this scale sends tens of
+// millions.
 func TestChargeDoesNotAllocateAtScale(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts shift under -race instrumentation")
@@ -37,9 +39,6 @@ func TestChargeDoesNotAllocateAtScale(t *testing.T) {
 	const p = 1 << 16
 	for _, spec := range []string{"twolevel=64", "torus=16x16x16x16", "fattree=4x8", "tree=2x16"} {
 		n := mustNetwork(t, spec, p, Contiguous)
-		if n.Tabulated() {
-			t.Fatalf("%s at P=%d built per-pair tables, want walk mode", spec, p)
-		}
 		var sink float64
 		got := testing.AllocsPerRun(100, func() {
 			for s := 0; s < 64; s++ {
@@ -51,6 +50,33 @@ func TestChargeDoesNotAllocateAtScale(t *testing.T) {
 			t.Errorf("%s: walk Charge allocates %.1f per 64 calls, want 0", spec, got)
 		}
 		_ = sink
+	}
+}
+
+// TestNewNetworkAllocation pins the charge oracle's construction to
+// O(links) memory: at P=2048 a network holds one flow count and one
+// effective β per link, well under 2 MiB on each fabric kind, while any
+// per-pair (P²) state would need tens of MiB.
+func TestNewNetworkAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts shift under -race instrumentation")
+	}
+	const p = 2048
+	for _, spec := range []string{"torus=8x16x16", "twolevel=32", "fattree=2x11"} {
+		tp := mustParse(t, spec, p)
+		pl, err := PlaceRanks(p, tp, Contiguous)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := NewNetwork(tp, pl); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 2<<20 {
+			t.Errorf("%s at P=%d: NewNetwork allocates %d bytes, want at most 2 MiB", spec, p, got)
+		}
 	}
 }
 

@@ -23,8 +23,7 @@ func benchFabrics(p int) []string {
 }
 
 // BenchmarkNewNetwork measures charge-oracle construction across fabrics
-// and rank counts: table mode (P ≤ 2048) pays the p² materialization,
-// walk mode (P = 65536) only the O(links) analytic flow pass.
+// and rank counts: the O(links) analytic flow pass.
 func BenchmarkNewNetwork(b *testing.B) {
 	for _, p := range []int{64, 1024, 4096, 1 << 16} {
 		for _, spec := range benchFabrics(p) {
@@ -48,10 +47,9 @@ func BenchmarkNewNetwork(b *testing.B) {
 	}
 }
 
-// BenchmarkChargeScaling measures the per-message pricing hot path in both
-// modes: two slice loads at P ≤ 2048, an O(hops) arithmetic walk at
-// P = 65536. The simulator calls this once per message, so ns/op here
-// bounds topology-aware simulation throughput.
+// BenchmarkChargeScaling measures the per-message pricing hot path, an
+// O(hops) arithmetic route walk. The simulator calls this once per
+// message, so ns/op here bounds topology-aware simulation throughput.
 func BenchmarkChargeScaling(b *testing.B) {
 	for _, p := range []int{1024, 1 << 16} {
 		for _, spec := range benchFabrics(p) {
@@ -67,11 +65,7 @@ func BenchmarkChargeScaling(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			mode := "walk"
-			if n.Tabulated() {
-				mode = "table"
-			}
-			b.Run(fmt.Sprintf("%s/P=%d/%s", spec, p, mode), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/P=%d", spec, p), func(b *testing.B) {
 				b.ReportAllocs()
 				var sink float64
 				s, d := 0, 1

@@ -254,83 +254,3 @@ func congestPhase(g grid.Grid, t Topology, tr Translatable, trOK bool, pl Placem
 	}
 	return ph
 }
-
-// congestExhaustive is the original fiber-by-fiber enumeration, kept as
-// the small-P equivalence oracle the tests hold Congest's symmetry-class
-// path against. It materializes load over the full link id space (p² for
-// Flat), so it is only affordable at small P.
-func congestExhaustive(g grid.Grid, t Topology, pl Placement) (CongestionReport, error) {
-	if err := g.Validate(); err != nil {
-		return CongestionReport{}, err
-	}
-	if g.Size() != t.P() || len(pl.ToEndpoint) != t.P() {
-		return CongestionReport{}, fmt.Errorf("topo: grid %v (%d ranks), topology %s (%d endpoints), placement (%d ranks) disagree: %w",
-			g, g.Size(), t.Name(), t.P(), len(pl.ToEndpoint), core.ErrBadTopology)
-	}
-	rep := CongestionReport{
-		Topology:  t.Name(),
-		Placement: pl.Policy.String(),
-		Grid:      g.String(),
-	}
-	load := make([]int, t.NumLinks())
-	var route []int
-	for _, phase := range alg1Phases {
-		for i := range load {
-			load[i] = 0
-		}
-		flows, totalHops, maxHops := 0, 0, 0
-		fiber := make([]int, g.FiberLen(phase.axis))
-		seen := make([]bool, g.Size())
-		for r := 0; r < g.Size(); r++ {
-			if seen[r] {
-				continue
-			}
-			g.FiberInto(fiber, r, phase.axis)
-			for _, m := range fiber {
-				seen[m] = true
-			}
-			for _, s := range fiber {
-				for _, d := range fiber {
-					if s == d {
-						continue
-					}
-					route = t.Route(route[:0], pl.ToEndpoint[s], pl.ToEndpoint[d])
-					for _, l := range route {
-						load[l]++
-					}
-					flows++
-					totalHops += len(route)
-					if len(route) > maxHops {
-						maxHops = len(route)
-					}
-				}
-			}
-		}
-		maxLoad := 0
-		for _, l := range load {
-			if l > maxLoad {
-				maxLoad = l
-			}
-		}
-		ph := PhaseReport{
-			Phase:       phase.name,
-			Axis:        phase.axis.String(),
-			Flows:       flows,
-			MaxLinkLoad: maxLoad,
-			MaxHops:     maxHops,
-		}
-		fan := g.FiberLen(phase.axis) - 1
-		if fan < 1 {
-			fan = 1
-		}
-		ph.MaxChi = float64(maxLoad) / float64(fan)
-		if ph.MaxChi < 1 && flows > 0 {
-			ph.MaxChi = 1
-		}
-		if flows > 0 {
-			ph.MeanHops = float64(totalHops) / float64(flows)
-		}
-		rep.Phases = append(rep.Phases, ph)
-	}
-	return rep, nil
-}

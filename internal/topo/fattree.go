@@ -10,8 +10,8 @@ import (
 // The tree edge between a level-ℓ subtree (radix^ℓ leaves) and its parent
 // consists of widths[ℓ] parallel cables; routes climb to the lowest common
 // ancestor and descend, picking one cable per level deterministically from
-// the (src, dst) pair so flows spread across the parallel cables. With the
-// default widths (radix^ℓ, a full-bisection fat-tree) no tree edge is
+// the (src, dst) pair so flows spread across the parallel cables. With
+// widths radix^ℓ (a full-bisection fat-tree) no tree edge is
 // oversubscribed; with widths all 1 (a "skinny" tree, spec "tree=RxL") the
 // root edge carries every cross-half flow and congestion is maximal.
 type FatTree struct {
@@ -23,10 +23,10 @@ type FatTree struct {
 	numLinks      int
 }
 
-// NewFatTree builds a fat-tree. widths may be nil (full bisection:
-// widths[ℓ] = radix^ℓ) or give the cable count per level (level 0 is the
-// leaf edge). Invalid shapes wrap core.ErrBadTopology.
-func NewFatTree(radix, levels int, widths []int, link Link) (*FatTree, error) {
+// NewFatTree builds a fat-tree: full bisection (widths[ℓ] = radix^ℓ, level
+// 0 being the leaf edge), or with skinny a single cable at every level.
+// Invalid shapes wrap core.ErrBadTopology.
+func NewFatTree(radix, levels int, skinny bool, link Link) (*FatTree, error) {
 	if radix < 2 || levels < 1 {
 		return nil, fmt.Errorf("topo: fat-tree needs radix ≥ 2 and levels ≥ 1, got %dx%d: %w",
 			radix, levels, core.ErrBadTopology)
@@ -38,36 +38,24 @@ func NewFatTree(radix, levels int, widths []int, link Link) (*FatTree, error) {
 		}
 		p *= radix
 	}
-	if widths == nil {
-		widths = make([]int, levels)
-		w := 1
-		for i := range widths {
-			widths[i] = w
-			w *= radix
-		}
-	}
-	if len(widths) != levels {
-		return nil, fmt.Errorf("topo: fat-tree %dx%d wants %d widths, got %d: %w",
-			radix, levels, levels, len(widths), core.ErrBadTopology)
-	}
-	for _, w := range widths {
-		if w <= 0 {
-			return nil, fmt.Errorf("topo: fat-tree width %d must be positive: %w", w, core.ErrBadTopology)
-		}
-	}
 	t := &FatTree{
-		radix:  radix,
-		levels: levels,
-		widths: append([]int(nil), widths...),
-		link:   link,
-		p:      p,
+		radix:   radix,
+		levels:  levels,
+		widths:  make([]int, levels),
+		link:    link,
+		p:       p,
+		offsets: make([]int, levels),
 	}
-	t.offsets = make([]int, levels)
-	id, nodes := 0, p
+	id, nodes, w := 0, p, 1
 	for l := 0; l < levels; l++ {
+		t.widths[l] = w
+		if skinny {
+			t.widths[l] = 1
+		}
 		t.offsets[l] = id
 		id += nodes * t.widths[l] * 2
 		nodes /= radix
+		w *= radix
 	}
 	t.numLinks = id
 	return t, nil
@@ -134,33 +122,17 @@ func (t *FatTree) Route(buf []int, src, dst int) []int {
 // Link returns the uniform per-cable link cost.
 func (t *FatTree) Link(int) Link { return t.link }
 
-// Scalable reports whether every level's cable count divides its subtree
-// leaf count. When it does, the deterministic cable choice
-// (31·src + dst) mod widths[ℓ] spreads the level's all-to-all flows
-// exactly uniformly across the cables (for any fixed src, the dst
-// residues modulo the width are equidistributed over both a subtree and
-// its complement, because both have width-aligned sizes), giving the link
-// loads a closed form. Both Parse shapes qualify: full-bisection widths
-// radix^ℓ and skinny width-1 trees.
-func (t *FatTree) Scalable() bool {
-	sub := 1
-	for l := 0; l < t.levels; l++ {
-		if sub%t.widths[l] != 0 {
-			return false
-		}
-		sub *= t.radix
-	}
-	return true
-}
-
 // Diameter returns 2·levels: up to the root and back down.
 func (t *FatTree) Diameter() int { return 2 * t.levels }
 
 // LinkFlows fills the all-to-all crossing count of every link (flows must
 // be zeroed). The level-ℓ tree edge above a node with sub = radix^ℓ leaves
 // carries the sub·(p−sub) pairs crossing it in each direction, split
-// exactly evenly over the widths[ℓ] cables — see Scalable for why the
-// cable hash is uniform. Only valid when Scalable() is true.
+// exactly evenly over the widths[ℓ] cables: both shapes NewFatTree builds
+// have a cable count dividing the subtree leaf count, so for any fixed src
+// the dst residues modulo the width are equidistributed over both a
+// subtree and its complement (both have width-aligned sizes), and the
+// cable choice (31·src + dst) mod widths[ℓ] spreads the flows uniformly.
 func (t *FatTree) LinkFlows(flows []int) {
 	sub := 1
 	for l := 0; l < t.levels; l++ {

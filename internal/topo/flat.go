@@ -6,7 +6,8 @@ import "fmt"
 // per ordered endpoint pair, so no two flows ever share a link and every
 // message is charged exactly (α, β). It exists so topology-aware code paths
 // can be exercised while reproducing the uniform model bit-for-bit —
-// Network special-cases it to a uniform charge with no per-pair tables.
+// Network special-cases it to a uniform charge and never materializes its
+// p² link ids.
 type Flat struct {
 	p    int
 	link Link
@@ -43,3 +44,30 @@ func (f *Flat) Route(buf []int, src, dst int) []int {
 
 // Link returns the uniform link cost.
 func (f *Flat) Link(int) Link { return f.link }
+
+// LinkFlows gives every dedicated link its one pair. The unused diagonal
+// ids s·p+s are exactly the multiples of p+1 below p².
+func (f *Flat) LinkFlows(flows []int) {
+	for id := range flows {
+		if id%(f.p+1) != 0 {
+			flows[id] = 1
+		}
+	}
+}
+
+// WalkCharge prices the pair's one dedicated link.
+func (f *Flat) WalkCharge(effBeta []float64, src, dst int) (alpha, maxEff float64) {
+	if src == dst {
+		return 0, 0
+	}
+	return f.link.Alpha, effBeta[src*f.p+dst]
+}
+
+// Diameter returns 1: every route is one dedicated link (none exists on a
+// single endpoint).
+func (f *Flat) Diameter() int {
+	if f.p == 1 {
+		return 0
+	}
+	return 1
+}

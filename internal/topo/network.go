@@ -2,22 +2,9 @@ package topo
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 )
-
-// tableP bounds the rank count for which Network additionally materializes
-// per-pair charge tables (two p² float64 slices): below it, Charge is two
-// slice loads; above it, Charge walks the route arithmetically in O(hops).
-const tableP = 2048
-
-// maxEnumP bounds the rank count for fabrics without closed-form link
-// loads (no ScalableFabric implementation): their construction enumerates
-// all P² routes, which is only affordable at small P. Every fabric Parse
-// builds implements the closed forms, so this cap is unreachable through
-// specs; it guards custom Topology implementations.
-const maxEnumP = 2048
 
 // Network is the cost oracle the machine simulator charges sends through:
 // for every ordered rank pair it answers the effective (α, β) of one
@@ -32,15 +19,13 @@ const maxEnumP = 2048
 // The factors are static, keeping the simulator deterministic: charges
 // never depend on goroutine timing.
 //
-// Construction is O(links): fabrics implementing ScalableFabric supply
-// their all-to-all flow counts in closed form, and the only per-link state
-// kept is the effective-β table effBeta[l] = β_l·χ_l. At p ≤ tableP the
-// per-pair (α, β) tables are additionally materialized (in parallel) so
-// Charge is two slice loads; at larger p Charge walks the route
-// arithmetically via WalkCharge — O(hops), allocation-free, and
-// bit-identical to the table path, which is built through the same
-// arithmetic. A Flat topology is special-cased to a uniform charge with no
-// tables at all, so the paper's model runs unchanged at any p.
+// Construction is O(links): the fabric supplies its all-to-all flow
+// counts in closed form (Topology.LinkFlows), and the only per-link state
+// kept is the effective-β table effBeta[l] = β_l·χ_l. Charge walks the
+// route arithmetically via Topology.WalkCharge — O(hops) and
+// allocation-free. A Flat topology is special-cased to a uniform charge
+// with no per-link state at all, so the paper's model runs unchanged at
+// any p.
 type Network struct {
 	p    int
 	topo Topology
@@ -53,33 +38,13 @@ type Network struct {
 	// effBeta[l] = Link(l).Beta · χ_l, the only O(links) state the charge
 	// model needs.
 	effBeta []float64
-	// walker prices routes in O(hops) when the fabric supports it.
-	walker ScalableFabric
-
-	// lat[s*p+d], bw[s*p+d] are the per-pair fast-path tables at small p.
-	lat, bw []float64
 
 	maxChi  float64 // largest χ over links any route uses
 	maxHops int     // longest route, in links
 }
 
-// MaxP returns the largest rank count NewNetwork accepts for topology t:
-// unbounded for Flat and for fabrics with closed-form link loads
-// (everything Parse builds), maxEnumP for custom fabrics that need the
-// quadratic route enumeration.
-func MaxP(t Topology) int {
-	if _, ok := t.(*Flat); ok {
-		return math.MaxInt
-	}
-	if s, ok := t.(ScalableFabric); ok && s.Scalable() {
-		return math.MaxInt
-	}
-	return maxEnumP
-}
-
 // NewNetwork builds the charge oracle for topology t under placement pl.
-// The placement must cover exactly t.P() ranks; fabrics without
-// closed-form link loads are limited to MaxP(t) ranks. Violations wrap
+// The placement must cover exactly t.P() ranks; a mismatch wraps
 // core.ErrBadTopology.
 func NewNetwork(t Topology, pl Placement) (*Network, error) {
 	p := t.P()
@@ -87,26 +52,15 @@ func NewNetwork(t Topology, pl Placement) (*Network, error) {
 		return nil, fmt.Errorf("topo: placement covers %d ranks, %s has %d endpoints: %w",
 			len(pl.ToEndpoint), t.Name(), p, core.ErrBadTopology)
 	}
-	n := &Network{p: p, topo: t, pl: pl}
+	n := &Network{p: p, topo: t, pl: pl, maxChi: 1, maxHops: t.Diameter()}
 	if f, ok := t.(*Flat); ok {
 		n.uniform = true
 		n.alpha, n.beta = f.link.Alpha, f.link.Beta
-		n.maxChi, n.maxHops = 1, 1
 		return n, nil
 	}
 
 	flows := make([]int, t.NumLinks())
-	if s, ok := t.(ScalableFabric); ok && s.Scalable() {
-		s.LinkFlows(flows)
-		n.walker = s
-		n.maxHops = s.Diameter()
-	} else {
-		if p > maxEnumP {
-			return nil, fmt.Errorf("topo: %s has %d ranks, fabrics without closed-form link loads support at most %d (route enumeration is quadratic): %w",
-				t.Name(), p, maxEnumP, core.ErrBadTopology)
-		}
-		n.maxHops = enumerateFlows(t, flows)
-	}
+	t.LinkFlows(flows)
 
 	// χ_l = max(1, flows_l/(p−1)) folded into the per-link effective β.
 	norm := float64(p - 1)
@@ -114,7 +68,6 @@ func NewNetwork(t Topology, pl Placement) (*Network, error) {
 		norm = 1
 	}
 	n.effBeta = make([]float64, len(flows))
-	n.maxChi = 1
 	for l, f := range flows {
 		c := float64(f) / norm
 		if c < 1 {
@@ -125,63 +78,17 @@ func NewNetwork(t Topology, pl Placement) (*Network, error) {
 		}
 		n.effBeta[l] = t.Link(l).Beta * c
 	}
-
-	// Non-scalable fabrics always fit under tableP, so every Network has
-	// either tables or a walker.
-	if p <= tableP {
-		n.buildTables()
-	}
 	return n, nil
-}
-
-// buildTables materializes the per-pair (α, β) fast path. Prices come from
-// the same effBeta table the walk path reads, with routes priced in
-// Route's link order, so both paths return bit-identical charges. Sources
-// are sharded across GOMAXPROCS goroutines writing disjoint rows, so the
-// build is deterministic.
-func (n *Network) buildTables() {
-	p := n.p
-	n.lat = make([]float64, p*p)
-	n.bw = make([]float64, p*p)
-	t, eps := n.topo, n.pl.ToEndpoint
-	parallelFor(p, func(lo, hi int) {
-		var buf []int
-		for s := lo; s < hi; s++ {
-			for d := 0; d < p; d++ {
-				if s == d {
-					continue
-				}
-				var a, b float64
-				if n.walker != nil {
-					a, b = n.walker.WalkCharge(n.effBeta, eps[s], eps[d])
-				} else {
-					buf = t.Route(buf[:0], eps[s], eps[d])
-					for _, l := range buf {
-						a += t.Link(l).Alpha
-						if e := n.effBeta[l]; e > b {
-							b = e
-						}
-					}
-				}
-				n.lat[s*p+d] = a
-				n.bw[s*p+d] = b
-			}
-		}
-	})
 }
 
 // Charge returns the effective per-message latency α and per-word cost β
 // for one message from rank src to rank dst. It never allocates at any
-// scale: uniform constant, two slice loads, or an arithmetic route walk.
+// scale: a uniform constant, or an arithmetic route walk.
 func (n *Network) Charge(src, dst int) (alpha, beta float64) {
 	if n.uniform {
 		return n.alpha, n.beta
 	}
-	if n.lat != nil {
-		i := src*n.p + dst
-		return n.lat[i], n.bw[i]
-	}
-	return n.walker.WalkCharge(n.effBeta, n.pl.ToEndpoint[src], n.pl.ToEndpoint[dst])
+	return n.topo.WalkCharge(n.effBeta, n.pl.ToEndpoint[src], n.pl.ToEndpoint[dst])
 }
 
 // P returns the rank count.
@@ -198,10 +105,6 @@ func (n *Network) Placement() Placement { return n.pl }
 // true exactly for Flat. Fiber sweeps use it to price one pair instead of
 // all of them.
 func (n *Network) Uniform() bool { return n.uniform }
-
-// Tabulated reports whether Charge serves from the per-pair tables (small
-// p) rather than walking routes on demand.
-func (n *Network) Tabulated() bool { return n.lat != nil }
 
 // MaxCongestion returns the largest concurrent-use factor χ over all links
 // any route crosses: 1 means no link is busier than a dedicated per-pair

@@ -2,9 +2,7 @@ package topo
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -48,7 +46,8 @@ func TestFlatChargeIsExactBase(t *testing.T) {
 	if n.MaxCongestion() != 1 {
 		t.Errorf("flat MaxCongestion = %v, want 1", n.MaxCongestion())
 	}
-	// Flat takes the uniform fast path at any size — no quadratic tables.
+	// Flat takes the uniform path at any size — its p² link ids are never
+	// materialized.
 	big, err := NewNetwork(NewFlat(1<<16, testLink), Placement{Policy: Contiguous, ToEndpoint: make([]int, 1<<16)})
 	if err != nil {
 		t.Fatalf("flat at 65536 ranks: %v", err)
@@ -107,82 +106,6 @@ func TestTorusChargeSymmetry(t *testing.T) {
 	far, _ := n.Charge(0, 42) // multi-hop
 	if near >= far {
 		t.Errorf("one-hop latency %v not below multi-hop %v", near, far)
-	}
-}
-
-// opaqueTopo hides a fabric's ScalableFabric implementation, forcing
-// NewNetwork onto the quadratic enumeration fallback.
-type opaqueTopo struct{ inner Topology }
-
-func (o *opaqueTopo) Name() string                    { return o.inner.Name() }
-func (o *opaqueTopo) P() int                          { return o.inner.P() }
-func (o *opaqueTopo) NodeSize() int                   { return o.inner.NodeSize() }
-func (o *opaqueTopo) NumLinks() int                   { return o.inner.NumLinks() }
-func (o *opaqueTopo) Route(buf []int, s, d int) []int { return o.inner.Route(buf, s, d) }
-func (o *opaqueTopo) Link(id int) Link                { return o.inner.Link(id) }
-
-// TestNetworkCapOnlyBindsEnumeratedFabrics checks the lifted cap: every
-// Parse-able fabric has closed-form link loads, so it builds beyond the
-// old 2048-rank limit (serving walk charges instead of tables), while a
-// custom fabric without closed forms still hits the quadratic-enumeration
-// cap with an error naming the actual limit.
-func TestNetworkCapOnlyBindsEnumeratedFabrics(t *testing.T) {
-	const p = maxEnumP * 2
-	n := mustNetwork(t, "twolevel=2", p, Contiguous)
-	if n.Tabulated() {
-		t.Errorf("twolevel at %d ranks built per-pair tables, want walk mode", p)
-	}
-	if a, _ := n.Charge(0, 3); a != 2*testLink.Alpha {
-		t.Errorf("walk-mode inter-node latency = %v, want %v", a, 2*testLink.Alpha)
-	}
-	if MaxP(n.Topology()) != math.MaxInt {
-		t.Errorf("MaxP(twolevel) = %d, want unbounded", MaxP(n.Topology()))
-	}
-
-	topo := &opaqueTopo{NewTwoLevel(p/2, 2, testLink, testLink)}
-	if MaxP(topo) != maxEnumP {
-		t.Errorf("MaxP(opaque) = %d, want %d", MaxP(topo), maxEnumP)
-	}
-	pl := Placement{Policy: Contiguous, ToEndpoint: make([]int, p)}
-	for i := range pl.ToEndpoint {
-		pl.ToEndpoint[i] = i
-	}
-	_, err := NewNetwork(topo, pl)
-	if !errors.Is(err, core.ErrBadTopology) {
-		t.Fatalf("oversized enumerated network = %v, want ErrBadTopology", err)
-	}
-	if !strings.Contains(err.Error(), fmt.Sprint(maxEnumP)) {
-		t.Errorf("cap error %q does not name the limit %d", err, maxEnumP)
-	}
-}
-
-// TestNetworkEnumeratedFallbackMatchesScalable checks the enumeration
-// fallback prices a hidden-closed-form fabric identically to the scalable
-// path at small P.
-func TestNetworkEnumeratedFallbackMatchesScalable(t *testing.T) {
-	const p = 64
-	want := mustNetwork(t, "twolevel=8", p, Contiguous)
-	topo := &opaqueTopo{want.Topology()}
-	pl, err := PlaceRanks(p, topo, Contiguous)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewNetwork(topo, pl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < p; s++ {
-		for d := 0; d < p; d++ {
-			ga, gb := got.Charge(s, d)
-			wa, wb := want.Charge(s, d)
-			if ga != wa || gb != wb {
-				t.Fatalf("Charge(%d, %d): enumerated (%v, %v) != scalable (%v, %v)", s, d, ga, gb, wa, wb)
-			}
-		}
-	}
-	if got.MaxHops() != want.MaxHops() || got.MaxCongestion() != want.MaxCongestion() {
-		t.Errorf("enumerated stats (%d, %v) != scalable (%d, %v)",
-			got.MaxHops(), got.MaxCongestion(), want.MaxHops(), want.MaxCongestion())
 	}
 }
 

@@ -1,42 +1,6 @@
 package topo
 
-import (
-	"runtime"
-	"strconv"
-	"sync"
-)
-
-// ScalableFabric is the optional contract a Topology implements when its
-// all-to-all link loads have a closed form and its routes can be priced
-// without materializing them. It is what lets Network drop the quadratic
-// construction: LinkFlows replaces the all-pairs route enumeration with
-// O(links) arithmetic, and WalkCharge prices a single message in O(hops)
-// with no allocation, so the charge oracle works at P = 65536 and beyond.
-//
-// Implementations must make WalkCharge price exactly the links Route would
-// emit, in the same order, summing per-link α and maximizing effBeta — the
-// table fast path is built through the same arithmetic, so the two paths
-// return bit-identical charges and simulations stay deterministic across
-// table and walk modes.
-type ScalableFabric interface {
-	// Scalable reports whether the closed forms apply to this instance.
-	// (A fat-tree with cable counts that do not divide its subtree sizes
-	// has no uniform per-cable load, for example.)
-	Scalable() bool
-	// LinkFlows fills flows[l] with the number of ordered endpoint pairs
-	// whose route crosses link l — the same counts enumerating Route over
-	// all P(P−1) pairs would produce. flows has NumLinks entries and must
-	// be zeroed by the caller.
-	LinkFlows(flows []int)
-	// WalkCharge prices one message from endpoint src to endpoint dst:
-	// alpha is the route's summed per-link α, maxEff the largest
-	// effBeta[l] over the route's links (effBeta holds β_l·χ_l, indexed by
-	// link id). It must not allocate.
-	WalkCharge(effBeta []float64, src, dst int) (alpha, maxEff float64)
-	// Diameter returns the longest route length in links over all
-	// endpoint pairs.
-	Diameter() int
-}
+import "strconv"
 
 // Translatable is the optional symmetry contract of fabrics whose routing
 // is equivariant under a transitive-enough translation group: translating
@@ -104,103 +68,4 @@ func FiberClassKey(t Topology, pl Placement, ranks []int) (string, bool) {
 	}
 	key, _, _, ok := canonicalFiber(tr, eps)
 	return key, ok
-}
-
-// enumerateFlows routes every ordered endpoint pair of t, accumulating
-// per-link crossing counts into flows (NumLinks entries, zeroed by the
-// caller), and returns the longest route in links. The placement does not
-// matter: a placement is a bijection rank→endpoint, so summing routes over
-// all ordered rank pairs visits exactly the ordered endpoint pairs. The
-// enumeration is quadratic in P — it is the construction fallback for
-// fabrics without closed-form loads and the small-P equivalence oracle for
-// the analytic LinkFlows implementations. Sources are sharded across
-// GOMAXPROCS goroutines into per-worker count arrays merged afterwards, so
-// the result is deterministic.
-func enumerateFlows(t Topology, flows []int) (maxHops int) {
-	p := t.P()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > p {
-		workers = p
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	type part struct {
-		flows   []int
-		maxHops int
-	}
-	parts := make([]part, workers)
-	chunk := (p + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > p {
-			hi = p
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			local := make([]int, len(flows))
-			var buf []int
-			longest := 0
-			for s := lo; s < hi; s++ {
-				for d := 0; d < p; d++ {
-					if s == d {
-						continue
-					}
-					buf = t.Route(buf[:0], s, d)
-					for _, l := range buf {
-						local[l]++
-					}
-					if len(buf) > longest {
-						longest = len(buf)
-					}
-				}
-			}
-			parts[w] = part{local, longest}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, pt := range parts {
-		if pt.flows == nil {
-			continue
-		}
-		for l, f := range pt.flows {
-			flows[l] += f
-		}
-		if pt.maxHops > maxHops {
-			maxHops = pt.maxHops
-		}
-	}
-	return maxHops
-}
-
-// parallelFor splits [0, n) into GOMAXPROCS contiguous chunks and runs fn
-// on each concurrently. fn must only write state owned by its chunk.
-func parallelFor(n int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

@@ -1,8 +1,11 @@
 package topo
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/grid"
 )
 
@@ -39,14 +42,10 @@ func mustParse(t *testing.T, spec string, p int) Topology {
 // LinkFlows and Diameter against the all-pairs route enumeration.
 func TestAnalyticLinkFlowsMatchEnumerated(t *testing.T) {
 	for _, p := range []int{12, 64, 100, 256} {
-		for _, spec := range scaleSpecs(p) {
+		for _, spec := range append([]string{"flat"}, scaleSpecs(p)...) {
 			tp := mustParse(t, spec, p)
-			s, ok := tp.(ScalableFabric)
-			if !ok || !s.Scalable() {
-				t.Fatalf("%s at P=%d: Parse built a non-scalable fabric", spec, p)
-			}
 			got := make([]int, tp.NumLinks())
-			s.LinkFlows(got)
+			tp.LinkFlows(got)
 			want := make([]int, tp.NumLinks())
 			maxHops := enumerateFlows(tp, want)
 			for l := range want {
@@ -54,84 +53,96 @@ func TestAnalyticLinkFlowsMatchEnumerated(t *testing.T) {
 					t.Fatalf("%s at P=%d: link %d analytic flows %d, enumerated %d", spec, p, l, got[l], want[l])
 				}
 			}
-			if d := s.Diameter(); d != maxHops {
+			if d := tp.Diameter(); d != maxHops {
 				t.Errorf("%s at P=%d: Diameter %d, enumerated longest route %d", spec, p, d, maxHops)
 			}
 		}
 	}
 }
 
-// TestFatTreeUnevenWidthsFallBack checks a cable count that does not
-// divide its subtree size reports non-scalable, and that NewNetwork still
-// builds it through the enumeration fallback.
-func TestFatTreeUnevenWidthsFallBack(t *testing.T) {
-	tp, err := NewFatTree(2, 2, []int{1, 3}, testLink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tp.Scalable() {
-		t.Fatal("widths {1, 3} on radix 2 reported scalable; 3 does not divide the subtree size 2")
-	}
-	pl, err := PlaceRanks(tp.P(), tp, Contiguous)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := NewNetwork(tp, pl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.MaxHops() != 4 {
-		t.Errorf("MaxHops = %d, want 4", n.MaxHops())
-	}
-}
-
-// walkOnly returns a copy of n with the per-pair tables dropped, forcing
-// Charge onto the O(hops) walk path.
-func walkOnly(t *testing.T, n *Network) *Network {
-	t.Helper()
-	if n.walker == nil {
-		t.Fatalf("%s has no walker", n.Topology().Name())
-	}
-	c := *n
-	c.lat, c.bw = nil, nil
-	return &c
-}
-
-// TestWalkChargeMatchesTableCharge pins the bit-identity contract between
-// the two Charge modes for every fabric × placement: the table fast path
-// and the on-demand route walk must return exactly the same floats, so a
-// simulation's critical path cannot depend on which mode the rank count
-// selects.
-func TestWalkChargeMatchesTableCharge(t *testing.T) {
+// TestWalkChargeMatchesRoute pins every fabric × placement's charges to
+// the price of Route's links taken in order, under the closed-form link
+// loads TestAnalyticLinkFlowsMatchEnumerated holds to the enumeration: the
+// O(hops) walk must return exactly the same floats as pricing the
+// materialized route, so a simulation's critical path cannot depend on
+// which of the two computes it.
+func TestWalkChargeMatchesRoute(t *testing.T) {
 	for _, p := range []int{12, 64, 100, 256, 2048} {
-		if p > 256 && (raceEnabled || testing.Short()) {
-			continue // the 2048-rank table builds dominate instrumented runs
-		}
 		// Full pair sweeps at small P, strided sampling at 2048.
 		ss, ds := 1, 1
 		if p > 256 {
 			ss, ds = 7, 13
 		}
 		for _, spec := range scaleSpecs(p) {
+			tp := mustParse(t, spec, p)
+			flows := make([]int, tp.NumLinks())
+			tp.LinkFlows(flows)
 			for _, pol := range []Policy{Contiguous, RoundRobin} {
-				table := mustNetwork(t, spec, p, pol)
-				if !table.Tabulated() {
-					t.Fatalf("%s at P=%d built without tables", spec, p)
-				}
-				walk := walkOnly(t, table)
-				for s := 0; s < p; s += ss {
-					for d := 0; d < p; d += ds {
-						ta, tb := table.Charge(s, d)
-						wa, wb := walk.Charge(s, d)
-						if ta != wa || tb != wb {
-							t.Fatalf("%s/%v at P=%d: Charge(%d, %d) table (%v, %v) != walk (%v, %v)",
-								spec, pol, p, s, d, ta, tb, wa, wb)
-						}
-					}
-				}
+				checkRouteCharges(t, mustNetwork(t, spec, p, pol), flows, ss, ds)
 			}
 		}
 	}
+}
+
+// FuzzFabricAgreement holds every fabric Parse accepts to its route
+// enumeration: Parse fails only with ErrBadTopology, and on fabrics of at
+// most 64 ranks and 4096 links LinkFlows equals the enumerated link loads,
+// Diameter the longest route, and every pair's Charge the route-priced
+// reference, under either placement.
+func FuzzFabricAgreement(f *testing.F) {
+	seeds := []struct {
+		spec string
+		p    int
+		rr   bool
+	}{
+		{"torus=64x288230376151711745", 64, false}, // extent product wraps to 64
+		{"twolevel=131072", 131072, false},         // 2 + P·g link ids
+		{"flat", 16, true},
+		{"twolevel=4", 12, true},
+		{"torus=3x4", 12, true},
+		{"torus=4x4x4", 64, false},
+		{"torus=1", 1, false},
+		{"fattree=4x3", 64, true},
+		{"tree=2x5", 32, true},
+		{"fattree=8x1", 8, false},
+	}
+	for _, sd := range seeds {
+		f.Add(sd.spec, sd.p, sd.rr)
+	}
+	f.Fuzz(func(t *testing.T, spec string, p int, rr bool) {
+		tp, err := Parse(spec, p, testLink)
+		if err != nil {
+			if !errors.Is(err, core.ErrBadTopology) {
+				t.Fatalf("Parse(%q, %d) = %v, want ErrBadTopology", spec, p, err)
+			}
+			return
+		}
+		if p > 64 || tp.NumLinks() > 4096 {
+			return
+		}
+		got := make([]int, tp.NumLinks())
+		tp.LinkFlows(got)
+		want := make([]int, tp.NumLinks())
+		if d, hops := tp.Diameter(), enumerateFlows(tp, want); d != hops {
+			t.Fatalf("%s at P=%d: Diameter %d, longest route %d", spec, p, d, hops)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s at P=%d: LinkFlows %v, enumerated %v", spec, p, got, want)
+		}
+		pol := Contiguous
+		if rr {
+			pol = RoundRobin
+		}
+		pl, err := PlaceRanks(p, tp, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := NewNetwork(tp, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRouteCharges(t, n, want, 1, 1)
+	})
 }
 
 // TestTranslationEquivariance verifies the Translatable contract the

@@ -16,12 +16,12 @@
 //     §5.2 optimal p1×p2×p3 grid — onto the topology's endpoints, either
 //     contiguously (consecutive ranks share a locality unit) or round-robin
 //     (consecutive ranks scattered across locality units).
-//   - Network (network.go) precomputes the effective per-message charge of
-//     every rank pair under the max-congested-link model: latency is the
-//     route's total α, bandwidth is the words times the largest β·χ over
-//     the route's links, where χ is the link's concurrent-use factor (its
-//     all-to-all flow count normalized so a dedicated per-pair link has
-//     χ = 1). The machine simulator charges sends through this oracle.
+//   - Network (network.go) prices every message under the
+//     max-congested-link model: latency is the route's total α, bandwidth
+//     is the words times the largest β·χ over the route's links, where χ
+//     is the link's concurrent-use factor (its all-to-all flow count
+//     normalized so a dedicated per-pair link has χ = 1). The machine
+//     simulator charges sends through this oracle.
 //   - Congestion reports (congestion.go) analyze Algorithm 1's three
 //     collective phases pattern-exactly: for the flows of each phase, the
 //     busiest link's concurrent-use count and the route-length statistics.
@@ -47,9 +47,17 @@ type Link struct {
 }
 
 // Topology is an interconnect fabric: endpoints (one per machine rank),
-// directed links with individual costs, and a deterministic routing
-// function. Implementations must be immutable after construction and safe
-// for concurrent use; Route must not allocate beyond growing buf.
+// directed links with individual costs, a deterministic routing function,
+// and the closed forms that price routes without enumerating them.
+// Implementations must be immutable after construction and safe for
+// concurrent use; Route must not allocate beyond growing buf.
+//
+// LinkFlows, WalkCharge and Diameter are what let Network work at any P:
+// LinkFlows replaces an all-pairs route enumeration with O(links)
+// arithmetic, and WalkCharge prices one message in O(hops) with no
+// allocation. WalkCharge must price exactly the links Route would emit, in
+// the same order, summing per-link α and maximizing effBeta, so that its
+// charges are bit-identical to pricing the enumerated route.
 type Topology interface {
 	// Name returns the topology's spec string (e.g. "torus=4x4x4").
 	Name() string
@@ -70,6 +78,31 @@ type Topology interface {
 	Route(buf []int, src, dst int) []int
 	// Link returns the cost parameters of one link.
 	Link(id int) Link
+	// LinkFlows fills flows[l] with the number of ordered endpoint pairs
+	// whose route crosses link l — the same counts enumerating Route over
+	// all P(P−1) pairs would produce. flows has NumLinks entries and must
+	// be zeroed by the caller.
+	LinkFlows(flows []int)
+	// WalkCharge prices one message from endpoint src to endpoint dst:
+	// alpha is the route's summed per-link α, maxEff the largest
+	// effBeta[l] over the route's links (effBeta holds β_l·χ_l, indexed by
+	// link id). It must not allocate.
+	WalkCharge(effBeta []float64, src, dst int) (alpha, maxEff float64)
+	// Diameter returns the longest route length in links over all
+	// endpoint pairs.
+	Diameter() int
+}
+
+// maxLinks bounds the link id space of the non-flat fabrics Parse builds.
+// NewNetwork allocates two NumLinks-entry slices, so the bound keeps one
+// charge oracle under 2 GiB. Flat is exempt: Network prices it with a
+// constant and never materializes its p² ids.
+const maxLinks = 1 << 27
+
+// tooManyLinks is Parse's rejection of a fabric past maxLinks.
+func tooManyLinks(spec string, p int) error {
+	return fmt.Errorf("topo: %s at %d ranks has more link ids than the limit %d: %w",
+		spec, p, maxLinks, core.ErrBadTopology)
 }
 
 // Kinds lists the accepted Parse spec shapes, for error messages and CLI
@@ -93,8 +126,9 @@ func Kinds() []string {
 //	fattree=<radix>x<levels> full-bisection fat-tree (widths radix^level)
 //	tree=<radix>x<levels>    skinny tree (every level width 1)
 //
-// A malformed spec, a shape that does not multiply out to p, or an unknown
-// kind wraps core.ErrBadTopology.
+// A malformed spec, a shape that does not multiply out to p, a non-flat
+// fabric with more than maxLinks link ids, or an unknown kind wraps
+// core.ErrBadTopology.
 func Parse(spec string, p int, base Link) (Topology, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("topo: need a positive rank count, got %d: %w", p, core.ErrBadTopology)
@@ -115,6 +149,10 @@ func Parse(spec string, p int, base Link) (Topology, error) {
 		if p%g != 0 {
 			return nil, fmt.Errorf("topo: twolevel=%d does not divide %d ranks into whole nodes: %w", g, p, core.ErrBadTopology)
 		}
+		// Each node owns g² + 2 link ids; dividing first cannot overflow.
+		if g > maxLinks/g || p/g > maxLinks/(g*g+2) {
+			return nil, tooManyLinks(spec, p)
+		}
 		return NewTwoLevel(p/g, g, base, base), nil
 	case "torus":
 		dims, err := parseExtents(arg)
@@ -128,26 +166,24 @@ func Parse(spec string, p int, base Link) (Topology, error) {
 		if t.P() != p {
 			return nil, fmt.Errorf("topo: torus %s has %d endpoints, machine has %d ranks: %w", arg, t.P(), p, core.ErrBadTopology)
 		}
+		if p > maxLinks/(2*len(dims)) {
+			return nil, tooManyLinks(spec, p)
+		}
 		return t, nil
 	case "fattree", "tree":
 		dims, err := parseExtents(arg)
 		if err != nil || len(dims) != 2 {
 			return nil, fmt.Errorf("topo: %s wants <radix>x<levels>, got %q: %w", kind, spec, core.ErrBadTopology)
 		}
-		radix, levels := dims[0], dims[1]
-		var widths []int
-		if kind == "tree" {
-			widths = make([]int, levels)
-			for i := range widths {
-				widths[i] = 1
-			}
-		}
-		t, err := NewFatTree(radix, levels, widths, base)
+		t, err := NewFatTree(dims[0], dims[1], kind == "tree", base)
 		if err != nil {
 			return nil, err
 		}
 		if t.P() != p {
 			return nil, fmt.Errorf("topo: %s=%s has %d leaves, machine has %d ranks: %w", kind, arg, t.P(), p, core.ErrBadTopology)
+		}
+		if t.NumLinks() > maxLinks {
+			return nil, tooManyLinks(spec, p)
 		}
 		return t, nil
 	default:

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -54,22 +55,27 @@ func TestParseInvalid(t *testing.T) {
 		spec string
 		p    int
 	}{
-		{"mesh", 16},              // unknown kind
-		{"", 16},                  // empty
-		{"flat=3", 16},            // flat takes no parameter
-		{"twolevel=0", 16},        // non-positive group
-		{"twolevel=x", 16},        // non-numeric
-		{"twolevel=5", 16},        // does not divide
-		{"torus=", 16},            // empty extents
-		{"torus=4x0", 16},         // non-positive extent
-		{"torus=4x4", 64},         // wrong product
-		{"fattree=4", 64},         // missing levels
-		{"fattree=1x3", 1},        // radix < 2
-		{"fattree=4x0", 1},        // levels < 1
-		{"fattree=4x2", 64},       // wrong leaf count
-		{"tree=4x4x4", 64},        // too many extents
-		{"flat", 0},               // non-positive p
-		{"fattree=2x40", 1 << 30}, // overflow guard
+		{"mesh", 16},                        // unknown kind
+		{"", 16},                            // empty
+		{"flat=3", 16},                      // flat takes no parameter
+		{"twolevel=0", 16},                  // non-positive group
+		{"twolevel=x", 16},                  // non-numeric
+		{"twolevel=5", 16},                  // does not divide
+		{"torus=", 16},                      // empty extents
+		{"torus=4x0", 16},                   // non-positive extent
+		{"torus=4x4", 64},                   // wrong product
+		{"fattree=4", 64},                   // missing levels
+		{"fattree=1x3", 1},                  // radix < 2
+		{"fattree=4x0", 1},                  // levels < 1
+		{"fattree=4x2", 64},                 // wrong leaf count
+		{"tree=4x4x4", 64},                  // too many extents
+		{"flat", 0},                         // non-positive p
+		{"fattree=2x40", 1 << 30},           // overflow guard
+		{"torus=64x288230376151711745", 64}, // extent product wraps to 64
+		{"torus=8192x8192", 1 << 26},        // 2^28 link ids
+		{"twolevel=131072", 131072},         // 2 + P·g link ids
+		{"twolevel=4294967296", 1 << 33},    // g² overflows
+		{"fattree=2x22", 1 << 22},           // 22·2^23 link ids
 	}
 	for _, tc := range cases {
 		_, err := Parse(tc.spec, tc.p, testLink)
@@ -77,7 +83,11 @@ func TestParseInvalid(t *testing.T) {
 			t.Errorf("Parse(%q, %d) = %v, want ErrBadTopology", tc.spec, tc.p, err)
 		}
 	}
-	_, err := Parse("mesh", 16, testLink)
+	_, err := Parse("twolevel=131072", 131072, testLink)
+	if !strings.Contains(err.Error(), fmt.Sprint(maxLinks)) {
+		t.Errorf("link limit error %q does not name the limit %d", err, maxLinks)
+	}
+	_, err = Parse("mesh", 16, testLink)
 	for _, kind := range Kinds() {
 		if !strings.Contains(err.Error(), strings.SplitN(kind, "=", 2)[0]) {
 			t.Errorf("unknown-kind error %q does not mention %q", err, kind)
@@ -165,7 +175,7 @@ func TestTorusRouteLength(t *testing.T) {
 // TestFatTreeRouteLength checks routes climb to the LCA and back: 2·lca
 // links, and siblings under one leaf switch use exactly 2.
 func TestFatTreeRouteLength(t *testing.T) {
-	ft, err := NewFatTree(4, 3, nil, testLink)
+	ft, err := NewFatTree(4, 3, false, testLink)
 	if err != nil {
 		t.Fatal(err)
 	}

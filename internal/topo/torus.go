@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 )
@@ -20,7 +21,8 @@ type Torus struct {
 }
 
 // NewTorus builds a torus with the given extents (at least one, all
-// positive). Shapes wrap core.ErrBadTopology on failure.
+// positive, with a product that fits an int). Shapes wrap
+// core.ErrBadTopology on failure.
 func NewTorus(dims []int, link Link) (*Torus, error) {
 	if len(dims) == 0 {
 		return nil, fmt.Errorf("topo: torus needs at least one extent: %w", core.ErrBadTopology)
@@ -29,6 +31,9 @@ func NewTorus(dims []int, link Link) (*Torus, error) {
 	for _, d := range dims {
 		if d <= 0 {
 			return nil, fmt.Errorf("topo: torus extent %d must be positive: %w", d, core.ErrBadTopology)
+		}
+		if p > math.MaxInt/d {
+			return nil, fmt.Errorf("topo: torus extents %v have more than %d endpoints: %w", dims, math.MaxInt, core.ErrBadTopology)
 		}
 		p *= d
 	}
@@ -112,9 +117,6 @@ func (t *Torus) Route(buf []int, src, dst int) []int {
 
 // Link returns the uniform per-hop link cost.
 func (t *Torus) Link(int) Link { return t.link }
-
-// Scalable reports that the torus has closed-form all-to-all link loads.
-func (t *Torus) Scalable() bool { return true }
 
 // Diameter returns Σ_d ⌊k_d/2⌋, the longest dimension-ordered route.
 func (t *Torus) Diameter() int {

@@ -65,10 +65,6 @@ func (t *TwoLevel) Link(id int) Link {
 	return t.intra
 }
 
-// Scalable reports that the hierarchy has closed-form all-to-all link
-// loads.
-func (t *TwoLevel) Scalable() bool { return true }
-
 // Diameter returns the longest route: two NIC hops across nodes, one
 // intra-node hop inside a single node, zero for a single endpoint.
 func (t *TwoLevel) Diameter() int {
