@@ -1,8 +1,8 @@
 // Command loadgen drives mixed traffic at a parmmd instance —
 // /v1/lowerbound, /v1/predict, and generalized HBL /v1/bound envelopes
 // plus inline and streaming /v1/plan sweeps — and records sustained
-// throughput, latency percentiles, and the memo counters to
-// BENCH_serving.json.
+// throughput, latency percentiles, and the memo counters it scrapes from
+// GET /metrics to BENCH_serving.json.
 //
 //	loadgen -duration 10s -clients 8 -out BENCH_serving.json
 //
@@ -27,6 +27,7 @@ import (
 	"net/http"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -205,6 +206,29 @@ func artifactRoundTrip(ctx context.Context, hc *http.Client, base string) bool {
 	return err == nil && resp.StatusCode == http.StatusPartialContent && n <= 100
 }
 
+// scrapeCounters reads the Prometheus exposition at base's /metrics into a
+// map from series to value. It splits each sample line at its first space,
+// which is exact for the unlabelled counters a run records.
+func scrapeCounters(base string) (map[string]int64, error) {
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("status %s", resp.Status)
+	}
+	out := make(map[string]int64)
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		series, value, _ := strings.Cut(sc.Text(), " ")
+		if v, err := strconv.ParseFloat(value, 64); err == nil {
+			out[series] = int64(v)
+		}
+	}
+	return out, sc.Err()
+}
+
 func main() {
 	addr := flag.String("addr", "", "parmmd base URL (e.g. http://127.0.0.1:8080); empty serves in-process")
 	duration := flag.Duration("duration", 10*time.Second, "how long to sustain the load")
@@ -300,25 +324,19 @@ func main() {
 		rec.Samples = append(rec.Samples, benchrec.ServingSampleOf(ep, latencies[ep], errors[ep], wall))
 	}
 
-	var vars service.VarsResponse
-	if resp, err := http.Get(base + "/debug/vars"); err == nil {
-		err = json.NewDecoder(resp.Body).Decode(&vars)
-		resp.Body.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: reading /debug/vars: %v\n", err)
-		}
-	} else {
-		fmt.Fprintf(os.Stderr, "loadgen: reading /debug/vars: %v\n", err)
+	c, err := scrapeCounters(base)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "loadgen: reading /metrics: %v\n", err)
 	}
-	rec.PlanPoints = vars.PlanPoints
-	rec.Overloads = vars.Overloads
+	rec.PlanPoints = c["service_plan_points_total"]
+	rec.Overloads = c["service_overloads_total"]
 	rec.Singleflight = benchrec.ServingSingleflight{
-		CacheHits:   vars.CacheHits,
-		CacheMisses: vars.CacheMisses,
-		CacheShared: vars.CacheShared,
+		CacheHits:   c["service_cache_hits_total"],
+		CacheMisses: c["service_cache_misses_total"],
+		CacheShared: c["service_cache_shared_total"],
 	}
-	if d := vars.CacheMisses + vars.CacheShared; d > 0 {
-		rec.Singleflight.DedupedPercent = 100 * float64(vars.CacheShared) / float64(d)
+	if d := rec.Singleflight.CacheMisses + rec.Singleflight.CacheShared; d > 0 {
+		rec.Singleflight.DedupedPercent = 100 * float64(rec.Singleflight.CacheShared) / float64(d)
 	}
 
 	blob, _ := json.MarshalIndent(rec, "", "\t")
@@ -329,6 +347,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "loadgen: %d requests (%.0f req/s), %d shared memo flights, wrote %s\n",
-			total, rec.TotalRequestsPerSec, vars.CacheShared, *out)
+			total, rec.TotalRequestsPerSec, rec.Singleflight.CacheShared, *out)
 	}
 }

@@ -13,8 +13,8 @@
 // GET /v1/jobs/{id}, list with GET /v1/jobs?state=&limit=&cursor=, cancel
 // with DELETE), POST /v1/plan (strong-scaling sweeps; large ranges stream
 // NDJSON, capped at -max-plan-points per problem), GET /healthz,
-// GET /metrics (Prometheus text format), GET /debug/vars, and — with
-// -pprof — the net/http/pprof profiles under GET /debug/pprof/. With
+// GET /metrics (the operational counters, in Prometheus text format), and
+// — with -pprof — the net/http/pprof profiles under GET /debug/pprof/. With
 // -artifact-dir, jobs store durable artifacts (Chrome traces via
 // "trace": true, result JSON/CSV, async plan NDJSON via "job": true)
 // served by GET /v1/jobs/{id}/artifacts[/{name}] with Range support; the

@@ -10,9 +10,11 @@ import "repro/internal/core"
 //	    g = parmm.OptimalGrid(d, p) // fall back to the exhaustive search
 //	}
 //
-// The parmmd HTTP service maps the same sentinels onto status codes
-// (ErrBadDims, ErrBadProcessorCount, ErrBadOpts, ErrBadTopology,
-// ErrBadPlanRange → 400; ErrGridMismatch, ErrUnsupportedAlg → 422).
+// The parmmd HTTP service maps the same sentinels onto error kinds and
+// status codes through one table, taxonomy in internal/service/errors.go
+// (ErrBadDims, ErrBadProcessorCount, ErrTooManyRanks, ErrBadOpts,
+// ErrBadTopology, ErrBadPlanRange, ErrBadProgram → 400;
+// ErrUnsupportedAlg → 404; ErrGridMismatch → 422).
 var (
 	// ErrBadDims marks invalid matrix dimensions: non-positive sizes or
 	// operand shapes that do not conform.

@@ -27,7 +27,7 @@ type ServingSample struct {
 }
 
 // ServingSingleflight is the memo-dedup evidence from a run: the server's
-// cache counters after the load, straight from /debug/vars. Shared counts
+// cache counters after the load, scraped from /metrics. Shared counts
 // lookups satisfied by waiting on a concurrent caller's in-flight
 // computation — every one is a duplicate computation singleflight avoided.
 type ServingSingleflight struct {

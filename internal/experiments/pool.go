@@ -42,15 +42,6 @@ func Map[T any](n int, fn func(int) (T, error)) ([]T, error) {
 	return MapContext(context.Background(), n, fn)
 }
 
-// MapContext is Map honoring cancellation: workers stop picking up new
-// indexes once ctx is done, already-running fn calls finish, and the ctx
-// error is returned (taking precedence over any fn error, since the
-// un-evaluated indexes make the sweep incomplete either way). A failing fn
-// call likewise stops further claims — in-flight points finish, points not
-// yet claimed are never evaluated — without changing which error is
-// returned. fn itself is not passed the context; sweep points are short
-// relative to a sweep, so between-point cancellation is what long runs
-// need.
 // MapChunksContext evaluates fn(0), …, fn(n-1) in chunks of chunk indexes:
 // each chunk fans out across the worker pool exactly like MapContext, then
 // emit receives the chunk's results in index order before the next chunk
@@ -80,6 +71,15 @@ func MapChunksContext[T any](ctx context.Context, n, chunk int, fn func(int) (T,
 	return nil
 }
 
+// MapContext is Map honoring cancellation: workers stop picking up new
+// indexes once ctx is done, already-running fn calls finish, and the ctx
+// error is returned (taking precedence over any fn error, since the
+// un-evaluated indexes make the sweep incomplete either way). A failing fn
+// call likewise stops further claims — in-flight points finish, points not
+// yet claimed are never evaluated — without changing which error is
+// returned. fn itself is not passed the context; sweep points are short
+// relative to a sweep, so between-point cancellation is what long runs
+// need.
 func MapContext[T any](ctx context.Context, n int, fn func(int) (T, error)) ([]T, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -9,6 +9,7 @@ package grid
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 )
@@ -23,10 +24,14 @@ type Grid struct {
 // Size returns the number of processors p1·p2·p3.
 func (g Grid) Size() int { return g.P1 * g.P2 * g.P3 }
 
-// Validate reports an error if any grid dimension is non-positive.
+// Validate reports an error if any grid dimension is non-positive or the
+// processor count p1·p2·p3 exceeds an int, where Size would wrap.
 func (g Grid) Validate() error {
 	if g.P1 <= 0 || g.P2 <= 0 || g.P3 <= 0 {
 		return fmt.Errorf("grid: dimensions must be positive, got %v: %w", g, core.ErrGridMismatch)
+	}
+	if g.P2 > math.MaxInt/g.P1 || g.P3 > math.MaxInt/(g.P1*g.P2) {
+		return fmt.Errorf("grid: %v has more than %d processors: %w", g, math.MaxInt, core.ErrGridMismatch)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -32,11 +33,28 @@ func TestRankCoordsRoundTrip(t *testing.T) {
 }
 
 func TestGridValidateAndString(t *testing.T) {
-	if (Grid{2, 2, 2}).Validate() != nil {
-		t.Fatal("valid grid rejected")
-	}
-	if (Grid{0, 1, 1}).Validate() == nil {
-		t.Fatal("invalid grid accepted")
+	// Past a product of math.MaxInt a grid is a mismatch, whatever its
+	// wrapped Size would match.
+	for _, tc := range []struct {
+		g  Grid
+		ok bool
+	}{
+		{Grid{2, 2, 2}, true},
+		{Grid{0, 1, 1}, false},
+		{Grid{math.MaxInt, 1, 1}, true},
+		{Grid{1, 1, math.MaxInt}, true},
+		{Grid{math.MaxInt / 2, 2, 1}, true},
+		{Grid{1 << 31, 1 << 31, 1}, true},
+		{Grid{math.MaxInt/2 + 1, 2, 1}, false},
+		{Grid{1 << 62, 1, 2}, false},
+		{Grid{1<<62 + 1, 4, 1}, false}, // Size() wraps to 4
+		{Grid{1 << 31, 1 << 31, 2}, false},
+		{Grid{math.MaxInt, math.MaxInt, math.MaxInt}, false},
+	} {
+		err := tc.g.Validate()
+		if tc.ok != (err == nil) || (err != nil && !errors.Is(err, core.ErrGridMismatch)) {
+			t.Errorf("%v: Validate = %v, want ok=%v", tc.g, err, tc.ok)
+		}
 	}
 	if (Grid{2, 3, 4}).String() != "2x3x4" {
 		t.Fatal("String wrong")

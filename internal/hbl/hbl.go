@@ -313,12 +313,14 @@ func (p Program) WithExtents(extents map[string]int) (Program, error) {
 	}
 	names := make([]string, 0, len(extents))
 	for name := range extents {
+		names = append(names, name)
+	}
+	sort.Strings(names) // so an error names the same index every time
+	for _, name := range names {
 		if !known[name] {
 			return Program{}, fmt.Errorf("hbl: extent for unknown index %q: %w", name, core.ErrBadProgram)
 		}
-		names = append(names, name)
 	}
-	sort.Strings(names)
 	if len(names) != len(p.Indices) {
 		missing := make([]string, 0, len(p.Indices))
 		for _, name := range p.Indices {

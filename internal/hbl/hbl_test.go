@@ -2,6 +2,7 @@ package hbl
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -124,6 +125,14 @@ func TestWithExtents(t *testing.T) {
 	}
 	if _, err := p.WithExtents(map[string]int{"i": 3, "j": 4, "z": 5}); !errors.Is(err, core.ErrBadProgram) {
 		t.Fatalf("unknown extent: %v", err)
+	}
+	// With several unknown names the error names the first in sorted
+	// order, whatever order the map iterates in.
+	for range 20 {
+		_, err := p.WithExtents(map[string]int{"z": 1, "y": 2, "x": 3, "w": 4, "i": 3, "j": 4})
+		if err == nil || !strings.Contains(err.Error(), `unknown index "w"`) {
+			t.Fatalf("several unknown extents: %v, want the error to name \"w\"", err)
+		}
 	}
 }
 

@@ -59,15 +59,6 @@ type BoundRequest struct {
 	Problems []BoundProblem `json:"problems"`
 }
 
-// normalize resolves the accepted request shapes to one problem list;
-// envelope reports the v1 {"problems": [...]} form.
-func (r BoundRequest) normalize() (list []BoundProblem, envelope bool) {
-	if len(r.Problems) > 0 {
-		return r.Problems, true
-	}
-	return []BoundProblem{r.BoundProblem}, false
-}
-
 // BoundArrayJSON reports one array's share of the bound.
 type BoundArrayJSON struct {
 	// Name identifies the array.
@@ -246,18 +237,9 @@ func (s *Server) handleBound(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	problems, envelope := req.normalize()
+	problems, f := formOf(req.Problems, nil, req.BoundProblem)
 	if !s.checkBatch(w, len(problems)) {
 		return
 	}
-	if envelope {
-		writeJSON(w, http.StatusOK, envelopeOf(problems, s.boundOne))
-		return
-	}
-	resp, err := s.boundOne(problems[0])
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	reply(w, http.StatusOK, f, envelopeOf(problems, s.boundOne))
 }

@@ -16,8 +16,8 @@ const cacheShards = 16
 // LowerBound). Keys are strings built from the full input tuple — dims, P,
 // and machine config where it matters — so a hit is exactly a repeat of an
 // earlier computation and the stored value can be returned verbatim.
-// Get/Put are safe for concurrent use; hit and miss counts are exposed for
-// /debug/vars.
+// Get/Put are safe for concurrent use; hit and miss counts are exported at
+// /metrics.
 type Cache struct {
 	shards [cacheShards]cacheShard
 	hits   atomic.Int64

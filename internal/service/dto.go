@@ -4,7 +4,7 @@
 // asynchronous simulation jobs, behind a versioned v1 API.
 // Expensive pure computations are memoized in a sharded LRU keyed by the
 // full input tuple; simulations run on a bounded job pool with per-job
-// context cancellation and deadline; /debug/vars exposes the operational
+// context cancellation and deadline; GET /metrics exports the operational
 // counters. See DESIGN.md "Service architecture".
 package service
 
@@ -27,10 +27,9 @@ type Problem struct {
 // shape is {"problems": [...]}, answered by an Envelope[LowerBoundResponse]
 // with per-index partial success. Two legacy shapes are still accepted for
 // one version: a single inline Problem (answered by a bare
-// LowerBoundResponse) and {"batch": [...]} (answered by a
-// BatchLowerBoundResponse, first error failing the whole batch). When
-// Problems is non-empty it wins; otherwise Batch; otherwise the inline
-// fields.
+// LowerBoundResponse) and {"batch": [...]} (answered by {"results": [...]},
+// the lowest-index error failing the whole batch). When Problems is
+// non-empty it wins; otherwise Batch; otherwise the inline fields.
 type LowerBoundRequest struct {
 	Problem
 	// Problems is the unified v1 envelope form.
@@ -80,12 +79,6 @@ type LowerBoundResponse struct {
 	LeadingTerm float64 `json:"leadingTerm"`
 	// Footprint is the paper's D, the Lemma 2 optimum.
 	Footprint float64 `json:"footprint"`
-}
-
-// BatchLowerBoundResponse is the answer to a batch request.
-type BatchLowerBoundResponse struct {
-	// Results holds one LowerBoundResponse per batch entry, in order.
-	Results []LowerBoundResponse `json:"results"`
 }
 
 // GridRequest is the body of POST /v1/grid: a problem, optionally with a
@@ -249,11 +242,11 @@ type SimulateRequest struct {
 	// name answers 400 with kind "bad_opts".
 	Engine string `json:"engine,omitempty"`
 	// Trace records each run's event timeline and stores it as a Chrome
-	// trace-event JSON artifact (trace.json, or trace-<i>.json per batch
-	// index), fetchable from GET /v1/jobs/{id}/artifacts/{name} after the
-	// job finishes — and still after the job itself is evicted. Requires
-	// the server to run with artifact storage; without it the request
-	// answers 400.
+	// trace-event JSON artifact (trace.json inline, trace-<i>.json per
+	// list index), fetchable from GET /v1/jobs/{id}/artifacts/{name}
+	// after the job finishes — and still after the job itself is evicted.
+	// Requires the server to run with artifact storage; without it the
+	// request answers 400.
 	Trace bool `json:"trace,omitempty"`
 }
 
@@ -298,7 +291,8 @@ type JobResponse struct {
 	// cancelled.
 	Status string `json:"status"`
 	// Result holds the job's outcome when Status is "done": a
-	// SimulateResult, or a list of them for a batch job.
+	// SimulateResult, a list of them for a batch job, or an
+	// Envelope[SimulateResult] for the {"problems": [...]} form.
 	Result any `json:"result,omitempty"`
 	// Error holds the failure message when Status is "failed" or
 	// "cancelled".
@@ -368,51 +362,40 @@ type JobListResponse struct {
 	NextCursor string `json:"nextCursor,omitempty"`
 }
 
-// normalize resolves the accepted request shapes to one problem list:
-// envelope reports the v1 {"problems": [...]} form (answered with an
-// Envelope), batch the legacy {"batch": [...]} form (answered with the
-// legacy batch response), and neither means the legacy single inline form.
-func (r LowerBoundRequest) normalize() (list []Problem, envelope, batch bool) {
-	if len(r.Problems) > 0 {
-		return r.Problems, true, false
-	}
-	if len(r.Batch) > 0 {
-		return r.Batch, false, true
-	}
-	return []Problem{r.Problem}, false, false
-}
+// form is the shape a request's problem list arrived in.
+type form int
 
-// normalize resolves the accepted request shapes to one problem list;
-// envelope reports the v1 {"problems": [...]} form.
-func (r PredictRequest) normalize() (list []PredictProblem, envelope bool) {
-	if len(r.Problems) > 0 {
-		return r.Problems, true
-	}
-	return []PredictProblem{r.PredictProblem}, false
-}
+const (
+	// formInline is the legacy single problem in the request's own fields.
+	formInline form = iota
+	// formBatch is the legacy {"batch": [...]} list.
+	formBatch
+	// formEnvelope is the v1 {"problems": [...]} list.
+	formEnvelope
+)
 
-// normalize resolves the accepted request shapes to one problem list:
-// envelope reports the v1 {"problems": [...]} form (collected validation
-// errors, partial-success job result), batch the legacy {"batch": [...]}
-// form, and neither the legacy single inline form.
-func (r SimulateRequest) normalize() (list []Problem, envelope, batch bool) {
-	if len(r.Problems) > 0 {
-		return r.Problems, true, false
+// formOf resolves the accepted request shapes to one problem list: a
+// non-empty problems list wins, then a non-empty batch list, then the
+// inline problem. Endpoints without a batch form pass nil.
+func formOf[P any](problems, batchList []P, one P) ([]P, form) {
+	if len(problems) > 0 {
+		return problems, formEnvelope
 	}
-	if len(r.Batch) > 0 {
-		return r.Batch, false, true
+	if len(batchList) > 0 {
+		return batchList, formBatch
 	}
-	return []Problem{r.Problem}, false, false
+	return []P{one}, formInline
 }
 
 // ErrorResponse is the body of every non-2xx answer.
 type ErrorResponse struct {
 	// Error is the human-readable message (the wrapped error chain).
 	Error string `json:"error"`
-	// Kind is the machine-readable taxonomy tag: bad_dims,
-	// bad_processor_count, too_many_ranks, grid_mismatch, unsupported_alg,
-	// bad_opts, bad_topology, bad_program, bad_request, not_found,
-	// queue_full, or internal.
+	// Kind is the machine-readable taxonomy tag: a kind of the taxonomy
+	// table in errors.go (bad_dims, bad_processor_count, too_many_ranks,
+	// bad_opts, bad_topology, bad_plan_range, bad_program, unsupported_alg,
+	// grid_mismatch, queue_full, overloaded), bad_request, not_found, or
+	// internal.
 	Kind string `json:"kind"`
 }
 
@@ -420,43 +403,4 @@ type ErrorResponse struct {
 type HealthResponse struct {
 	// Status is "ok" when the server is accepting work.
 	Status string `json:"status"`
-}
-
-// VarsResponse is the body of GET /debug/vars: the service's operational
-// counters.
-type VarsResponse struct {
-	// Requests is the number of HTTP requests served (all endpoints).
-	Requests int64 `json:"requests"`
-	// CacheHits and CacheMisses count memo-cache lookups; CacheShared
-	// counts lookups satisfied by waiting on a concurrent caller's
-	// in-flight computation (singleflight) — duplicate work avoided.
-	CacheHits   int64 `json:"cacheHits"`
-	CacheMisses int64 `json:"cacheMisses"`
-	CacheShared int64 `json:"cacheShared"`
-	// CacheEntries is the current number of cached values.
-	CacheEntries int `json:"cacheEntries"`
-	// Overloads counts requests refused with 503 by the per-endpoint
-	// concurrency limits.
-	Overloads int64 `json:"overloads"`
-	// PlanPoints counts strong-scaling plan points served (inline and
-	// streamed).
-	PlanPoints int64 `json:"planPoints"`
-	// JobsInFlight is the number of jobs currently executing.
-	JobsInFlight int64 `json:"jobsInFlight"`
-	// JobsTotal is the number of jobs ever accepted.
-	JobsTotal int `json:"jobsTotal"`
-	// JobsByState counts the jobs currently remembered per lifecycle
-	// state, after retention eviction.
-	JobsByState map[string]int `json:"jobsByState"`
-	// JobsEvicted is the cumulative number of finished jobs evicted by the
-	// retention policy (age or cap).
-	JobsEvicted int64 `json:"jobsEvicted"`
-	// WordsSimulated accumulates the network-wide words moved by completed
-	// simulations.
-	WordsSimulated float64 `json:"wordsSimulated"`
-	// ArtifactsWritten, ArtifactBytes, and ArtifactFetches count durable
-	// artifact writes, their total bytes, and content fetches served.
-	ArtifactsWritten int64 `json:"artifactsWritten"`
-	ArtifactBytes    int64 `json:"artifactBytes"`
-	ArtifactFetches  int64 `json:"artifactFetches"`
 }

@@ -13,74 +13,60 @@ import (
 // 503, like ErrJobQueueFull).
 var ErrOverloaded = errors.New("server overloaded")
 
-// statusFor maps the core error taxonomy onto HTTP status codes,
-// deterministically:
-//
-//	ErrBadDims, ErrBadProcessorCount, ErrTooManyRanks,
-//	ErrBadOpts, ErrBadTopology, ErrBadPlanRange,
-//	ErrBadProgram                                 → 400 Bad Request
-//	ErrUnsupportedAlg                             → 404 Not Found
-//	ErrGridMismatch                               → 422 Unprocessable Entity
-//	ErrJobQueueFull, ErrOverloaded                → 503 Service Unavailable
-//	anything else                                 → 500 Internal Server Error
-//
-// Malformed JSON never reaches this function; the handlers answer 400 with
-// kind "bad_request" directly.
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, core.ErrBadDims),
-		errors.Is(err, core.ErrBadProcessorCount),
-		errors.Is(err, core.ErrTooManyRanks),
-		errors.Is(err, core.ErrBadOpts),
-		errors.Is(err, core.ErrBadTopology),
-		errors.Is(err, core.ErrBadPlanRange),
-		errors.Is(err, core.ErrBadProgram):
-		return http.StatusBadRequest
-	case errors.Is(err, core.ErrUnsupportedAlg):
-		return http.StatusNotFound
-	case errors.Is(err, core.ErrGridMismatch):
-		return http.StatusUnprocessableEntity
-	case errors.Is(err, ErrJobQueueFull), errors.Is(err, ErrOverloaded):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusInternalServerError
-	}
+// taxonomy is the service's one error mapping: each sentinel with the
+// machine-readable kind its answers carry and the HTTP status that kind
+// answers with. An error takes the first row it wraps; one that wraps none
+// is "internal", 500. Malformed JSON, oversized lists and unknown job ids
+// never reach the table: the handlers answer them 400 "bad_request" and
+// 404 "not_found" directly.
+var taxonomy = []struct {
+	err    error
+	kind   string
+	status int
+}{
+	{core.ErrBadDims, "bad_dims", http.StatusBadRequest},
+	{core.ErrBadProcessorCount, "bad_processor_count", http.StatusBadRequest},
+	{core.ErrTooManyRanks, "too_many_ranks", http.StatusBadRequest},
+	{core.ErrBadOpts, "bad_opts", http.StatusBadRequest},
+	{core.ErrBadTopology, "bad_topology", http.StatusBadRequest},
+	{core.ErrBadPlanRange, "bad_plan_range", http.StatusBadRequest},
+	{core.ErrBadProgram, "bad_program", http.StatusBadRequest},
+	{core.ErrUnsupportedAlg, "unsupported_alg", http.StatusNotFound},
+	{core.ErrGridMismatch, "grid_mismatch", http.StatusUnprocessableEntity},
+	{ErrJobQueueFull, "queue_full", http.StatusServiceUnavailable},
+	{ErrOverloaded, "overloaded", http.StatusServiceUnavailable},
 }
 
-// kindFor tags the taxonomy member for the machine-readable error body.
+// kindFor tags err with the kind of the first taxonomy row it wraps.
 func kindFor(err error) string {
-	switch {
-	case errors.Is(err, core.ErrBadDims):
-		return "bad_dims"
-	case errors.Is(err, core.ErrBadProcessorCount):
-		return "bad_processor_count"
-	case errors.Is(err, core.ErrTooManyRanks):
-		return "too_many_ranks"
-	case errors.Is(err, core.ErrBadOpts):
-		return "bad_opts"
-	case errors.Is(err, core.ErrBadTopology):
-		return "bad_topology"
-	case errors.Is(err, core.ErrBadPlanRange):
-		return "bad_plan_range"
-	case errors.Is(err, core.ErrBadProgram):
-		return "bad_program"
-	case errors.Is(err, core.ErrUnsupportedAlg):
-		return "unsupported_alg"
-	case errors.Is(err, core.ErrGridMismatch):
-		return "grid_mismatch"
-	case errors.Is(err, ErrJobQueueFull):
-		return "queue_full"
-	case errors.Is(err, ErrOverloaded):
-		return "overloaded"
-	default:
-		return "internal"
+	for _, t := range taxonomy {
+		if errors.Is(err, t.err) {
+			return t.kind
+		}
 	}
+	return "internal"
+}
+
+// statusOf is the HTTP status a taxonomy kind answers with.
+func statusOf(kind string) int {
+	for _, t := range taxonomy {
+		if t.kind == kind {
+			return t.status
+		}
+	}
+	return http.StatusInternalServerError
+}
+
+// envelopeError locates err at index i of a problem list.
+func envelopeError(i int, err error) EnvelopeError {
+	return EnvelopeError{Index: i, Code: kindFor(err), Message: err.Error()}
 }
 
 // writeError answers with the taxonomy-mapped status and an ErrorResponse
 // body.
 func writeError(w http.ResponseWriter, err error) {
-	writeJSON(w, statusFor(err), ErrorResponse{Error: err.Error(), Kind: kindFor(err)})
+	kind := kindFor(err)
+	writeJSON(w, statusOf(kind), ErrorResponse{Error: err.Error(), Kind: kind})
 }
 
 // writeBadRequest answers 400 for protocol-level failures (malformed JSON,

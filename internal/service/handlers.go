@@ -87,31 +87,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok"})
 }
 
-func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
-	hits, misses := s.cache.Stats()
-	byState := make(map[string]int)
-	for st, n := range s.jobs.Counts() {
-		byState[string(st)] = n
-	}
-	writeJSON(w, http.StatusOK, VarsResponse{
-		Requests:         s.requests.Load(),
-		CacheHits:        hits,
-		CacheMisses:      misses,
-		CacheShared:      s.cache.Shared(),
-		CacheEntries:     s.cache.Len(),
-		Overloads:        s.overloads.Load(),
-		PlanPoints:       s.planPoints.Load(),
-		JobsInFlight:     s.jobs.InFlight(),
-		JobsTotal:        int(s.jobsTotal.Load()),
-		JobsByState:      byState,
-		JobsEvicted:      s.jobs.Evicted(),
-		WordsSimulated:   s.WordsSimulated(),
-		ArtifactsWritten: s.artifactsWritten.Load(),
-		ArtifactBytes:    s.artifactBytes.Load(),
-		ArtifactFetches:  s.artifactFetches.Load(),
-	})
-}
-
 // lowerBoundOne answers one problem from the memo layer.
 func (s *Server) lowerBoundOne(p Problem) (LowerBoundResponse, error) {
 	d, err := parseProblem(p)
@@ -150,7 +125,7 @@ func envelopeOf[P, T any](problems []P, eval func(P) (T, error)) Envelope[T] {
 	for i, p := range problems {
 		res, err := eval(p)
 		if err != nil {
-			env.Errors = append(env.Errors, EnvelopeError{Index: i, Code: kindFor(err), Message: err.Error()})
+			env.Errors = append(env.Errors, envelopeError(i, err))
 			continue
 		}
 		env.Results[i] = &res
@@ -158,37 +133,39 @@ func envelopeOf[P, T any](problems []P, eval func(P) (T, error)) Envelope[T] {
 	return env
 }
 
+// reply answers a problem list in the form it arrived in, from the
+// envelope of its outcomes: the envelope itself, with status, for the v1
+// form. A legacy form fails as a whole on its lowest-index error, with that
+// kind's status (and a "batch[i]: " prefix in a batch); otherwise a batch
+// answers the envelope, which without errors encodes as {"results": [...]},
+// and the inline form its one result.
+func reply[T any](w http.ResponseWriter, status int, f form, env Envelope[T]) {
+	switch {
+	case f == formEnvelope:
+		writeJSON(w, status, env)
+	case len(env.Errors) > 0:
+		e := env.Errors[0]
+		if f == formBatch {
+			e.Message = fmt.Sprintf("batch[%d]: %s", e.Index, e.Message)
+		}
+		writeJSON(w, statusOf(e.Code), ErrorResponse{Error: e.Message, Kind: e.Code})
+	case f == formBatch:
+		writeJSON(w, status, env)
+	default:
+		writeJSON(w, status, env.Results[0])
+	}
+}
+
 func (s *Server) handleLowerBound(w http.ResponseWriter, r *http.Request) {
 	var req LowerBoundRequest
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	problems, envelope, batch := req.normalize()
+	problems, f := formOf(req.Problems, req.Batch, req.Problem)
 	if !s.checkBatch(w, len(problems)) {
 		return
 	}
-	switch {
-	case envelope:
-		writeJSON(w, http.StatusOK, envelopeOf(problems, s.lowerBoundOne))
-	case batch:
-		out := BatchLowerBoundResponse{Results: make([]LowerBoundResponse, len(problems))}
-		for i, p := range problems {
-			resp, err := s.lowerBoundOne(p)
-			if err != nil {
-				writeError(w, fmt.Errorf("batch[%d]: %w", i, err))
-				return
-			}
-			out.Results[i] = resp
-		}
-		writeJSON(w, http.StatusOK, out)
-	default:
-		resp, err := s.lowerBoundOne(problems[0])
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-	}
+	reply(w, http.StatusOK, f, envelopeOf(problems, s.lowerBoundOne))
 }
 
 func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
@@ -316,20 +293,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	problems, envelope := req.normalize()
+	problems, f := formOf(req.Problems, nil, req.PredictProblem)
 	if !s.checkBatch(w, len(problems)) {
 		return
 	}
-	if envelope {
-		writeJSON(w, http.StatusOK, envelopeOf(problems, s.predictOne))
-		return
-	}
-	resp, err := s.predictOne(problems[0])
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	reply(w, http.StatusOK, f, envelopeOf(problems, s.predictOne))
 }
 
 // checkSimProblem validates one simulation instance against the
@@ -363,7 +331,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	problems, envelope, batch := req.normalize()
+	problems, f := formOf(req.Problems, req.Batch, req.Problem)
 	if !s.checkBatch(w, len(problems)) {
 		return
 	}
@@ -393,97 +361,74 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// Validate everything synchronously so taxonomy errors come back on
 	// the submit, not buried in a failed job. The topology spec is sized
 	// against each problem's own P, so in a batch it must fit every entry.
-	// The envelope form collects every bad index before refusing; the
-	// legacy forms keep their first-error behavior.
-	var envErrs []EnvelopeError
+	// The envelope form lists every bad index; the legacy forms answer the
+	// first.
+	env := Envelope[SimulateResult]{Results: make([]*SimulateResult, len(problems))}
 	for i, p := range problems {
 		_, err := s.checkSimProblem(p)
 		if err == nil && req.Topology != nil {
 			_, _, err = parseTopology(req.Topology, p.P,
 				topo.Link{Alpha: opts.Config.Alpha, Beta: opts.Config.Beta})
 		}
-		if err == nil {
-			continue
+		if err != nil {
+			env.Errors = append(env.Errors, envelopeError(i, err))
 		}
-		if envelope {
-			envErrs = append(envErrs, EnvelopeError{Index: i, Code: kindFor(err), Message: err.Error()})
-			continue
-		}
-		if batch {
-			err = fmt.Errorf("batch[%d]: %w", i, err)
-		}
-		writeError(w, err)
-		return
 	}
-	if len(envErrs) > 0 {
-		writeJSON(w, http.StatusBadRequest, Envelope[SimulateResult]{
-			Results: make([]*SimulateResult, len(problems)),
-			Errors:  envErrs,
-		})
+	if len(env.Errors) > 0 {
+		reply(w, http.StatusBadRequest, f, env)
 		return
 	}
 
-	// traceName names the per-problem trace artifact: the single form gets
-	// the stable "trace.json", multi-problem forms index by position.
-	multi := len(problems) > 1 || envelope || batch
+	// traceName names the per-problem trace artifact: the inline form gets
+	// the stable "trace.json", list forms index by position.
 	traceName := func(i int) string {
-		if !req.Trace {
+		switch {
+		case !req.Trace:
 			return ""
+		case f == formInline:
+			return "trace.json"
 		}
-		if multi {
-			return fmt.Sprintf("trace-%d.json", i)
-		}
-		return "trace.json"
+		return fmt.Sprintf("trace-%d.json", i)
 	}
 	id, err := s.jobs.Submit(func(ctx context.Context) (any, error) {
-		if envelope {
-			// Partial success: each problem's failure is recorded at its
-			// index; only cancellation aborts the whole job.
-			type outcome struct {
-				res SimulateResult
-				err error
-			}
-			outcomes, err := experiments.MapContext(ctx, len(problems), func(i int) (outcome, error) {
-				res, err := s.simulateOne(ctx, entry, problems[i], req, opts, traceName(i))
-				if err != nil && ctx.Err() != nil {
-					return outcome{}, err
-				}
-				return outcome{res, err}, nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			env := Envelope[SimulateResult]{Results: make([]*SimulateResult, len(problems))}
-			var rows []SimulateResult
-			for i := range outcomes {
-				if e := outcomes[i].err; e != nil {
-					env.Errors = append(env.Errors, EnvelopeError{Index: i, Code: kindFor(e), Message: e.Error()})
-					continue
-				}
-				env.Results[i] = &outcomes[i].res
-				rows = append(rows, outcomes[i].res)
-			}
-			if err := s.writeResultArtifacts(ctx, env, rows); err != nil {
-				return nil, err
-			}
-			return env, nil
+		// The envelope form records each problem's failure at its index,
+		// only cancellation aborting the whole job; the legacy forms fail
+		// the job on their lowest-index failure.
+		type outcome struct {
+			res SimulateResult
+			err error
 		}
-		results, err := experiments.MapContext(ctx, len(problems), func(i int) (SimulateResult, error) {
-			return s.simulateOne(ctx, entry, problems[i], req, opts, traceName(i))
+		outcomes, err := experiments.MapContext(ctx, len(problems), func(i int) (outcome, error) {
+			res, err := s.simulateOne(ctx, entry, problems[i], req, opts, traceName(i))
+			if err != nil && (f != formEnvelope || ctx.Err() != nil) {
+				return outcome{}, err
+			}
+			return outcome{res, err}, nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		if !batch {
-			if err := s.writeResultArtifacts(ctx, results[0], results); err != nil {
-				return nil, err
+		env := Envelope[SimulateResult]{Results: make([]*SimulateResult, len(problems))}
+		var rows []SimulateResult
+		for i := range outcomes {
+			if e := outcomes[i].err; e != nil {
+				env.Errors = append(env.Errors, envelopeError(i, e))
+				continue
 			}
-			return results[0], nil
+			env.Results[i] = &outcomes[i].res
+			rows = append(rows, outcomes[i].res)
 		}
-		if err := s.writeResultArtifacts(ctx, results, results); err != nil {
+		var result any = env
+		switch f {
+		case formBatch:
+			result = rows
+		case formInline:
+			result = rows[0]
+		}
+		if err := s.writeResultArtifacts(ctx, result, rows); err != nil {
 			return nil, err
 		}
-		return results, nil
+		return result, nil
 	})
 	if err != nil {
 		writeError(w, err)

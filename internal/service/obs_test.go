@@ -100,6 +100,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("lowerbound latency histogram count = %v, want >= 2",
 			m1[`service_request_seconds_count{endpoint="POST /v1/lowerbound"}`])
 	}
+
+	// /metrics is the one counter view: the JSON one is gone.
+	if status, raw := get(t, ts, "/debug/vars"); status != http.StatusNotFound {
+		t.Errorf("GET /debug/vars = %d %s, want 404", status, raw)
+	}
 }
 
 // TestMetricsSimulatorCountersMove checks the simulator side of /metrics:
@@ -232,13 +237,13 @@ func TestJobGetAfterEviction404(t *testing.T) {
 	if n := s.Jobs().Evicted(); n < 1 {
 		t.Errorf("Evicted() = %d, want >= 1", n)
 	}
-	// The eviction shows in /debug/vars too.
-	_, varsRaw := get(t, ts, "/debug/vars")
-	vars := decode[VarsResponse](t, varsRaw)
-	if vars.JobsEvicted < 1 {
-		t.Errorf("vars.JobsEvicted = %d, want >= 1", vars.JobsEvicted)
+	// The eviction shows in /metrics too.
+	_, raw = get(t, ts, "/metrics")
+	m := parseProm(t, raw)
+	if m["service_jobs_evicted_total"] < 1 {
+		t.Errorf("service_jobs_evicted_total = %v, want >= 1", m["service_jobs_evicted_total"])
 	}
-	if vars.JobsByState[string(JobDone)] != 0 {
-		t.Errorf("vars.JobsByState[done] = %d after eviction", vars.JobsByState[string(JobDone)])
+	if done := m[`service_jobs{state="done"}`]; done != 0 {
+		t.Errorf(`service_jobs{state="done"} = %v after eviction`, done)
 	}
 }

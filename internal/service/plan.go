@@ -169,8 +169,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeBadRequest(w, `plan request needs a non-empty "problems" list`)
 		return
 	}
-	if len(req.Problems) > s.cfg.MaxBatch {
-		writeBadRequest(w, fmt.Sprintf("batch of %d exceeds the limit %d", len(req.Problems), s.cfg.MaxBatch))
+	if !s.checkBatch(w, len(req.Problems)) {
 		return
 	}
 	reqs := make([]plan.Request, len(req.Problems))
@@ -183,7 +182,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			err = s.checkSearchP(p.PMax)
 		}
 		if err != nil {
-			errs = append(errs, EnvelopeError{Index: i, Code: kindFor(err), Message: err.Error()})
+			errs = append(errs, envelopeError(i, err))
 			continue
 		}
 		total += reqs[i].Points()
@@ -295,7 +294,7 @@ func (s *Server) inlinePlan(w http.ResponseWriter, r *http.Request, reqs []plan.
 				return // client gone; nobody to answer
 			}
 			b = append(b[:start], "null"...)
-			errs = append(errs, EnvelopeError{Index: i, Code: kindFor(err), Message: err.Error()})
+			errs = append(errs, envelopeError(i, err))
 			continue
 		}
 		s.planPoints.Add(int64(n))
@@ -397,7 +396,7 @@ func (s *Server) writePlanRows(ctx context.Context, w io.Writer, reqs []plan.Req
 			if ctx.Err() != nil {
 				return points, errs, ctx.Err()
 			}
-			ee := EnvelopeError{Index: i, Code: kindFor(err), Message: err.Error()}
+			ee := envelopeError(i, err)
 			errs = append(errs, ee)
 			if err := writeRow(PlanRow{Problem: i, Error: &ee}); err != nil {
 				return points, errs, err

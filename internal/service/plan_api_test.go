@@ -268,13 +268,14 @@ func TestPlanSingleflightCollapse(t *testing.T) {
 		t.Fatalf("planPoints = %d, want %d", got, clients*points)
 	}
 
-	status, raw := get(t, ts, "/debug/vars")
+	status, raw := get(t, ts, "/metrics")
 	if status != http.StatusOK {
-		t.Fatalf("vars status %d", status)
+		t.Fatalf("metrics status %d", status)
 	}
-	vars := decode[VarsResponse](t, raw)
-	if vars.PlanPoints != clients*points || vars.CacheShared != s.Cache().Shared() {
-		t.Fatalf("vars = %+v", vars)
+	m := parseProm(t, raw)
+	if m["service_plan_points_total"] != clients*points || m["service_cache_shared_total"] != float64(s.Cache().Shared()) {
+		t.Fatalf("plan points %v, shared %v; want %d, %d",
+			m["service_plan_points_total"], m["service_cache_shared_total"], clients*points, s.Cache().Shared())
 	}
 }
 

@@ -197,7 +197,7 @@ type Server struct {
 	reqID     atomic.Int64
 	jobsTotal atomic.Int64
 	// wordsSimulated accumulates float64 words as IEEE-754 bits under CAS,
-	// so /debug/vars needs no lock.
+	// so a /metrics scrape needs no lock.
 	wordsSimulated atomic.Uint64
 }
 
@@ -227,7 +227,6 @@ func New(cfg Config) *Server {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /debug/vars", s.handleVars)
 	s.mux.HandleFunc("POST /v1/lowerbound", s.limited(s.computeLimit, s.handleLowerBound))
 	s.mux.HandleFunc("POST /v1/bound", s.limited(s.computeLimit, s.handleBound))
 	s.mux.HandleFunc("POST /v1/grid", s.limited(s.computeLimit, s.handleGrid))
@@ -325,7 +324,7 @@ func (s *Server) registerMetrics() {
 
 	s.latency = make(map[string]*obs.Histogram)
 	for _, pattern := range []string{
-		"GET /healthz", "GET /metrics", "GET /debug/vars",
+		"GET /healthz", "GET /metrics",
 		"POST /v1/lowerbound", "POST /v1/bound", "POST /v1/grid", "POST /v1/predict",
 		"POST /v1/plan", "POST /v1/simulate",
 		"GET /v1/jobs", "GET /v1/jobs/{id}", "DELETE /v1/jobs/{id}",

@@ -127,7 +127,7 @@ func TestLowerBoundBatch(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, raw)
 	}
-	resp := decode[BatchLowerBoundResponse](t, raw)
+	resp := decode[struct{ Results []LowerBoundResponse }](t, raw)
 	if len(resp.Results) != 2 {
 		t.Fatalf("got %d results", len(resp.Results))
 	}
@@ -169,6 +169,11 @@ func TestErrorStatusMapping(t *testing.T) {
 		{"torus extents overflow sim", "/v1/simulate", `{"n1":64,"n2":64,"n3":64,"p":64,"topology":{"spec":"torus=64x288230376151711745"}}`, 400, "bad_topology"},
 		{"topology link limit", "/v1/predict", `{"n1":64,"n2":64,"n3":64,"p":131072,"beta":1,"topology":{"spec":"twolevel=131072"}}`, 400, "bad_topology"},
 		{"topology link limit sim", "/v1/simulate", `{"n1":64,"n2":64,"n3":64,"p":131072,"topology":{"spec":"twolevel=131072"}}`, 400, "bad_topology"},
+		// 4·(2^62+1) wraps to 4 in an int, so a size check alone would
+		// accept these grids at P = 4.
+		{"grid extents overflow", "/v1/predict", `{"n1":64,"n2":64,"n3":64,"p":4,"beta":1,"grid":{"p1":4611686018427387905,"p2":4,"p3":1}}`, 422, "grid_mismatch"},
+		{"grid extents overflow flat", "/v1/predict", `{"n1":64,"n2":64,"n3":64,"p":4,"beta":1,"grid":{"p1":4611686018427387905,"p2":4,"p3":1},"topology":{"spec":"flat"}}`, 422, "grid_mismatch"},
+		{"grid extents overflow sim", "/v1/simulate", `{"n1":64,"n2":64,"n3":64,"p":4,"grid":{"p1":4611686018427387905,"p2":4,"p3":1}}`, 422, "grid_mismatch"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -248,7 +253,7 @@ func TestPredictEndpoint(t *testing.T) {
 }
 
 // TestCacheHitBitIdentical asserts a cache hit serves byte-identical JSON
-// to the cold computation, and that the hit is observable via /debug/vars.
+// to the cold computation, and that the hit is observable via /metrics.
 func TestCacheHitBitIdentical(t *testing.T) {
 	s, ts := newTestServer(t)
 	body := `{"n1":9600,"n2":2400,"n3":600,"p":512}`
@@ -273,16 +278,16 @@ func TestCacheHitBitIdentical(t *testing.T) {
 			t.Fatalf("%s: repeat request did not hit the cache", path)
 		}
 	}
-	status, raw := get(t, ts, "/debug/vars")
+	status, raw := get(t, ts, "/metrics")
 	if status != http.StatusOK {
-		t.Fatalf("vars status %d", status)
+		t.Fatalf("metrics status %d", status)
 	}
-	vars := decode[VarsResponse](t, raw)
-	if vars.CacheHits == 0 || vars.CacheMisses == 0 || vars.CacheEntries == 0 {
-		t.Fatalf("cache counters not visible: %+v", vars)
+	m := parseProm(t, raw)
+	if m["service_cache_hits_total"] == 0 || m["service_cache_misses_total"] == 0 || m["service_cache_entries"] == 0 {
+		t.Fatalf("cache counters not visible: %s", raw)
 	}
-	if vars.Requests == 0 {
-		t.Fatalf("request counter not visible: %+v", vars)
+	if m["service_requests_total"] == 0 {
+		t.Fatalf("request counter not visible: %s", raw)
 	}
 }
 
