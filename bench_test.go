@@ -314,8 +314,9 @@ func BenchmarkLocalMatMul(b *testing.B) {
 }
 
 // worldScalingBody is the scheduler-stress SPMD body of the P-scaling
-// benchmarks; it lives in internal/benchrec so cmd/benchrec records the
-// identical workload (see that package for the body's design notes).
+// benchmarks; it lives in internal/benchrec so the repository benchmark
+// (bench/) runs the identical workload (see that package for the body's
+// design notes).
 func worldScalingBody(p, rounds int) func(*machine.Rank) {
 	return benchrec.ScalingBody(p, rounds)
 }

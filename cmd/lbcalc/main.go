@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/core"
@@ -35,6 +36,10 @@ func main() {
 	}
 	if *p < 1 {
 		fmt.Fprintln(os.Stderr, "lbcalc: -p must be positive")
+		os.Exit(2)
+	}
+	if !(*mem >= 0 && *mem <= math.MaxFloat64) {
+		fmt.Fprintln(os.Stderr, "lbcalc: -mem must be non-negative and finite")
 		os.Exit(2)
 	}
 

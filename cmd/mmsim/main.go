@@ -80,7 +80,8 @@ type runSpec struct {
 }
 
 // resolve validates a cliConfig into a runSpec. Unknown algorithm and
-// topology names are errors listing the valid choices.
+// topology names are errors listing the valid choices; negative or
+// non-finite costs wrap core.ErrBadOpts.
 func resolve(c cliConfig) (runSpec, error) {
 	s := runSpec{
 		p:        c.p,
@@ -110,6 +111,9 @@ func resolve(c cliConfig) (runSpec, error) {
 		Layers:  c.layers,
 		Trace:   c.trace != "" || c.timeline,
 		Traffic: c.traffic,
+	}
+	if err := s.opts.Config.Validate(); err != nil {
+		return s, err
 	}
 	if c.topoSpec != "" {
 		fabric, err := topo.Parse(c.topoSpec, c.p, topo.Link{Alpha: c.alpha, Beta: c.beta})

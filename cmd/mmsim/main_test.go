@@ -103,6 +103,26 @@ func TestFlagParsing(t *testing.T) {
 			args:    []string{"-p", "0"},
 			wantErr: core.ErrBadProcessorCount,
 		},
+		{
+			name:    "negative beta",
+			args:    append([]string{"-beta", "-1"}, small...),
+			wantErr: core.ErrBadOpts,
+			errHas:  "β=-1",
+		},
+		{
+			name:    "NaN beta",
+			args:    append([]string{"-beta", "NaN"}, small...),
+			wantErr: core.ErrBadOpts,
+		},
+		{
+			name:    "infinite beta",
+			args:    append([]string{"-beta", "Inf"}, small...),
+			wantErr: core.ErrBadOpts,
+		},
+		{
+			name: "zero costs",
+			args: append([]string{"-alpha", "0", "-beta", "0", "-gamma", "0"}, small...),
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,7 +3,11 @@
 //
 //	paper                # all artifacts
 //	paper -only table1   # one artifact: table1, lemma2, bounds, fig1,
-//	                     # fig2, tight, algs, scaling, memory
+//	                     # fig2, tight, algs, scaling, memory, geometry,
+//	                     # carma, extension, fastmm, models, caps,
+//	                     # memtradeoff, topology, hbl, fabricscale
+//	paper -list          # print those 19 names and exit
+//	paper -json          # emit the artifacts as a JSON array
 //	paper -csv out/      # additionally write <id>.csv files
 //	paper -workers 4     # evaluate sweep points on 4 goroutines
 //

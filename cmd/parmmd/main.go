@@ -12,7 +12,8 @@
 // POST /v1/grid, POST /v1/predict, POST /v1/simulate (async; poll
 // GET /v1/jobs/{id}, list with GET /v1/jobs?state=&limit=&cursor=, cancel
 // with DELETE), POST /v1/plan (strong-scaling sweeps; large ranges stream
-// NDJSON, capped at -max-plan-points per problem), GET /healthz,
+// NDJSON, capped at -max-plan-points per problem), POST /v1/bound
+// (HBL lower bounds for arbitrary array programs), GET /healthz,
 // GET /metrics (the operational counters, in Prometheus text format), and
 // — with -pprof — the net/http/pprof profiles under GET /debug/pprof/. With
 // -artifact-dir, jobs store durable artifacts (Chrome traces via

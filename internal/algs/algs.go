@@ -68,12 +68,15 @@ type Opts struct {
 }
 
 // Validate reports whether the options are self-consistent, before any
-// algorithm-specific requirements: worker and layer counts must be
-// non-negative, the collective family must be a known value, and a non-zero
-// grid must have positive extents. Failures wrap core.ErrBadOpts (or
-// core.ErrGridMismatch for the grid), so callers can dispatch with
-// errors.Is.
+// algorithm-specific requirements: the machine costs must be non-negative
+// and finite, worker and layer counts non-negative, the collective family
+// a known value, and a non-zero grid must have positive extents. Failures
+// wrap core.ErrBadOpts (or core.ErrGridMismatch for the grid), so callers
+// can dispatch with errors.Is.
 func (o Opts) Validate() error {
+	if err := o.Config.Validate(); err != nil {
+		return err
+	}
 	if o.Workers < 0 {
 		return fmt.Errorf("algs: negative Workers %d: %w", o.Workers, core.ErrBadOpts)
 	}

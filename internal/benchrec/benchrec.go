@@ -1,16 +1,11 @@
-// Package benchrec records performance to JSON so the perf trajectory is
-// tracked across changes instead of living in scrollback. It owns the
-// scheduler-stress SPMD body shared by the Go benchmarks and the
-// repository benchmark (bench/), the million-rank counting smoke, the
-// topology charge-oracle record (topo.go, measured through
-// testing.Benchmark, which works outside `go test`), and the serving record
-// cmd/loadgen writes (serving.go).
+// Package benchrec holds the simulator workloads that more than one
+// measurement shares: ScalingBody and ScalingRounds, the scheduler-stress
+// SPMD body of the root package's Go benchmarks and the repository
+// benchmark (bench/), and CountingRun, the million-rank counting world
+// behind cmd/benchrec's CI smoke.
 package benchrec
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/machine"
@@ -67,14 +62,4 @@ func CountingRun(p int) (wall time.Duration, stats machine.WorldStats, err error
 		return 0, machine.WorldStats{}, err
 	}
 	return time.Since(start), w.Stats(), nil
-}
-
-// writeJSONFile writes v as indented JSON with a trailing newline, the
-// common format of every BENCH_*.json the repo tracks.
-func writeJSONFile(v any, path string) error {
-	blob, err := json.MarshalIndent(v, "", "\t")
-	if err != nil {
-		return fmt.Errorf("benchrec: encoding record: %w", err)
-	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
 }

@@ -16,7 +16,8 @@ import (
 
 // fabricScaleCase pins the grid and fabric specs for one supported P. The
 // grids are chosen to divide n = 256 evenly so every rank holds equal
-// blocks, and the specs mirror the BENCH_topo_scaling.json matrix.
+// blocks, and the specs mirror internal/topo's benchFabrics, the fabrics
+// its charge-oracle benchmarks measure.
 type fabricScaleCase struct {
 	g     grid.Grid
 	specs []string

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -31,6 +32,23 @@ func TestNewValidatesRankCount(t *testing.T) {
 	}
 	if _, err := New(MaxRanks+1, BandwidthOnly()); !errors.Is(err, core.ErrTooManyRanks) {
 		t.Errorf("New(MaxRanks+1) err = %v, want ErrTooManyRanks", err)
+	}
+}
+
+// TestNewValidatesCosts: a negative or non-finite α, β or γ is refused
+// with ErrBadOpts, since the model charges only non-negative times; zero
+// costs stay valid.
+func TestNewValidatesCosts(t *testing.T) {
+	for _, cfg := range []Config{
+		{Alpha: -5}, {Beta: -1}, {Gamma: -1e-300},
+		{Beta: math.NaN()}, {Beta: math.Inf(1)}, {Alpha: math.Inf(-1)},
+	} {
+		if _, err := New(4, cfg); !errors.Is(err, core.ErrBadOpts) {
+			t.Errorf("New(4, %+v) err = %v, want ErrBadOpts", cfg, err)
+		}
+	}
+	if _, err := New(4, Config{}); err != nil {
+		t.Errorf("New(4, zero costs) err = %v", err)
 	}
 }
 

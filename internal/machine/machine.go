@@ -60,6 +60,19 @@ type Config struct {
 	Gamma float64
 }
 
+// Validate reports whether the costs describe an α-β-γ machine: each of
+// α, β and γ must be non-negative and finite (zero charges nothing).
+// Failures wrap core.ErrBadOpts.
+func (c Config) Validate() error {
+	for _, v := range [...]float64{c.Alpha, c.Beta, c.Gamma} {
+		if !(v >= 0 && v <= math.MaxFloat64) {
+			return fmt.Errorf("machine: costs α=%g, β=%g, γ=%g must be non-negative and finite: %w",
+				c.Alpha, c.Beta, c.Gamma, core.ErrBadOpts)
+		}
+	}
+	return nil
+}
+
 // BandwidthOnly returns a Config that charges 1 per word and nothing for
 // latency or computation, so a rank's final clock reads directly in words —
 // convenient when comparing against bandwidth lower bounds.
@@ -119,9 +132,10 @@ type World struct {
 }
 
 // New creates a machine with p ranks and the given cost model, reporting
-// invalid sizes as typed errors: a non-positive p wraps
-// core.ErrBadProcessorCount, and a p beyond MaxRanks wraps
-// core.ErrTooManyRanks.
+// invalid inputs as typed errors: a non-positive p wraps
+// core.ErrBadProcessorCount, a p beyond MaxRanks wraps
+// core.ErrTooManyRanks, and costs Config.Validate refuses wrap
+// core.ErrBadOpts.
 func New(p int, cfg Config) (*World, error) { return newWorld(p, cfg, 0) }
 
 // newWorld is New with an explicit scheduler pool width; workers below one
@@ -129,6 +143,9 @@ func New(p int, cfg Config) (*World, error) { return newWorld(p, cfg, 0) }
 // any host.
 func newWorld(p int, cfg Config, workers int) (*World, error) {
 	if err := checkRankCount(p); err != nil {
+		return nil, err
+	}
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	w := &World{p: p, cfg: cfg}

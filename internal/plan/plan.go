@@ -97,11 +97,15 @@ func (r Request) Points() int {
 }
 
 // Validate checks the request against the error taxonomy: ErrBadDims for
-// the shape, ErrBadPlanRange for the memory budget, processor range, or
-// point budget, and ErrBadTopology (or ErrBadPlanRange, for a fixed-size
-// spec asked to span several P) for the topology block.
+// the shape, ErrBadOpts for a negative or non-finite α, β or γ,
+// ErrBadPlanRange for the memory budget, processor range, or point budget,
+// and ErrBadTopology (or ErrBadPlanRange, for a fixed-size spec asked to
+// span several P) for the topology block.
 func (r Request) Validate() error {
 	if err := r.Dims.Validate(); err != nil {
+		return err
+	}
+	if err := r.Config.Validate(); err != nil {
 		return err
 	}
 	if !(r.Mem > 0) || math.IsInf(r.Mem, 1) {

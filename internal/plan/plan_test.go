@@ -209,6 +209,8 @@ func TestValidate(t *testing.T) {
 		{"negative stride", func(r *Request) { r.PStep = -1 }, core.ErrBadPlanRange},
 		{"too many points", func(r *Request) { r.PMax = 100; r.MaxPoints = 10 }, core.ErrBadPlanRange},
 		{"bad dims", func(r *Request) { r.Dims = core.NewDims(0, 1, 1) }, core.ErrBadDims},
+		{"negative beta", func(r *Request) { r.Config = machine.Config{Beta: -1} }, core.ErrBadOpts},
+		{"NaN gamma", func(r *Request) { r.Config = machine.Config{Beta: 1, Gamma: math.NaN()} }, core.ErrBadOpts},
 		{"unknown topology", func(r *Request) { r.TopoSpec = "bogus" }, core.ErrBadTopology},
 		{"unknown placement", func(r *Request) { r.TopoSpec = "flat"; r.Place = "bogus" }, core.ErrBadTopology},
 		{"fixed-size topology over a range", func(r *Request) {
@@ -352,9 +354,10 @@ func TestPointMemoScope(t *testing.T) {
 	}
 }
 
-// TestOverflowingPredictionIsBadOpts: an α, β or γ so large (or so
-// negative) that a predicted time leaves float64 fails the point with
-// ErrBadOpts instead of producing a point JSON cannot encode.
+// TestOverflowingPredictionIsBadOpts: an α, β or γ so large that a
+// predicted time leaves float64 fails the point with ErrBadOpts instead of
+// producing a point JSON cannot encode; a negative one fails Validate with
+// the same kind before any point is computed.
 func TestOverflowingPredictionIsBadOpts(t *testing.T) {
 	for _, cfg := range []machine.Config{
 		{Alpha: 1e308, Beta: 1}, {Alpha: -1e308, Beta: 1},

@@ -235,6 +235,10 @@ func (s *Server) predictOne(pp PredictProblem) (PredictResponse, error) {
 	if err != nil {
 		return PredictResponse{}, err
 	}
+	cfg := machine.Config{Alpha: pp.Alpha, Beta: pp.Beta, Gamma: pp.Gamma}
+	if err := cfg.Validate(); err != nil {
+		return PredictResponse{}, err
+	}
 	var g grid.Grid
 	if pp.Grid != nil {
 		g = grid.Grid{P1: pp.Grid.P1, P2: pp.Grid.P2, P3: pp.Grid.P3}
@@ -251,7 +255,6 @@ func (s *Server) predictOne(pp PredictProblem) (PredictResponse, error) {
 		}
 		g = s.optimalGrid(d, pp.P)
 	}
-	cfg := machine.Config{Alpha: pp.Alpha, Beta: pp.Beta, Gamma: pp.Gamma}
 	resp := PredictResponse{
 		Problem: pp.Problem,
 		Grid:    GridJSON{g.P1, g.P2, g.P3},

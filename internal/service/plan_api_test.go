@@ -340,22 +340,29 @@ func TestJobListEndpoint(t *testing.T) {
 // inline plan, stream, job, predict envelope and single predict — where
 // encoding/json used to refuse the +Inf after a 200 status line was out.
 // A mem so small that the summary's crossover or memory floor overflows is
-// bad_plan_range before any plan answer starts.
+// bad_plan_range, and a negative α, β or γ bad_opts, before any plan
+// answer starts.
 func TestOverflowingPredictionIsBadOpts(t *testing.T) {
 	_, ts := newArtifactServer(t, Config{})
 	const ok = `{"n1":64,"n2":64,"n3":64,"mem":1e9,"pMin":1,"pMax":8}`
-	for _, mem := range []string{"1e-250", "5e-324"} {
-		body := `{"problems":[` + ok + `,{"n1":64,"n2":64,"n3":64,"mem":` + mem + `,"pMin":1,"pMax":8}]`
+	for _, c := range []struct{ fields, code string }{
+		{`"mem":1e-250`, "bad_plan_range"},
+		{`"mem":5e-324`, "bad_plan_range"},
+		{`"mem":1e9,"alpha":-1e308`, "bad_opts"},
+		{`"mem":1e9,"beta":-1e308`, "bad_opts"},
+		{`"mem":1e9,"gamma":-1e308`, "bad_opts"},
+	} {
+		body := `{"problems":[` + ok + `,{"n1":64,"n2":64,"n3":64,` + c.fields + `,"pMin":1,"pMax":8}]`
 		for _, mode := range []string{`"stream":false`, `"stream":true`, `"job":true`} {
 			status, raw := post(t, ts, "/v1/plan", body+`,`+mode+`}`)
 			env := decode[PlanEnvelope](t, raw)
 			if status != http.StatusBadRequest || len(env.Errors) != 1 || env.Errors[0].Index != 1 ||
-				env.Errors[0].Code != "bad_plan_range" {
-				t.Errorf("mem %s, %s: status %d, %s", mem, mode, status, raw)
+				env.Errors[0].Code != c.code {
+				t.Errorf("%s, %s: status %d, %s", c.fields, mode, status, raw)
 			}
 		}
 	}
-	for _, field := range []string{`"alpha":1e308`, `"alpha":-1e308`, `"beta":1e308`, `"beta":-1e308`, `"gamma":1e308`, `"gamma":-1e308`} {
+	for _, field := range []string{`"alpha":1e308`, `"beta":1e308`, `"gamma":1e308`} {
 		bad := `{"n1":64,"n2":64,"n3":64,"mem":1e9,"pMin":2,"pMax":8,` + field + `}`
 		body := `{"problems":[` + ok + `,` + bad + `]`
 

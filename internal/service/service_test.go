@@ -160,6 +160,9 @@ func TestErrorStatusMapping(t *testing.T) {
 		{"sim too many procs", "/v1/simulate", `{"n1":64,"n2":64,"n3":64,"p":2000000}`, 400, "too_many_ranks"},
 		{"sim too many procs event", "/v1/simulate", `{"n1":64,"n2":64,"n3":64,"p":2000000,"engine":"event"}`, 400, "too_many_ranks"},
 		{"unknown engine", "/v1/simulate", `{"n1":64,"n2":64,"n3":64,"p":8,"engine":"fibers"}`, 400, "bad_opts"},
+		{"negative costs", "/v1/predict", `{"n1":64,"n2":64,"n3":64,"p":8,"alpha":-1,"beta":-1,"gamma":-1}`, 400, "bad_opts"},
+		{"negative costs torus", "/v1/predict", `{"n1":64,"n2":64,"n3":64,"p":8,"alpha":-1,"beta":-1,"topology":{"spec":"torus=2x2x2"}}`, 400, "bad_opts"},
+		{"negative alpha sim", "/v1/simulate", `{"n1":64,"n2":64,"n3":64,"p":8,"alpha":-5}`, 400, "bad_opts"},
 		{"sim grid mismatch", "/v1/simulate", `{"n1":64,"n2":64,"n3":64,"p":8,"grid":{"p1":-1,"p2":2,"p3":4}}`, 422, "grid_mismatch"},
 		{"unknown topology", "/v1/predict", `{"n1":64,"n2":64,"n3":64,"p":8,"beta":1,"topology":{"spec":"hypercube=3"}}`, 400, "bad_topology"},
 		{"topology size mismatch", "/v1/predict", `{"n1":64,"n2":64,"n3":64,"p":8,"beta":1,"topology":{"spec":"torus=4x4"}}`, 400, "bad_topology"},
