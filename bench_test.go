@@ -9,6 +9,7 @@ package parmm
 //	go test -bench=. -benchmem
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -462,7 +463,7 @@ func BenchmarkCARMA(b *testing.B) {
 // BenchmarkRuntimeModel regenerates the model-vs-simulation artifact.
 func BenchmarkRuntimeModel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RuntimeModel(experiments.DefaultRectDims, experiments.DefaultRuntimeConfig, []int{1, 16, 512}); err != nil {
+		if _, err := experiments.RuntimeModelContext(context.Background(), experiments.DefaultRectDims, experiments.DefaultRuntimeConfig, []int{1, 16, 512}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -67,6 +67,10 @@ func parseFlags(args []string, errOut io.Writer) (cliConfig, error) {
 	return c, nil
 }
 
+// maxTrafficP bounds -traffic: the recorder holds a P×P float64 matrix
+// from the start of the run, 128 MiB at this P.
+const maxTrafficP = 4096
+
 // runSpec is a fully validated invocation: everything run needs, resolved
 // against the algorithm registry and the topology parser.
 type runSpec struct {
@@ -81,7 +85,8 @@ type runSpec struct {
 
 // resolve validates a cliConfig into a runSpec. Unknown algorithm and
 // topology names are errors listing the valid choices; negative or
-// non-finite costs wrap core.ErrBadOpts.
+// non-finite costs, a recording flag with more than one algorithm, and
+// -traffic past maxTrafficP wrap core.ErrBadOpts.
 func resolve(c cliConfig) (runSpec, error) {
 	s := runSpec{
 		p:        c.p,
@@ -105,6 +110,14 @@ func resolve(c cliConfig) (runSpec, error) {
 	if len(s.entries) == 0 {
 		return s, fmt.Errorf("unknown algorithm %q (valid: %s, or \"all\"): %w",
 			c.alg, strings.Join(algs.Names(), ", "), core.ErrUnsupportedAlg)
+	}
+	if len(s.entries) > 1 && (c.trace != "" || c.timeline || c.traffic) {
+		return s, fmt.Errorf("-trace, -timeline and -traffic record a single algorithm, but -alg %s selects %d: %w",
+			c.alg, len(s.entries), core.ErrBadOpts)
+	}
+	if c.traffic && c.p > maxTrafficP {
+		return s, fmt.Errorf("-traffic records a P×P matrix and allows P up to %d, got %d: %w",
+			maxTrafficP, c.p, core.ErrBadOpts)
 	}
 	s.opts = algs.Opts{
 		Config:  machine.Config{Alpha: c.alpha, Beta: c.beta, Gamma: c.gamma},
@@ -200,35 +213,25 @@ func run(s runSpec, out, errOut io.Writer) int {
 		)
 	}
 	fmt.Fprint(out, tb.String())
-	if s.traffic {
-		if len(s.entries) == 1 && lastTraffic != nil {
-			fmt.Fprintln(out)
-			fmt.Fprint(out, lastTraffic.Heatmap())
-			fmt.Fprintf(out, "active pairs: %d of %d\n", lastTraffic.ActivePairs(), s.p*(s.p-1))
-		} else {
-			fmt.Fprintln(errOut, "mmsim: -traffic requires a single algorithm")
-		}
+	// resolve admits the recording flags with one algorithm only; a failed
+	// run has nothing recorded.
+	if s.traffic && lastTraffic != nil {
+		fmt.Fprintln(out)
+		fmt.Fprint(out, lastTraffic.Heatmap())
+		fmt.Fprintf(out, "active pairs: %d of %d\n", lastTraffic.ActivePairs(), s.p*(s.p-1))
 	}
-	if s.timeline {
-		if len(s.entries) == 1 && lastTrace != nil {
-			fmt.Fprintln(out)
-			fmt.Fprint(out, lastTrace.Timeline(s.p, 100))
-			fmt.Fprintln(out)
-			fmt.Fprint(out, lastTrace.Summary(s.p))
-		} else {
-			fmt.Fprintln(errOut, "mmsim: -timeline requires a single algorithm")
-		}
+	if s.timeline && lastTrace != nil {
+		fmt.Fprintln(out)
+		fmt.Fprint(out, lastTrace.Timeline(s.p, 100))
+		fmt.Fprintln(out)
+		fmt.Fprint(out, lastTrace.Summary(s.p))
 	}
-	if s.trace != "" {
-		if len(s.entries) == 1 && lastTrace != nil {
-			if err := writeChromeTrace(s.trace, lastTrace, s.p); err != nil {
-				fmt.Fprintf(errOut, "mmsim: %v\n", err)
-				return 1
-			}
-			fmt.Fprintf(out, "\nwrote Chrome trace to %s (open in chrome://tracing or https://ui.perfetto.dev)\n", s.trace)
-		} else {
-			fmt.Fprintln(errOut, "mmsim: -trace requires a single algorithm")
+	if s.trace != "" && lastTrace != nil {
+		if err := writeChromeTrace(s.trace, lastTrace, s.p); err != nil {
+			fmt.Fprintf(errOut, "mmsim: %v\n", err)
+			return 1
 		}
+		fmt.Fprintf(out, "\nwrote Chrome trace to %s (open in chrome://tracing or https://ui.perfetto.dev)\n", s.trace)
 	}
 	if failed {
 		return 1

@@ -123,6 +123,37 @@ func TestFlagParsing(t *testing.T) {
 			name: "zero costs",
 			args: append([]string{"-alpha", "0", "-beta", "0", "-gamma", "0"}, small...),
 		},
+		{
+			name:    "trace with all algorithms",
+			args:    append([]string{"-alg", "all", "-trace", "t.json"}, small...),
+			wantErr: core.ErrBadOpts,
+			errHas:  "single algorithm",
+		},
+		{
+			name:    "timeline with all algorithms",
+			args:    append([]string{"-alg", "all", "-timeline"}, small...),
+			wantErr: core.ErrBadOpts,
+		},
+		{
+			name:    "traffic with all algorithms",
+			args:    append([]string{"-alg", "all", "-traffic"}, small...),
+			wantErr: core.ErrBadOpts,
+		},
+		{
+			name:    "traffic past the P limit",
+			args:    []string{"-traffic", "-n1", "256", "-n2", "256", "-n3", "256", "-p", "65536"},
+			wantErr: core.ErrBadOpts,
+			errHas:  "4096",
+		},
+		{
+			name: "traffic at the P limit",
+			args: []string{"-traffic", "-n1", "64", "-n2", "64", "-n3", "64", "-p", "4096"},
+			check: func(t *testing.T, s runSpec) {
+				if !s.traffic || !s.opts.Traffic {
+					t.Fatalf("traffic not recorded: %+v", s.opts)
+				}
+			},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

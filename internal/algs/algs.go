@@ -179,13 +179,6 @@ func localMulAdd(r *machine.Rank, c, a, b *matrix.Dense, workers int) {
 	matrix.MulAdd(c, a, b)
 }
 
-// localMulAddVal is localMulAdd on matrix values (wrapped pooled buffers),
-// keeping the headers off the heap on the sequential path.
-func localMulAddVal(r *machine.Rank, c, a, b matrix.Dense, workers int) {
-	r.Compute(float64(a.Rows()) * float64(a.Cols()) * float64(b.Cols()))
-	matrix.MulAddVal(c, a, b, workers)
-}
-
 // localMulIntoVal computes c = a·b on rank r, reusing (and zeroing) c's
 // storage, for call sites that overwrite rather than accumulate.
 func localMulIntoVal(r *machine.Rank, c, a, b matrix.Dense, workers int) {

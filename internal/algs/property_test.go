@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/grid"
 	"repro/internal/machine"
 	"repro/internal/matrix"
 )
@@ -98,4 +99,74 @@ func frac(p int) float64 {
 		return 0
 	}
 	return 1 - 1/float64(p)
+}
+
+// FuzzAlg1Tightness holds §5.2's tightness claim as a property. On every
+// grid that divides the dimensions and whose blocks split evenly over their
+// fibers, Algorithm 1's simulated per-rank words equal eq. (3)
+// (grid.CommCost) exactly and are at least Theorem 3's bound; on
+// grid.CaseGrid's grid they also equal the bound, within E6's tolerance.
+// The seeds are E6's shape at one P per Theorem 3 case.
+func FuzzAlg1Tightness(f *testing.F) {
+	for _, p := range []uint16{3, 16, 512} {
+		f.Add(uint16(768), uint16(192), uint16(48), p, uint8(0))
+	}
+	f.Fuzz(func(t *testing.T, n1, n2, n3, pRaw uint16, pick uint8) {
+		d := core.NewDims(int(n1), int(n2), int(n3))
+		p := int(pRaw)
+		// E6's shape bounds the simulated work and memory of one input.
+		if d.Validate() != nil || p < 1 || p > 512 || d.Flops() > 768*192*48 {
+			t.Skip("outside the simulated range")
+		}
+		var even []grid.Grid
+		for p1 := 1; p1 <= p; p1++ {
+			for p2 := 1; p1*p2 <= p; p2++ {
+				g := grid.Grid{P1: p1, P2: p2, P3: p / (p1 * p2)}
+				if g.Size() == p && splitsEvenly(d, g) {
+					even = append(even, g)
+				}
+			}
+		}
+		if len(even) == 0 {
+			t.Skip("no grid splits the blocks evenly")
+		}
+		a := matrix.Random(d.N1, d.N2, 1)
+		b := matrix.Random(d.N2, d.N3, 2)
+		bound := core.LowerBound(d, p)
+		words := func(g grid.Grid) float64 {
+			res, err := Alg1(a, b, p, Opts{Config: machine.BandwidthOnly(), Grid: g})
+			if err != nil {
+				t.Fatalf("%v on grid %v: %v", d, g, err)
+			}
+			got := res.CommCost()
+			if want := grid.CommCost(d, g); got != want {
+				t.Fatalf("%v P=%d grid %v: simulated %v words, eq. (3) %v", d, p, g, got, want)
+			}
+			if got < bound-1e-9*(1+bound) {
+				t.Fatalf("%v P=%d grid %v: simulated %v words beat the bound %v", d, p, g, got, bound)
+			}
+			return got
+		}
+		g := even[int(pick)%len(even)]
+		words(g)
+		if cg, err := grid.CaseGrid(d, p); err == nil && splitsEvenly(d, cg) {
+			got := words(cg)
+			if math.Abs(got-bound) > 1e-9*(1+bound) {
+				t.Fatalf("%v P=%d case grid %v: simulated %v words, bound %v", d, p, cg, got, bound)
+			}
+		}
+	})
+}
+
+// splitsEvenly reports whether g divides d and every rank's share of the
+// A, B and C blocks over its fiber is whole: the conditions under which
+// Algorithm 1 moves exactly eq. (3)'s words.
+func splitsEvenly(d core.Dims, g grid.Grid) bool {
+	if !grid.Divides(d, g) {
+		return false
+	}
+	a := d.N1 / g.P1 * (d.N2 / g.P2)
+	b := d.N2 / g.P2 * (d.N3 / g.P3)
+	c := d.N1 / g.P1 * (d.N3 / g.P3)
+	return a%g.P3 == 0 && b%g.P1 == 0 && c%g.P2 == 0
 }

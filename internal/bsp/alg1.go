@@ -49,13 +49,9 @@ func partSize(n, p, i int) int {
 	return q
 }
 
-// fairCounts splits total into f balanced parts.
-func fairCounts(total, f int) []int {
-	return fairCountsInto(make([]int, f), total)
-}
-
-// fairCountsInto is fairCounts writing into counts (len f), returning it;
-// the schedule builders reuse one buffer across their rank loops.
+// fairCountsInto splits total into len(counts) balanced parts in counts,
+// returning it; the schedule builders reuse one buffer across their rank
+// loops.
 func fairCountsInto(counts []int, total int) []int {
 	f := len(counts)
 	q, rem := total/f, total%f

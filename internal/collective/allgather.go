@@ -7,20 +7,12 @@ import "fmt"
 // Per-rank bandwidth is exactly (1 − 1/p)·W where W is the gathered size.
 func (g *Group) AllGather(myBlock []float64) []float64 {
 	out := make([]float64, len(g.members)*len(myBlock))
-	return g.AllGatherInto(myBlock, out)
-}
-
-// AllGatherInto is AllGather writing the result into the caller-provided
-// out, which must have length p·len(myBlock). The gather loops receive
-// directly into out and send slices of it, so a steady-state call performs
-// no heap allocation.
-func (g *Group) AllGatherInto(myBlock, out []float64) []float64 {
 	return g.AllGatherVInto(myBlock, g.uniformCounts(len(g.members), len(myBlock)), out)
 }
 
 // AllGatherV is AllGather with per-member block sizes. counts[i] is the
-// length of member i's contribution; len(myBlock) must equal
-// counts[g.Index()].
+// length of member i's contribution; len(myBlock) must equal this member's
+// count.
 func (g *Group) AllGatherV(myBlock []float64, counts []int) []float64 {
 	total := 0
 	for _, c := range counts {
@@ -32,7 +24,9 @@ func (g *Group) AllGatherV(myBlock []float64, counts []int) []float64 {
 // AllGatherVInto is AllGatherV writing the result into the caller-provided
 // out, which must have length sum(counts). Ownership of out stays with the
 // caller; the collective only borrows it for the duration of the call (its
-// slices are serialized into pooled network buffers on send).
+// slices are serialized into pooled network buffers on send). The gather
+// loops receive directly into out and send slices of it, so a steady-state
+// call performs no heap allocation.
 func (g *Group) AllGatherVInto(myBlock []float64, counts []int, out []float64) []float64 {
 	g.countOp(mOpAllGather)
 	p := len(g.members)

@@ -7,15 +7,17 @@ import (
 )
 
 // collectiveRun returns a closure running a fresh 8-rank world in which
-// every rank performs iters AllGatherInto + ReduceScatterInto rounds with
+// every rank performs iters AllGatherVInto + ReduceScatterVInto rounds with
 // caller-held pooled buffers and a stack-allocated Group — the
 // steady-state pattern of the 3D algorithms.
 func collectiveRun(t *testing.T, iters int) func() {
 	const p = 8
 	const blockLen = 64
 	members := make([]int, p)
+	counts := make([]int, p)
 	for i := range members {
 		members[i] = i
+		counts[i] = blockLen
 	}
 	return func() {
 		w := machine.NewWorld(p, machine.BandwidthOnly())
@@ -30,8 +32,8 @@ func collectiveRun(t *testing.T, iters int) func() {
 				my[i] = float64(r.ID()*1000 + i)
 			}
 			for i := 0; i < iters; i++ {
-				g.AllGatherInto(my, gathered)
-				g.ReduceScatterInto(gathered, chunk, scratch)
+				g.AllGatherVInto(my, counts, gathered)
+				g.ReduceScatterVInto(gathered, counts, chunk, scratch)
 			}
 			g.Release()
 			r.PutBuffer(my)
@@ -47,7 +49,7 @@ func collectiveRun(t *testing.T, iters int) func() {
 
 // TestCollectiveSteadyStateAllocs pins the allocation cost of the
 // collective hot path: with caller-provided output and scratch buffers,
-// AllGatherInto and ReduceScatterInto must not allocate per call — the
+// AllGatherVInto and ReduceScatterVInto must not allocate per call — the
 // ring loops receive into pooled network buffers that are recycled
 // immediately, and the group's count/offset scratch is reused.
 func TestCollectiveSteadyStateAllocs(t *testing.T) {
@@ -58,7 +60,7 @@ func TestCollectiveSteadyStateAllocs(t *testing.T) {
 	heavy := testing.AllocsPerRun(10, collectiveRun(t, 18))
 	perIter := (heavy - base) / 16
 	if perIter > 0.1 {
-		t.Errorf("steady-state AllGatherInto+ReduceScatterInto allocates %.3f allocs/round (base run %.1f, heavy run %.1f); want ~0", perIter, base, heavy)
+		t.Errorf("steady-state AllGatherVInto+ReduceScatterVInto allocates %.3f allocs/round (base run %.1f, heavy run %.1f); want ~0", perIter, base, heavy)
 	}
 	// Absolute ceiling for the whole 8-rank run: world construction plus
 	// per-rank group setup. Each round moves 2·(p-1)·64 words through 14

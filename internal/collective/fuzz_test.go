@@ -71,46 +71,3 @@ func FuzzAllGatherReduceScatterDuality(f *testing.F) {
 		}
 	})
 }
-
-// FuzzBcastLongAgainstTree fuzzes message lengths and roots: the
-// long-vector broadcast must deliver exactly what the tree broadcast does.
-func FuzzBcastLongAgainstTree(f *testing.F) {
-	f.Add(uint8(5), uint8(13), uint8(1))
-	f.Add(uint8(8), uint8(0), uint8(0))
-	f.Fuzz(func(t *testing.T, pRaw, wRaw, rootRaw uint8) {
-		p := int(pRaw%10) + 1
-		words := int(wRaw % 40)
-		root := int(rootRaw) % p
-		payload := make([]float64, words)
-		for i := range payload {
-			payload[i] = float64(i * i)
-		}
-		members := make([]int, p)
-		for i := range members {
-			members[i] = i
-		}
-		world := machine.NewWorld(p, machine.BandwidthOnly())
-		out := make([][]float64, p)
-		err := world.Run(func(r *machine.Rank) {
-			g := NewGroup(r, members, 1, Auto)
-			var data []float64
-			if r.ID() == root {
-				data = payload
-			}
-			out[r.ID()] = g.BcastLong(data, root, words)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for rank := 0; rank < p; rank++ {
-			if len(out[rank]) != words {
-				t.Fatalf("rank %d got %d words", rank, len(out[rank]))
-			}
-			for i, v := range out[rank] {
-				if v != payload[i] {
-					t.Fatalf("rank %d elem %d = %v, want %v", rank, i, v, payload[i])
-				}
-			}
-		}
-	})
-}

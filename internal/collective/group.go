@@ -1,11 +1,11 @@
 // Package collective implements the MPI-style collective operations the
 // paper's Algorithm 1 is built from — All-Gather and Reduce-Scatter — plus
-// the supporting collectives (Broadcast, Reduce, All-Reduce, All-to-All,
-// Gather, Scatter) used by the baseline algorithms, all running over
-// arbitrary subsets ("fibers") of the simulated machine's ranks.
+// the binomial Broadcast (SUMMA, 2.5D) and pairwise All-to-All
+// (AllToAll3D) the baseline algorithms add, all running over arbitrary
+// subsets ("fibers") of the simulated machine's ranks.
 //
-// Two algorithm families are provided, matching §5.1's assumption of
-// bandwidth-optimal collectives:
+// All-Gather and Reduce-Scatter come in two algorithm families, matching
+// §5.1's assumption of bandwidth-optimal collectives:
 //
 //   - Ring algorithms: p−1 steps, per-rank bandwidth exactly (1 − 1/p)·w
 //     for any group size and variable block sizes.
@@ -53,25 +53,22 @@ type Group struct {
 	// starts and counts are reusable integer scratch for the offset and
 	// uniform-count computations, so repeated collectives on one group do
 	// not allocate. A Group is confined to its rank's goroutine, and the
-	// scratch is only live within a single collective call (collectives
-	// that compose — AllReduce, BcastLong — are done with it before the
-	// inner call starts), so a single buffer per kind suffices. The slices
-	// come from the machine's integer arena and go back on Release.
+	// scratch is only live within a single collective call, so a single
+	// buffer per kind suffices. The slices come from the machine's integer
+	// arena and go back on Release.
 	starts []int
 	counts []int
 }
 
 // opcode offsets keep concurrent-by-construction collectives on disjoint
 // tags. Within one collective call all messages use tagBase+opcode; FIFO
-// per (src, dst, tag) plus SPMD program order make this unambiguous.
+// per (src, dst, tag) plus SPMD program order make this unambiguous. The
+// values are fixed because Chrome traces record message tags.
 const (
-	opAllGather = iota + 1
-	opReduceScatter
-	opBcast
-	opReduce
-	opAllToAll
-	opGather
-	opScatter
+	opAllGather     = 1
+	opReduceScatter = 2
+	opBcast         = 3
+	opAllToAll      = 5
 )
 
 // NewGroup creates the communicator for rank r over the given global rank
@@ -148,15 +145,6 @@ func dupMember(members []int) bool {
 	}
 	return false
 }
-
-// Size returns the number of group members.
-func (g *Group) Size() int { return len(g.members) }
-
-// Index returns this rank's position within the group.
-func (g *Group) Index() int { return g.me }
-
-// Members returns the global rank ids of the group.
-func (g *Group) Members() []int { return g.members }
 
 // tag builds the message tag for an opcode within this group.
 func (g *Group) tag(op int) int { return g.tagBase*64 + op }

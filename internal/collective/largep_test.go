@@ -15,7 +15,7 @@ const largeP = 257
 func TestAllGatherLargeNonPowerOfTwo(t *testing.T) {
 	const words = 2
 	res, stats := runAll(t, largeP, Ring, func(g *Group) []float64 {
-		return g.AllGather(seqBlock(g.Index(), words))
+		return g.AllGather(seqBlock(g.me, words))
 	})
 	for r := 0; r < largeP; r++ {
 		if len(res[r]) != words*largeP {
@@ -35,30 +35,13 @@ func TestAllGatherLargeNonPowerOfTwo(t *testing.T) {
 	}
 }
 
-func TestAllGatherBruckLargeNonPowerOfTwo(t *testing.T) {
-	const words = 2
-	res, _ := runAll(t, largeP, Auto, func(g *Group) []float64 {
-		return g.AllGatherBruck(seqBlock(g.Index(), words))
-	})
-	for r := 0; r < largeP; r++ {
-		if len(res[r]) != words*largeP {
-			t.Fatalf("rank %d result length %d, want %d", r, len(res[r]), words*largeP)
-		}
-		for i := 0; i < largeP; i++ {
-			if res[r][words*i] != float64(i*1000) {
-				t.Fatalf("rank %d block %d corrupted: %v", r, i, res[r][words*i])
-			}
-		}
-	}
-}
-
 func TestReduceScatterLargeNonPowerOfTwo(t *testing.T) {
 	res, _ := runAll(t, largeP, Ring, func(g *Group) []float64 {
 		// Rank r contributes r to every element; block b of the reduction
 		// is then sum(0..P-1) everywhere.
 		data := make([]float64, largeP)
 		for i := range data {
-			data[i] = float64(g.Index())
+			data[i] = float64(g.me)
 		}
 		return g.ReduceScatter(data)
 	})

@@ -21,7 +21,7 @@ func (g *Group) Bcast(data []float64, root int) []float64 {
 	for mask < p {
 		if vrank&mask != 0 {
 			src := ((vrank - mask) + root) % p
-			data = g.recv(g.indexOf(src), opBcast)
+			data = g.recv(src, opBcast)
 			break
 		}
 		mask <<= 1
@@ -31,88 +31,11 @@ func (g *Group) Bcast(data []float64, root int) []float64 {
 	for mask > 0 {
 		if vrank+mask < p {
 			dst := ((vrank + mask) + root) % p
-			g.send(g.indexOf(dst), opBcast, data)
+			g.send(dst, opBcast, data)
 		}
 		mask >>= 1
 	}
 	return data
-}
-
-// Reduce sums the equal-length vectors of all members onto the member with
-// group index root using a binomial tree. The root returns the sum (in a
-// buffer the caller owns); other members return nil. Accumulation and
-// receive temporaries come from the machine's buffer arena, so non-root
-// members allocate nothing in steady state.
-func (g *Group) Reduce(data []float64, root int) []float64 {
-	g.countOp(mOpReduce)
-	p := len(g.members)
-	if root < 0 || root >= p {
-		panic(fmt.Sprintf("collective: Reduce root %d of %d", root, p))
-	}
-	if p == 1 {
-		out := make([]float64, len(data))
-		copy(out, data)
-		return out
-	}
-	acc := g.rank.GetBuffer(len(data))
-	copy(acc, data)
-	var tmp []float64
-	putTmp := func() {
-		if tmp != nil {
-			g.rank.PutBuffer(tmp)
-		}
-	}
-	vrank := (g.me - root + p) % p
-	mask := 1
-	for mask < p {
-		if vrank&mask != 0 {
-			dst := ((vrank - mask) + root) % p
-			g.send(g.indexOf(dst), opReduce, acc)
-			g.rank.PutBuffer(acc)
-			putTmp()
-			return nil
-		}
-		if vrank+mask < p {
-			src := ((vrank + mask) + root) % p
-			if tmp == nil {
-				tmp = g.rank.GetBuffer(len(data))
-			}
-			got := g.recvInto(g.indexOf(src), opReduce, tmp)
-			if got != len(acc) {
-				panic(fmt.Sprintf("collective: Reduce got %d words, want %d", got, len(acc)))
-			}
-			for i, v := range tmp[:got] {
-				acc[i] += v
-			}
-			g.rank.Compute(float64(got))
-		}
-		mask <<= 1
-	}
-	putTmp()
-	return acc
-}
-
-// AllReduce sums equal-length vectors across members, every member
-// receiving the full result. It composes ReduceScatterVInto and
-// AllGatherVInto over a balanced split, which is bandwidth-optimal at
-// 2(1 − 1/p)·w; intermediates live in pooled buffers, so the only heap
-// allocation is the returned result.
-func (g *Group) AllReduce(data []float64) []float64 {
-	g.countOp(mOpAllReduce)
-	p := len(g.members)
-	out := make([]float64, len(data))
-	if p == 1 {
-		copy(out, data)
-		return out
-	}
-	counts := g.balancedCounts(len(data), p)
-	mine := g.rank.GetBuffer(counts[g.me])
-	scratch := g.rank.GetBuffer(len(data))
-	g.ReduceScatterVInto(data, counts, mine, scratch)
-	g.rank.PutBuffer(scratch)
-	g.AllGatherVInto(mine, counts, out)
-	g.rank.PutBuffer(mine)
-	return out
 }
 
 // AllToAll performs a personalized exchange: blocks[i] is sent to member i,
@@ -135,95 +58,4 @@ func (g *Group) AllToAll(blocks [][]float64) [][]float64 {
 		out[src] = g.sendRecv(dst, src, opAllToAll, blocks[dst])
 	}
 	return out
-}
-
-// Gather collects every member's block at the member with group index
-// root, returned as per-member slices (nil for non-roots). Non-root
-// members send directly to the root; the root's bandwidth W − w_root is
-// optimal for gathers.
-func (g *Group) Gather(myBlock []float64, root int) [][]float64 {
-	g.countOp(mOpGather)
-	p := len(g.members)
-	if root < 0 || root >= p {
-		panic(fmt.Sprintf("collective: Gather root %d of %d", root, p))
-	}
-	if g.me != root {
-		g.send(root, opGather, myBlock)
-		return nil
-	}
-	out := make([][]float64, p)
-	own := make([]float64, len(myBlock))
-	copy(own, myBlock)
-	out[root] = own
-	for i := 0; i < p; i++ {
-		if i != root {
-			out[i] = g.recv(i, opGather)
-		}
-	}
-	return out
-}
-
-// Scatter distributes blocks from the root: member i receives blocks[i].
-// Non-root callers pass nil.
-func (g *Group) Scatter(blocks [][]float64, root int) []float64 {
-	g.countOp(mOpScatter)
-	p := len(g.members)
-	if root < 0 || root >= p {
-		panic(fmt.Sprintf("collective: Scatter root %d of %d", root, p))
-	}
-	if g.me == root {
-		if len(blocks) != p {
-			panic(fmt.Sprintf("collective: Scatter got %d blocks for group of %d", len(blocks), p))
-		}
-		for i := 0; i < p; i++ {
-			if i != root {
-				g.send(i, opScatter, blocks[i])
-			}
-		}
-		own := make([]float64, len(blocks[root]))
-		copy(own, blocks[root])
-		return own
-	}
-	return g.recv(root, opScatter)
-}
-
-// Barrier synchronizes the group members' clocks without charging
-// communication, by a zero-word ring circulation that forces ordering and a
-// clock alignment via max exchange. For measurement-phase separation on the
-// whole world prefer machine.Rank.Barrier.
-func (g *Group) Barrier() {
-	g.countOp(mOpBarrier)
-	p := len(g.members)
-	if p == 1 {
-		return
-	}
-	// Two ring sweeps of empty messages establish a happens-before chain
-	// through every member and align clocks to within the (zero) cost of
-	// empty messages under Beta-only cost models.
-	for sweep := 0; sweep < 2; sweep++ {
-		right := (g.me + 1) % p
-		left := (g.me - 1 + p) % p
-		g.send(right, opBcast, nil)
-		g.recv(left, opBcast)
-	}
-}
-
-// indexOf returns the group index of a virtual member id already in group
-// index space (identity); it exists for clarity at call sites that compute
-// virtual ranks.
-func (g *Group) indexOf(groupIdx int) int { return groupIdx }
-
-// balancedCounts splits total into p nearly equal integer parts in the
-// group's reusable counts scratch (valid until the next counts-producing
-// call on this group).
-func (g *Group) balancedCounts(total, p int) []int {
-	counts := g.ensureInts(&g.counts, p)
-	q, r := total/p, total%p
-	for i := range counts {
-		counts[i] = q
-		if i < r {
-			counts[i]++
-		}
-	}
-	return counts
 }

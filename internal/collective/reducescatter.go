@@ -13,18 +13,6 @@ func (g *Group) ReduceScatter(data []float64) []float64 {
 	return g.ReduceScatterV(data, g.uniformCounts(p, len(data)/p))
 }
 
-// ReduceScatterInto is ReduceScatter writing the result into the
-// caller-provided out (length len(data)/p) using scratch (length at least
-// len(data)) as the working accumulation copy, so a steady-state call
-// performs no heap allocation. data is not mutated.
-func (g *Group) ReduceScatterInto(data, out, scratch []float64) []float64 {
-	p := len(g.members)
-	if len(data)%p != 0 {
-		panic(fmt.Sprintf("collective: ReduceScatter length %d not divisible by %d", len(data), p))
-	}
-	return g.ReduceScatterVInto(data, g.uniformCounts(p, len(data)/p), out, scratch)
-}
-
 // ReduceScatterV is ReduceScatter with per-member chunk sizes: every member
 // supplies a full vector of length sum(counts); member i returns the summed
 // chunk of length counts[i]. Per-rank bandwidth is exactly (1 − 1/p)·W for
@@ -40,12 +28,12 @@ func (g *Group) ReduceScatterV(data []float64, counts []int) []float64 {
 	return out
 }
 
-// ReduceScatterVInto is ReduceScatterV writing member g.Index()'s summed
-// chunk into the caller-provided out (length counts[g.Index()]). scratch
-// must hold at least len(data) words; it is the in-place accumulation copy
-// (its prior contents are ignored), so data itself is never mutated.
-// Incoming chunks land in pooled network buffers that are recycled
-// immediately, keeping the per-step heap allocation at zero.
+// ReduceScatterVInto is ReduceScatterV writing this member's summed chunk
+// into the caller-provided out, whose length must be this member's count.
+// scratch must hold at least len(data) words; it is the in-place
+// accumulation copy (its prior contents are ignored), so data itself is
+// never mutated. Incoming chunks land in pooled network buffers that are
+// recycled immediately, keeping the per-step heap allocation at zero.
 func (g *Group) ReduceScatterVInto(data []float64, counts []int, out, scratch []float64) []float64 {
 	g.countOp(mOpReduceScatter)
 	p := len(g.members)

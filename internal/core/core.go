@@ -127,10 +127,6 @@ func (c Case) String() string {
 	return fmt.Sprintf("Case(%d)", int(c))
 }
 
-// GridDim returns the effective processor-grid dimensionality (1, 2 or 3)
-// of the optimal algorithm in this case.
-func (c Case) GridDim() int { return int(c) }
-
 // CaseOf returns the Theorem 3 regime for multiplying with dims d on p
 // processors. At the exact thresholds P = m/n and P = mn/k² adjacent cases
 // coincide (the bound is continuous); CaseOf returns the lower-numbered

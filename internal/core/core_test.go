@@ -117,8 +117,8 @@ func TestCaseOfPaperExample(t *testing.T) {
 	}
 }
 
-func TestCaseStringAndGridDim(t *testing.T) {
-	if Case1.String() != "Case 1 (1D)" || Case2.GridDim() != 2 || Case3.GridDim() != 3 {
+func TestCaseString(t *testing.T) {
+	if Case1.String() != "Case 1 (1D)" || Case2.String() != "Case 2 (2D)" || Case3.String() != "Case 3 (3D)" {
 		t.Fatal("Case metadata wrong")
 	}
 	if Case(9).String() != "Case(9)" {
@@ -449,4 +449,40 @@ func TestPerfectStrongScalingLimitEqualsCrossover(t *testing.T) {
 	if PerfectStrongScalingLimit(d, 5e4) != CrossoverP(d, 5e4) {
 		t.Fatal("limit should equal the crossover")
 	}
+}
+
+// AttainableCost returns the communication cost of the optimal Algorithm 1
+// with the best processor grid, which by §5.2 matches LowerBound exactly in
+// every case (when the grid divides the dimensions):
+//
+//	Case 1: (1 − 1/P)·nk
+//	Case 2: 2·sqrt(mnk²/P) − (mk + nk)/P
+//	Case 3: 3·(mnk/P)^{2/3} − (mn + mk + nk)/P
+//
+// These are algebraically identical to LowerBound; the function exists so
+// the tightness test compares "bound" and "attained" from independent
+// formulas.
+func AttainableCost(d Dims, p int) float64 {
+	m, n, k := d.Sorted()
+	fm, fn, fk, fp := float64(m), float64(n), float64(k), float64(p)
+	switch CaseOf(d, p) {
+	case Case1:
+		return (1 - 1/fp) * fn * fk
+	case Case2:
+		return 2*math.Sqrt(fm*fn*fk*fk/fp) - (fm*fk+fn*fk)/fp
+	default:
+		return 3*math.Pow(fm*fn*fk/fp, 2.0/3.0) - (fm*fn+fm*fk+fn*fk)/fp
+	}
+}
+
+// MemoryDependentDominates reports whether, for the given instance and
+// local memory M, the memory-dependent leading term 2mnk/(P·sqrt(M))
+// exceeds the memory-independent bound D of Theorem 3. Per §6.2 this can
+// happen only in Case 3 (where D = 3(mnk/P)^{2/3}), and only when
+// mn/k² < P < (8/27)·mnk/M^{3/2}; in Cases 1 and 2 the forced M > mn/P
+// makes the memory-independent bound dominate always (the paper's AM-GM
+// argument compares the full bounds, which is why D, not the leading term,
+// is used here).
+func MemoryDependentDominates(d Dims, p int, mem float64) bool {
+	return MemoryDependentLeading(d, p, mem) > D(d, p)
 }

@@ -26,18 +26,6 @@ func MinLocalMemory(d Dims, p int) float64 {
 // D (the positive terms of eq. 3) — see §6.2.
 func Alg1LocalMemory(d Dims, p int) float64 { return D(d, p) }
 
-// MemoryDependentDominates reports whether, for the given instance and
-// local memory M, the memory-dependent leading term 2mnk/(P·sqrt(M))
-// exceeds the memory-independent bound D of Theorem 3. Per §6.2 this can
-// happen only in Case 3 (where D = 3(mnk/P)^{2/3}), and only when
-// mn/k² < P < (8/27)·mnk/M^{3/2}; in Cases 1 and 2 the forced M > mn/P
-// makes the memory-independent bound dominate always (the paper's AM-GM
-// argument compares the full bounds, which is why D, not the leading term,
-// is used here).
-func MemoryDependentDominates(d Dims, p int, mem float64) bool {
-	return MemoryDependentLeading(d, p, mem) > D(d, p)
-}
-
 // CrossoverP returns the processor count below which (and above mn/k²) the
 // memory-dependent bound dominates the Case 3 memory-independent bound for
 // memory M: the §6.2 threshold P = (8/27)·mnk/M^{3/2}. For P beyond it the

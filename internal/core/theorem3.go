@@ -51,26 +51,3 @@ func Corollary4(n, p int) float64 {
 	fn, fp := float64(n), float64(p)
 	return 3*fn*fn/math.Pow(fp, 2.0/3.0) - 3*fn*fn/fp
 }
-
-// AttainableCost returns the communication cost of the optimal Algorithm 1
-// with the best processor grid, which by §5.2 matches LowerBound exactly in
-// every case (when the grid divides the dimensions):
-//
-//	Case 1: (1 − 1/P)·nk
-//	Case 2: 2·sqrt(mnk²/P) − (mk + nk)/P
-//	Case 3: 3·(mnk/P)^{2/3} − (mn + mk + nk)/P
-//
-// These are algebraically identical to LowerBound; the function exists so
-// experiments can report "bound" and "attained" from independent formulas.
-func AttainableCost(d Dims, p int) float64 {
-	m, n, k := d.Sorted()
-	fm, fn, fk, fp := float64(m), float64(n), float64(k), float64(p)
-	switch CaseOf(d, p) {
-	case Case1:
-		return (1 - 1/fp) * fn * fk
-	case Case2:
-		return 2*math.Sqrt(fm*fn*fk*fk/fp) - (fm*fk+fn*fk)/fp
-	default:
-		return 3*math.Pow(fm*fn*fk/fp, 2.0/3.0) - (fm*fn+fm*fk+fn*fk)/fp
-	}
-}

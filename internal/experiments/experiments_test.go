@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"regexp"
 	"strings"
 	"testing"
@@ -286,7 +287,7 @@ func TestExtensionExperiment(t *testing.T) {
 }
 
 func TestRuntimeModelExperiment(t *testing.T) {
-	a, err := RuntimeModel(DefaultRectDims, DefaultRuntimeConfig, []int{1, 16, 512})
+	a, err := RuntimeModelContext(context.Background(), DefaultRectDims, DefaultRuntimeConfig, []int{1, 16, 512})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func TestKKTCertificateGeneral(t *testing.T) {
 }
 
 func TestGridRoundTripAndFibers(t *testing.T) {
-	g := NewGrid(2, 3, 2, 2)
+	g := Grid{Dims: []int{2, 3, 2, 2}}
 	if g.Size() != 24 || g.String() != "2x3x2x2" {
 		t.Fatalf("grid metadata: %v size %d", g, g.Size())
 	}
@@ -161,7 +161,7 @@ func TestRunMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(pr, NewGrid(c.grid...), 9, machine.BandwidthOnly())
+		res, err := Run(pr, Grid{Dims: c.grid}, 9, machine.BandwidthOnly())
 		if err != nil {
 			t.Fatalf("dims %v grid %v: %v", c.dims, c.grid, err)
 		}
@@ -196,16 +196,16 @@ func TestRunAttainsGeneralBound(t *testing.T) {
 
 func TestRunGridValidation(t *testing.T) {
 	pr, _ := NewProblem(4, 4, 4)
-	if _, err := Run(pr, NewGrid(2, 2), 1, machine.BandwidthOnly()); err == nil {
+	if _, err := Run(pr, Grid{Dims: []int{2, 2}}, 1, machine.BandwidthOnly()); err == nil {
 		t.Fatal("expected dimension mismatch error")
 	}
-	if _, err := Run(pr, NewGrid(8, 1, 1), 1, machine.BandwidthOnly()); err == nil {
+	if _, err := Run(pr, Grid{Dims: []int{8, 1, 1}}, 1, machine.BandwidthOnly()); err == nil {
 		t.Fatal("expected grid-exceeds-dims error")
 	}
 }
 
 func TestGridPanics(t *testing.T) {
-	g := NewGrid(2, 2)
+	g := Grid{Dims: []int{2, 2}}
 	for _, fn := range []func(){
 		func() { g.Rank([]int{1}) },
 		func() { g.Rank([]int{2, 0}) },
@@ -220,4 +220,27 @@ func TestGridPanics(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// Divides reports whether the grid divides both the iteration dimensions
+// and every array block by its fiber size — the conditions for word-exact
+// attainment.
+func Divides(pr Problem, g Grid) bool {
+	for i := range pr.N {
+		if pr.N[i]%g.Dims[i] != 0 {
+			return false
+		}
+	}
+	for j := range pr.N {
+		blk := 1
+		for i := range pr.N {
+			if i != j {
+				blk *= pr.N[i] / g.Dims[i]
+			}
+		}
+		if blk%g.Dims[j] != 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -25,7 +25,7 @@ func FuzzRunMatchesSerial(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := NewGrid(gdims...)
+		g := Grid{Dims: gdims}
 		res, err := Run(pr, g, seed, machine.BandwidthOnly())
 		if err != nil {
 			t.Fatal(err)

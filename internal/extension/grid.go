@@ -11,13 +11,6 @@ type Grid struct {
 	Dims []int
 }
 
-// NewGrid constructs a grid from per-dimension extents.
-func NewGrid(dims ...int) Grid {
-	g := Grid{Dims: make([]int, len(dims))}
-	copy(g.Dims, dims)
-	return g
-}
-
 // Size returns the number of processors Π Dims[j].
 func (g Grid) Size() int {
 	s := 1
@@ -131,27 +124,4 @@ func Optimal(pr Problem, p int) Grid {
 	}
 	rec(0, p)
 	return Grid{Dims: best}
-}
-
-// Divides reports whether the grid divides both the iteration dimensions
-// and every array block by its fiber size — the conditions for word-exact
-// attainment.
-func Divides(pr Problem, g Grid) bool {
-	for i := range pr.N {
-		if pr.N[i]%g.Dims[i] != 0 {
-			return false
-		}
-	}
-	for j := range pr.N {
-		blk := 1
-		for i := range pr.N {
-			if i != j {
-				blk *= pr.N[i] / g.Dims[i]
-			}
-		}
-		if blk%g.Dims[j] != 0 {
-			return false
-		}
-	}
-	return true
 }

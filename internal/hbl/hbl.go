@@ -184,9 +184,6 @@ func validName(name, kind string) error {
 	return nil
 }
 
-// D returns the number of loop indices.
-func (p Program) D() int { return len(p.Indices) }
-
 // indexOf maps index names to their position. The program must be
 // validated.
 func (p Program) indexOf() map[string]int {

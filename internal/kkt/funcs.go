@@ -1,9 +1,9 @@
 // Package kkt implements the convex-optimization machinery of §3.2 of the
-// paper: differentiable convexity and quasiconvexity (Definitions 2 and 3),
-// the Karush-Kuhn-Tucker conditions (Definition 4), a verifier for KKT
-// sufficiency in the setting of Lemma 6 (convex objective, quasiconvex
-// constraints), and analytic plus brute-force solvers for the "product
-// lower bound" optimization problem that is the crux of the paper's Lemma 2:
+// paper: the Karush-Kuhn-Tucker conditions (Definition 4) with residuals
+// that certify optimality in the setting of Lemma 6 (convex objective,
+// quasiconvex constraints), Lemma 5's product constraint, and the analytic
+// solver for the "product lower bound" optimization problem that is the
+// crux of the paper's Lemma 2:
 //
 //	minimize    x_1 + ... + x_d
 //	subject to  x_1 · ... · x_d ≥ L
@@ -13,11 +13,10 @@
 // derives case-by-case for d = 3, generalized to any dimension: variables
 // with large individual lower bounds sit at those bounds, and the remaining
 // free variables are equal, raised just enough to make the product
-// constraint tight. The brute-force solver exists purely as an independent
-// numerical oracle for tests.
+// constraint tight. The tests check it against independent numerical
+// oracles (brute force and projected descent) and check Definitions 2 and
+// 3 (convexity, quasiconvexity) on samples.
 package kkt
-
-import "fmt"
 
 // Vector is a point in R^d.
 type Vector []float64
@@ -47,80 +46,11 @@ func (v Vector) Prod() float64 {
 	return p
 }
 
-// Dot returns the inner product ⟨v, w⟩.
-func (v Vector) Dot(w Vector) float64 {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("kkt: Dot length mismatch %d vs %d", len(v), len(w)))
-	}
-	s := 0.0
-	for i, x := range v {
-		s += x * w[i]
-	}
-	return s
-}
-
-// Sub returns v − w.
-func (v Vector) Sub(w Vector) Vector {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("kkt: Sub length mismatch %d vs %d", len(v), len(w)))
-	}
-	out := make(Vector, len(v))
-	for i := range out {
-		out[i] = v[i] - w[i]
-	}
-	return out
-}
-
 // Func is a scalar function on R^d.
 type Func func(Vector) float64
 
 // Grad is a gradient function on R^d.
 type Grad func(Vector) Vector
-
-// NumericalGrad approximates the gradient of f at x by central differences
-// with step h per coordinate.
-func NumericalGrad(f Func, x Vector, h float64) Vector {
-	g := make(Vector, len(x))
-	for i := range x {
-		xp, xm := x.Clone(), x.Clone()
-		xp[i] += h
-		xm[i] -= h
-		g[i] = (f(xp) - f(xm)) / (2 * h)
-	}
-	return g
-}
-
-// ConvexOnSamples checks Definition 2 — f(y) ≥ f(x) + ⟨∇f(x), y−x⟩ — for
-// every ordered pair of the supplied sample points, within tol. It is a
-// falsification tool for tests, not a proof of convexity.
-func ConvexOnSamples(f Func, grad Grad, samples []Vector, tol float64) bool {
-	for _, x := range samples {
-		gx := grad(x)
-		fx := f(x)
-		for _, y := range samples {
-			if f(y) < fx+gx.Dot(y.Sub(x))-tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// QuasiconvexOnSamples checks Definition 3 — g(y) ≤ g(x) implies
-// ⟨∇g(x), y−x⟩ ≤ 0 — for every ordered pair of the supplied sample points,
-// within tol.
-func QuasiconvexOnSamples(g Func, grad Grad, samples []Vector, tol float64) bool {
-	for _, x := range samples {
-		gx := grad(x)
-		vx := g(x)
-		for _, y := range samples {
-			if g(y) <= vx && gx.Dot(y.Sub(x)) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
 
 // ProductConstraint returns the paper's Lemma 5 function
 // g0(x) = L − x_1·x_2·...·x_d together with its gradient. Lemma 5 proves g0

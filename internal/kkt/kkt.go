@@ -83,13 +83,6 @@ func (p *Problem) Check(pt Point) Residuals {
 	return r
 }
 
-// IsKKT reports whether pt satisfies all four KKT conditions within tol.
-// Under the hypotheses of the paper's Lemma 6 (convex objective, quasiconvex
-// constraints) this certifies global optimality of pt.X.
-func (p *Problem) IsKKT(pt Point, tol float64) bool {
-	return p.Check(pt).Max() <= tol
-}
-
 func abs(x float64) float64 {
 	if x < 0 {
 		return -x

@@ -1,6 +1,7 @@
 package kkt
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -339,4 +340,80 @@ func TestCheckRejectsBadPoint(t *testing.T) {
 	if res.Stationarity < 0.5 {
 		t.Fatalf("expected stationarity violation, got %+v", res)
 	}
+}
+
+// Dot returns the inner product ⟨v, w⟩.
+func (v Vector) Dot(w Vector) float64 {
+	if len(v) != len(w) {
+		panic(fmt.Sprintf("kkt: Dot length mismatch %d vs %d", len(v), len(w)))
+	}
+	s := 0.0
+	for i, x := range v {
+		s += x * w[i]
+	}
+	return s
+}
+
+// Sub returns v − w.
+func (v Vector) Sub(w Vector) Vector {
+	if len(v) != len(w) {
+		panic(fmt.Sprintf("kkt: Sub length mismatch %d vs %d", len(v), len(w)))
+	}
+	out := make(Vector, len(v))
+	for i := range out {
+		out[i] = v[i] - w[i]
+	}
+	return out
+}
+
+// NumericalGrad approximates the gradient of f at x by central differences
+// with step h per coordinate.
+func NumericalGrad(f Func, x Vector, h float64) Vector {
+	g := make(Vector, len(x))
+	for i := range x {
+		xp, xm := x.Clone(), x.Clone()
+		xp[i] += h
+		xm[i] -= h
+		g[i] = (f(xp) - f(xm)) / (2 * h)
+	}
+	return g
+}
+
+// ConvexOnSamples checks Definition 2 — f(y) ≥ f(x) + ⟨∇f(x), y−x⟩ — for
+// every ordered pair of the supplied sample points, within tol. It is a
+// falsification tool for tests, not a proof of convexity.
+func ConvexOnSamples(f Func, grad Grad, samples []Vector, tol float64) bool {
+	for _, x := range samples {
+		gx := grad(x)
+		fx := f(x)
+		for _, y := range samples {
+			if f(y) < fx+gx.Dot(y.Sub(x))-tol {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// QuasiconvexOnSamples checks Definition 3 — g(y) ≤ g(x) implies
+// ⟨∇g(x), y−x⟩ ≤ 0 — for every ordered pair of the supplied sample points,
+// within tol.
+func QuasiconvexOnSamples(g Func, grad Grad, samples []Vector, tol float64) bool {
+	for _, x := range samples {
+		gx := grad(x)
+		vx := g(x)
+		for _, y := range samples {
+			if g(y) <= vx && gx.Dot(y.Sub(x)) > tol {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// IsKKT reports whether pt satisfies all four KKT conditions within tol.
+// Under the hypotheses of the paper's Lemma 6 (convex objective, quasiconvex
+// constraints) this certifies global optimality of pt.X.
+func (p *Problem) IsKKT(pt Point, tol float64) bool {
+	return p.Check(pt).Max() <= tol
 }

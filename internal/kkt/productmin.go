@@ -76,12 +76,6 @@ func (p ProductMin) Solve() (x Vector, activeFree int) {
 	panic(fmt.Sprintf("kkt: ProductMin.Solve found no consistent active set for L=%v lower=%v", p.L, p.Lower))
 }
 
-// Optimum returns the optimal objective value Σ_i x*_i.
-func (p ProductMin) Optimum() float64 {
-	x, _ := p.Solve()
-	return x.Sum()
-}
-
 // Problem converts the ProductMin instance into the generic KKT Problem
 // form of Definition 4, with the product constraint first followed by the
 // d individual lower-bound constraints (matching the paper's ordering of

@@ -4,18 +4,6 @@ package lattice
 // (§4.1): lower bounds on individual array access for a processor that
 // performs at least a 1/P fraction of an n1×n2×n3 iteration space.
 
-// AccessLowerBounds returns the per-array access lower bounds of Lemma 1 for
-// a processor performing at least 1/P of the multiplications of an
-// n1×n2 · n2×n3 product: it must access at least n1·n2/P elements of A,
-// n2·n3/P elements of B, and contribute to at least n1·n3/P elements of C.
-// The values are returned as exact rationals evaluated in float64.
-func AccessLowerBounds(n1, n2, n3 int, p int) (a, b, c float64) {
-	fp := float64(p)
-	return float64(n1) * float64(n2) / fp,
-		float64(n2) * float64(n3) / fp,
-		float64(n1) * float64(n3) / fp
-}
-
 // SatisfiesAccessBounds reports whether the projections of V satisfy the
 // Lemma 1 bounds for an n1×n2×n3 space divided among p processors, assuming
 // V holds at least a 1/p share of the multiplications. It returns false
@@ -47,11 +35,4 @@ func SatisfiesAccessBounds(v *Set, n1, n2, n3, p int) bool {
 	}
 	pa, pb, pc := v.Projections()
 	return int64(pa) >= ceilDiv(a*b) && int64(pb) >= ceilDiv(b*c) && int64(pc) >= ceilDiv(a*c)
-}
-
-// MultiplicationsPerElement returns how many scalar multiplications each
-// element of A, B, and C participates in (n3, n1, and n2 respectively) —
-// the counting fact Lemma 1's proof rests on.
-func MultiplicationsPerElement(n1, n2, n3 int) (perA, perB, perC int) {
-	return n3, n1, n2
 }

@@ -38,12 +38,6 @@ func NewSet() *Set { return &Set{points: make(map[Point]struct{})} }
 // Add inserts p into the set.
 func (s *Set) Add(p Point) { s.points[p] = struct{}{} }
 
-// Contains reports whether p is in the set.
-func (s *Set) Contains(p Point) bool {
-	_, ok := s.points[p]
-	return ok
-}
-
 // Len returns |V|, the number of points (scalar multiplications).
 func (s *Set) Len() int { return len(s.points) }
 
@@ -105,13 +99,6 @@ func (s *Set) LoomisWhitneyHolds() bool {
 	return int64(s.Len()) <= int64(a)*int64(b)*int64(c)
 }
 
-// LoomisWhitneySlack returns |φ_A|·|φ_B|·|φ_C| − |V| (≥ 0 when the
-// inequality holds). A slack of zero means V is a combinatorial brick.
-func (s *Set) LoomisWhitneySlack() int64 {
-	a, b, c := s.Projections()
-	return int64(a)*int64(b)*int64(c) - int64(s.Len())
-}
-
 // Brick returns the axis-aligned box of points with I1 ∈ [lo1, hi1),
 // I2 ∈ [lo2, hi2), I3 ∈ [lo3, hi3) — the shape Algorithm 1 assigns to each
 // processor, for which Loomis-Whitney holds with equality.
@@ -130,28 +117,6 @@ func Brick(lo1, hi1, lo2, hi2, lo3, hi3 int) *Set {
 	return s
 }
 
-// FullIterationSpace returns the complete n1×n2×n3 iteration space of
-// multiplying an n1×n2 matrix by an n2×n3 matrix.
-func FullIterationSpace(n1, n2, n3 int) *Set { return Brick(0, n1, 0, n2, 0, n3) }
-
-// RandomSubset returns a pseudo-random subset of the n1×n2×n3 iteration
-// space in which each point appears independently with probability prob,
-// deterministically derived from seed.
-func RandomSubset(n1, n2, n3 int, prob float64, seed uint64) *Set {
-	rng := splitMix64{state: seed}
-	s := NewSet()
-	for i1 := 0; i1 < n1; i1++ {
-		for i2 := 0; i2 < n2; i2++ {
-			for i3 := 0; i3 < n3; i3++ {
-				if rng.float64() < prob {
-					s.Add(Point{i1, i2, i3})
-				}
-			}
-		}
-	}
-	return s
-}
-
 // splitMix64 mirrors the matrix package's deterministic PRNG; duplicated
 // locally to keep lattice dependency-free.
 type splitMix64 struct{ state uint64 }
@@ -162,8 +127,4 @@ func (s *splitMix64) next() uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-func (s *splitMix64) float64() float64 {
-	return float64(s.next()>>11) / (1 << 53)
 }

@@ -229,3 +229,62 @@ func TestRandomSubsetDeterministic(t *testing.T) {
 		t.Fatal("prob 1 should give full set")
 	}
 }
+
+// AccessLowerBounds returns the per-array access lower bounds of Lemma 1 for
+// a processor performing at least 1/P of the multiplications of an
+// n1×n2 · n2×n3 product: it must access at least n1·n2/P elements of A,
+// n2·n3/P elements of B, and contribute to at least n1·n3/P elements of C.
+// The values are returned as exact rationals evaluated in float64.
+func AccessLowerBounds(n1, n2, n3 int, p int) (a, b, c float64) {
+	fp := float64(p)
+	return float64(n1) * float64(n2) / fp,
+		float64(n2) * float64(n3) / fp,
+		float64(n1) * float64(n3) / fp
+}
+
+// MultiplicationsPerElement returns how many scalar multiplications each
+// element of A, B, and C participates in (n3, n1, and n2 respectively) —
+// the counting fact Lemma 1's proof rests on.
+func MultiplicationsPerElement(n1, n2, n3 int) (perA, perB, perC int) {
+	return n3, n1, n2
+}
+
+// Contains reports whether p is in the set.
+func (s *Set) Contains(p Point) bool {
+	_, ok := s.points[p]
+	return ok
+}
+
+// LoomisWhitneySlack returns |φ_A|·|φ_B|·|φ_C| − |V| (≥ 0 when the
+// inequality holds). A slack of zero means V is a combinatorial brick.
+func (s *Set) LoomisWhitneySlack() int64 {
+	a, b, c := s.Projections()
+	return int64(a)*int64(b)*int64(c) - int64(s.Len())
+}
+
+// FullIterationSpace returns the complete n1×n2×n3 iteration space of
+// multiplying an n1×n2 matrix by an n2×n3 matrix.
+func FullIterationSpace(n1, n2, n3 int) *Set { return Brick(0, n1, 0, n2, 0, n3) }
+
+// RandomSubset returns a pseudo-random subset of the n1×n2×n3 iteration
+// space in which each point appears independently with probability prob,
+// deterministically derived from seed.
+func RandomSubset(n1, n2, n3 int, prob float64, seed uint64) *Set {
+	rng := splitMix64{state: seed}
+	s := NewSet()
+	for i1 := 0; i1 < n1; i1++ {
+		for i2 := 0; i2 < n2; i2++ {
+			for i3 := 0; i3 < n3; i3++ {
+				if rng.float64() < prob {
+					s.Add(Point{i1, i2, i3})
+				}
+			}
+		}
+	}
+	return s
+}
+
+// float64 returns a uniform value in [0, 1).
+func (s *splitMix64) float64() float64 {
+	return float64(s.next()>>11) / (1 << 53)
+}

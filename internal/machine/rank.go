@@ -36,9 +36,6 @@ func (r *Rank) ID() int { return r.id }
 // P returns the world size.
 func (r *Rank) P() int { return r.world.p }
 
-// Clock returns the rank's current simulated time.
-func (r *Rank) Clock() float64 { return r.clock }
-
 // SetPhase labels subsequent communication for per-phase accounting (e.g.
 // "allgather-A"). The empty string disables attribution. With tracing
 // enabled, each contiguous stretch under one label is also recorded as a
@@ -189,17 +186,11 @@ func (r *Rank) RecvInto(src, tag int, dst []float64) int {
 	return n
 }
 
-// SendRecv posts a send to dst and then receives from src, modelling the
-// simultaneous exchange permitted by the bidirectional links of §3.1.
-func (r *Rank) SendRecv(dst, src, tag int, data []float64) []float64 {
-	r.Send(dst, tag, data)
-	return r.Recv(src, tag)
-}
-
-// SendRecvInto is SendRecv with the received payload copied into dst and
-// the in-flight buffer recycled (see RecvInto). data and dst may alias:
-// Send serializes data into a pooled buffer before the receive overwrites
-// dst.
+// SendRecvInto posts a send to dst and then receives from src into the
+// buffer into, modelling the simultaneous exchange permitted by the
+// bidirectional links of §3.1; the in-flight buffer is recycled (see
+// RecvInto). data and into may alias: Send serializes data into a pooled
+// buffer before the receive overwrites into.
 func (r *Rank) SendRecvInto(dst, src, tag int, data, into []float64) int {
 	r.Send(dst, tag, data)
 	return r.RecvInto(src, tag, into)
@@ -249,6 +240,3 @@ func (r *Rank) ShrinkMemory(words float64) {
 		panic("machine: memory accounting went negative")
 	}
 }
-
-// MemoryInUse returns the currently recorded local-memory usage in words.
-func (r *Rank) MemoryInUse() float64 { return r.curMemory }

@@ -46,15 +46,6 @@ type WorldStats struct {
 // sent; both are reported in WorldStats for asymmetric patterns.
 func (s WorldStats) CommCost() float64 { return s.MaxWordsRecv }
 
-// PhaseRecvTotal sums a named phase's received words over ranks.
-func (s WorldStats) PhaseRecvTotal(phase string) float64 {
-	t := 0.0
-	for _, r := range s.Ranks {
-		t += r.PhaseRecvWords[phase]
-	}
-	return t
-}
-
 // MaxPhaseRecv returns the per-rank maximum of received words in a phase.
 func (s WorldStats) MaxPhaseRecv(phase string) float64 {
 	m := 0.0

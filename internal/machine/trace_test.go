@@ -179,7 +179,7 @@ func TestChromeTraceSingleRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf, w.P()); err != nil {
+	if err := tr.WriteChromeTrace(&buf, w.p); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

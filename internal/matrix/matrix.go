@@ -2,8 +2,8 @@
 // parallel matrix multiplication simulator: a row-major dense matrix type,
 // sequential and blocked shared-memory parallel multiplication kernels,
 // balanced block partitioning of index ranges (the distribution logic used
-// by every distributed algorithm), and small utilities (norms, comparisons,
-// transposes, sub-block copies).
+// by every distributed algorithm), and small utilities (comparisons,
+// sub-block copies).
 //
 // The package is deliberately self-contained and uses only the standard
 // library, playing the role that a BLAS implementation plays in the paper's
@@ -51,17 +51,6 @@ func Wrap(r, c int, data []float64) Dense {
 	return Dense{rows: r, cols: c, stride: c, data: data}
 }
 
-// NewFromSlice returns an r×c matrix backed by a copy of data, which must
-// have exactly r*c elements in row-major order.
-func NewFromSlice(r, c int, data []float64) *Dense {
-	if len(data) != r*c {
-		panic(fmt.Sprintf("matrix: NewFromSlice got %d elements for %dx%d", len(data), r, c))
-	}
-	d := New(r, c)
-	copy(d.data, data)
-	return d
-}
-
 // Rows returns the number of rows.
 func (m *Dense) Rows() int { return m.rows }
 
@@ -75,18 +64,6 @@ func (m *Dense) Size() int { return m.rows * m.cols }
 func (m *Dense) At(i, j int) float64 {
 	m.checkIndex(i, j)
 	return m.data[i*m.stride+j]
-}
-
-// Set assigns v to the element at row i, column j.
-func (m *Dense) Set(i, j int, v float64) {
-	m.checkIndex(i, j)
-	m.data[i*m.stride+j] = v
-}
-
-// Add adds v to the element at row i, column j.
-func (m *Dense) Add(i, j int, v float64) {
-	m.checkIndex(i, j)
-	m.data[i*m.stride+j] += v
 }
 
 func (m *Dense) checkIndex(i, j int) {
@@ -178,18 +155,6 @@ func (m *Dense) Unpack(data []float64) {
 	}
 }
 
-// Transpose returns a newly allocated transpose of m.
-func (m *Dense) Transpose() *Dense {
-	out := New(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.data[j*out.stride+i] = v
-		}
-	}
-	return out
-}
-
 // Scale multiplies every element of m by s in place.
 func (m *Dense) Scale(s float64) {
 	for i := 0; i < m.rows; i++ {
@@ -246,17 +211,6 @@ func (m *Dense) MaxAbsDiff(other *Dense) float64 {
 		}
 	}
 	return max
-}
-
-// FrobeniusNorm returns sqrt(sum of squared elements).
-func (m *Dense) FrobeniusNorm() float64 {
-	sum := 0.0
-	for i := 0; i < m.rows; i++ {
-		for _, v := range m.Row(i) {
-			sum += v * v
-		}
-	}
-	return math.Sqrt(sum)
 }
 
 // String renders small matrices for debugging; large matrices are elided.

@@ -66,20 +66,12 @@ func mulAddRange(c, a, b *Dense, i0, i1 int) {
 	}
 }
 
-// MulInto computes c = a·b with the blocked kernel, reusing c's existing
-// storage (c is zeroed first), and returns c. It is the allocation-free
-// counterpart of Mul for callers that hold a destination — typically a
-// pooled buffer wrapped with Wrap — and panics on shape mismatch.
-func (c *Dense) MulInto(a, b *Dense) *Dense {
-	checkMulShapes(c, a, b)
-	c.Zero()
-	mulAddRange(c, a, b, 0, a.rows)
-	return c
-}
-
-// MulIntoVal is MulInto on matrix values (typically Wrap-ped pooled
-// buffers): like MulAddVal, the sequential path keeps the headers on the
-// caller's stack, and workers > 1 delegates to the parallel kernel.
+// MulIntoVal computes c = a·b with the blocked kernel, reusing c's existing
+// storage (c is zeroed first), and panics on shape mismatch. It takes
+// matrix values (typically Wrap-ped pooled buffers): because the sequential
+// path never lets the headers reach a goroutine closure, escape analysis
+// keeps them on the caller's stack. workers > 1 delegates to the parallel
+// kernel, paying the three header allocations only on that branch.
 func MulIntoVal(c, a, b Dense, workers int) {
 	checkMulShapes(&c, &a, &b)
 	c.Zero()
@@ -126,46 +118,13 @@ func MulAddParallel(c, a, b *Dense, workers int) {
 	wg.Wait()
 }
 
-// MulAddVal is MulAdd on matrix values (typically Wrap-ped pooled buffers):
-// because the sequential path never lets the headers reach a goroutine
-// closure, escape analysis keeps them on the caller's stack. workers > 1
-// delegates to the parallel kernel, paying the three header allocations
-// only on that branch.
-func MulAddVal(c, a, b Dense, workers int) {
-	if workers > 1 {
-		mulAddParallelCopy(c, a, b, workers)
-		return
-	}
-	checkMulShapes(&c, &a, &b)
-	mulAddRange(&c, &a, &b, 0, a.rows)
-}
-
 // mulAddParallelCopy hands fresh header copies to MulAddParallel. It must
-// not be inlined: inlining would merge its escaping copies into MulAddVal's
+// not be inlined: inlining would merge its escaping copies into MulIntoVal's
 // frame and force the sequential path's headers onto the heap too.
 //
 //go:noinline
 func mulAddParallelCopy(c, a, b Dense, workers int) {
 	MulAddParallel(&c, &a, &b, workers)
-}
-
-// MulNaive is the unblocked triple loop, kept as an independent oracle for
-// testing the optimized kernels.
-func MulNaive(a, b *Dense) *Dense {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("matrix: Mul inner dimension mismatch %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	c := New(a.rows, b.cols)
-	for i := 0; i < a.rows; i++ {
-		for j := 0; j < b.cols; j++ {
-			sum := 0.0
-			for k := 0; k < a.cols; k++ {
-				sum += a.At(i, k) * b.At(k, j)
-			}
-			c.Set(i, j, sum)
-		}
-	}
-	return c
 }
 
 func checkMulShapes(c, a, b *Dense) {

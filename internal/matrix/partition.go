@@ -77,11 +77,3 @@ func BlockView(m *Dense, pr, pc, i, j int) Dense {
 	c := PartSize(m.Cols(), pc, j)
 	return Dense{rows: r, cols: c, stride: m.stride, data: m.data[r0*m.stride+c0:]}
 }
-
-// SetBlock copies block into position (i, j) of the pr×pc balanced 2D block
-// partition of m.
-func SetBlock(m *Dense, pr, pc, i, j int, block *Dense) {
-	r0 := PartStart(m.Rows(), pr, i)
-	c0 := PartStart(m.Cols(), pc, j)
-	m.View(r0, c0, block.Rows(), block.Cols()).CopyFrom(block)
-}

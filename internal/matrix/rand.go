@@ -45,12 +45,3 @@ func Indexed(r, c int) *Dense {
 	}
 	return m
 }
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Dense {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}

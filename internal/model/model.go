@@ -87,47 +87,9 @@ func Alg1Time(d core.Dims, g grid.Grid, cfg machine.Config, alg collective.Algor
 	}
 }
 
-// Alg1TimeUnderMemory predicts Algorithm 1 on the cheapest grid whose
-// per-processor footprint fits in mem words (grid.OptimalUnderMemory),
-// returning the chosen grid alongside the prediction. ok is false when no
-// grid over p processors fits — the regime left of the §6.2 memory floor,
-// where the planner reports the bound but no feasible schedule.
-func Alg1TimeUnderMemory(d core.Dims, p int, mem float64, cfg machine.Config, alg collective.Algorithm) (pred Prediction, g grid.Grid, ok bool) {
-	g, ok = grid.OptimalUnderMemory(d, p, mem)
-	if !ok {
-		return Prediction{}, grid.Grid{}, false
-	}
-	return Alg1Time(d, g, cfg, alg), g, true
-}
-
 // SerialTime returns the single-processor execution time γ·mnk.
 func SerialTime(d core.Dims, cfg machine.Config) float64 {
 	return cfg.Gamma * d.Flops()
-}
-
-// Speedup returns SerialTime / Alg1Time on the optimal grid for each P.
-func Speedup(d core.Dims, cfg machine.Config, ps []int) []float64 {
-	out := make([]float64, len(ps))
-	serial := SerialTime(d, cfg)
-	for i, p := range ps {
-		g := grid.Optimal(d, p)
-		t := Alg1Time(d, g, cfg, collective.Auto).Total()
-		if t > 0 {
-			out[i] = serial / t
-		} else {
-			out[i] = 1
-		}
-	}
-	return out
-}
-
-// Efficiency returns Speedup/P for each P.
-func Efficiency(d core.Dims, cfg machine.Config, ps []int) []float64 {
-	sp := Speedup(d, cfg, ps)
-	for i, p := range ps {
-		sp[i] /= float64(p)
-	}
-	return sp
 }
 
 // CommBoundProcessors returns the processor count beyond which Algorithm

@@ -120,3 +120,28 @@ func TestCommBoundProcessors(t *testing.T) {
 		t.Fatalf("compute should dominate at small P: %+v", small)
 	}
 }
+
+// Speedup returns SerialTime / Alg1Time on the optimal grid for each P.
+func Speedup(d core.Dims, cfg machine.Config, ps []int) []float64 {
+	out := make([]float64, len(ps))
+	serial := SerialTime(d, cfg)
+	for i, p := range ps {
+		g := grid.Optimal(d, p)
+		t := Alg1Time(d, g, cfg, collective.Auto).Total()
+		if t > 0 {
+			out[i] = serial / t
+		} else {
+			out[i] = 1
+		}
+	}
+	return out
+}
+
+// Efficiency returns Speedup/P for each P.
+func Efficiency(d core.Dims, cfg machine.Config, ps []int) []float64 {
+	sp := Speedup(d, cfg, ps)
+	for i, p := range ps {
+		sp[i] /= float64(p)
+	}
+	return sp
+}

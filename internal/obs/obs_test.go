@@ -16,12 +16,13 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Value())
 	}
-	g := r.Gauge("g", "a gauge")
-	g.Set(7)
-	g.Dec()
-	g.Add(-2)
-	if g.Value() != 4 {
-		t.Fatalf("gauge = %d, want 4", g.Value())
+	v := 7.0
+	r.GaugeFunc("g", "a gauge", func() float64 { return v })
+	v = 4
+	var sb strings.Builder
+	r.WritePrometheus(&sb)
+	if !strings.Contains(sb.String(), "\ng 4\n") {
+		t.Fatalf("gauge scrape, want g 4:\n%s", sb.String())
 	}
 }
 
@@ -97,7 +98,7 @@ func TestKindMismatchPanics(t *testing.T) {
 			t.Fatal("no panic on kind mismatch")
 		}
 	}()
-	r.Gauge("m", "m")
+	r.GaugeFunc("m", "m", func() float64 { return 0 })
 }
 
 func TestExpositionFormat(t *testing.T) {
@@ -138,14 +139,11 @@ func TestUpdateAllocs(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("ac_total", "c")
 	s := r.Striped("as_total", "s")
-	g := r.Gauge("ag", "g")
 	h := r.Histogram("ah_seconds", "h", nil)
 	if n := testing.AllocsPerRun(100, func() {
 		c.Inc()
 		c.Add(3)
 		s.Add(17, 5)
-		g.Set(9)
-		g.Add(-1)
 		h.Observe(0.012)
 	}); n != 0 {
 		t.Fatalf("metric updates allocate %.1f allocs/op, want 0", n)
@@ -158,7 +156,6 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("cc_total", "c")
 	s := r.Striped("cs_total", "s")
-	g := r.Gauge("cg", "g")
 	h := r.Histogram("ch_seconds", "h", nil)
 	const (
 		workers = 8
@@ -172,7 +169,6 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				c.Inc()
 				s.Add(wkr, 1)
-				g.Add(1)
 				h.Observe(float64(i) * 1e-4)
 				if i%500 == 0 {
 					var sb strings.Builder
@@ -223,7 +219,7 @@ func TestScrapeRegistrationRace(t *testing.T) {
 		// Same family (append to children) and fresh families (append to
 		// order), the two slices the scraper iterates.
 		r.Counter("race_total", "seed", "op", fmt.Sprintf("op%d", i)).Inc()
-		r.Gauge(fmt.Sprintf("race_fam_%d", i), "late family").Set(int64(i))
+		r.Counter(fmt.Sprintf("race_fam_%d_total", i), "late family").Inc()
 	}
 	close(stop)
 	wg.Wait()
@@ -302,3 +298,6 @@ func TestEnabledToggle(t *testing.T) {
 	}
 	SetEnabled(false)
 }
+
+// Add adds n.
+func (c *Counter) Add(n uint64) { c.v.Add(n) }

@@ -51,8 +51,6 @@ func (r *Registry) gather() []sample {
 				s.val = float64(m.Value())
 			case *Striped:
 				s.val = float64(m.Value())
-			case *Gauge:
-				s.val = float64(m.Value())
 			case func() float64:
 				s.val = m()
 			case *Histogram:
@@ -185,14 +183,6 @@ func (p *Pusher) Close() error {
 	<-p.done
 	p.Flush()
 	return p.conn.Close()
-}
-
-// Err returns the most recent send error, or nil. Cleared on a
-// successful flush.
-func (p *Pusher) Err() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lastErr
 }
 
 // Flush gathers every registry once and sends the interval's lines. Safe

@@ -106,7 +106,7 @@ func TestPushCounterDeltas(t *testing.T) {
 		t.Fatalf("second flush = %q, want the delta 3", got[1])
 	}
 	p.Flush() // no increments → no line
-	r.Gauge("tick", "marker").Set(1)
+	r.GaugeFunc("tick", "marker", func() float64 { return 1 })
 	p.Flush() // proves the quiet flush sent nothing, without sleeping
 	got = sink.waitLines(t, 3)
 	for _, l := range got[2:] {
@@ -119,11 +119,11 @@ func TestPushCounterDeltas(t *testing.T) {
 func TestPushGaugeAbsolute(t *testing.T) {
 	sink := newUDPSink(t)
 	r := NewRegistry()
-	g := r.Gauge("inflight", "in-flight jobs")
+	v := 7.0
+	r.GaugeFunc("inflight", "in-flight jobs", func() float64 { return v })
 	p := newTestPusher(t, PushConfig{Addr: sink.addr(), Registries: []*Registry{r}})
-	g.Set(7)
 	p.Flush()
-	g.Set(2)
+	v = 2
 	p.Flush()
 	got := sink.waitLines(t, 2)
 	if got[0] != "inflight:7|g" || got[1] != "inflight:2|g" {
@@ -246,7 +246,8 @@ func TestPushUDPPacketBatching(t *testing.T) {
 	// tiny MaxPacket; every line must still arrive.
 	const n = 40
 	for i := 0; i < n; i++ {
-		r.Gauge("g", "g", "idx", strings.Repeat("x", 20)+strconv.Itoa(i)).Set(int64(i))
+		v := float64(i)
+		r.GaugeFunc("g", "g", func() float64 { return v }, "idx", strings.Repeat("x", 20)+strconv.Itoa(i))
 	}
 	p := newTestPusher(t, PushConfig{Addr: sink.addr(), MaxPacket: 64, Registries: []*Registry{r}})
 	p.Flush()
@@ -325,7 +326,6 @@ func TestUpdateAllocsWithPusherActive(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("pac_total", "c")
 	s := r.Striped("pas_total", "s")
-	g := r.Gauge("pag", "g")
 	h := r.Histogram("pah_seconds", "h", nil)
 	p, err := NewPusher(PushConfig{Addr: sink.addr(), Interval: time.Millisecond, Registries: []*Registry{r}})
 	if err != nil {
@@ -335,7 +335,6 @@ func TestUpdateAllocsWithPusherActive(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		c.Inc()
 		s.Add(17, 5)
-		g.Set(9)
 		h.Observe(0.012)
 	}); n != 0 {
 		t.Fatalf("mutators allocate %.1f allocs/op with pusher active, want 0", n)

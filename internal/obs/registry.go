@@ -120,16 +120,6 @@ func (r *Registry) Striped(name, help string, labels ...string) *Striped {
 	}).(*Striped)
 }
 
-// Gauge registers (or returns the existing) gauge under name.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	return r.register(name, help, kindGauge, labels, func() (any, func(io.Writer, string, string)) {
-		g := &Gauge{}
-		return g, func(w io.Writer, n, l string) {
-			fmt.Fprintf(w, "%s%s %s\n", n, braced(l), strconv.FormatInt(g.Value(), 10))
-		}
-	}).(*Gauge)
-}
-
 // GaugeFunc registers a gauge whose value is read from fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
 	r.register(name, help, kindGauge, labels, func() (any, func(io.Writer, string, string)) {

@@ -11,13 +11,13 @@ import (
 // while costing only sixteen list heads of overhead.
 const cacheShards = 16
 
-// Cache is a sharded LRU memo for the service's pure computations
-// (OptimalGrid's exhaustive divisor search, CaseGrid, PredictAlg1Time,
-// LowerBound). Keys are strings built from the full input tuple — dims, P,
+// Cache is a sharded LRU memo for the service's pure computations that
+// cost more than a lookup (the grid searches, topology-priced predictions,
+// plan points and HBL solves). Keys are strings built from the full input tuple — dims, P,
 // and machine config where it matters — so a hit is exactly a repeat of an
 // earlier computation and the stored value can be returned verbatim.
-// Get/Put are safe for concurrent use; hit and miss counts are exported at
-// /metrics.
+// GetOrCompute is safe for concurrent use; hit and miss counts are
+// exported at /metrics.
 type Cache struct {
 	shards [cacheShards]cacheShard
 	hits   atomic.Int64
@@ -81,31 +81,6 @@ func (c *Cache) shardFor(key string) *cacheShard {
 		h *= prime64
 	}
 	return &c.shards[h%cacheShards]
-}
-
-// Get returns the cached value for key and whether it was present, marking
-// the entry most recently used.
-func (c *Cache) Get(key string) (any, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	s.order.MoveToFront(el)
-	c.hits.Add(1)
-	return el.Value.(*cacheEntry).val, true
-}
-
-// Put stores val under key, evicting the least recently used entry of the
-// shard when it is full.
-func (c *Cache) Put(key string, val any) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.putLocked(key, val)
 }
 
 func (s *cacheShard) putLocked(key string, val any) {

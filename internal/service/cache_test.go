@@ -8,26 +8,6 @@ import (
 	"time"
 )
 
-func TestCacheBasics(t *testing.T) {
-	c := NewCache(64)
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("hit on empty cache")
-	}
-	c.Put("a", 1)
-	v, ok := c.Get("a")
-	if !ok || v.(int) != 1 {
-		t.Fatalf("Get(a) = %v, %v", v, ok)
-	}
-	c.Put("a", 2)
-	if v, _ := c.Get("a"); v.(int) != 2 {
-		t.Fatalf("overwrite lost: %v", v)
-	}
-	hits, misses := c.Stats()
-	if hits != 2 || misses != 1 {
-		t.Fatalf("stats = %d hits, %d misses, want 2, 1", hits, misses)
-	}
-}
-
 func TestCacheEvictsLRU(t *testing.T) {
 	// Capacity 32 = two entries per shard. Collect three keys landing in
 	// one shard and check the least recently *used* (not inserted) entry
@@ -41,20 +21,34 @@ func TestCacheEvictsLRU(t *testing.T) {
 			keys = append(keys, k)
 		}
 	}
-	c.Put(keys[0], 0)
-	c.Put(keys[1], 1)
-	if _, ok := c.Get(keys[0]); !ok { // touch keys[0]: keys[1] becomes LRU
+	put := func(i int) any { return c.GetOrCompute(keys[i], func() any { return i }) }
+	put(0)
+	put(1)
+	if put(0) != 0 { // touch keys[0]: keys[1] becomes LRU
 		t.Fatal("entry missing before eviction")
 	}
-	c.Put(keys[2], 2) // shard full: evicts keys[1]
-	if _, ok := c.Get(keys[1]); ok {
+	put(2) // shard full: evicts keys[1]
+	if _, ok := cached(c, keys[1]); ok {
 		t.Fatal("LRU entry not evicted")
 	}
 	for _, want := range []int{0, 2} {
-		if v, ok := c.Get(keys[want]); !ok || v.(int) != want {
+		if v, ok := cached(c, keys[want]); !ok || v.(int) != want {
 			t.Fatalf("recently used %s evicted", keys[want])
 		}
 	}
+}
+
+// cached reports the entry stored under key without touching its recency
+// or the hit and miss counts.
+func cached(c *Cache, key string) (any, bool) {
+	s := c.shardFor(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.entries[key]
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*cacheEntry).val, true
 }
 
 func TestCacheGetOrCompute(t *testing.T) {
@@ -149,7 +143,7 @@ func TestCacheSingleflightPanic(t *testing.T) {
 	if v := <-got; v != 7 {
 		t.Fatalf("waiter after panic got %d, want its own computation 7", v)
 	}
-	if v, ok := c.Get("k"); !ok || v.(int) != 7 {
+	if v, ok := cached(c, "k"); !ok || v.(int) != 7 {
 		t.Fatalf("cache after retry = %v, %v", v, ok)
 	}
 }
@@ -215,7 +209,7 @@ func TestCacheSingleflightSurvivesEviction(t *testing.T) {
 	// shard "k" hashes to has its (single) slot churned before and after
 	// the owner publishes.
 	for i := 0; i < 64; i++ {
-		c.Put(fmt.Sprintf("flood%d", i), i)
+		c.GetOrCompute(fmt.Sprintf("flood%d", i), func() any { return i })
 	}
 	close(release)
 	for i := 0; i < waiters+1; i++ {

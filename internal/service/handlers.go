@@ -11,11 +11,13 @@ import (
 	"strings"
 
 	"repro/internal/algs"
+	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/grid"
 	"repro/internal/machine"
 	"repro/internal/matrix"
+	"repro/internal/model"
 	"repro/internal/topo"
 )
 
@@ -93,7 +95,6 @@ func (s *Server) lowerBoundOne(p Problem) (LowerBoundResponse, error) {
 	if err != nil {
 		return LowerBoundResponse{}, err
 	}
-	bound, footprint := s.lowerBound(d, p.P)
 	t1, t2 := core.Thresholds(d)
 	c := core.CaseOf(d, p.P)
 	return LowerBoundResponse{
@@ -101,9 +102,9 @@ func (s *Server) lowerBoundOne(p Problem) (LowerBoundResponse, error) {
 		Case:        int(c),
 		CaseName:    c.String(),
 		Thresholds:  [2]float64{t1, t2},
-		Bound:       bound,
+		Bound:       core.LowerBound(d, p.P),
 		LeadingTerm: core.LeadingTerm(d, p.P),
-		Footprint:   footprint,
+		Footprint:   core.D(d, p.P),
 	}, nil
 }
 
@@ -183,7 +184,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opt := s.optimalGrid(d, req.P)
-	bound, _ := s.lowerBound(d, req.P)
+	bound := core.LowerBound(d, req.P)
 	cost := grid.CommCost(d, opt)
 	ratio := 0.0
 	if bound > 0 {
@@ -199,7 +200,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		Divides:      grid.Divides(d, opt),
 		Analytic:     [3]float64{g1, g2, g3},
 	}
-	if cg, cgErr := s.caseGrid(d, req.P); cgErr == nil {
+	if cg, cgErr := grid.CaseGrid(d, req.P); cgErr == nil {
 		resp.CaseGrid = &GridJSON{cg.P1, cg.P2, cg.P3}
 	} else {
 		resp.CaseGridError = cgErr.Error()
@@ -277,7 +278,7 @@ func (s *Server) predictOne(pp PredictProblem) (PredictResponse, error) {
 		resp.Topology, resp.Placement = pred.Topology, pred.Placement
 		resp.FlatTotal, resp.Slowdown = pred.FlatTotal, pred.Slowdown
 	} else {
-		pred := s.predict(d, g, cfg)
+		pred := model.Alg1Time(d, g, cfg, collective.Auto)
 		resp.Total = pred.Total()
 		resp.Compute, resp.Bandwidth, resp.Latency = pred.Compute, pred.Bandwidth, pred.Latency
 		resp.Words, resp.Messages = pred.Words, pred.Messages
@@ -472,7 +473,7 @@ func (s *Server) simulateOne(ctx context.Context, entry algs.Entry, p Problem, r
 		return SimulateResult{}, err
 	}
 	d := core.NewDims(p.N1, p.N2, p.N3)
-	bound, _ := s.lowerBound(d, p.P)
+	bound := core.LowerBound(d, p.P)
 	out := SimulateResult{
 		Problem:      p,
 		Alg:          entry.Name,

@@ -62,9 +62,6 @@ type JobView struct {
 	Err error
 }
 
-// Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
 // JobFunc is the work a job performs. It must honor ctx: return ctx.Err()
 // (or an error wrapping it) promptly once the context is done. The ctx
 // carries the job's own id, readable with JobIDFrom — how a JobFunc names
@@ -147,13 +144,6 @@ func (c RunnerConfig) withDefaults() RunnerConfig {
 		c.MaxRetained = 0
 	}
 	return c
-}
-
-// NewRunner starts a runner with the given worker count, queue depth, and
-// per-job timeout (0 means no deadline), using the default retention
-// policy. workers and queueDepth default to 2 and 64 when non-positive.
-func NewRunner(workers, queueDepth int, timeout time.Duration) *Runner {
-	return NewRunnerConfig(RunnerConfig{Workers: workers, QueueDepth: queueDepth, Timeout: timeout})
 }
 
 // NewRunnerConfig starts a runner with the full configuration, including
@@ -320,21 +310,6 @@ func (r *Runner) Get(id string) (JobView, bool) {
 	return JobView{ID: j.id, Status: j.status, Result: j.result, Err: j.err}, true
 }
 
-// Wait returns the job channel closed at completion, or false for an
-// unknown id. Like every other accessor it applies the retention policy
-// first, so it can never hand out a done channel for an id that Get and
-// the HTTP API already report as evicted.
-func (r *Runner) Wait(id string) (<-chan struct{}, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.evictLocked(time.Now())
-	j, ok := r.jobs[id]
-	if !ok {
-		return nil, false
-	}
-	return j.done, true
-}
-
 // Cancel cancels the job with the given id: a queued job goes straight to
 // JobCancelled, a running job has its context cancelled (and reaches
 // JobCancelled when its JobFunc returns the context error). It reports
@@ -361,15 +336,6 @@ func (r *Runner) Cancel(id string) bool {
 
 // InFlight returns the number of jobs currently executing.
 func (r *Runner) InFlight() int64 { return r.inFlight.Load() }
-
-// Len returns the number of jobs the runner remembers (all states), after
-// applying the retention policy.
-func (r *Runner) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.evictLocked(time.Now())
-	return len(r.jobs)
-}
 
 // Counts returns the number of remembered jobs per lifecycle state, after
 // applying the retention policy.

@@ -24,7 +24,7 @@ func waitStatus(t *testing.T, r *Runner, id string) JobView {
 }
 
 func TestRunnerLifecycle(t *testing.T) {
-	r := NewRunner(2, 8, 0)
+	r := NewRunnerConfig(RunnerConfig{Workers: 2, QueueDepth: 8})
 	defer r.Shutdown(context.Background())
 	id, err := r.Submit(func(context.Context) (any, error) { return 7, nil })
 	if err != nil {
@@ -43,7 +43,7 @@ func TestRunnerLifecycle(t *testing.T) {
 }
 
 func TestRunnerCancelRunning(t *testing.T) {
-	r := NewRunner(1, 8, 0)
+	r := NewRunnerConfig(RunnerConfig{Workers: 1, QueueDepth: 8})
 	defer r.Shutdown(context.Background())
 	started := make(chan struct{})
 	id, err := r.Submit(func(ctx context.Context) (any, error) {
@@ -64,7 +64,7 @@ func TestRunnerCancelRunning(t *testing.T) {
 }
 
 func TestRunnerCancelQueued(t *testing.T) {
-	r := NewRunner(1, 8, 0)
+	r := NewRunnerConfig(RunnerConfig{Workers: 1, QueueDepth: 8})
 	defer r.Shutdown(context.Background())
 	release := make(chan struct{})
 	blocker, _ := r.Submit(func(context.Context) (any, error) { <-release; return nil, nil })
@@ -86,7 +86,7 @@ func TestRunnerCancelQueued(t *testing.T) {
 }
 
 func TestRunnerTimeout(t *testing.T) {
-	r := NewRunner(1, 8, 20*time.Millisecond)
+	r := NewRunnerConfig(RunnerConfig{Workers: 1, QueueDepth: 8, Timeout: 20 * time.Millisecond})
 	defer r.Shutdown(context.Background())
 	id, _ := r.Submit(func(ctx context.Context) (any, error) {
 		<-ctx.Done()
@@ -98,7 +98,7 @@ func TestRunnerTimeout(t *testing.T) {
 }
 
 func TestRunnerQueueFull(t *testing.T) {
-	r := NewRunner(1, 1, 0)
+	r := NewRunnerConfig(RunnerConfig{Workers: 1, QueueDepth: 1})
 	defer r.Shutdown(context.Background())
 	release := make(chan struct{})
 	defer close(release)
@@ -125,7 +125,7 @@ func TestRunnerQueueFull(t *testing.T) {
 // TestRunnerShutdownDrains: jobs in flight at shutdown complete when they
 // finish within the drain budget.
 func TestRunnerShutdownDrains(t *testing.T) {
-	r := NewRunner(2, 8, 0)
+	r := NewRunnerConfig(RunnerConfig{Workers: 2, QueueDepth: 8})
 	release := make(chan struct{})
 	id, _ := r.Submit(func(context.Context) (any, error) { <-release; return "drained", nil })
 	go func() {
@@ -147,7 +147,7 @@ func TestRunnerShutdownDrains(t *testing.T) {
 // TestRunnerShutdownCancels: a job outliving the drain budget has its
 // context cancelled and ends JobCancelled.
 func TestRunnerShutdownCancels(t *testing.T) {
-	r := NewRunner(1, 8, 0)
+	r := NewRunnerConfig(RunnerConfig{Workers: 1, QueueDepth: 8})
 	started := make(chan struct{})
 	id, _ := r.Submit(func(ctx context.Context) (any, error) {
 		close(started)
@@ -169,7 +169,7 @@ func TestRunnerShutdownCancels(t *testing.T) {
 // TestRunnerConcurrent floods the runner from many goroutines; with -race
 // this is the locking correctness test.
 func TestRunnerConcurrent(t *testing.T) {
-	r := NewRunner(4, 256, 0)
+	r := NewRunnerConfig(RunnerConfig{Workers: 4, QueueDepth: 256})
 	defer r.Shutdown(context.Background())
 	var wg sync.WaitGroup
 	ids := make([][]string, 8)
@@ -375,4 +375,28 @@ func TestRunnerCountsByState(t *testing.T) {
 	if c[JobDone] != 1 || c[JobFailed] != 1 {
 		t.Errorf("Counts() = %v, want one done and one failed", c)
 	}
+}
+
+// Wait returns the job channel closed at completion, or false for an
+// unknown id. Like every other accessor it applies the retention policy
+// first, so it can never hand out a done channel for an id that Get and
+// the HTTP API already report as evicted.
+func (r *Runner) Wait(id string) (<-chan struct{}, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.evictLocked(time.Now())
+	j, ok := r.jobs[id]
+	if !ok {
+		return nil, false
+	}
+	return j.done, true
+}
+
+// Len returns the number of jobs the runner remembers (all states), after
+// applying the retention policy.
+func (r *Runner) Len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.evictLocked(time.Now())
+	return len(r.jobs)
 }

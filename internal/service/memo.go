@@ -15,15 +15,11 @@ import (
 // expensive pure computations. Keys spell out the full input tuple — dims,
 // P, and the machine config where the result depends on it — so equal keys
 // imply equal computations and a hit can be returned verbatim. Keys are
-// namespaced per computation ("og:", "cg:", "lb:", "pr:") because the same
-// (dims, P) pair appears under several of them.
-
-// caseGridResult is the cached value of grid.CaseGrid: the grid or the
-// (deterministic) error.
-type caseGridResult struct {
-	g   grid.Grid
-	err error
-}
+// namespaced per computation ("og:", "om:", "pt:", "pp:", "hb:") because the
+// same (dims, P) pair appears under several of them. A computation costing
+// less than a lookup (a memo hit takes about half a microsecond and several
+// allocations) is not memoized: core.LowerBound, grid.CaseGrid and
+// model.Alg1Time are called directly.
 
 func dimsKey(d core.Dims, p int) string {
 	return fmt.Sprintf("%d:%d:%d:%d", d.N1, d.N2, d.N3, p)
@@ -38,35 +34,6 @@ func (s *Server) optimalGrid(d core.Dims, p int) grid.Grid {
 	}).(grid.Grid)
 }
 
-// caseGrid is grid.CaseGrid through the cache; the error outcome is cached
-// too (it is as deterministic as the grid).
-func (s *Server) caseGrid(d core.Dims, p int) (grid.Grid, error) {
-	r := s.cache.GetOrCompute("cg:"+dimsKey(d, p), func() any {
-		g, err := grid.CaseGrid(d, p)
-		return caseGridResult{g: g, err: err}
-	}).(caseGridResult)
-	return r.g, r.err
-}
-
-// lowerBound is core.LowerBound through the cache, paired with the Lemma 2
-// footprint D (they share the optimization).
-func (s *Server) lowerBound(d core.Dims, p int) (bound, footprint float64) {
-	v := s.cache.GetOrCompute("lb:"+dimsKey(d, p), func() any {
-		return [2]float64{core.LowerBound(d, p), core.D(d, p)}
-	}).([2]float64)
-	return v[0], v[1]
-}
-
-// predict is model.Alg1Time through the cache, keyed by grid and config as
-// well as the problem shape.
-func (s *Server) predict(d core.Dims, g grid.Grid, cfg machine.Config) model.Prediction {
-	key := fmt.Sprintf("pr:%s:%d:%d:%d:%g:%g:%g",
-		dimsKey(d, g.Size()), g.P1, g.P2, g.P3, cfg.Alpha, cfg.Beta, cfg.Gamma)
-	return s.cache.GetOrCompute(key, func() any {
-		return model.Alg1Time(d, g, cfg, collective.Auto)
-	}).(model.Prediction)
-}
-
 // topoPredictResult caches model.Alg1TimeTopo's outcome, error included —
 // a failed prediction is as deterministic as a successful one.
 type topoPredictResult struct {
@@ -77,8 +44,8 @@ type topoPredictResult struct {
 // predictTopo is model.Alg1TimeTopo through the cache: building the
 // network's charge oracle is O(links) and the fiber sweep is linear in P
 // on fabrics without translation symmetry, so repeated requests for the
-// same fabric amortize both. The key extends the flat predict key with the
-// fabric name and placement.
+// same fabric amortize both. The key spells out the problem shape, grid
+// and config, then the fabric name and placement.
 func (s *Server) predictTopo(d core.Dims, g grid.Grid, cfg machine.Config, fabric topo.Topology, place topo.Policy) (model.TopoPrediction, error) {
 	key := fmt.Sprintf("pt:%s:%d:%d:%d:%g:%g:%g:%s:%s",
 		dimsKey(d, g.Size()), g.P1, g.P2, g.P3, cfg.Alpha, cfg.Beta, cfg.Gamma, fabric.Name(), place)

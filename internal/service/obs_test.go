@@ -75,11 +75,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	// One repeated lowerbound request: first computes (miss), second hits.
+	// One repeated grid request: the first searches (miss), the second
+	// hits.
 	body := `{"n1":96,"n2":24,"n3":6,"p":8}`
 	for i := 0; i < 2; i++ {
-		if status, raw := post(t, ts, "/v1/lowerbound", body); status != http.StatusOK {
-			t.Fatalf("lowerbound status %d: %s", status, raw)
+		if status, raw := post(t, ts, "/v1/grid", body); status != http.StatusOK {
+			t.Fatalf("grid status %d: %s", status, raw)
 		}
 	}
 	_, after := get(t, ts, "/metrics")
@@ -96,9 +97,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("cache hits did not move: %v -> %v",
 			m0["service_cache_hits_total"], m1["service_cache_hits_total"])
 	}
-	if m1[`service_request_seconds_count{endpoint="POST /v1/lowerbound"}`] < 2 {
-		t.Errorf("lowerbound latency histogram count = %v, want >= 2",
-			m1[`service_request_seconds_count{endpoint="POST /v1/lowerbound"}`])
+	if m1[`service_request_seconds_count{endpoint="POST /v1/grid"}`] < 2 {
+		t.Errorf("grid latency histogram count = %v, want >= 2",
+			m1[`service_request_seconds_count{endpoint="POST /v1/grid"}`])
 	}
 
 	// /metrics is the one counter view: the JSON one is gone.
@@ -234,7 +235,7 @@ func TestJobGetAfterEviction404(t *testing.T) {
 	if status, raw := get(t, ts, "/v1/jobs/"+accepted.ID); status != http.StatusNotFound {
 		t.Fatalf("evicted job answered %d: %s", status, raw)
 	}
-	if n := s.Jobs().Evicted(); n < 1 {
+	if n := s.jobs.Evicted(); n < 1 {
 		t.Errorf("Evicted() = %d, want >= 1", n)
 	}
 	// The eviction shows in /metrics too.

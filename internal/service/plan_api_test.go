@@ -257,12 +257,12 @@ func TestPlanSingleflightCollapse(t *testing.T) {
 	}
 	wg.Wait()
 
-	hits, misses := s.Cache().Stats()
+	hits, misses := s.cache.Stats()
 	if misses != points {
 		t.Fatalf("misses = %d, want exactly %d (one compute per point)", misses, points)
 	}
-	if hits+s.Cache().Shared() != int64(clients-1)*points {
-		t.Fatalf("hits %d + shared %d ≠ %d", hits, s.Cache().Shared(), (clients-1)*points)
+	if hits+s.cache.Shared() != int64(clients-1)*points {
+		t.Fatalf("hits %d + shared %d ≠ %d", hits, s.cache.Shared(), (clients-1)*points)
 	}
 	if got := s.planPoints.Load(); got != clients*points {
 		t.Fatalf("planPoints = %d, want %d", got, clients*points)
@@ -273,9 +273,9 @@ func TestPlanSingleflightCollapse(t *testing.T) {
 		t.Fatalf("metrics status %d", status)
 	}
 	m := parseProm(t, raw)
-	if m["service_plan_points_total"] != clients*points || m["service_cache_shared_total"] != float64(s.Cache().Shared()) {
+	if m["service_plan_points_total"] != clients*points || m["service_cache_shared_total"] != float64(s.cache.Shared()) {
 		t.Fatalf("plan points %v, shared %v; want %d, %d",
-			m["service_plan_points_total"], m["service_cache_shared_total"], clients*points, s.Cache().Shared())
+			m["service_plan_points_total"], m["service_cache_shared_total"], clients*points, s.cache.Shared())
 	}
 }
 

@@ -422,12 +422,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.jobs.Shutdown(ctx)
 }
 
-// Cache exposes the memo cache (for tests and benchmarks).
-func (s *Server) Cache() *Cache { return s.cache }
-
-// Jobs exposes the job runner (for tests).
-func (s *Server) Jobs() *Runner { return s.jobs }
-
 // Registry exposes this server's metric registry, so a metrics pusher can
 // export the per-instance families alongside the process-wide obs.Default.
 func (s *Server) Registry() *obs.Registry { return s.reg }

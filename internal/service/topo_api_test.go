@@ -184,7 +184,7 @@ func TestPredictTopologyCacheHit(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("cold status %d: %s", status, cold)
 	}
-	hitsBefore, _ := s.Cache().Stats()
+	hitsBefore, _ := s.cache.Stats()
 	status, warm := post(t, ts, "/v1/predict", body)
 	if status != http.StatusOK {
 		t.Fatalf("warm status %d", status)
@@ -192,7 +192,7 @@ func TestPredictTopologyCacheHit(t *testing.T) {
 	if string(cold) != string(warm) {
 		t.Fatalf("cached topology prediction differs:\n%s\n%s", cold, warm)
 	}
-	if hitsAfter, _ := s.Cache().Stats(); hitsAfter <= hitsBefore {
+	if hitsAfter, _ := s.cache.Stats(); hitsAfter <= hitsBefore {
 		t.Fatal("repeat topology predict did not hit the cache")
 	}
 }

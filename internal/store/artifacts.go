@@ -52,9 +52,6 @@ func NewArtifacts(s Store, maxBytes int64) *Artifacts {
 	return &Artifacts{store: s, maxBytes: maxBytes}
 }
 
-// MaxBytes returns the per-artifact size cap.
-func (a *Artifacts) MaxBytes() int64 { return a.maxBytes }
-
 func blobKey(sum string) string {
 	return "blobs/sha256/" + sum[:2] + "/" + sum
 }

@@ -33,9 +33,6 @@ func NewFS(dir string) (*FS, error) {
 	return &FS{root: abs}, nil
 }
 
-// Root returns the absolute root directory.
-func (s *FS) Root() string { return s.root }
-
 // path maps a validated key to its file path.
 func (s *FS) path(key string) (string, error) {
 	if err := ValidateKey(key); err != nil {

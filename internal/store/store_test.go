@@ -381,7 +381,7 @@ func TestFSListSkipsTempFiles(t *testing.T) {
 	s := newFS(t)
 	s.Put("real", strings.NewReader("x"))
 	// Simulate a crashed Put leaving a temp file behind.
-	if err := os.WriteFile(filepath.Join(s.Root(), ".put-crash123"), []byte("junk"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(s.root, ".put-crash123"), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	keys, err := s.List("")

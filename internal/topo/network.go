@@ -38,9 +38,6 @@ type Network struct {
 	// effBeta[l] = Link(l).Beta · χ_l, the only O(links) state the charge
 	// model needs.
 	effBeta []float64
-
-	maxChi  float64 // largest χ over links any route uses
-	maxHops int     // longest route, in links
 }
 
 // NewNetwork builds the charge oracle for topology t under placement pl.
@@ -52,7 +49,7 @@ func NewNetwork(t Topology, pl Placement) (*Network, error) {
 		return nil, fmt.Errorf("topo: placement covers %d ranks, %s has %d endpoints: %w",
 			len(pl.ToEndpoint), t.Name(), p, core.ErrBadTopology)
 	}
-	n := &Network{p: p, topo: t, pl: pl, maxChi: 1, maxHops: t.Diameter()}
+	n := &Network{p: p, topo: t, pl: pl}
 	if f, ok := t.(*Flat); ok {
 		n.uniform = true
 		n.alpha, n.beta = f.link.Alpha, f.link.Beta
@@ -72,9 +69,6 @@ func NewNetwork(t Topology, pl Placement) (*Network, error) {
 		c := float64(f) / norm
 		if c < 1 {
 			c = 1
-		}
-		if c > n.maxChi {
-			n.maxChi = c
 		}
 		n.effBeta[l] = t.Link(l).Beta * c
 	}
@@ -105,11 +99,3 @@ func (n *Network) Placement() Placement { return n.pl }
 // true exactly for Flat. Fiber sweeps use it to price one pair instead of
 // all of them.
 func (n *Network) Uniform() bool { return n.uniform }
-
-// MaxCongestion returns the largest concurrent-use factor χ over all links
-// any route crosses: 1 means no link is busier than a dedicated per-pair
-// link under all-to-all traffic.
-func (n *Network) MaxCongestion() float64 { return n.maxChi }
-
-// MaxHops returns the longest route length in links.
-func (n *Network) MaxHops() int { return n.maxHops }

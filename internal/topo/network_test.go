@@ -43,9 +43,6 @@ func TestFlatChargeIsExactBase(t *testing.T) {
 			}
 		}
 	}
-	if n.MaxCongestion() != 1 {
-		t.Errorf("flat MaxCongestion = %v, want 1", n.MaxCongestion())
-	}
 	// Flat takes the uniform path at any size — its p² link ids are never
 	// materialized.
 	big, err := NewNetwork(NewFlat(1<<16, testLink), Placement{Policy: Contiguous, ToEndpoint: make([]int, 1<<16)})
@@ -76,12 +73,6 @@ func TestTwoLevelCharges(t *testing.T) {
 	}
 	if math.Abs(b-testLink.Beta*wantChi) > 1e-12 {
 		t.Errorf("inter-node bandwidth = %v, want β·χ = %v", b, testLink.Beta*wantChi)
-	}
-	if math.Abs(n.MaxCongestion()-wantChi) > 1e-12 {
-		t.Errorf("MaxCongestion = %v, want %v", n.MaxCongestion(), wantChi)
-	}
-	if n.MaxHops() != 2 {
-		t.Errorf("MaxHops = %d, want 2", n.MaxHops())
 	}
 }
 

@@ -61,9 +61,6 @@ type Placement struct {
 	ToEndpoint []int
 }
 
-// Endpoint returns the endpoint hosting rank r.
-func (pl Placement) Endpoint(r int) int { return pl.ToEndpoint[r] }
-
 // PlaceRanks lays p machine ranks onto t's endpoints under the policy. The
 // rank count must equal the endpoint count (the simulator identifies ranks
 // with network attachment points); a mismatch wraps core.ErrBadTopology.

@@ -55,9 +55,6 @@ func (t *Torus) Name() string {
 // P returns the product of the extents.
 func (t *Torus) P() int { return t.p }
 
-// Dims returns a copy of the extents.
-func (t *Torus) Dims() []int { return append([]int(nil), t.dims...) }
-
 // NodeSize returns the innermost (fastest-varying) extent: consecutive
 // endpoints lie along that ring.
 func (t *Torus) NodeSize() int { return t.dims[len(t.dims)-1] }
