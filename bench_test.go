@@ -336,7 +336,10 @@ func BenchmarkWorldScaling(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				w := machine.NewWorld(p, machine.BandwidthOnly())
+				w, err := machine.New(p, machine.BandwidthOnly())
+				if err != nil {
+					b.Fatal(err)
+				}
 				if err := w.Run(body); err != nil {
 					b.Fatal(err)
 				}
@@ -375,12 +378,15 @@ func BenchmarkAlg1Scaling(b *testing.B) {
 // collective at the heart of Algorithm 1.
 func BenchmarkCollectiveAllGather(b *testing.B) {
 	allocs := loopAllocs(b, func(int) {
-		w := machine.NewWorld(16, machine.BandwidthOnly())
+		w, err := machine.New(16, machine.BandwidthOnly())
+		if err != nil {
+			b.Fatal(err)
+		}
 		members := make([]int, 16)
 		for j := range members {
 			members[j] = j
 		}
-		err := w.Run(func(r *machine.Rank) {
+		err = w.Run(func(r *machine.Rank) {
 			g := collective.NewGroup(r, members, 1, collective.Auto)
 			g.AllGather(make([]float64, 1024))
 		})

@@ -6,8 +6,8 @@
 //	mmsim -alg all  -n1 64 -n2 64 -n3 64 -p 64 -alpha 1 -beta 1 -gamma 0.01
 //	mmsim -alg Alg1 -n1 64 -n2 64 -n3 64 -p 64 -topo torus=4x4x4 -place contiguous
 //
-// Algorithms: Alg1, AllToAll3D, OneD, SUMMA, Cannon, TwoPointFiveD, or
-// "all". The product is always verified against a serial reference. With
+// Algorithms: Alg1, AllToAll3D, CARMA, Alg1LowMem, OneD, SUMMA, Cannon,
+// TwoPointFiveD, or "all". The product is always verified against a serial reference. With
 // -topo, messages are priced through the fabric's routes and contention
 // factors instead of the paper's dedicated per-pair links.
 package main
@@ -222,12 +222,12 @@ func run(s runSpec, out, errOut io.Writer) int {
 	}
 	if s.timeline && lastTrace != nil {
 		fmt.Fprintln(out)
-		fmt.Fprint(out, lastTrace.Timeline(s.p, 100))
+		fmt.Fprint(out, lastTrace.Timeline(100))
 		fmt.Fprintln(out)
-		fmt.Fprint(out, lastTrace.Summary(s.p))
+		fmt.Fprint(out, lastTrace.Summary())
 	}
 	if s.trace != "" && lastTrace != nil {
-		if err := writeChromeTrace(s.trace, lastTrace, s.p); err != nil {
+		if err := writeChromeTrace(s.trace, lastTrace); err != nil {
 			fmt.Fprintf(errOut, "mmsim: %v\n", err)
 			return 1
 		}
@@ -239,12 +239,12 @@ func run(s runSpec, out, errOut io.Writer) int {
 	return 0
 }
 
-func writeChromeTrace(path string, tr *machine.Trace, p int) error {
+func writeChromeTrace(path string, tr *machine.Trace) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := tr.WriteChromeTrace(f, p); err != nil {
+	if err := tr.WriteChromeTrace(f); err != nil {
 		f.Close()
 		return err
 	}

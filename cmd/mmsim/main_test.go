@@ -230,3 +230,25 @@ func TestRunTopologySmoke(t *testing.T) {
 		t.Fatalf("verification column missing:\nflat:\n%s\ntree:\n%s", flatOut, treeOut)
 	}
 }
+
+// TestRunTrafficEveryAlgorithm: -traffic prints the heatmap for each
+// registry algorithm, the 2D and 1D ones included.
+func TestRunTrafficEveryAlgorithm(t *testing.T) {
+	for _, name := range algs.Names() {
+		cfg, err := parseFlags([]string{"-alg", name, "-n1", "16", "-n2", "16", "-n3", "16", "-p", "4", "-traffic"}, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := resolve(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out, errOut bytes.Buffer
+		if code := run(s, &out, &errOut); code != 0 {
+			t.Fatalf("%s: exit %d:\n%s%s", name, code, out.String(), errOut.String())
+		}
+		if !strings.Contains(out.String(), "traffic heatmap (4 ranks") || !strings.Contains(out.String(), "active pairs: ") {
+			t.Errorf("%s -traffic printed no heatmap:\n%s", name, out.String())
+		}
+	}
+}

@@ -55,16 +55,7 @@ func run3D(name string, a, b *matrix.Dense, p int, opts Opts, reduceScatter bool
 		return nil, fmt.Errorf("algs: grid %v exceeds dims %v: %w", g, d, core.ErrGridMismatch)
 	}
 
-	w, tr, err := newWorld(p, opts)
-	if err != nil {
-		return nil, err
-	}
-	var tm *machine.TrafficMatrix
-	if opts.Traffic {
-		tm = w.EnableTraffic()
-	}
-	chunks := make([][]float64, p)
-	runErr := w.Run(func(r *machine.Rank) {
+	return run(name, d, g, opts, func(r *machine.Rank) []float64 {
 		i1, i2, i3 := g.Coords(r.ID())
 
 		// Initial one-copy distribution: the A block (i1, i2) is spread
@@ -159,31 +150,6 @@ func run3D(name string, a, b *matrix.Dense, p int, opts Opts, reduceScatter bool
 		r.PutBuffer(packedD)
 		r.SetPhase("")
 		r.GrowMemory(float64(len(myC)))
-		chunks[r.ID()] = myC
+		return myC
 	})
-	if runErr != nil {
-		return nil, runErr
-	}
-
-	cOut := assembleC(d, g, chunks)
-	return &Result{Name: name, C: cOut, Grid: g, Stats: w.Stats(), Trace: tr, Traffic: tm}, nil
-}
-
-// assembleC reconstructs the global C from the per-rank chunks of the 3D
-// algorithms: the (i1, i3) block of C is the concatenation, in Axis2 fiber
-// order, of the chunks held by ranks (i1, ·, i3).
-func assembleC(d core.Dims, g grid.Grid, chunks [][]float64) *matrix.Dense {
-	c := matrix.New(d.N1, d.N3)
-	for i1 := 0; i1 < g.P1; i1++ {
-		for i3 := 0; i3 < g.P3; i3++ {
-			r0, h := blockRange(d.N1, g.P1, i1)
-			c0, wd := blockRange(d.N3, g.P3, i3)
-			packed := make([]float64, 0, h*wd)
-			for i2 := 0; i2 < g.P2; i2++ {
-				packed = append(packed, chunks[g.Rank(i1, i2, i3)]...)
-			}
-			c.View(r0, c0, h, wd).Unpack(packed)
-		}
-	}
-	return c
 }

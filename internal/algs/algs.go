@@ -14,13 +14,18 @@
 //   - Cannon — Cannon's 2D shift algorithm on square grids.
 //   - TwoPointFiveD — the Solomonik-Demmel 2.5D algorithm with c replicated
 //     layers, trading memory for communication.
+//   - CARMA — the Demmel et al. 2013 recursive algorithm, run as Alg1 on
+//     its greedy-halving grid.
+//   - Alg1LowMem — the §6.2 adaptation of Alg1 that gathers its panels in
+//     chunks, trading latency for temporary memory.
 //
 // Every algorithm starts from a one-copy distribution of the inputs, ends
 // with a one-copy distribution of the output (as Theorem 3 assumes), runs
 // entirely through the simulated network, and returns the assembled product
 // along with the machine statistics, so tests can verify numerical
 // correctness against a serial product and experiments can compare measured
-// communication against the bounds.
+// communication against the bounds. All of them run through one harness
+// (run), which honors the topology, tracing and traffic options alike.
 package algs
 
 import (
@@ -99,35 +104,70 @@ func (o Opts) Validate() error {
 	return nil
 }
 
-// newWorld builds the simulated machine for a run, honoring the tracing
-// and topology options. With a topology set, ranks are placed onto its
+// run is the harness every algorithm runs through. It builds the simulated
+// machine for the ranks of g, honoring the topology, tracing and traffic
+// options; runs body on every rank; and assembles C from the chunk each
+// body returns, which holds the rank's share of its (i1, i3) block of C
+// (see assembleC). With a topology set, ranks are placed onto its
 // endpoints and every send is priced through the resulting Network; a
-// topology whose endpoint count differs from p wraps core.ErrBadTopology.
-func newWorld(p int, opts Opts) (*machine.World, *machine.Trace, error) {
+// topology whose endpoint count differs from the rank count wraps
+// core.ErrBadTopology.
+func run(name string, d core.Dims, g grid.Grid, opts Opts, body func(*machine.Rank) []float64) (*Result, error) {
+	p := g.Size()
 	w, err := machine.New(p, opts.Config)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if opts.Topo != nil {
 		if opts.Topo.P() != p {
-			return nil, nil, fmt.Errorf("algs: topology %s has %d endpoints, run uses %d processors: %w",
+			return nil, fmt.Errorf("algs: topology %s has %d endpoints, run uses %d processors: %w",
 				opts.Topo.Name(), opts.Topo.P(), p, core.ErrBadTopology)
 		}
 		pl, err := topo.PlaceRanks(p, opts.Topo, opts.Place)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		net, err := topo.NewNetwork(opts.Topo, pl)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		w.SetNetwork(net)
 	}
-	var tr *machine.Trace
+	res := &Result{Name: name, Grid: g}
 	if opts.Trace {
-		tr = w.EnableTracing()
+		res.Trace = w.EnableTracing()
 	}
-	return w, tr, nil
+	if opts.Traffic {
+		res.Traffic = w.EnableTraffic()
+	}
+	chunks := make([][]float64, p)
+	if err := w.Run(func(r *machine.Rank) { chunks[r.ID()] = body(r) }); err != nil {
+		return nil, err
+	}
+	res.C = assembleC(d, g, chunks)
+	res.Stats = w.Stats()
+	return res, nil
+}
+
+// assembleC reconstructs the global C from the per-rank chunks: the
+// (i1, i3) block of C under the balanced P1×P3 partition is the
+// concatenation, in Axis2 fiber order, of the chunks held by ranks
+// (i1, ·, i3). The 2D and 1D algorithms are the P2 = 1 case: each rank's
+// chunk is its whole block.
+func assembleC(d core.Dims, g grid.Grid, chunks [][]float64) *matrix.Dense {
+	c := matrix.New(d.N1, d.N3)
+	for i1 := 0; i1 < g.P1; i1++ {
+		for i3 := 0; i3 < g.P3; i3++ {
+			r0, h := blockRange(d.N1, g.P1, i1)
+			c0, wd := blockRange(d.N3, g.P3, i3)
+			packed := make([]float64, 0, h*wd)
+			for i2 := 0; i2 < g.P2; i2++ {
+				packed = append(packed, chunks[g.Rank(i1, i2, i3)]...)
+			}
+			c.View(r0, c0, h, wd).Unpack(packed)
+		}
+	}
+	return c
 }
 
 // Result is the outcome of a simulated parallel multiplication.
@@ -136,7 +176,7 @@ type Result struct {
 	Name string
 	// C is the assembled n1×n3 product.
 	C *matrix.Dense
-	// Grid is the processor grid used (zero for non-grid algorithms).
+	// Grid is the processor grid used; the 2D and 1D algorithms have P2 = 1.
 	Grid grid.Grid
 	// Stats are the machine statistics of the run.
 	Stats machine.WorldStats

@@ -9,6 +9,17 @@ import (
 	"repro/internal/matrix"
 )
 
+// testWorld creates a BandwidthOnly world of p ranks, failing the test on
+// construction errors.
+func testWorld(t *testing.T, p int) *machine.World {
+	t.Helper()
+	w, err := machine.New(p, machine.BandwidthOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 // TestOneCopyAssumptionNecessity demonstrates why Theorem 3 assumes the
 // inputs start as ONE copy: if B is fully replicated on every processor
 // before the algorithm begins, the block-row algorithm communicates zero
@@ -21,7 +32,7 @@ func TestOneCopyAssumptionNecessity(t *testing.T) {
 	b := matrix.Random(n2, n3, 2)
 	want := matrix.Mul(a, b)
 
-	w := machine.NewWorld(p, machine.BandwidthOnly())
+	w := testWorld(t, p)
 	bands := make([][]float64, p)
 	err := w.Run(func(r *machine.Rank) {
 		// Cheating start: every rank already holds all of B (P copies in
@@ -66,7 +77,7 @@ func TestLoadBalanceAssumptionNecessity(t *testing.T) {
 	n, p := 8, 4
 	a := matrix.Random(n, n, 3)
 	b := matrix.Random(n, n, 4)
-	w := machine.NewWorld(p, machine.BandwidthOnly())
+	w := testWorld(t, p)
 	var c *matrix.Dense
 	err := w.Run(func(r *machine.Rank) {
 		if r.ID() == 0 {

@@ -29,18 +29,13 @@ func Cannon(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 	}
 
 	g := grid.Grid{P1: q, P2: 1, P3: q}
-	w, tr, err := newWorld(p, opts)
-	if err != nil {
-		return nil, err
-	}
-	blocks := make([][]float64, p)
 	const (
 		tagSkewA  = 100
 		tagSkewB  = 101
 		tagShiftA = 102
 		tagShiftB = 103
 	)
-	runErr := w.Run(func(r *machine.Rank) {
+	return run("Cannon", d, g, opts, func(r *machine.Rank) []float64 {
 		i, _, j := g.Coords(r.ID())
 		aBlk := matrix.BlockOf(a, q, q, i, j)
 		bBlk := matrix.BlockOf(b, q, q, i, j)
@@ -83,19 +78,8 @@ func Cannon(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 		}
 		r.PutBuffer(aBuf)
 		r.PutBuffer(bBuf)
-		blocks[r.ID()] = cBlk.Pack()
+		return cBlk.Pack()
 	})
-	if runErr != nil {
-		return nil, runErr
-	}
-
-	c := matrix.New(d.N1, d.N3)
-	for i := 0; i < q; i++ {
-		for j := 0; j < q; j++ {
-			c.View(i*(d.N1/q), j*(d.N3/q), d.N1/q, d.N3/q).Unpack(blocks[g.Rank(i, 0, j)])
-		}
-	}
-	return &Result{Name: "Cannon", C: c, Grid: g, Stats: w.Stats(), Trace: tr}, nil
 }
 
 // exchangeBlock sends blk's contents to dst and replaces them with the block

@@ -32,11 +32,7 @@ func CARMA(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 		return nil, err
 	}
 	opts.Grid = g
-	res, err := run3D("CARMA", a, b, p, opts, true)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return run3D("CARMA", a, b, p, opts, true)
 }
 
 // CARMAGrid returns the processor grid produced by CARMA's recursive

@@ -44,12 +44,7 @@ func Alg1LowMem(a, b *matrix.Dense, p, chunks int, opts Opts) (*Result, error) {
 		return nil, fmt.Errorf("algs: grid %v exceeds dims %v: %w", g, d, core.ErrGridMismatch)
 	}
 
-	w, tr, err := newWorld(p, opts)
-	if err != nil {
-		return nil, err
-	}
-	resultChunks := make([][]float64, p)
-	runErr := w.Run(func(r *machine.Rank) {
+	return run("Alg1LowMem", d, g, opts, func(r *machine.Rank) []float64 {
 		i1, i2, i3 := g.Coords(r.ID())
 		aBlk := matrix.BlockOf(a, g.P1, g.P2, i1, i2)
 		bBlk := matrix.BlockOf(b, g.P2, g.P3, i2, i3)
@@ -107,11 +102,6 @@ func Alg1LowMem(a, b *matrix.Dense, p, chunks int, opts Opts) (*Result, error) {
 		r.SetPhase(PhaseReduceC)
 		myC := grpC.ReduceScatterV(packedD, countsC)
 		r.SetPhase("")
-		resultChunks[r.ID()] = myC
+		return myC
 	})
-	if runErr != nil {
-		return nil, runErr
-	}
-	cOut := assembleC(d, g, resultChunks)
-	return &Result{Name: "Alg1LowMem", C: cOut, Grid: g, Stats: w.Stats(), Trace: tr}, nil
 }

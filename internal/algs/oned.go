@@ -25,18 +25,13 @@ func OneD(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 		return nil, fmt.Errorf("algs: OneD needs P ≤ n1, got P=%d n1=%d: %w", p, d.N1, core.ErrBadProcessorCount)
 	}
 
-	w, tr, err := newWorld(p, opts)
-	if err != nil {
-		return nil, err
-	}
-	bands := make([][]float64, p)
 	members := make([]int, p)
 	for i := range members {
 		members[i] = i
 	}
 	packedB := b.Pack()
 	countsB := shareCounts(len(packedB), p)
-	runErr := w.Run(func(r *machine.Rank) {
+	return run("OneD", d, grid.Grid{P1: p, P2: 1, P3: 1}, opts, func(r *machine.Rank) []float64 {
 		me := r.ID()
 		// Initial distribution: row band of A (and later C) is local; B is
 		// spread evenly across all processors.
@@ -59,18 +54,6 @@ func OneD(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 
 		cBand := localMul(r, aBand, bMat, opts.Workers)
 		r.GrowMemory(float64(cBand.Size()))
-		bands[me] = cBand.Pack()
+		return cBand.Pack()
 	})
-	if runErr != nil {
-		return nil, runErr
-	}
-
-	c := matrix.New(d.N1, d.N3)
-	for i := 0; i < p; i++ {
-		r0, h := blockRange(d.N1, p, i)
-		if h > 0 {
-			c.View(r0, 0, h, d.N3).Unpack(bands[i])
-		}
-	}
-	return &Result{Name: "OneD", C: c, Grid: grid.Grid{P1: p, P2: 1, P3: 1}, Stats: w.Stats(), Trace: tr}, nil
 }

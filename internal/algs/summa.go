@@ -48,12 +48,7 @@ func SUMMA(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 	panelW := d.N2 / steps
 
 	g := grid.Grid{P1: pr, P2: 1, P3: pc}
-	w, tr, err := newWorld(p, opts)
-	if err != nil {
-		return nil, err
-	}
-	blocks := make([][]float64, p)
-	runErr := w.Run(func(r *machine.Rank) {
+	return run("SUMMA", d, g, opts, func(r *machine.Rank) []float64 {
 		i1, _, i3 := g.Coords(r.ID())
 		// Local blocks: A is distributed pr×pc (rows × contracted), B is
 		// distributed pc... careful: B rows are the contracted dimension,
@@ -115,23 +110,8 @@ func SUMMA(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 		colGrp.Release()
 		r.PutInts(rowFiber)
 		r.PutInts(colFiber)
-		blocks[r.ID()] = cBlk.Pack()
+		return cBlk.Pack()
 	})
-	if runErr != nil {
-		return nil, runErr
-	}
-
-	c := matrix.New(d.N1, d.N3)
-	for i1 := 0; i1 < pr; i1++ {
-		for i3 := 0; i3 < pc; i3++ {
-			r0, h := blockRange(d.N1, pr, i1)
-			c0, wd := blockRange(d.N3, pc, i3)
-			if h > 0 && wd > 0 {
-				c.View(r0, c0, h, wd).Unpack(blocks[g.Rank(i1, 0, i3)])
-			}
-		}
-	}
-	return &Result{Name: "SUMMA", C: c, Grid: g, Stats: w.Stats(), Trace: tr}, nil
 }
 
 // summaGrid picks the divisor pair pr×pc = p minimizing the per-rank

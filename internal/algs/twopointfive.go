@@ -49,11 +49,6 @@ func TwoPointFiveD(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 	}
 
 	g := grid.Grid{P1: q, P2: c, P3: q} // Axis2 indexes the replication layer
-	w, tr, err := newWorld(p, opts)
-	if err != nil {
-		return nil, err
-	}
-	chunks := make([][]float64, p)
 	const (
 		tagAlignA = 200
 		tagAlignB = 201
@@ -61,7 +56,7 @@ func TwoPointFiveD(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 		tagShiftB = 203
 	)
 	rounds := q / c
-	runErr := w.Run(func(r *machine.Rank) {
+	return run("TwoPointFiveD", d, g, opts, func(r *machine.Rank) []float64 {
 		i, l, j := g.Coords(r.ID())
 		blk := n / q
 
@@ -133,14 +128,8 @@ func TwoPointFiveD(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 		r.PutInts(layerFiber)
 		r.PutInts(counts)
 		r.SetPhase("")
-		chunks[r.ID()] = myC
+		return myC
 	})
-	if runErr != nil {
-		return nil, runErr
-	}
-
-	cOut := assembleC(d, g, chunks)
-	return &Result{Name: "TwoPointFiveD", C: cOut, Grid: g, Stats: w.Stats(), Trace: tr}, nil
 }
 
 // ChooseLayers returns the largest replication factor c such that

@@ -56,7 +56,6 @@ func CountingRun(p int) (wall time.Duration, stats machine.WorldStats, err error
 		buf := []float64{float64(r.ID())}
 		scratch := make([]float64, 1)
 		r.SendRecvInto(next, prev, 0, buf, scratch)
-		r.Barrier()
 		r.SendRecvInto(prev, next, 1, buf, scratch)
 	}); err != nil {
 		return 0, machine.WorldStats{}, err

@@ -61,7 +61,9 @@ func Multiply(a, b *matrix.Dense, levels int, cfg machine.Config) (*Result, erro
 	if levels < 0 {
 		return nil, fmt.Errorf("caps: negative levels: %w", core.ErrBadProcessorCount)
 	}
-	if n%(1<<levels) != 0 {
+	// A positive int has at most 62 factors of two; past that 1<<levels
+	// wraps to zero.
+	if levels > 62 || n%(1<<levels) != 0 {
 		return nil, fmt.Errorf("caps: n=%d not divisible by 2^%d: %w", n, levels, core.ErrGridMismatch)
 	}
 	p := 1
@@ -69,7 +71,10 @@ func Multiply(a, b *matrix.Dense, levels int, cfg machine.Config) (*Result, erro
 		p *= 7
 	}
 
-	w := machine.NewWorld(p, cfg)
+	w, err := machine.New(p, cfg)
+	if err != nil {
+		return nil, err
+	}
 	shares := make([][]float64, p)
 	runErr := w.Run(func(r *machine.Rank) {
 		aShare := extractShare(a, levels, p, r.ID())

@@ -1,6 +1,7 @@
 package caps
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -93,6 +94,20 @@ func TestMultiplyValidation(t *testing.T) {
 	}
 	if _, err := Multiply(sq, sq, -1, machine.BandwidthOnly()); err == nil {
 		t.Fatal("expected negative levels error")
+	}
+	if _, err := Multiply(sq, sq, 64, machine.BandwidthOnly()); !errors.Is(err, core.ErrGridMismatch) {
+		t.Fatalf("64 levels: err = %v, want ErrGridMismatch", err)
+	}
+}
+
+// TestMultiplyTooManyRanks: a level count whose 7^levels ranks exceed the
+// simulator's capacity is refused with ErrTooManyRanks instead of a panic.
+func TestMultiplyTooManyRanks(t *testing.T) {
+	// 4096 = 2^12 is the smallest n that 12 levels divide. The run is
+	// refused before the matrix is read, so its zero pages stay untouched.
+	a := matrix.New(4096, 4096)
+	if _, err := Multiply(a, a, 12, machine.BandwidthOnly()); !errors.Is(err, core.ErrTooManyRanks) {
+		t.Fatalf("12 levels: err = %v, want ErrTooManyRanks", err)
 	}
 }
 

@@ -20,7 +20,7 @@ func collectiveRun(t *testing.T, iters int) func() {
 		counts[i] = blockLen
 	}
 	return func() {
-		w := machine.NewWorld(p, machine.BandwidthOnly())
+		w := newWorld(t, p)
 		err := w.Run(func(r *machine.Rank) {
 			var g Group
 			g.Init(r, members, 1, Ring)

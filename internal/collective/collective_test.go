@@ -8,11 +8,22 @@ import (
 	"repro/internal/machine"
 )
 
+// newWorld creates a BandwidthOnly world of p ranks, failing the test on
+// construction errors.
+func newWorld(t testing.TB, p int) *machine.World {
+	t.Helper()
+	w, err := machine.New(p, machine.BandwidthOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 // runAll executes body on a fresh bandwidth-only world of p ranks with a
 // whole-world group using the given algorithm, collecting per-rank results.
 func runAll(t *testing.T, p int, alg Algorithm, body func(g *Group) []float64) ([][]float64, machine.WorldStats) {
 	t.Helper()
-	w := machine.NewWorld(p, machine.BandwidthOnly())
+	w := newWorld(t, p)
 	members := make([]int, p)
 	for i := range members {
 		members[i] = i
@@ -240,7 +251,7 @@ func TestAllToAll(t *testing.T) {
 func TestSubgroupFiberCollectives(t *testing.T) {
 	// Only even ranks of a 6-rank world participate; odd ranks do their
 	// own group. Mirrors the fiber structure of Algorithm 1.
-	w := machine.NewWorld(6, machine.BandwidthOnly())
+	w := newWorld(t, 6)
 	results := make([][]float64, 6)
 	err := w.Run(func(r *machine.Rank) {
 		var members []int
@@ -263,7 +274,7 @@ func TestSubgroupFiberCollectives(t *testing.T) {
 }
 
 func TestGroupValidation(t *testing.T) {
-	w := machine.NewWorld(2, machine.BandwidthOnly())
+	w := newWorld(t, 2)
 	err := w.Run(func(r *machine.Rank) {
 		if r.ID() == 0 {
 			// Not a member.
@@ -293,7 +304,7 @@ func TestGroupValidation(t *testing.T) {
 }
 
 func TestRecursiveRequiresPowerOfTwo(t *testing.T) {
-	w := machine.NewWorld(3, machine.BandwidthOnly())
+	w := newWorld(t, 3)
 	err := w.Run(func(r *machine.Rank) {
 		g := NewGroup(r, []int{0, 1, 2}, 0, Recursive)
 		g.AllGather([]float64{1})
@@ -365,7 +376,7 @@ func TestRecursiveFewerMessages(t *testing.T) {
 // TestEarlyExitDeadlockDetected: a rank returning while a peer still waits
 // for its message is reported as a deadlock, not a hang.
 func TestEarlyExitDeadlockDetected(t *testing.T) {
-	w := machine.NewWorld(2, machine.BandwidthOnly())
+	w := newWorld(t, 2)
 	err := w.Run(func(r *machine.Rank) {
 		if r.ID() == 1 {
 			r.Recv(0, 9) // never sent

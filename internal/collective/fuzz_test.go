@@ -26,7 +26,7 @@ func FuzzAllGatherReduceScatterDuality(f *testing.F) {
 		for i := range members {
 			members[i] = i
 		}
-		world := machine.NewWorld(p, machine.BandwidthOnly())
+		world := newWorld(t, p)
 		gathered := make([][]float64, p)
 		reduced := make([][]float64, p)
 		err := world.Run(func(r *machine.Rank) {

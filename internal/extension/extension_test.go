@@ -1,6 +1,7 @@
 package extension
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -201,6 +202,18 @@ func TestRunGridValidation(t *testing.T) {
 	}
 	if _, err := Run(pr, Grid{Dims: []int{8, 1, 1}}, 1, machine.BandwidthOnly()); err == nil {
 		t.Fatal("expected grid-exceeds-dims error")
+	}
+}
+
+// TestRunNonPositiveExtent: Run refuses a grid with a zero extent (no
+// processors; it used to panic) or with negative extents whose product is
+// positive (every rank used to panic) with ErrBadProcessorCount.
+func TestRunNonPositiveExtent(t *testing.T) {
+	pr, _ := NewProblem(4, 4, 4)
+	for _, dims := range [][]int{{2, 0, 2}, {-2, -2, 1}} {
+		if _, err := Run(pr, Grid{Dims: dims}, 1, machine.BandwidthOnly()); !errors.Is(err, core.ErrBadProcessorCount) {
+			t.Errorf("grid %v: err = %v, want ErrBadProcessorCount", dims, err)
+		}
 	}
 }
 

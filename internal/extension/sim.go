@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/collective"
+	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/matrix"
 )
@@ -124,6 +125,9 @@ func Run(pr Problem, g Grid, seed uint64, cfg machine.Config) (*SimResult, error
 		return nil, fmt.Errorf("extension: %d-d grid for %d-d problem", len(g.Dims), d)
 	}
 	for i := range pr.N {
+		if g.Dims[i] < 1 {
+			return nil, fmt.Errorf("extension: grid %v has a non-positive extent: %w", g, core.ErrBadProcessorCount)
+		}
 		if g.Dims[i] > pr.N[i] {
 			return nil, fmt.Errorf("extension: grid %v exceeds dims %v", g, pr.N)
 		}
@@ -132,7 +136,10 @@ func Run(pr Problem, g Grid, seed uint64, cfg machine.Config) (*SimResult, error
 	full.Randomize(seed)
 
 	p := g.Size()
-	w := machine.NewWorld(p, cfg)
+	w, err := machine.New(p, cfg)
+	if err != nil {
+		return nil, err
+	}
 	chunks := make([][]float64, p)
 	runErr := w.Run(func(r *machine.Rank) {
 		coords := g.Coords(r.ID())

@@ -38,14 +38,18 @@ type chromeTrace struct {
 //   - one slice per traced send/recv/compute event (cat by kind), nested
 //     inside its phase slice, with words, peer, and tag in args.
 //
-// p is the world size (rank count), used to emit thread names.
+// Every rank of the traced world is named, whether or not it recorded
+// anything. The output depends only on the simulation, not on how its
+// ranks were scheduled, so two traces of one run are byte-identical.
 //
-// The export degrades gracefully at the edges: a nil or empty trace (and a
-// single-rank world, which never communicates) still writes a valid JSON
-// document whose traceEvents is a JSON array — metadata records only, or
-// literally [] when there is nothing at all to name.
-func (t *Trace) WriteChromeTrace(w io.Writer, p int) error {
+// The export degrades gracefully at the edges: a nil trace, a world with
+// no events (and a single-rank world, which never communicates) still
+// writes a valid JSON document whose traceEvents is a JSON array —
+// metadata records only, or literally [] when there is nothing at all to
+// name.
+func (t *Trace) WriteChromeTrace(w io.Writer) error {
 	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
+	p := t.ranks()
 	if p > 0 {
 		out.TraceEvents = append(out.TraceEvents, chromeEvent{
 			Name: "process_name", Ph: "M", Args: map[string]any{"name": "mmsim"},

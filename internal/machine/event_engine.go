@@ -15,22 +15,19 @@ import (
 // Go has no stack-capturing continuations, so each task still owns a
 // goroutine — but a parked one, blocked on its private handoff channel.
 // Only the ≤ W tasks currently stepped by workers are ever runnable, so
-// the Go scheduler's run queues stay tiny regardless of P, there are no
-// per-rank condition variables, and no broadcast storms: a barrier release
-// is one batched run-queue append instead of P condvar wakeups. That is
-// what makes P=65536 full simulations interactive and P ≥ 10^6
-// communication-counting runs feasible in a few GB (the residual per-rank
-// cost is one small task struct, one channel, and one parked goroutine
-// stack).
+// the Go scheduler's run queues stay tiny regardless of P, and there are
+// no per-rank condition variables. That is what makes P=65536 full
+// simulations interactive and P ≥ 10^6 communication-counting runs
+// feasible in a few GB (the residual per-rank cost is one small task
+// struct, one channel, and one parked goroutine stack).
 //
 // Scheduling is sharded: ranks are pinned to one of W shards by contiguous
 // blocks, and each shard has one execution token — at most one of its
-// tasks runs at any moment. A task blocked in Recv or Barrier is resumed
-// by pushing its id onto its home shard's run queue under that shard's
-// lock; pushes happen only from running tasks (senders, barrier releasers)
-// or from the failure paths, never for a running task, so a task is
-// enqueued at most once per suspension, and therefore resumed by exactly
-// one party per suspension.
+// tasks runs at any moment. A task blocked in Recv is resumed by pushing
+// its id onto its home shard's run queue under that shard's lock; pushes
+// happen only from running tasks (senders) or from the failure paths,
+// never for a running task, so a task is enqueued at most once per
+// suspension, and therefore resumed by exactly one party per suspension.
 //
 // The token is passed by direct handoff: a task that suspends or finishes
 // pops the next runnable id from its home shard itself and resumes that
@@ -43,19 +40,19 @@ import (
 // drain the queue before releasing the token (the release path pops under
 // the same lock), so the wakeup cannot be lost.
 //
-// Suspension points are exactly the blocking operations of the machine
-// model: Recv (no matching message queued) and Barrier (generation not yet
-// released). Send never suspends (eager delivery).
+// The only suspension point is the machine model's one blocking
+// operation: Recv with no matching message queued. Send never suspends
+// (eager delivery).
 //
 // Deadlock detection: a worker with no poppable work counts itself parked;
 // the last worker to park (parked == W) with no live chain anywhere
-// (active == 0) verifies exactly under the detector mutex, all shard
-// locks, and the barrier lock: if every token is free, every run queue is
-// empty, and no blocked Recv has a matching queued message, the world is
-// stuck, and every blocked task is requeued so it can observe the failure
-// and abort. A task that was pushed but not yet resumed keeps the verdict
-// conservative: it is neither waiting nor finished, so the state sum check
-// fails and the verifier stands down.
+// (active == 0) verifies exactly under the detector mutex and all shard
+// locks: if every token is free, every run queue is empty, and no blocked
+// Recv has a matching queued message, the world is stuck, and every
+// blocked task is requeued so it can observe the failure and abort. A task
+// that was pushed but not yet resumed keeps the verdict conservative: it
+// is neither waiting nor finished, so the state sum check fails and the
+// verifier stands down.
 //
 // Quiescence rule: every change that can turn a stood-down verdict into a
 // deadlock passes through a parked worker. Queued work was pushed with a
@@ -70,9 +67,8 @@ import (
 // lock each time, for as long as the Go scheduler leaves it unscheduled.
 //
 // Lock ordering: outside verifyStalled, at most one engine lock is held at
-// a time (barrier release snapshots its waiters under the barrier lock,
-// unlocks, then pushes). verifyStalled alone nests: detMu → every shard
-// lock in index order → barrier lock.
+// a time. verifyStalled alone nests: detMu → every shard lock in index
+// order.
 type eventEngine struct {
 	w    *World
 	body func(*Rank)
@@ -97,17 +93,6 @@ type eventEngine struct {
 	failed  atomic.Bool
 	failMsg string
 	detMu   sync.Mutex
-
-	// bar is the generation-counted reusable barrier. Waiters are held as
-	// task ids and released by one batched requeue — no condition
-	// variable, no broadcast.
-	bar struct {
-		mu      sync.Mutex
-		gen     int
-		clock   float64
-		release float64
-		waiters []int32
-	}
 }
 
 // eventShard is one shard's run queue plus its execution token. head
@@ -125,9 +110,8 @@ type eventEngine struct {
 // receiver waits behind every previously queued task — at P=65536 up to
 // tens of thousands of steps — and every payload copy touches cold memory,
 // which alone made the scheduler twice as slow as one goroutine per rank.
-// Batch wakeups (barrier releases, failure paths) go straight to the main
-// queue: they carry no hot data. The trailing padding keeps adjacent
-// shards off one cache line.
+// Failure-path wakeups go straight to the main queue: they carry no hot
+// data. The trailing padding keeps adjacent shards off one cache line.
 //
 // The shard also holds the message store of the ranks homed on it: one
 // map from (destination, source) to that pair's FIFO, under the same lock
@@ -413,12 +397,6 @@ func (e *eventEngine) park(t *eventTask, sh *eventShard) {
 		e.active.Add(-1)
 	}
 	sh.mu.Unlock()
-	if next == t.id {
-		// Our own wakeup was already queued (a barrier release or failure
-		// path ran between this task recording its suspension and this
-		// pop): consume it and keep running — the token never leaves us.
-		return
-	}
 	if next >= 0 {
 		e.resume(&e.tasks[next])
 	} else {
@@ -431,9 +409,7 @@ func (e *eventEngine) park(t *eventTask, sh *eventShard) {
 
 // release hands a finished task's execution token onward: resume the next
 // runnable task of the home shard, or return the token to the worker. A
-// finished task can never be requeued (it is neither waiting nor a barrier
-// waiter), so unlike park there is no self-pop case and nothing to block
-// on.
+// finished task is never requeued, so there is nothing to block on.
 func (e *eventEngine) release(t *eventTask) {
 	sh := &e.shards[e.shardOf(int(t.id))]
 	sh.mu.Lock()
@@ -507,17 +483,9 @@ func (e *eventEngine) fail(msg string) {
 	e.wakeAllBlocked()
 }
 
-// wakeAllBlocked requeues every parked task — barrier waiters first, then
-// parked Recvs shard by shard — taking one lock at a time (the barrier
-// waiters are snapshotted under the barrier lock and pushed after it is
-// released, preserving the single-lock rule).
+// wakeAllBlocked requeues every task parked in Recv, shard by shard,
+// taking one lock at a time.
 func (e *eventEngine) wakeAllBlocked() {
-	b := &e.bar
-	b.mu.Lock()
-	waiters := b.waiters
-	b.waiters = nil
-	b.mu.Unlock()
-	e.enqueueReady(waiters)
 	for si := range e.shards {
 		sh := &e.shards[si]
 		lo, hi := e.shardRange(si)
@@ -534,30 +502,6 @@ func (e *eventEngine) wakeAllBlocked() {
 		if idle {
 			sh.cond.Signal()
 		}
-	}
-}
-
-// enqueueReady pushes a batch of task ids onto their home shards' run
-// queues, grouping consecutive same-shard ids into one lock acquisition
-// (with few shards a whole barrier release is a handful of appends). Only
-// an idle shard's worker is signaled; a held token obligates its chain to
-// drain the queue, so the wakeup is never lost.
-func (e *eventEngine) enqueueReady(ids []int32) {
-	for i := 0; i < len(ids); {
-		si := e.shardOf(int(ids[i]))
-		j := i + 1
-		for j < len(ids) && e.shardOf(int(ids[j])) == si {
-			j++
-		}
-		sh := &e.shards[si]
-		sh.mu.Lock()
-		sh.runq = append(sh.runq, ids[i:j]...)
-		idle := sh.running == 0
-		sh.mu.Unlock()
-		if idle {
-			sh.cond.Signal()
-		}
-		i = j
 	}
 }
 
@@ -624,69 +568,17 @@ func (e *eventEngine) recv(dst, src, tag int) *message {
 	return m
 }
 
-// barrier synchronizes all ranks and aligns their clocks to the maximum.
-// The last arrival publishes the max clock and releases the whole
-// generation with one batched requeue; everyone else records itself as a
-// waiter and suspends.
-func (e *eventEngine) barrier(r *Rank) {
-	b := &e.bar
-	t := &e.tasks[r.id]
-	b.mu.Lock()
-	if e.failed.Load() {
-		b.mu.Unlock()
-		e.abort()
-	}
-	if r.clock > b.clock {
-		b.clock = r.clock
-	}
-	if len(b.waiters) == e.w.p-1 {
-		// Last arrival: release the generation. Snapshot the waiters and
-		// requeue them after dropping the lock (single-lock rule). The
-		// release clock stays readable until every waiter departs — no
-		// rank can re-arrive before all of this generation have left.
-		b.release = b.clock
-		b.clock = 0
-		waiters := b.waiters
-		b.waiters = nil
-		b.gen++
-		r.clock = b.release
-		b.mu.Unlock()
-		e.enqueueReady(waiters)
-		return
-	}
-	b.waiters = append(b.waiters, t.id)
-	gen := b.gen
-	b.mu.Unlock()
-	// Suspend, passing the home shard's token onward. Unlike Recv the
-	// suspension is recorded under the barrier lock, not the shard lock,
-	// so the release (or a failure path) may already have requeued us by
-	// the time park pops — park consumes that self-wakeup and returns
-	// immediately.
-	sh := &e.shards[e.shardOf(int(t.id))]
-	sh.mu.Lock()
-	e.park(t, sh)
-	b.mu.Lock()
-	if b.gen == gen {
-		// Resumed without a release: the world failed while we waited.
-		b.mu.Unlock()
-		e.abort()
-	}
-	r.clock = b.release
-	b.mu.Unlock()
-}
-
 // verifyStalled decides exactly whether the idle pool is a deadlock.
 // Called by the last worker to park once no chain appears live; under the
-// detector mutex, every shard lock, and the barrier lock, the task states,
-// run queues, and message stores form a consistent snapshot. If some token
-// is held or some run queue is non-empty, the world is live. A task that
-// was requeued but not yet resumed is neither waiting nor finished, so the
-// state sum check below fails and the verdict stays conservative.
-// Otherwise every task is waiting, a barrier waiter, or finished; the
-// world is stuck unless a waiting task has a matching queued message
-// (impossible by construction here, but checked for exactness). On a
-// verified deadlock every blocked task is requeued, still under the locks,
-// to resume and abort.
+// detector mutex and every shard lock, the task states, run queues, and
+// message stores form a consistent snapshot. If some token is held or some
+// run queue is non-empty, the world is live. A task that was requeued but
+// not yet resumed is neither waiting nor finished, so the state sum check
+// below fails and the verdict stays conservative. Otherwise every task is
+// waiting or finished; the world is stuck unless a waiting task has a
+// matching queued message (impossible by construction here, but checked
+// for exactness). On a verified deadlock every blocked task is requeued,
+// still under the locks, to resume and abort.
 func (e *eventEngine) verifyStalled() {
 	e.detMu.Lock()
 	defer e.detMu.Unlock()
@@ -696,9 +588,7 @@ func (e *eventEngine) verifyStalled() {
 	for i := range e.shards {
 		e.shards[i].mu.Lock()
 	}
-	e.bar.mu.Lock()
 	unlock := func() {
-		e.bar.mu.Unlock()
 		for i := range e.shards {
 			e.shards[i].mu.Unlock()
 		}
@@ -728,9 +618,8 @@ func (e *eventEngine) verifyStalled() {
 			}
 		}
 	}
-	barParked := len(e.bar.waiters)
 	done := e.w.p - int(e.remaining.Load())
-	if recvBlocked+barParked+done != e.w.p {
+	if recvBlocked+done != e.w.p {
 		unlock()
 		return // raced with a task between states; not truly quiescent
 	}
@@ -738,24 +627,13 @@ func (e *eventEngine) verifyStalled() {
 		unlock()
 		return // normal termination; stopAll is already on its way
 	}
-	msg := deadlockMessage(recvBlocked, barParked, done, inflight)
-	if msg == "" {
-		unlock()
-		return // all-Barrier with no finisher resolves via the release
-	}
 	if obs.Enabled() {
 		mDeadlocks.Inc()
 	}
-	e.failMsg = msg
+	e.failMsg = deadlockMessage(recvBlocked, done, inflight)
 	e.failed.Store(true)
 	// Requeue every blocked task, still under all the locks, so each
-	// resumes, observes the failure, and aborts. The barrier generation
-	// stays unreleased: resumed waiters see gen unchanged and abort.
-	for _, id := range e.bar.waiters {
-		sh := &e.shards[e.shardOf(int(id))]
-		sh.runq = append(sh.runq, id)
-	}
-	e.bar.waiters = nil
+	// resumes, observes the failure, and aborts.
 	for i := range e.tasks {
 		t := &e.tasks[i]
 		if t.waiting {

@@ -90,10 +90,11 @@ func TestIdleWorkerDoesNotSpin(t *testing.T) {
 
 // TestEventEngineStatsBitIdentical runs a body exercising every Rank
 // operation — tagged sends consumed out of order, SendRecv exchanges,
-// phases, compute, memory accounting, barriers — and requires the full
-// WorldStats to match, bit for bit, the stats the one-goroutine-per-rank
-// reference scheduler produced for the same body (captured once, pinned
-// below), on a one-worker and a multi-worker pool.
+// phases, compute, memory accounting — and requires the full WorldStats to
+// match, bit for bit, the stats pinned below, on a one-worker and a
+// multi-worker pool. They were captured by running this body on the
+// scheduler before Barrier was removed, so they also pin that the removal
+// changed nothing else.
 func TestEventEngineStatsBitIdentical(t *testing.T) {
 	const p = 12
 	body := func(r *Rank) {
@@ -105,15 +106,13 @@ func TestEventEngineStatsBitIdentical(t *testing.T) {
 			r.Recv(prev, step)
 			r.Compute(float64(10 * (1 + me%2)))
 		}
-		r.Barrier()
 		r.SetPhase("exchange")
 		r.GrowMemory(float64(8 * (me + 1)))
 		got := r.SendRecv(next, prev, 90, make([]float64, 5))
 		r.PutBuffer(got)
 		r.ShrinkMemory(float64(8 * (me + 1)))
-		r.Barrier()
 		r.SetPhase("")
-		// Out-of-order tag consumption after the barrier.
+		// Out-of-order tag consumption.
 		r.Send(next, 201, []float64{1})
 		r.Send(next, 202, []float64{2, 2})
 		if w := r.Recv(prev, 202); len(w) != 2 {
@@ -122,29 +121,29 @@ func TestEventEngineStatsBitIdentical(t *testing.T) {
 		r.Recv(prev, 201)
 	}
 	// Rank me sends 4 shifts of 3+me%3 words, one 5-word exchange, and 3
-	// words after the barrier; it receives its predecessor's shifts.
-	rank := func(sent, recv, flops, peak, shiftRecv, shiftSent float64) RankStats {
+	// words of tagged messages; it receives its predecessor's shifts.
+	rank := func(sent, recv, flops, peak, clock, shiftRecv, shiftSent float64) RankStats {
 		return RankStats{
 			WordsSent: sent, WordsRecv: recv, MsgsSent: 7, MsgsRecv: 7,
-			Flops: flops, PeakMemory: peak, FinalClock: 38,
+			Flops: flops, PeakMemory: peak, FinalClock: clock,
 			PhaseRecvWords: map[string]float64{"exchange": 5, "shift": shiftRecv},
 			PhaseSentWords: map[string]float64{"exchange": 5, "shift": shiftSent},
 		}
 	}
 	want := WorldStats{
 		Ranks: []RankStats{
-			rank(20, 28, 40, 8, 20, 12),
-			rank(24, 20, 80, 16, 12, 16),
-			rank(28, 24, 40, 24, 16, 20),
-			rank(20, 28, 80, 32, 20, 12),
-			rank(24, 20, 40, 40, 12, 16),
-			rank(28, 24, 80, 48, 16, 20),
-			rank(20, 28, 40, 56, 20, 12),
-			rank(24, 20, 80, 64, 12, 16),
-			rank(28, 24, 40, 72, 16, 20),
-			rank(20, 28, 80, 80, 20, 12),
-			rank(24, 20, 40, 88, 12, 16),
-			rank(28, 24, 80, 96, 16, 20),
+			rank(20, 28, 40, 8, 38, 20, 12),
+			rank(24, 20, 80, 16, 38, 12, 16),
+			rank(28, 24, 40, 24, 36.75, 16, 20),
+			rank(20, 28, 80, 32, 36, 20, 12),
+			rank(24, 20, 40, 40, 35.25, 12, 16),
+			rank(28, 24, 80, 48, 38, 16, 20),
+			rank(20, 28, 40, 56, 38, 20, 12),
+			rank(24, 20, 80, 64, 38, 12, 16),
+			rank(28, 24, 40, 72, 36.75, 16, 20),
+			rank(20, 28, 80, 80, 36, 20, 12),
+			rank(24, 20, 40, 88, 35.25, 12, 16),
+			rank(28, 24, 80, 96, 38, 16, 20),
 		},
 		CriticalPath:   38,
 		TotalWordsSent: 288,
@@ -165,10 +164,9 @@ func TestEventEngineStatsBitIdentical(t *testing.T) {
 }
 
 // TestEventEngineDeadlockParity drives the deadlock suites and requires
-// the exact diagnostics the one-goroutine-per-rank reference scheduler
-// printed (captured once, pinned below): the verdict from the shared
-// message formatter, reported by the same (lowest panicking) rank, on a
-// one-worker and a multi-worker pool.
+// the exact diagnostics pinned below: the verdict from the shared message
+// formatter, reported by the lowest panicking rank, on a one-worker and a
+// multi-worker pool.
 func TestEventEngineDeadlockParity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -178,36 +176,19 @@ func TestEventEngineDeadlockParity(t *testing.T) {
 	}{
 		{"all-recv", 3, func(r *Rank) { r.Recv((r.ID()+1)%3, 0) },
 			"rank 0: machine: aborted: deadlock: all 3 ranks blocked in Recv with 0 undeliverable messages in flight"},
-		{"recv-plus-barrier", 2, func(r *Rank) {
-			if r.ID() == 0 {
-				r.Recv(1, 0)
-			} else {
-				r.Barrier()
-			}
-		}, "rank 0: machine: aborted: deadlock: 1 ranks blocked in Recv, 1 in Barrier, 0 finished, with 0 undeliverable messages in flight"},
-		{"barrier-early-exit", 4, func(r *Rank) {
-			if r.ID() == 0 {
-				return
-			}
-			r.Barrier()
-		}, "rank 1: machine: aborted: deadlock: 3 ranks in Barrier can never be released (1 ranks already finished)"},
 		{"undeliverable-inflight", 2, func(r *Rank) {
 			if r.ID() == 0 {
 				r.Send(1, 5, []float64{1})
 				return
 			}
 			r.Recv(0, 6)
-		}, "rank 1: machine: aborted: deadlock: 1 ranks blocked in Recv, 0 in Barrier, 1 finished, with 1 undeliverable messages in flight"},
+		}, "rank 1: machine: aborted: deadlock: 1 ranks blocked in Recv, 1 finished, with 1 undeliverable messages in flight"},
 		{"mixed", 4, func(r *Rank) {
-			switch r.ID() {
-			case 0:
+			if r.ID() < 2 {
 				return
-			case 1:
-				r.Barrier()
-			default:
-				r.Recv(0, 9)
 			}
-		}, "rank 1: machine: aborted: deadlock: 2 ranks blocked in Recv, 1 in Barrier, 1 finished, with 0 undeliverable messages in flight"},
+			r.Recv(0, 9)
+		}, "rank 2: machine: aborted: deadlock: 2 ranks blocked in Recv, 2 finished, with 0 undeliverable messages in flight"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -223,11 +204,10 @@ func TestEventEngineDeadlockParity(t *testing.T) {
 
 // TestEventEngineWorkerPoolStress forces a multi-worker pool (the default
 // on a single-CPU host is one worker, which would serialize everything)
-// and floods it with cross-shard traffic, out-of-order tag consumption,
-// and repeated barriers. Run under -race in CI, this is the test that
-// exercises the scheduler's cross-worker handoffs: senders on one shard
-// requeueing receivers pinned to another, barrier releases batching tasks
-// onto all shards at once, and the parked-counter quiescence protocol.
+// and floods it with cross-shard traffic and out-of-order tag consumption.
+// Run under -race in CI, this is the test that exercises the scheduler's
+// cross-worker handoffs: senders on one shard requeueing receivers pinned
+// to another, and the parked-counter quiescence protocol.
 func TestEventEngineWorkerPoolStress(t *testing.T) {
 	const (
 		p      = 32
@@ -248,7 +228,6 @@ func TestEventEngineWorkerPoolStress(t *testing.T) {
 					}
 					r.PutBuffer(got)
 				}
-				r.Barrier()
 			}
 		})
 		if err != nil {
@@ -287,7 +266,6 @@ func TestEventEngineLargeWorldCounting(t *testing.T) {
 		r.Send((me+1)%p, 0, []float64{float64(me)})
 		got := r.Recv((me+p-1)%p, 0)
 		r.PutBuffer(got)
-		r.Barrier()
 	})
 	if err != nil {
 		t.Fatal(err)

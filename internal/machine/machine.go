@@ -27,15 +27,14 @@
 // # Scheduler
 //
 // Ranks run as cooperatively scheduled tasks multiplexed onto a small
-// worker pool (one worker per GOMAXPROCS, capped at P), suspending at the
-// blocking points (Recv, Barrier) and resuming when the event that
-// unblocks them (a matching message, a barrier release) is delivered. The
-// Go scheduler never sees more than a handful of runnable goroutines,
-// there are no per-rank condition variables or broadcast storms, and
-// deadlock detection is an exact, nearly free check when the worker pool
-// goes idle. A rank body may block only in Recv or Barrier: anything else
-// that waits on another rank (a channel, a mutex held across ranks) stalls
-// its whole shard. See event_engine.go.
+// worker pool (one worker per GOMAXPROCS, capped at P), suspending in Recv
+// and resuming when a matching message is delivered: as in the model,
+// ranks interact only through point-to-point messages. The Go scheduler
+// never sees more than a handful of runnable goroutines, there are no
+// per-rank condition variables, and deadlock detection is an exact, nearly
+// free check when the worker pool goes idle. A rank body may block only in
+// Recv: anything else that waits on another rank (a channel, a mutex held
+// across ranks) stalls its whole shard. See event_engine.go.
 package machine
 
 import (
@@ -175,17 +174,6 @@ func checkRankCount(p int) error {
 	return nil
 }
 
-// NewWorld creates a machine with p ranks and the given cost model,
-// panicking on invalid sizes. Prefer New in paths that must report
-// capacity limits as errors instead of crashing.
-func NewWorld(p int, cfg Config) *World {
-	w, err := New(p, cfg)
-	if err != nil {
-		panic(fmt.Sprintf("machine: world size %d (supported: 1..%d)", p, MaxRanks))
-	}
-	return w
-}
-
 // SetNetwork installs a per-pair message-pricing oracle; call before Run.
 // A nil network restores the uniform Config pricing.
 func (w *World) SetNetwork(n Network) { w.net = n }
@@ -221,18 +209,11 @@ func (w *World) Stats() WorldStats {
 	return ws
 }
 
-// deadlockMessage renders the verdict of a deadlock verification. The
-// empty string means the state is not a deadlock (all ranks parked in a barrier with no finished
-// rank resolves via the barrier's own release).
-func deadlockMessage(recvBlocked, barParked, done, inflight int) string {
-	switch {
-	case recvBlocked == 0 && barParked > 0 && done > 0:
-		return fmt.Sprintf("deadlock: %d ranks in Barrier can never be released (%d ranks already finished)", barParked, done)
-	case recvBlocked == 0:
-		return ""
-	case barParked > 0 || done > 0:
-		return fmt.Sprintf("deadlock: %d ranks blocked in Recv, %d in Barrier, %d finished, with %d undeliverable messages in flight", recvBlocked, barParked, done, inflight)
-	default:
-		return fmt.Sprintf("deadlock: all %d ranks blocked in Recv with %d undeliverable messages in flight", recvBlocked, inflight)
+// deadlockMessage renders the verdict of a verified deadlock: every rank
+// is blocked in Recv or finished, and at least one is blocked.
+func deadlockMessage(recvBlocked, done, inflight int) string {
+	if done > 0 {
+		return fmt.Sprintf("deadlock: %d ranks blocked in Recv, %d finished, with %d undeliverable messages in flight", recvBlocked, done, inflight)
 	}
+	return fmt.Sprintf("deadlock: all %d ranks blocked in Recv with %d undeliverable messages in flight", recvBlocked, inflight)
 }

@@ -3,7 +3,6 @@ package machine
 import (
 	"math"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
@@ -128,46 +127,6 @@ func TestComputeAdvancesClock(t *testing.T) {
 	}
 }
 
-func TestBarrierAlignsClocks(t *testing.T) {
-	w := NewWorld(4, Config{Gamma: 1})
-	err := w.Run(func(r *Rank) {
-		r.Compute(float64(r.ID()) * 10) // clocks 0, 10, 20, 30
-		r.Barrier()
-		if r.clock != 30 {
-			t.Errorf("rank %d clock after barrier = %v, want 30", r.ID(), r.clock)
-		}
-		// Barrier must be reusable with fresh state.
-		r.Compute(5)
-		r.Barrier()
-		if r.clock != 35 {
-			t.Errorf("rank %d clock after 2nd barrier = %v, want 35", r.ID(), r.clock)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBarrierManyIterationsStress(t *testing.T) {
-	w := NewWorld(8, Config{})
-	var count int64
-	err := w.Run(func(r *Rank) {
-		for i := 0; i < 200; i++ {
-			atomic.AddInt64(&count, 1)
-			r.Barrier()
-			// After the barrier every rank must observe all arrivals of
-			// this round.
-			if c := atomic.LoadInt64(&count); c < int64((i+1)*8) {
-				t.Errorf("barrier leaked: round %d count %d", i, c)
-			}
-			r.Barrier()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDeadlockDetectionAllRecv(t *testing.T) {
 	w := NewWorld(3, BandwidthOnly())
 	err := w.Run(func(r *Rank) {
@@ -175,41 +134,6 @@ func TestDeadlockDetectionAllRecv(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("expected deadlock error, got %v", err)
-	}
-}
-
-func TestDeadlockDetectionRecvPlusBarrier(t *testing.T) {
-	w := NewWorld(2, BandwidthOnly())
-	err := w.Run(func(r *Rank) {
-		if r.ID() == 0 {
-			r.Recv(1, 0)
-		} else {
-			r.Barrier()
-		}
-	})
-	if err == nil || !strings.Contains(err.Error(), "deadlock") {
-		t.Fatalf("expected deadlock error, got %v", err)
-	}
-}
-
-// TestDeadlockDetectionBarrierWithEarlyExit is the regression test for the
-// detection gap the old engine documented in deadlockedLocked: ranks parked
-// in Barrier combined with a rank that returned early used to hang forever
-// instead of aborting, because the all-Recv-shaped check never examined
-// barrier waiters against finished ranks.
-func TestDeadlockDetectionBarrierWithEarlyExit(t *testing.T) {
-	w := NewWorld(4, BandwidthOnly())
-	err := w.Run(func(r *Rank) {
-		if r.ID() == 0 {
-			return // exits without reaching the barrier: it can never release
-		}
-		r.Barrier()
-	})
-	if err == nil || !strings.Contains(err.Error(), "deadlock") {
-		t.Fatalf("expected deadlock error, got %v", err)
-	}
-	if !strings.Contains(err.Error(), "Barrier") {
-		t.Fatalf("expected the barrier-specific diagnosis, got %v", err)
 	}
 }
 
@@ -230,25 +154,6 @@ func TestDeadlockDetectionUndeliverableInflight(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "1 undeliverable") {
 		t.Fatalf("expected the in-flight message to be reported, got %v", err)
-	}
-}
-
-// TestDeadlockDetectionMixedRecvBarrierExit drives all three idle states at
-// once: one rank finished, one parked in Barrier, the rest blocked in Recv.
-func TestDeadlockDetectionMixedRecvBarrierExit(t *testing.T) {
-	w := NewWorld(4, BandwidthOnly())
-	err := w.Run(func(r *Rank) {
-		switch r.ID() {
-		case 0:
-			return
-		case 1:
-			r.Barrier()
-		default:
-			r.Recv(0, 9)
-		}
-	})
-	if err == nil || !strings.Contains(err.Error(), "deadlock") {
-		t.Fatalf("expected deadlock error, got %v", err)
 	}
 }
 
@@ -509,4 +414,14 @@ func (s WorldStats) PhaseRecvTotal(phase string) float64 {
 		t += r.PhaseRecvWords[phase]
 	}
 	return t
+}
+
+// NewWorld creates a machine with p ranks and the given cost model,
+// panicking on invalid inputs: the tests' shorthand for New.
+func NewWorld(p int, cfg Config) *World {
+	w, err := New(p, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return w
 }

@@ -19,6 +19,4 @@ var (
 		"Words of payload posted by simulated ranks.")
 	mWordsRecv = obs.Default.Striped("machine_words_recv_total",
 		"Words of payload consumed by simulated ranks.")
-	mBarrierWaits = obs.Default.Striped("machine_barrier_waits_total",
-		"Barrier entries by simulated ranks.")
 )

@@ -209,16 +209,6 @@ func (r *Rank) Compute(flops float64) {
 	r.stats.Flops += flops
 }
 
-// Barrier synchronizes all ranks of the world and aligns their clocks to
-// the maximum. It charges no communication cost: it is a measurement
-// device separating phases, not an algorithmic collective.
-func (r *Rank) Barrier() {
-	if obs.Enabled() {
-		mBarrierWaits.Inc(r.id)
-	}
-	r.world.eng.barrier(r)
-}
-
 // GrowMemory records an allocation of the given number of words in the
 // rank's local memory, updating the peak watermark. Algorithms call it
 // (paired with ShrinkMemory) around their buffers so experiments can check

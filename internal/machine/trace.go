@@ -2,9 +2,8 @@ package machine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 )
 
 // EventKind classifies a traced simulator event.
@@ -47,73 +46,60 @@ type PhaseSpan struct {
 	End   float64
 }
 
-// Trace collects events and phase spans from all ranks of a world.
+// Trace collects events and phase spans from all ranks of a world, in one
+// event log and one phase-span log per rank. A rank appends only to its
+// own logs, in program order, so recording takes no lock, and the joined
+// logs do not depend on how the scheduler interleaved the ranks.
 type Trace struct {
-	mu     sync.Mutex
-	events []Event
-	phases []PhaseSpan
+	events [][]Event
+	phases [][]PhaseSpan
 }
 
-// add appends an event (called from rank goroutines).
+// add appends an event to its rank's log (called from that rank's body).
 func (t *Trace) add(e Event) {
-	t.mu.Lock()
-	t.events = append(t.events, e)
-	t.mu.Unlock()
+	t.events[e.Rank] = append(t.events[e.Rank], e)
 }
 
-// addPhase appends a closed phase span (called from rank goroutines).
+// addPhase appends a closed phase span to its rank's log (called from that
+// rank's body).
 func (t *Trace) addPhase(s PhaseSpan) {
-	t.mu.Lock()
-	t.phases = append(t.phases, s)
-	t.mu.Unlock()
+	t.phases[s.Rank] = append(t.phases[s.Rank], s)
 }
 
-// Phases returns the recorded phase spans sorted by (rank, start time). A
-// nil trace has none.
+// ranks returns the size of the world the trace records; a nil trace
+// records none.
+func (t *Trace) ranks() int {
+	if t == nil {
+		return 0
+	}
+	return len(t.events)
+}
+
+// Phases returns the recorded phase spans in rank order, each rank's in
+// the order it closed them, which is also start-time order. A nil trace
+// has none.
 func (t *Trace) Phases() []PhaseSpan {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]PhaseSpan, len(t.phases))
-	copy(out, t.phases)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rank != out[j].Rank {
-			return out[i].Rank < out[j].Rank
-		}
-		return out[i].Start < out[j].Start
-	})
-	return out
+	return slices.Concat(t.phases...)
 }
 
-// Events returns the recorded events sorted by (rank, start time). A nil
-// trace has none.
+// Events returns the recorded events in rank order, each rank's in program
+// order, which is also (start, end) order: a rank's clock never runs
+// backwards. A nil trace has none.
 func (t *Trace) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Event, len(t.events))
-	copy(out, t.events)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rank != out[j].Rank {
-			return out[i].Rank < out[j].Rank
-		}
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].End < out[j].End
-	})
-	return out
+	return slices.Concat(t.events...)
 }
 
 // EnableTracing attaches a Trace to the world; call before Run. Tracing
 // records every Send, Recv, and Compute with simulated timestamps, at some
 // memory cost per event.
 func (w *World) EnableTracing() *Trace {
-	w.trace = &Trace{}
+	w.trace = &Trace{events: make([][]Event, w.p), phases: make([][]PhaseSpan, w.p)}
 	return w.trace
 }
 
@@ -121,7 +107,7 @@ func (w *World) EnableTracing() *Trace {
 // time scaled to width columns; '#' marks computation, '>' send occupancy,
 // '.' receive waiting, ' ' idle. Overlapping events favor compute > send >
 // recv for visibility.
-func (t *Trace) Timeline(p int, width int) string {
+func (t *Trace) Timeline(width int) string {
 	if width <= 0 {
 		width = 80
 	}
@@ -137,6 +123,7 @@ func (t *Trace) Timeline(p int, width int) string {
 	}
 	glyph := map[EventKind]byte{EventCompute: '#', EventSend: '>', EventRecv: '.'}
 	priority := map[EventKind]int{EventCompute: 3, EventSend: 2, EventRecv: 1}
+	p := t.ranks()
 	rows := make([][]byte, p)
 	prio := make([][]int, p)
 	for i := range rows {
@@ -144,9 +131,6 @@ func (t *Trace) Timeline(p int, width int) string {
 		prio[i] = make([]int, width)
 	}
 	for _, e := range events {
-		if e.Rank < 0 || e.Rank >= p {
-			continue
-		}
 		lo := int(e.Start / maxEnd * float64(width-1))
 		hi := int(e.End / maxEnd * float64(width-1))
 		for x := lo; x <= hi && x < width; x++ {
@@ -165,14 +149,11 @@ func (t *Trace) Timeline(p int, width int) string {
 }
 
 // Summary aggregates per-kind totals (simulated time units per rank).
-func (t *Trace) Summary(p int) string {
-	events := t.Events()
+func (t *Trace) Summary() string {
 	type agg struct{ compute, send, recv float64 }
+	p := t.ranks()
 	per := make([]agg, p)
-	for _, e := range events {
-		if e.Rank < 0 || e.Rank >= p {
-			continue
-		}
+	for _, e := range t.Events() {
 		d := e.End - e.Start
 		switch e.Kind {
 		case EventCompute:

@@ -3,6 +3,8 @@ package machine
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -54,22 +56,22 @@ func TestTimelineAndSummaryRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl := tr.Timeline(3, 60)
+	tl := tr.Timeline(60)
 	if !strings.Contains(tl, "rank   0") || !strings.Contains(tl, "#") || !strings.Contains(tl, ">") {
 		t.Fatalf("timeline missing content:\n%s", tl)
 	}
 	if lines := strings.Count(tl, "\n"); lines != 4 { // header + 3 ranks
 		t.Fatalf("timeline has %d lines:\n%s", lines, tl)
 	}
-	sum := tr.Summary(3)
+	sum := tr.Summary()
 	if !strings.Contains(sum, "compute") || !strings.Contains(sum, "50") {
 		t.Fatalf("summary missing content:\n%s", sum)
 	}
 }
 
 func TestTimelineEmptyTrace(t *testing.T) {
-	tr := &Trace{}
-	if s := tr.Timeline(2, 40); !strings.Contains(s, "rank") {
+	tr := NewWorld(2, BandwidthOnly()).EnableTracing()
+	if s := tr.Timeline(40); strings.Count(s, "rank") != 2 {
 		t.Fatalf("empty timeline broken:\n%s", s)
 	}
 }
@@ -135,23 +137,23 @@ func TestTrafficHeatmapAllZero(t *testing.T) {
 	}
 }
 
-// TestChromeTraceEmpty pins the degenerate exports: a nil trace, an
-// enabled-but-empty trace, and a zero-rank request must all emit valid JSON
-// whose traceEvents is an array, never null — downstream viewers reject the
-// latter.
+// TestChromeTraceEmpty pins the degenerate exports: a nil trace, a zero
+// Trace, and an enabled trace of a world that never ran must all emit valid
+// JSON whose traceEvents is an array, never null — downstream viewers
+// reject the latter. Only the last has ranks to name.
 func TestChromeTraceEmpty(t *testing.T) {
 	cases := []struct {
 		name  string
 		trace *Trace
 		p     int
 	}{
-		{"nil trace, no ranks", nil, 0},
-		{"nil trace, ranks named", nil, 2},
-		{"empty trace", &Trace{}, 0},
+		{"nil trace", nil, 0},
+		{"zero trace", &Trace{}, 0},
+		{"enabled, never run", NewWorld(2, BandwidthOnly()).EnableTracing(), 2},
 	}
 	for _, tc := range cases {
 		var buf bytes.Buffer
-		if err := tc.trace.WriteChromeTrace(&buf, tc.p); err != nil {
+		if err := tc.trace.WriteChromeTrace(&buf); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		var doc struct {
@@ -163,8 +165,12 @@ func TestChromeTraceEmpty(t *testing.T) {
 		if !strings.Contains(buf.String(), `"traceEvents":[`) {
 			t.Errorf("%s: traceEvents is not an array:\n%s", tc.name, buf.String())
 		}
-		if tc.p == 0 && len(doc.TraceEvents) != 0 {
-			t.Errorf("%s: want zero events, got %d", tc.name, len(doc.TraceEvents))
+		want := 0 // with ranks: one process_name record, one thread_name each
+		if tc.p > 0 {
+			want = 1 + tc.p
+		}
+		if len(doc.TraceEvents) != want {
+			t.Errorf("%s: want %d metadata records, got %d", tc.name, want, len(doc.TraceEvents))
 		}
 	}
 }
@@ -179,7 +185,7 @@ func TestChromeTraceSingleRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf, w.p); err != nil {
+	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -209,5 +215,50 @@ func TestTraceNilAccessors(t *testing.T) {
 	}
 	if got := tr.Phases(); got != nil {
 		t.Errorf("nil Phases = %v", got)
+	}
+}
+
+// TestRecordingIndependentOfPoolWidth: each rank appends to its own event
+// and phase-span logs and writes only its own traffic row, without a lock,
+// so a world records the same events, spans and traffic at every pool
+// width and on every run. Compute is free here, so its events tie in time
+// with their neighbours. Under -race this checks the lock-free recorders.
+func TestRecordingIndependentOfPoolWidth(t *testing.T) {
+	const p = 16
+	type recording struct {
+		events  []Event
+		phases  []PhaseSpan
+		traffic []float64
+	}
+	record := func(workers int) recording {
+		w := testWorld(t, p, Config{Beta: 1}, workers)
+		tr := w.EnableTracing()
+		tm := w.EnableTraffic()
+		err := w.Run(func(r *Rank) {
+			me := r.ID()
+			for round := 0; round < 4; round++ {
+				r.SetPhase(fmt.Sprintf("round-%d", round%2))
+				for d := 1; d <= 3; d++ {
+					r.Send((me+d)%p, round, make([]float64, 1+me%3))
+					r.Compute(8)
+				}
+				for d := 3; d >= 1; d-- {
+					r.PutBuffer(r.Recv((me+p-d)%p, round))
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return recording{tr.Events(), tr.Phases(), tm.words}
+	}
+	want := record(1)
+	if len(want.events) != p*4*9 || len(want.phases) != p*4 {
+		t.Fatalf("recorded %d events and %d spans, want %d and %d", len(want.events), len(want.phases), p*4*9, p*4)
+	}
+	for _, workers := range []int{1, 2, 4, 7, 4} {
+		if got := record(workers); !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: recording differs from the one-worker run", workers)
+		}
 	}
 }

@@ -3,15 +3,15 @@ package machine
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // TrafficMatrix accumulates per-(source, destination) word counts — the
 // network's full traffic pattern, useful for checking that an algorithm's
 // communication stays on its intended fibers and for visualizing locality.
+// Row src is written only by rank src's sends, so recording takes no lock;
+// read the matrix after Run.
 type TrafficMatrix struct {
 	p     int
-	mu    sync.Mutex
 	words []float64 // p×p, row-major [src*p+dst]
 }
 
@@ -21,17 +21,13 @@ func (w *World) EnableTraffic() *TrafficMatrix {
 	return w.traffic
 }
 
-// add records a message (called from rank goroutines).
+// add records a message (called from the body of rank src).
 func (t *TrafficMatrix) add(src, dst int, words float64) {
-	t.mu.Lock()
 	t.words[src*t.p+dst] += words
-	t.mu.Unlock()
 }
 
 // Words returns the total words sent from src to dst.
 func (t *TrafficMatrix) Words(src, dst int) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.words[src*t.p+dst]
 }
 
@@ -39,8 +35,6 @@ func (t *TrafficMatrix) Words(src, dst int) float64 {
 // exchanged any data — a locality measure (an all-to-all uses p(p−1)
 // pairs; fiber-structured algorithms far fewer).
 func (t *TrafficMatrix) ActivePairs() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	n := 0
 	for _, v := range t.words {
 		if v > 0 {
@@ -54,8 +48,6 @@ func (t *TrafficMatrix) ActivePairs() int {
 // columns = destinations; ' ' none, '.' light, '+' medium, '#' heavy,
 // scaled to the maximum cell). Intended for small P.
 func (t *TrafficMatrix) Heatmap() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	max := 0.0
 	for _, v := range t.words {
 		if v > max {

@@ -83,15 +83,17 @@ type PushConfig struct {
 	// Prefix is prepended to every statsd key (a trailing "." is added if
 	// missing). Optional.
 	Prefix string
-	// Quantiles are the percentile gauges emitted per histogram; default
-	// 0.5, 0.9, 0.99.
-	Quantiles []float64
-	// MaxPacket caps one UDP datagram's payload; default 1400 (safe under
-	// typical 1500-byte MTUs). TCP ignores it.
-	MaxPacket int
 	// Registries to gather from; default is just obs.Default.
 	Registries []*Registry
 }
+
+// pushQuantiles are the percentile gauges emitted per histogram: p50, p90
+// and p99.
+var pushQuantiles = [...]float64{0.5, 0.9, 0.99}
+
+// maxPacket caps one UDP datagram's payload, safe under typical 1500-byte
+// MTUs. TCP ignores it.
+const maxPacket = 1400
 
 // prevEntry is the per-metric state from the previous flush, keyed by
 // statsd key, used to turn cumulative counters into interval deltas.
@@ -109,18 +111,17 @@ type Pusher struct {
 	cfg    PushConfig
 	conn   net.Conn
 	udp    bool
-	mu     sync.Mutex // serializes Flush; guards prev and lastErr
+	mu     sync.Mutex // serializes Flush; guards prev
 	prev   map[string]prevEntry
 	ticker *time.Ticker
 	stop   chan struct{}
 	done   chan struct{}
-
-	lastErr error
 }
 
 // NewPusher dials the sink and starts the flush loop. Dial errors are
-// returned; send errors after that are recorded (see Err) but never
-// fatal — metrics export must not take the service down with it.
+// returned. Send errors after that are dropped, and the failed write's
+// lines with them, counter deltas included: metrics export must not take
+// the service down with it.
 func NewPusher(cfg PushConfig) (*Pusher, error) {
 	network, addr := "udp", cfg.Addr
 	if s, ok := strings.CutPrefix(cfg.Addr, "udp://"); ok {
@@ -137,12 +138,6 @@ func NewPusher(cfg PushConfig) (*Pusher, error) {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 10 * time.Second
-	}
-	if len(cfg.Quantiles) == 0 {
-		cfg.Quantiles = []float64{0.5, 0.9, 0.99}
-	}
-	if cfg.MaxPacket <= 0 {
-		cfg.MaxPacket = 1400
 	}
 	if cfg.Prefix != "" && !strings.HasSuffix(cfg.Prefix, ".") {
 		cfg.Prefix += "."
@@ -243,7 +238,7 @@ func (p *Pusher) histLines(key string, h *histSnapshot) []string {
 	for i := range h.counts {
 		deltas[i] = h.counts[i] - prev.counts[i]
 	}
-	for _, q := range p.cfg.Quantiles {
+	for _, q := range pushQuantiles {
 		v := quantileFromBuckets(h.bounds, deltas, dCount, q)
 		lines = append(lines, fmt.Sprintf("%s.p%d:%s|g", key, int(q*100+0.5), formatStatsd(v)))
 	}
@@ -283,16 +278,14 @@ func quantileFromBuckets(bounds []float64, deltas []uint64, total uint64, q floa
 }
 
 // send writes the lines to the sink — newline-joined, batched under
-// MaxPacket per datagram for UDP, one stream write for TCP. Called with
-// p.mu held.
+// maxPacket per datagram for UDP, one stream write for TCP — dropping
+// write errors (see NewPusher). Called with p.mu held.
 func (p *Pusher) send(lines []string) {
 	if len(lines) == 0 {
 		return
 	}
-	p.lastErr = nil
 	if !p.udp {
-		_, err := p.conn.Write([]byte(strings.Join(lines, "\n") + "\n"))
-		p.lastErr = err
+		_, _ = p.conn.Write([]byte(strings.Join(lines, "\n") + "\n")) // dropped on failure
 		return
 	}
 	var b strings.Builder
@@ -300,13 +293,11 @@ func (p *Pusher) send(lines []string) {
 		if b.Len() == 0 {
 			return
 		}
-		if _, err := p.conn.Write([]byte(b.String())); err != nil {
-			p.lastErr = err
-		}
+		_, _ = p.conn.Write([]byte(b.String())) // dropped on failure
 		b.Reset()
 	}
 	for _, l := range lines {
-		if b.Len() > 0 && b.Len()+1+len(l) > p.cfg.MaxPacket {
+		if b.Len() > 0 && b.Len()+1+len(l) > maxPacket {
 			flush()
 		}
 		if b.Len() > 0 {

@@ -13,12 +13,13 @@ import (
 )
 
 // udpSink is a scratch statsd listener: it collects every line from every
-// datagram received on a loopback UDP socket.
+// datagram received on a loopback UDP socket, and each datagram's size.
 type udpSink struct {
-	pc   net.PacketConn
-	mu   sync.Mutex
-	got  []string
-	done chan struct{}
+	pc    net.PacketConn
+	mu    sync.Mutex
+	got   []string
+	sizes []int
+	done  chan struct{}
 }
 
 func newUDPSink(t *testing.T) *udpSink {
@@ -37,6 +38,7 @@ func newUDPSink(t *testing.T) *udpSink {
 				return
 			}
 			s.mu.Lock()
+			s.sizes = append(s.sizes, n)
 			for _, line := range strings.Split(strings.TrimRight(string(buf[:n]), "\n"), "\n") {
 				if line != "" {
 					s.got = append(s.got, line)
@@ -242,22 +244,28 @@ func TestPushTCPSink(t *testing.T) {
 func TestPushUDPPacketBatching(t *testing.T) {
 	sink := newUDPSink(t)
 	r := NewRegistry()
-	// Enough distinct gauges that one datagram cannot hold them under a
-	// tiny MaxPacket; every line must still arrive.
-	const n = 40
+	// Enough distinct gauges (about 30 bytes of line each) that one
+	// datagram cannot hold them under the 1400-byte cap; every line must
+	// still arrive, in datagrams no larger than the cap.
+	const n = 150
 	for i := 0; i < n; i++ {
 		v := float64(i)
 		r.GaugeFunc("g", "g", func() float64 { return v }, "idx", strings.Repeat("x", 20)+strconv.Itoa(i))
 	}
-	p := newTestPusher(t, PushConfig{Addr: sink.addr(), MaxPacket: 64, Registries: []*Registry{r}})
+	p := newTestPusher(t, PushConfig{Addr: sink.addr(), Registries: []*Registry{r}})
 	p.Flush()
-	got := sink.waitLines(t, n)
-	if len(got) < n {
+	if got := sink.waitLines(t, n); len(got) != n {
 		t.Fatalf("got %d lines, want %d", len(got), n)
 	}
-	for _, l := range got {
-		if len(l) > 64 {
-			t.Fatalf("line longer than MaxPacket: %q", l)
+	sink.mu.Lock()
+	sizes := append([]int(nil), sink.sizes...)
+	sink.mu.Unlock()
+	if len(sizes) < 2 {
+		t.Fatalf("%d lines arrived in %d datagram(s), want them split", n, len(sizes))
+	}
+	for _, sz := range sizes {
+		if sz > maxPacket {
+			t.Fatalf("datagram of %d bytes exceeds the %d-byte cap", sz, maxPacket)
 		}
 	}
 }

@@ -160,6 +160,39 @@ func TestTraceArtifactRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTraceArtifactDedupe: traced jobs of one problem write the same trace
+// bytes, whatever the scheduler's interleaving, so they all list one
+// trace.json hash and the content-addressed store holds one blob for them.
+// Four jobs of a 16-rank world run two at a time: when equal-time events
+// were ordered by scheduling, most runs of this test saw more than one
+// hash.
+func TestTraceArtifactDedupe(t *testing.T) {
+	_, ts := newArtifactServer(t, Config{})
+	var ids []string
+	for i := 0; i < 4; i++ {
+		status, raw := post(t, ts, "/v1/simulate", `{"n1":32,"n2":32,"n3":32,"p":16,"trace":true}`)
+		if status != http.StatusAccepted {
+			t.Fatalf("submit %d status %d: %s", i, status, raw)
+		}
+		ids = append(ids, decode[JobResponse](t, raw).ID)
+	}
+	hashes := map[string]bool{}
+	for _, id := range ids {
+		job := waitJob(t, ts, id)
+		if job.Status != string(JobDone) {
+			t.Fatalf("job = %+v", job)
+		}
+		for _, a := range job.Artifacts {
+			if a.Name == "trace.json" {
+				hashes[a.SHA256] = true
+			}
+		}
+	}
+	if len(hashes) != 1 {
+		t.Fatalf("four identical traced jobs list trace.json hashes %v, want one", hashes)
+	}
+}
+
 func mustJSON(t *testing.T, v any) []byte {
 	t.Helper()
 	raw, err := json.Marshal(v)

@@ -493,11 +493,8 @@ func (s *Server) simulateOne(ctx context.Context, entry algs.Entry, p Problem, r
 		out.MaxAbsDiff = &diff
 	}
 	if traceName != "" {
-		if res.Trace == nil {
-			return SimulateResult{}, fmt.Errorf("service: %s produced no trace", entry.Name)
-		}
 		if _, err := s.writeArtifact(ctx, traceName, "application/json", func(w io.Writer) error {
-			return res.Trace.WriteChromeTrace(w, p.P)
+			return res.Trace.WriteChromeTrace(w)
 		}); err != nil {
 			return SimulateResult{}, err
 		}
