@@ -25,10 +25,7 @@
 // that measures the same quantity).
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Dims describes a classical matrix multiplication C = A·B with A of size
 // N1×N2 and B of size N2×N3 (so C is N1×N3).
@@ -39,9 +36,17 @@ type Dims struct {
 // Sorted returns the dimensions ordered as the paper's m ≥ n ≥ k:
 // m = max, n = median, k = min.
 func (d Dims) Sorted() (m, n, k int) {
-	v := []int{d.N1, d.N2, d.N3}
-	sort.Ints(v)
-	return v[2], v[1], v[0]
+	m, n, k = d.N1, d.N2, d.N3
+	if m < n {
+		m, n = n, m
+	}
+	if n < k {
+		n, k = k, n
+	}
+	if m < n {
+		m, n = n, m
+	}
+	return m, n, k
 }
 
 // maxExactProduct is the largest integer float64 arithmetic represents
@@ -133,11 +138,15 @@ func (c Case) String() string {
 // case there.
 func CaseOf(d Dims, p int) Case {
 	m, n, k := d.Sorted()
-	fp := float64(p)
-	if fp <= float64(m)/float64(n) {
+	return caseOf(float64(m), float64(n), float64(k), float64(p))
+}
+
+// caseOf is CaseOf over the sorted dimensions m ≥ n ≥ k as floats.
+func caseOf(m, n, k, p float64) Case {
+	if p <= m/n {
 		return Case1
 	}
-	if fp <= float64(m)*float64(n)/(float64(k)*float64(k)) {
+	if p <= m*n/(k*k) {
 		return Case2
 	}
 	return Case3

@@ -28,7 +28,7 @@ func (s Lemma2Solution) Sum() float64 { return s.X1 + s.X2 + s.X3 }
 func Lemma2Closed(d Dims, p int) Lemma2Solution {
 	m, n, k := d.Sorted()
 	fm, fn, fk, fp := float64(m), float64(n), float64(k), float64(p)
-	switch c := CaseOf(d, p); c {
+	switch c := caseOf(fm, fn, fk, fp); c {
 	case Case1:
 		return Lemma2Solution{X1: fn * fk, X2: fm * fk / fp, X3: fm * fn / fp, Case: c}
 	case Case2:

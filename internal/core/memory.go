@@ -56,10 +56,14 @@ func PerfectStrongScalingLimit(d Dims, mem float64) float64 {
 // Theorem 3 and the memory-dependent leading-term bound for the instance,
 // along with which one binds.
 func BindingBound(d Dims, p int, mem float64) (bound float64, memoryDependent bool) {
-	mi := D(d, p)
-	md := MemoryDependentLeading(d, p, mem)
-	if md > mi {
+	return Binding(D(d, p), MemoryDependentLeading(d, p, mem))
+}
+
+// Binding returns the larger of the footprint dd (D of Theorem 3) and the
+// memory-dependent bound md, and whether md is the larger.
+func Binding(dd, md float64) (bound float64, memoryDependent bool) {
+	if md > dd {
 		return md, true
 	}
-	return mi, false
+	return dd, false
 }

@@ -19,24 +19,23 @@ func D(d Dims, p int) float64 {
 // the output, and load-balances either the computation or the data must
 // move at least this many words along its critical path.
 func LowerBound(d Dims, p int) float64 {
-	return D(d, p) - d.InputOutputWords()/float64(p)
+	return Lemma2Closed(d, p).Bound(d, p)
+}
+
+// Bound returns Theorem 3's bound from s, the Lemma 2 solution of (d, p):
+// its sum D minus the owned words (mn + mk + nk)/P.
+func (s Lemma2Solution) Bound(d Dims, p int) float64 {
+	return s.Sum() - d.InputOutputWords()/float64(p)
 }
 
 // LeadingTerm returns the leading-order term of the bound in the regime of
 // (d, p) — the quantity whose constants Table 1 compares:
 //
 //	Case 1: nk,  Case 2: (mnk²/P)^{1/2},  Case 3: (mnk/P)^{2/3}.
+//
+// It is x1* of Lemma 2's closed form.
 func LeadingTerm(d Dims, p int) float64 {
-	m, n, k := d.Sorted()
-	fm, fn, fk, fp := float64(m), float64(n), float64(k), float64(p)
-	switch CaseOf(d, p) {
-	case Case1:
-		return fn * fk
-	case Case2:
-		return math.Sqrt(fm * fn * fk * fk / fp)
-	default:
-		return math.Pow(fm*fn*fk/fp, 2.0/3.0)
-	}
+	return Lemma2Closed(d, p).X1
 }
 
 // TightConstant returns the constant of the leading term proved tight by

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -113,6 +114,95 @@ func TestCrossoverObservedSquare(t *testing.T) {
 	}
 	if crossings != 1 {
 		t.Errorf("%d points carry the Crossover flag, want 1", crossings)
+	}
+}
+
+// TestCrossoverInCaseTwo pins a switch that happens in Case 2, where the
+// Case 3 formula does not place it: 1000×1000×10 puts the case boundaries
+// at m/n = 1 and mn/k² = 10⁴, so [2000, 3000] is all Case 2. With M = 100,
+// md·P = 2mnk/√M = 2·10⁶ and D·P = 2k√(mnP) + mn = 2·10⁴·√P + 10⁶ meet
+// at √P = 50: at P = 2500 both bounds are exactly 800, so 2499 is the last
+// memory-dependent point and 2500 the switch. The Case 3 threshold
+// (8/27)·mnk/M^{3/2} ≈ 2963 lies in range too, 463 points off.
+func TestCrossoverInCaseTwo(t *testing.T) {
+	req := Request{Dims: core.NewDims(1000, 1000, 10), Mem: 100, PMin: 2000, PMax: 3000}
+	sum, pts, err := Run(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.ObservedCrossoverP != 2500 {
+		t.Errorf("ObservedCrossoverP = %d, want 2500", sum.ObservedCrossoverP)
+	}
+	if !relEq(sum.CrossoverP, 8e4/27, 1e-12) || !sum.CrossoverInRange {
+		t.Errorf("CrossoverP = %v (in range %v), want 8·10⁴/27 in range", sum.CrossoverP, sum.CrossoverInRange)
+	}
+	for _, pt := range pts {
+		if pt.Case != 2 {
+			t.Fatalf("P=%d is Case %d, want 2", pt.P, pt.Case)
+		}
+		if want := pt.P < 2500; pt.MemoryDependent != want {
+			t.Errorf("P=%d MemoryDependent = %v, want %v", pt.P, pt.MemoryDependent, want)
+		}
+		if want := pt.P == 2500; pt.Crossover != want {
+			t.Errorf("P=%d Crossover = %v, want %v", pt.P, pt.Crossover, want)
+		}
+	}
+}
+
+// TestCrossoverMatchesPairwise holds the bisected switch to its pairwise
+// definition over random shapes, budgets and ranges, strided and log2:
+// ObservedCrossoverP is the first swept P whose binding bound is
+// memory-independent after a memory-dependent one (0 when none is), and
+// that point, only that one, carries the Crossover flag. Budgets are
+// drawn around the M at which the two bounds meet inside the range, so
+// most sweeps witness a switch, in all three cases.
+func TestCrossoverMatchesPairwise(t *testing.T) {
+	rng := rand.New(rand.NewPCG(22, 1))
+	logUniform := func(hi float64) int { return int(math.Exp(rng.Float64() * math.Log(hi))) }
+	switches := 0
+	var cases [4]int // by the case the switch happens in
+	for trial := 0; trial < 400; trial++ {
+		req := Request{Dims: core.NewDims(logUniform(4096), logUniform(4096), logUniform(4096)), PMin: logUniform(1 << 16)}
+		if rng.IntN(3) == 0 {
+			req.Log2 = true
+			req.PMax = req.PMin << rng.IntN(12)
+		} else {
+			req.PStep = 1 + rng.IntN(64)
+			req.PMax = req.PMin + req.PStep*rng.IntN(200)
+		}
+		// md = D at P* when √M = 2mnk/(P*·D(P*)).
+		pStar := req.PMin + rng.IntN(req.PMax-req.PMin+1)
+		root := 2 * req.Dims.Flops() / (float64(pStar) * core.D(req.Dims, pStar))
+		req.Mem = root * root * math.Exp(rng.Float64()-0.5)
+		sum, pts, err := Run(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%+v: %v", req, err)
+		}
+		want, flagged := 0, 0
+		for i, pt := range pts {
+			if want == 0 && i > 0 && pts[i-1].MemoryDependent && !pt.MemoryDependent {
+				want = pt.P
+			}
+			if pt.Crossover {
+				flagged++
+				if pt.P != want {
+					t.Errorf("%+v: Crossover flag on P=%d, pairwise switch at %d", req, pt.P, want)
+				}
+			}
+		}
+		if sum.ObservedCrossoverP != want {
+			t.Errorf("%+v: ObservedCrossoverP = %d, pairwise switch at %d", req, sum.ObservedCrossoverP, want)
+		}
+		if flagged != min(want, 1) {
+			t.Errorf("%+v: %d points flagged, want %d", req, flagged, min(want, 1))
+		}
+		if want != 0 {
+			switches++
+			cases[core.CaseOf(req.Dims, want)]++
+		}
+	}
+	if switches < 200 || cases[1] == 0 || cases[2] == 0 || cases[3] == 0 {
+		t.Errorf("%d of 400 sweeps switch (by case %v): the generator should reach every case", switches, cases[1:])
 	}
 }
 
@@ -444,6 +534,19 @@ func TestTopologyPlanDatacenterP(t *testing.T) {
 		}
 		if pt.Time <= 0 || math.IsInf(pt.Time, 0) || math.IsNaN(pt.Time) {
 			t.Errorf("P=%d time = %v", pt.P, pt.Time)
+		}
+	}
+}
+
+// BenchmarkSweep is plan-cold's request without HTTP or encoding: 2000³
+// over the 5000 P from 100000 to 104999, with a budget of its own each
+// iteration, through Planner.Sweep in 256-point chunks.
+func BenchmarkSweep(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		req := Request{Dims: core.Square(2000), Mem: 10000 + float64(i), PMin: 100000, PMax: 104999}
+		if _, err := (Planner{}).Sweep(context.Background(), req, 256, func([]Point) error { return nil }); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

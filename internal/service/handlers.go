@@ -65,7 +65,7 @@ func parseProblem(p Problem) (core.Dims, error) {
 	return d, nil
 }
 
-// checkSearchP guards the linear-in-P divisor search.
+// checkSearchP guards the divisor-triple searches (see MaxSearchProcs).
 func (s *Server) checkSearchP(p int) error {
 	if p > s.cfg.MaxSearchProcs {
 		return fmt.Errorf("service: P=%d exceeds the search limit %d: %w",

@@ -116,8 +116,8 @@ type PlanRow struct {
 	Done bool `json:"done,omitempty"`
 }
 
-// planChunk is the streaming fan-out granularity: points per
-// MapChunksContext chunk, and therefore per flush.
+// planChunk is the sweep's fan-out granularity: points per
+// Planner.Sweep chunk, and therefore per flush when streaming.
 const planChunk = 256
 
 // planRowBytes bounds one NDJSON point row: the point and its
@@ -252,16 +252,21 @@ func (s *Server) submitPlanJob(w http.ResponseWriter, reqs []plan.Request) {
 // failures are partial: the envelope carries the successes plus one error
 // per failed problem, under 200 (validation already passed; what failed
 // is the computation, not the request). The envelope is encoding/json's
-// bytes for a PlanEnvelope, built in one presized buffer as the sweeps
-// emit, each point by plan.Point.AppendJSON.
+// bytes for a PlanEnvelope, built in one buffer as the sweeps emit, each
+// point by plan.Point.AppendJSON. The buffer starts with room for the
+// first chunk at plan.MaxPointJSON per point, then grows once, to what
+// the remaining points take at that chunk's bytes per point and an eighth
+// more.
 func (s *Server) inlinePlan(w http.ResponseWriter, r *http.Request, reqs []plan.Request) {
 	ctx := r.Context()
 	pl := s.planner()
-	size := 64
+	total := 0
 	for _, pr := range reqs {
-		size += 1024 + pr.Points()*(plan.MaxPointJSON+1)
+		total += pr.Points()
 	}
-	b := append(make([]byte, 0, size), `{"results":[`...)
+	framing := 64 + len(reqs)*1024 // the envelope and each problem's summary
+	b := append(make([]byte, 0, framing+min(total, planChunk)*(plan.MaxPointJSON+1)), `{"results":[`...)
+	grown := false
 	var errs []EnvelopeError
 	for i, pr := range reqs {
 		if i > 0 {
@@ -276,6 +281,7 @@ func (s *Server) inlinePlan(w http.ResponseWriter, r *http.Request, reqs []plan.
 		if err == nil {
 			b = append(b, `,"points":[`...)
 			_, err = pl.Sweep(ctx, pr, planChunk, func(chunk []plan.Point) error {
+				from := len(b)
 				for j := range chunk {
 					if n > 0 {
 						b = append(b, ',')
@@ -285,6 +291,11 @@ func (s *Server) inlinePlan(w http.ResponseWriter, r *http.Request, reqs []plan.
 					if b, err = chunk[j].AppendJSON(b); err != nil {
 						return err
 					}
+				}
+				if !grown {
+					grown = true
+					perPoint := (len(b)-from)/len(chunk) + 1
+					b = slices.Grow(b, framing+(total-len(chunk))*(perPoint+perPoint/8))
 				}
 				return nil
 			})

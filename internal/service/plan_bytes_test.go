@@ -21,6 +21,9 @@ var planByteBodies = []struct{ name, body string }{
 	{"plan-cold", `{"problems":[{"n1":2000,"n2":2000,"n3":2000,"mem":10001,"pMin":100000,"pMax":104999}]`},
 	{"api-warm", `{"problems":[{"n1":2000,"n2":2000,"n3":2000,"mem":1000000,"pMin":64,"pMax":1024,"log2":true}]`},
 	{"ci-crossover", `{"problems":[{"n1":9600,"n2":2400,"n3":600,"mem":40000,"pMin":64,"pMax":1024,"log2":true}]`},
+	// Memory-dependence ends in Case 2, at P = 2500, away from the Case 3
+	// threshold 2963: the summary and the flagged point must agree.
+	{"case2-crossover", `{"problems":[{"n1":1000,"n2":1000,"n3":10,"mem":100,"pMin":2000,"pMax":3000}]`},
 	{"ci-small", `{"problems":[{"n1":64,"n2":64,"n3":64,"mem":1e6,"pMin":1,"pMax":4}]`},
 	{"pstep", `{"problems":[{"n1":9600,"n2":2400,"n3":600,"mem":40000,"pMin":100,"pMax":3000,"pStep":7,"alpha":1e-6,"beta":1e-9,"gamma":1e-11}]`},
 	{"partial-fit", `{"problems":[{"n1":2000,"n2":2000,"n3":2000,"mem":120000,"pMin":100,"pMax":2000,"pStep":50,"alpha":2,"beta":1}]`},
@@ -43,33 +46,36 @@ var planModes = []struct{ name, suffix string }{
 // planAnswerSHA256 pins the SHA-256 of every answer to planByteBodies, as
 // encoding/json writes it, keyed "body/mode".
 var planAnswerSHA256 = map[string]string{
-	"plan-cold/inline":    "3efd12d7819895ec9ef972b50800f89b35ba5cac415588378e725a5c90683d66",
-	"plan-cold/stream":    "b6af111d4cf6536bf42827e0d61c52747d1e368a6f7d7c9639f698e032533cc8",
-	"plan-cold/job":       "b6af111d4cf6536bf42827e0d61c52747d1e368a6f7d7c9639f698e032533cc8",
-	"api-warm/inline":     "3862c1647647da2d343591a014eb2f8f8098892d1a6d5e50516437daa2082c8b",
-	"api-warm/stream":     "7ad1a8d95c1bf1b43477dfbe66e503b0ef0bd9481b7e80973108726103b85998",
-	"api-warm/job":        "7ad1a8d95c1bf1b43477dfbe66e503b0ef0bd9481b7e80973108726103b85998",
-	"ci-crossover/inline": "3b96035a8dfc2fcabff5440abdb4bb43e5482ea6ac9a1819eb13975fc4b4677d",
-	"ci-crossover/stream": "a341372748f620935920c3a5c2079554a3cd69662b2c5d6f76727b63c85c0d2c",
-	"ci-crossover/job":    "a341372748f620935920c3a5c2079554a3cd69662b2c5d6f76727b63c85c0d2c",
-	"ci-small/inline":     "8a53f95b3e33326888f898d462dd089de913573024a47b6ec6c1678f49ae3b9f",
-	"ci-small/stream":     "ff72b1b65848734fe3c0226dcc5ff98731a9f4c670840de5e0b5415bf95e9683",
-	"ci-small/job":        "ff72b1b65848734fe3c0226dcc5ff98731a9f4c670840de5e0b5415bf95e9683",
-	"pstep/inline":        "54f71f4730a8c7fbaffe00531973c4e904a57ff2313deed1664d5c70d8fdae5e",
-	"pstep/stream":        "8be772359261afb017362b77838dc83c8cf624f57a8f60530060bae57ce800c5",
-	"pstep/job":           "8be772359261afb017362b77838dc83c8cf624f57a8f60530060bae57ce800c5",
-	"partial-fit/inline":  "c1aaefc340aefe027c3310a0473fed4f1b3ca420311276de34cce23acef7eb59",
-	"partial-fit/stream":  "3c123f85699b472e7660dc4d23863bb768715c55a73ef13a5f7d4e534d33fc88",
-	"partial-fit/job":     "3c123f85699b472e7660dc4d23863bb768715c55a73ef13a5f7d4e534d33fc88",
-	"flat/inline":         "8b230e03b4a2893bea787665b6c1aac9f68855035479e6fa0c9988048fd0878a",
-	"flat/stream":         "bdcf9a43a3a4cf47621de65c75df906e3213335c2eae6f0856b3824fd31e7ed6",
-	"flat/job":            "bdcf9a43a3a4cf47621de65c75df906e3213335c2eae6f0856b3824fd31e7ed6",
-	"twolevel/inline":     "254decc54a26965997c6f5fc69e8baed6d065d50c410871255697e2f8556d49f",
-	"twolevel/stream":     "d87bf0e4878d8b513abac84b1bfae94790571efb83f0e882eb23e9ccad2eba28",
-	"twolevel/job":        "d87bf0e4878d8b513abac84b1bfae94790571efb83f0e882eb23e9ccad2eba28",
-	"batch/inline":        "809ded4c501455f633eeea6e6b7785a7cb49fd3217c7814d6ade846c16d1a5f8",
-	"batch/stream":        "462a299bce2b0fd90b9b7c5d8309c3e3428d88b4c70cc4726a65ea0df59e0950",
-	"batch/job":           "462a299bce2b0fd90b9b7c5d8309c3e3428d88b4c70cc4726a65ea0df59e0950",
+	"plan-cold/inline":       "3efd12d7819895ec9ef972b50800f89b35ba5cac415588378e725a5c90683d66",
+	"plan-cold/stream":       "b6af111d4cf6536bf42827e0d61c52747d1e368a6f7d7c9639f698e032533cc8",
+	"plan-cold/job":          "b6af111d4cf6536bf42827e0d61c52747d1e368a6f7d7c9639f698e032533cc8",
+	"api-warm/inline":        "3862c1647647da2d343591a014eb2f8f8098892d1a6d5e50516437daa2082c8b",
+	"api-warm/stream":        "7ad1a8d95c1bf1b43477dfbe66e503b0ef0bd9481b7e80973108726103b85998",
+	"api-warm/job":           "7ad1a8d95c1bf1b43477dfbe66e503b0ef0bd9481b7e80973108726103b85998",
+	"ci-crossover/inline":    "3b96035a8dfc2fcabff5440abdb4bb43e5482ea6ac9a1819eb13975fc4b4677d",
+	"ci-crossover/stream":    "a341372748f620935920c3a5c2079554a3cd69662b2c5d6f76727b63c85c0d2c",
+	"ci-crossover/job":       "a341372748f620935920c3a5c2079554a3cd69662b2c5d6f76727b63c85c0d2c",
+	"case2-crossover/inline": "d56d7f5c336870c290a537128d5d8db466ade9bcb79900d8f24a809d46324f0e",
+	"case2-crossover/stream": "9f96a6af11e18359815b52a1d280f8a4ed253f9fc118b20ca4b7c0342ebf858f",
+	"case2-crossover/job":    "9f96a6af11e18359815b52a1d280f8a4ed253f9fc118b20ca4b7c0342ebf858f",
+	"ci-small/inline":        "8a53f95b3e33326888f898d462dd089de913573024a47b6ec6c1678f49ae3b9f",
+	"ci-small/stream":        "ff72b1b65848734fe3c0226dcc5ff98731a9f4c670840de5e0b5415bf95e9683",
+	"ci-small/job":           "ff72b1b65848734fe3c0226dcc5ff98731a9f4c670840de5e0b5415bf95e9683",
+	"pstep/inline":           "54f71f4730a8c7fbaffe00531973c4e904a57ff2313deed1664d5c70d8fdae5e",
+	"pstep/stream":           "8be772359261afb017362b77838dc83c8cf624f57a8f60530060bae57ce800c5",
+	"pstep/job":              "8be772359261afb017362b77838dc83c8cf624f57a8f60530060bae57ce800c5",
+	"partial-fit/inline":     "c1aaefc340aefe027c3310a0473fed4f1b3ca420311276de34cce23acef7eb59",
+	"partial-fit/stream":     "3c123f85699b472e7660dc4d23863bb768715c55a73ef13a5f7d4e534d33fc88",
+	"partial-fit/job":        "3c123f85699b472e7660dc4d23863bb768715c55a73ef13a5f7d4e534d33fc88",
+	"flat/inline":            "8b230e03b4a2893bea787665b6c1aac9f68855035479e6fa0c9988048fd0878a",
+	"flat/stream":            "bdcf9a43a3a4cf47621de65c75df906e3213335c2eae6f0856b3824fd31e7ed6",
+	"flat/job":               "bdcf9a43a3a4cf47621de65c75df906e3213335c2eae6f0856b3824fd31e7ed6",
+	"twolevel/inline":        "254decc54a26965997c6f5fc69e8baed6d065d50c410871255697e2f8556d49f",
+	"twolevel/stream":        "d87bf0e4878d8b513abac84b1bfae94790571efb83f0e882eb23e9ccad2eba28",
+	"twolevel/job":           "d87bf0e4878d8b513abac84b1bfae94790571efb83f0e882eb23e9ccad2eba28",
+	"batch/inline":           "809ded4c501455f633eeea6e6b7785a7cb49fd3217c7814d6ade846c16d1a5f8",
+	"batch/stream":           "462a299bce2b0fd90b9b7c5d8309c3e3428d88b4c70cc4726a65ea0df59e0950",
+	"batch/job":              "462a299bce2b0fd90b9b7c5d8309c3e3428d88b4c70cc4726a65ea0df59e0950",
 }
 
 // fetchPlan posts body and returns the answer: the response body inline or

@@ -38,8 +38,10 @@ type Config struct {
 	// request cannot exhaust the daemon's memory (each rank costs a task
 	// struct and a parked goroutine stack); ≤ 0 selects 1 << 20.
 	MaxSimProcs int
-	// MaxSearchProcs rejects grid/predict requests whose P exceeds it (the
-	// divisor search is linear in P); ≤ 0 selects 1 << 24.
+	// MaxSearchProcs rejects grid/predict requests whose P exceeds it, and
+	// plans whose pMax does: a single-P search factors P by O(√P) trial
+	// division and scans its divisor triples, whose list stays on the
+	// stack up to 2^24. ≤ 0 selects 1 << 24.
 	MaxSearchProcs int
 	// MaxTopoProcs rejects topology-aware predict requests whose P exceeds
 	// it: the synchronous worst-fiber sweep is linear in P on fabrics
