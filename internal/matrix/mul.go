@@ -55,9 +55,20 @@ func mulAddRange(c, a, b *Dense, i0, i1 int) {
 						if aik == 0 {
 							continue
 						}
+						// Four products per trip. With one, the loop was
+						// short enough that whether it crossed a 64-byte
+						// line, which the code linked before this package
+						// decides, moved a 256³ product's time by a quarter.
 						brow := b.Row(k)[jb:jMax]
-						for j, bv := range brow {
-							crow[j] += aik * bv
+						j := 0
+						for ; j+4 <= len(brow); j += 4 {
+							crow[j] += aik * brow[j]
+							crow[j+1] += aik * brow[j+1]
+							crow[j+2] += aik * brow[j+2]
+							crow[j+3] += aik * brow[j+3]
+						}
+						for ; j < len(brow); j++ {
+							crow[j] += aik * brow[j]
 						}
 					}
 				}
