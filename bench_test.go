@@ -506,8 +506,8 @@ func BenchmarkCAPS(b *testing.B) {
 // BenchmarkModelRobustness regenerates the αβγ/BSP/LPRAM artifact (E14).
 func BenchmarkModelRobustness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if a := experiments.ModelRobustness(); a.Text == "" {
-			b.Fatal("empty artifact")
+		if _, err := experiments.ModelRobustness(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

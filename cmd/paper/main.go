@@ -136,7 +136,8 @@ func selectArtifacts(only string) ([]experiments.Artifact, error) {
 		a, err := experiments.CAPSExperiment(56)
 		return []experiments.Artifact{a}, err
 	case "models":
-		return []experiments.Artifact{experiments.ModelRobustness()}, nil
+		a, err := experiments.ModelRobustness()
+		return []experiments.Artifact{a}, err
 	case "fastmm":
 		a, err := experiments.FastMatmul(4096, []int{1, 8, 64, 512, 4096})
 		return []experiments.Artifact{a}, err

@@ -65,8 +65,8 @@ func run3D(name string, a, b *matrix.Dense, p int, opts Opts, reduceScatter bool
 		bBlk := matrix.BlockView(b, g.P2, g.P3, i2, i3)
 		packedA := aBlk.PackInto(r.GetBuffer(aBlk.Size()))
 		packedB := bBlk.PackInto(r.GetBuffer(bBlk.Size()))
-		countsA := shareCountsInto(r.GetInts(g.P3), len(packedA))
-		countsB := shareCountsInto(r.GetInts(g.P1), len(packedB))
+		countsA := matrix.PartSizes(r.GetInts(g.P3), len(packedA))
+		countsB := matrix.PartSizes(r.GetInts(g.P1), len(packedB))
 		loA, hiA := shareRange(len(packedA), g.P3, i3)
 		loB, hiB := shareRange(len(packedB), g.P1, i1)
 		myA := packedA[loA:hiA]
@@ -114,7 +114,7 @@ func run3D(name string, a, b *matrix.Dense, p int, opts Opts, reduceScatter bool
 		r.PutBuffer(fullB)
 
 		// Line 8: C contributions summed over (p1', :, p3').
-		countsC := shareCountsInto(r.GetInts(g.P2), len(packedD))
+		countsC := matrix.PartSizes(r.GetInts(g.P2), len(packedD))
 		r.SetPhase(PhaseReduceC)
 		membersC := g.FiberInto(r.GetInts(g.P2), r.ID(), grid.Axis2)
 		var grpC collective.Group

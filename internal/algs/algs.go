@@ -226,28 +226,8 @@ func localMulIntoVal(r *machine.Rank, c, a, b matrix.Dense, workers int) {
 	matrix.MulIntoVal(c, a, b, workers)
 }
 
-// shareCounts returns the balanced per-member word counts for splitting a
-// packed block of total words across p owners.
-func shareCounts(total, p int) []int {
-	return shareCountsInto(make([]int, p), total)
-}
-
-// shareCountsInto is shareCounts writing into counts (whose length is the
-// owner count); it returns counts.
-func shareCountsInto(counts []int, total int) []int {
-	p := len(counts)
-	q, rem := total/p, total%p
-	for i := range counts {
-		counts[i] = q
-		if i < rem {
-			counts[i]++
-		}
-	}
-	return counts
-}
-
 // shareRange returns the packed-word range [lo, hi) owned by member idx
-// under shareCounts(total, p).
+// under matrix.PartSizes of total words over p members.
 func shareRange(total, p, idx int) (lo, hi int) {
 	lo = matrix.PartStart(total, p, idx)
 	return lo, lo + matrix.PartSize(total, p, idx)

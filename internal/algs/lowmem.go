@@ -72,7 +72,7 @@ func Alg1LowMem(a, b *matrix.Dense, p, chunks int, opts Opts) (*Result, error) {
 			// still distributed over the Axis3 fiber by packed ranges.
 			aStrip := aBlk.View(0, k0, aBlk.Rows(), kw)
 			packedA := aStrip.Pack()
-			countsA := shareCounts(len(packedA), g.P3)
+			countsA := matrix.PartSizes(make([]int, g.P3), len(packedA))
 			loA, hiA := shareRange(len(packedA), g.P3, i3)
 			r.SetPhase(PhaseGatherA)
 			fullA := grpA.AllGatherV(packedA[loA:hiA], countsA)
@@ -82,7 +82,7 @@ func Alg1LowMem(a, b *matrix.Dense, p, chunks int, opts Opts) (*Result, error) {
 
 			bStrip := bBlk.View(k0, 0, kw, bBlk.Cols())
 			packedB := bStrip.Pack()
-			countsB := shareCounts(len(packedB), g.P1)
+			countsB := matrix.PartSizes(make([]int, g.P1), len(packedB))
 			loB, hiB := shareRange(len(packedB), g.P1, i1)
 			r.SetPhase(PhaseGatherB)
 			fullB := grpB.AllGatherV(packedB[loB:hiB], countsB)
@@ -97,7 +97,7 @@ func Alg1LowMem(a, b *matrix.Dense, p, chunks int, opts Opts) (*Result, error) {
 		}
 
 		packedD := dBlk.Pack()
-		countsC := shareCounts(len(packedD), g.P2)
+		countsC := matrix.PartSizes(make([]int, g.P2), len(packedD))
 		grpC := collective.NewGroup(r, g.Fiber(r.ID(), grid.Axis2), 3, opts.Collective)
 		r.SetPhase(PhaseReduceC)
 		myC := grpC.ReduceScatterV(packedD, countsC)

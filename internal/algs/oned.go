@@ -30,7 +30,7 @@ func OneD(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 		members[i] = i
 	}
 	packedB := b.Pack()
-	countsB := shareCounts(len(packedB), p)
+	countsB := matrix.PartSizes(make([]int, p), len(packedB))
 	return run("OneD", d, grid.Grid{P1: p, P2: 1, P3: 1}, opts, func(r *machine.Rank) []float64 {
 		me := r.ID()
 		// Initial distribution: row band of A (and later C) is local; B is

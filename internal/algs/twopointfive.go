@@ -120,7 +120,7 @@ func TwoPointFiveD(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 		// Combine the layers' partial sums: Reduce-Scatter over the layer
 		// fiber leaves C block (i, j) spread evenly across layers.
 		packedC := cBlk.PackInto(r.GetBuffer(cBlk.Size()))
-		counts := shareCountsInto(r.GetInts(c), len(packedC))
+		counts := matrix.PartSizes(r.GetInts(c), len(packedC))
 		r.SetPhase(PhaseReduceC)
 		myC := layerGrp.ReduceScatterV(packedC, counts)
 		r.PutBuffer(packedC)

@@ -8,19 +8,22 @@ import (
 	"repro/internal/machine"
 )
 
-// TestCountingRun: every rank sends one word in each of two ring shifts,
-// so a world of P ranks moves 2P messages and 2P words, and its critical
-// path is two words; a world size the simulator refuses is an error
-// wrapping the taxonomy kind, not a panic.
+// TestCountingRun: every rank sends one word to its mirror and one in a
+// ring shift, except that the middle rank of an odd world has no mirror,
+// so a world of P ranks moves 2P − (P mod 2) messages and words, and its
+// critical path is two words; a world size the simulator refuses is an
+// error wrapping the taxonomy kind, not a panic.
 func TestCountingRun(t *testing.T) {
-	const p = 1000
-	_, stats, err := CountingRun(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.TotalMessages != 2*p || stats.TotalWordsSent != 2*p || stats.CriticalPath != 2 {
-		t.Fatalf("P=%d: %d messages, %g words, critical path %g; want %d, %d, 2",
-			p, stats.TotalMessages, stats.TotalWordsSent, stats.CriticalPath, 2*p, 2*p)
+	for _, p := range []int{2, 3, 999, 1000} {
+		_, stats, err := CountingRun(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 2*p - p%2
+		if stats.TotalMessages != want || stats.TotalWordsSent != float64(want) || stats.CriticalPath != 2 {
+			t.Fatalf("P=%d: %d messages, %g words, critical path %g; want %d, %d, 2",
+				p, stats.TotalMessages, stats.TotalWordsSent, stats.CriticalPath, want, want)
+		}
 	}
 	for _, tc := range []struct {
 		p    int

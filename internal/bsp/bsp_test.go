@@ -2,10 +2,15 @@ package bsp
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
+	"repro/internal/algs"
+	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/grid"
+	"repro/internal/machine"
+	"repro/internal/matrix"
 )
 
 func TestMachineBasics(t *testing.T) {
@@ -52,8 +57,54 @@ func TestMachinePanics(t *testing.T) {
 	}
 }
 
-// TestAlg1BSPVolumesMatchTheorem3: the BSP schedule of Algorithm 1 moves
-// exactly the Theorem 3 volume per processor — the bounds are
+// TestFromTraceSupersteps pins the fold's rules on a two-rank run: a send
+// opens a superstep and charges both ends, a compute lands in the current
+// superstep, a receive opens none, and a new phase label opens one.
+func TestFromTraceSupersteps(t *testing.T) {
+	w, err := machine.New(2, machine.BandwidthOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := w.EnableTracing()
+	err = w.Run(func(r *machine.Rank) {
+		peer := 1 - r.ID()
+		r.SetPhase("exchange")
+		r.SendRecvInto(peer, peer, 0, make([]float64, 3+r.ID()), make([]float64, 4))
+		r.Compute(10)
+		r.SendRecvInto(peer, peer, 0, make([]float64, 1), make([]float64, 1))
+		r.SetPhase("local")
+		r.Compute(float64(100 * (r.ID() + 1)))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := FromTrace(tr, 2, 5)
+	want := Cost{Supersteps: 3, HSum: 4 + 1, Flops: 10 + 200}
+	want.Total = 2*want.HSum + 5*3 + want.Flops
+	if got := m.Cost(); got != want {
+		t.Fatalf("cost %+v, want %+v", got, want)
+	}
+	if m.ReceivedTotal(0) != 5 || m.ReceivedTotal(1) != 4 {
+		t.Fatalf("received %v and %v, want 5 and 4", m.ReceivedTotal(0), m.ReceivedTotal(1))
+	}
+}
+
+// alg1BSP runs Algorithm 1 on grid g with tracing and reads the run as a
+// BSP execution with unit gap and zero latency.
+func alg1BSP(t *testing.T, d core.Dims, g grid.Grid, alg collective.Algorithm) (Cost, *Machine) {
+	t.Helper()
+	a := matrix.Random(d.N1, d.N2, 1)
+	b := matrix.Random(d.N2, d.N3, 2)
+	res, err := algs.Alg1(a, b, g.Size(), algs.Opts{Config: machine.BandwidthOnly(), Grid: g, Collective: alg, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := FromTrace(res.Trace, 1, 0)
+	return m.Cost(), m
+}
+
+// TestAlg1BSPVolumesMatchTheorem3: read as a BSP execution, Algorithm 1
+// moves exactly the Theorem 3 volume per processor — the bounds are
 // model-robust — in all three cases, for both collective families.
 func TestAlg1BSPVolumesMatchTheorem3(t *testing.T) {
 	d := core.NewDims(768, 192, 48)
@@ -62,12 +113,12 @@ func TestAlg1BSPVolumesMatchTheorem3(t *testing.T) {
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
-		for _, recursive := range []bool{false, true} {
-			_, m := Alg1BSP(d, g, 1, 0, recursive)
+		for _, alg := range []collective.Algorithm{collective.Ring, collective.Auto} {
+			_, m := alg1BSP(t, d, g, alg)
 			got := m.MaxReceivedTotal()
 			want := core.LowerBound(d, p)
 			if math.Abs(got-want) > 1e-9*(1+want) {
-				t.Errorf("P=%d recursive=%v: BSP volume %v, bound %v", p, recursive, got, want)
+				t.Errorf("P=%d alg=%v: BSP volume %v, bound %v", p, alg, got, want)
 			}
 		}
 	}
@@ -79,11 +130,12 @@ func TestAlg1BSPVolumesMatchTheorem3(t *testing.T) {
 func TestAlg1BSPHRelations(t *testing.T) {
 	d := core.NewDims(768, 192, 48)
 	g, _ := grid.CaseGrid(d, 512)
-	cost, m := Alg1BSP(d, g, 1, 0, true)
+	cost, m := alg1BSP(t, d, g, collective.Auto)
 	if math.Abs(cost.HSum-m.MaxReceivedTotal()) > 1e-9 {
 		t.Fatalf("HSum %v != max received %v (balanced schedule)", cost.HSum, m.MaxReceivedTotal())
 	}
 	// Superstep count: log2 of each fiber + 1 compute step.
+	log2 := func(n int) int { return bits.Len(uint(n)) - 1 }
 	want := log2(g.P3) + log2(g.P1) + log2(g.P2) + 1
 	if cost.Supersteps != want {
 		t.Fatalf("supersteps = %d, want %d", cost.Supersteps, want)
@@ -93,13 +145,24 @@ func TestAlg1BSPHRelations(t *testing.T) {
 func TestAlg1BSPRingMoreSupersteps(t *testing.T) {
 	d := core.Square(64)
 	g := grid.Grid{P1: 4, P2: 4, P3: 4}
-	rec, _ := Alg1BSP(d, g, 1, 1, true)
-	ring, _ := Alg1BSP(d, g, 1, 1, false)
-	if ring.Supersteps <= rec.Supersteps {
-		t.Fatalf("ring %d supersteps, recursive %d", ring.Supersteps, rec.Supersteps)
+	rec, _ := alg1BSP(t, d, g, collective.Recursive)
+	ring, _ := alg1BSP(t, d, g, collective.Ring)
+	if rec.Supersteps != 3*2+1 || ring.Supersteps != 3*3+1 {
+		t.Fatalf("ring %d supersteps, recursive %d; want 10 and 7", ring.Supersteps, rec.Supersteps)
 	}
 	if math.Abs(ring.HSum-rec.HSum) > 1e-9 {
 		t.Fatalf("bandwidth differs: ring %v recursive %v", ring.HSum, rec.HSum)
+	}
+}
+
+// TestBSPComputeBalance: the computation superstep charges the largest
+// brick, not the average mnk/P. On 97×36×61 over a 2×1×1 grid the
+// bricks hold 49 and 48 rows, and no Reduce-Scatter adds flops.
+func TestBSPComputeBalance(t *testing.T) {
+	d := core.NewDims(97, 36, 61)
+	cost, _ := alg1BSP(t, d, grid.Grid{P1: 2, P2: 1, P3: 1}, collective.Auto)
+	if want := 49.0 * 36 * 61; cost.Flops != want {
+		t.Fatalf("flops %v, want the larger brick's %v (the average is %v)", cost.Flops, want, d.Flops()/2)
 	}
 }
 
@@ -122,17 +185,5 @@ func TestLPRAMTightness(t *testing.T) {
 	// The LPRAM bound exceeds the distributed bound by the owned-data term.
 	if LPRAMLowerBound(d, 512) <= core.LowerBound(d, 512) {
 		t.Error("LPRAM bound should exceed the distributed bound")
-	}
-}
-
-// TestBSPComputeBalance: the computation superstep charges mnk/P.
-func TestBSPComputeBalance(t *testing.T) {
-	d := core.Square(32)
-	g := grid.Grid{P1: 2, P2: 2, P3: 2}
-	cost, _ := Alg1BSP(d, g, 0, 0, true)
-	// mnk/P plus the reduce-scatter additions.
-	minWant := d.Flops() / 8
-	if cost.Flops < minWant {
-		t.Fatalf("flops %v below local multiply %v", cost.Flops, minWant)
 	}
 }

@@ -125,14 +125,14 @@ func countNode(groupStart, q, n int, recv []float64) {
 	for i := 0; i < 7; i++ {
 		for idx := 0; idx < subSize; idx++ {
 			me := i*subSize + idx
-			nStart := pStart(leafW, subSize, idx)
-			nSize := pSize(leafW, subSize, idx)
+			nStart := matrix.PartStart(leafW, subSize, idx)
+			nSize := matrix.PartSize(leafW, subSize, idx)
 			for src := 0; src < q; src++ {
 				if src == me {
 					continue
 				}
-				sStart := pStart(leafW, q, src)
-				sSize := pSize(leafW, q, src)
+				sStart := matrix.PartStart(leafW, q, src)
+				sSize := matrix.PartSize(leafW, q, src)
 				lo, hi := overlap(sStart, sStart+sSize, nStart, nStart+nSize)
 				if lo < hi {
 					recv[groupStart+me] += 2 * float64(numLeaves*(hi-lo)) // T and S
@@ -148,16 +148,16 @@ func countNode(groupStart, q, n int, recv []float64) {
 	// (except itself), the overlap of s's subSize-partition range with
 	// me's q-partition range, per leaf.
 	for me := 0; me < q; me++ {
-		mStart := pStart(leafW, q, me)
-		mSize := pSize(leafW, q, me)
+		mStart := matrix.PartStart(leafW, q, me)
+		mSize := matrix.PartSize(leafW, q, me)
 		for i := 0; i < 7; i++ {
 			for sIdx := 0; sIdx < subSize; sIdx++ {
 				src := i*subSize + sIdx
 				if src == me {
 					continue
 				}
-				sStart := pStart(leafW, subSize, sIdx)
-				sSize := pSize(leafW, subSize, sIdx)
+				sStart := matrix.PartStart(leafW, subSize, sIdx)
+				sSize := matrix.PartSize(leafW, subSize, sIdx)
 				lo, hi := overlap(sStart, sStart+sSize, mStart, mStart+mSize)
 				if lo < hi {
 					recv[groupStart+me] += float64(numLeaves * (hi - lo))
@@ -165,22 +165,6 @@ func countNode(groupStart, q, n int, recv []float64) {
 			}
 		}
 	}
-}
-
-func pStart(w, p, i int) int {
-	q, r := w/p, w%p
-	if i < r {
-		return i * (q + 1)
-	}
-	return r*(q+1) + (i-r)*q
-}
-
-func pSize(w, p, i int) int {
-	q, r := w/p, w%p
-	if i < r {
-		return q + 1
-	}
-	return q
 }
 
 // FastLeadingTerm returns n²/P^{2/ω0}, the fast memory-independent leading

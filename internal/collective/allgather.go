@@ -44,7 +44,7 @@ func (g *Group) AllGatherVInto(myBlock []float64, counts []int, out []float64) [
 	if p == 1 {
 		return out
 	}
-	if g.useRecursive() {
+	if UseRecursive(p, g.alg) {
 		g.allGatherRecursive(out, starts, counts)
 	} else {
 		g.allGatherRing(out, starts, counts)

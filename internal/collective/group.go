@@ -176,12 +176,15 @@ func (g *Group) sendRecvInto(dstIdx, srcIdx, op int, data, dst []float64) int {
 	return g.recvInto(srcIdx, op, dst)
 }
 
-// useRecursive reports whether the recursive algorithms should run for this
-// group under the configured Algorithm policy.
-func (g *Group) useRecursive() bool {
-	p := len(g.members)
+// UseRecursive reports whether an All-Gather or Reduce-Scatter over p
+// members runs the recursive algorithms (log₂ p rounds) rather than the
+// ring (p − 1 rounds) under policy alg. It is the one statement of the
+// rule: groups dispatch on it and the closed-form model counts rounds by
+// it. Recursive with a p that is not a power of two panics, as the
+// collectives would.
+func UseRecursive(p int, alg Algorithm) bool {
 	pow2 := p&(p-1) == 0
-	switch g.alg {
+	switch alg {
 	case Ring:
 		return false
 	case Recursive:

@@ -57,7 +57,7 @@ func (g *Group) ReduceScatterVInto(data []float64, counts []int, out, scratch []
 	// Work on a copy: the reduction accumulates in place.
 	buf := scratch[:total]
 	copy(buf, data)
-	if g.useRecursive() {
+	if UseRecursive(p, g.alg) {
 		g.reduceScatterHalving(buf, starts, counts)
 	} else {
 		g.reduceScatterRing(buf, starts, counts)

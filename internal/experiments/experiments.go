@@ -58,7 +58,7 @@ func AllContext(ctx context.Context) ([]Artifact, error) {
 			return RuntimeModelContext(ctx, DefaultRectDims, DefaultRuntimeConfig, []int{1, 4, 16, 64, 512})
 		},
 		func() (Artifact, error) { return FastMatmul(4096, []int{1, 8, 64, 512, 4096}) },
-		func() (Artifact, error) { return ModelRobustness(), nil },
+		func() (Artifact, error) { return ModelRobustness() },
 		func() (Artifact, error) { return CAPSExperiment(56) },
 		func() (Artifact, error) { return MemoryTradeoff(DefaultRectDims, 512) },
 		func() (Artifact, error) { return TopologySweepContext(ctx) },

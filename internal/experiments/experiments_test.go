@@ -312,7 +312,10 @@ func TestFastMatmulExperiment(t *testing.T) {
 }
 
 func TestModelRobustnessExperiment(t *testing.T) {
-	a := ModelRobustness()
+	a, err := ModelRobustness()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(a.Text, "LPRAM") || !strings.Contains(a.Text, "supersteps") {
 		t.Fatalf("missing content:\n%s", a.Text)
 	}

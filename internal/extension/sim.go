@@ -159,8 +159,9 @@ func Run(pr Problem, g Grid, seed uint64, cfg machine.Config) (*SimResult, error
 		}
 		for j := 0; j < d-1; j++ {
 			packed := extractBlock(full.Data[j], arrayDims(pr, j), bounds(lo, sz, j))
-			counts := fairCounts(len(packed), g.Dims[j])
-			share := packed[start(counts, coords[j]) : start(counts, coords[j])+counts[coords[j]]]
+			counts := matrix.PartSizes(make([]int, g.Dims[j]), len(packed))
+			off := matrix.PartStart(len(packed), g.Dims[j], coords[j])
+			share := packed[off : off+counts[coords[j]]]
 			grp := collective.NewGroup(r, g.Fiber(r.ID(), j), j+1, collective.Auto)
 			r.SetPhase(fmt.Sprintf("gather-%d", j))
 			blocks[j] = grp.AllGatherV(share, counts)
@@ -205,7 +206,7 @@ func Run(pr Problem, g Grid, seed uint64, cfg machine.Config) (*SimResult, error
 		}
 
 		// Reduce-Scatter the output block over its fiber.
-		counts := fairCounts(len(out), g.Dims[d-1])
+		counts := matrix.PartSizes(make([]int, g.Dims[d-1]), len(out))
 		grp := collective.NewGroup(r, g.Fiber(r.ID(), d-1), d+1, collective.Auto)
 		r.SetPhase("reduce-out")
 		chunks[r.ID()] = grp.ReduceScatterV(out, counts)
@@ -330,27 +331,6 @@ func writeBlock(data []float64, dims []int, b [][2]int, packed []float64) {
 			return
 		}
 	}
-}
-
-// fairCounts splits total into p balanced integer parts.
-func fairCounts(total, p int) []int {
-	counts := make([]int, p)
-	q, rem := total/p, total%p
-	for i := range counts {
-		counts[i] = q
-		if i < rem {
-			counts[i]++
-		}
-	}
-	return counts
-}
-
-func start(counts []int, idx int) int {
-	s := 0
-	for i := 0; i < idx; i++ {
-		s += counts[i]
-	}
-	return s
 }
 
 // assembleOutput reconstructs the global output array from per-rank

@@ -1,6 +1,10 @@
 package lattice
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/matrix"
+)
 
 // Partition is an assignment of the full n1×n2×n3 matmul iteration space to
 // P processors: Parts[r] is the set of scalar multiplications processor r
@@ -81,13 +85,8 @@ func BrickPartition(n1, n2, n3, p1, p2, p3 int) *Partition {
 		panic(fmt.Sprintf("lattice: grid %dx%dx%d", p1, p2, p3))
 	}
 	cut := func(n, p, i int) (int, int) {
-		q, r := n/p, n%p
-		lo := i*q + min(i, r)
-		size := q
-		if i < r {
-			size++
-		}
-		return lo, lo + size
+		lo := matrix.PartStart(n, p, i)
+		return lo, lo + matrix.PartSize(n, p, i)
 	}
 	pt := &Partition{N1: n1, N2: n2, N3: n3}
 	for i := 0; i < p1; i++ {
@@ -126,11 +125,4 @@ func RandomPartition(n1, n2, n3, p int, seed uint64) *Partition {
 		}
 	}
 	return pt
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

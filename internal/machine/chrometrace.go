@@ -49,7 +49,7 @@ type chromeTrace struct {
 // name.
 func (t *Trace) WriteChromeTrace(w io.Writer) error {
 	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
-	p := t.ranks()
+	p := t.Ranks()
 	if p > 0 {
 		out.TraceEvents = append(out.TraceEvents, chromeEvent{
 			Name: "process_name", Ph: "M", Args: map[string]any{"name": "mmsim"},

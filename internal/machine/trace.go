@@ -66,9 +66,9 @@ func (t *Trace) addPhase(s PhaseSpan) {
 	t.phases[s.Rank] = append(t.phases[s.Rank], s)
 }
 
-// ranks returns the size of the world the trace records; a nil trace
+// Ranks returns the size of the world the trace records; a nil trace
 // records none.
-func (t *Trace) ranks() int {
+func (t *Trace) Ranks() int {
 	if t == nil {
 		return 0
 	}
@@ -123,7 +123,7 @@ func (t *Trace) Timeline(width int) string {
 	}
 	glyph := map[EventKind]byte{EventCompute: '#', EventSend: '>', EventRecv: '.'}
 	priority := map[EventKind]int{EventCompute: 3, EventSend: 2, EventRecv: 1}
-	p := t.ranks()
+	p := t.Ranks()
 	rows := make([][]byte, p)
 	prio := make([][]int, p)
 	for i := range rows {
@@ -151,7 +151,7 @@ func (t *Trace) Timeline(width int) string {
 // Summary aggregates per-kind totals (simulated time units per rank).
 func (t *Trace) Summary() string {
 	type agg struct{ compute, send, recv float64 }
-	p := t.ranks()
+	p := t.Ranks()
 	per := make([]agg, p)
 	for _, e := range t.Events() {
 		d := e.End - e.Start

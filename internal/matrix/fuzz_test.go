@@ -31,10 +31,11 @@ func FuzzPartitionInvariants(f *testing.F) {
 		n := int(nRaw % 1000)
 		p := int(pRaw%32) + 1
 		segs := Partition(n, p)
+		counts := PartSizes(make([]int, p), n)
 		total := 0
 		for i, s := range segs {
-			if s.Lo != PartStart(n, p, i) || s.Len() != PartSize(n, p, i) {
-				t.Fatal("PartStart/PartSize disagree with Partition")
+			if s.Lo != PartStart(n, p, i) || s.Len() != PartSize(n, p, i) || s.Len() != counts[i] {
+				t.Fatal("PartStart/PartSize/PartSizes disagree with Partition")
 			}
 			total += s.Len()
 		}

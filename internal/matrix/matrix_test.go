@@ -281,8 +281,9 @@ func TestPartSizeStartAgreeWithPartition(t *testing.T) {
 		n := int(nRaw)
 		p := int(pRaw)%16 + 1
 		segs := Partition(n, p)
+		counts := PartSizes(make([]int, p), n)
 		for i, s := range segs {
-			if PartSize(n, p, i) != s.Len() || PartStart(n, p, i) != s.Lo {
+			if PartSize(n, p, i) != s.Len() || PartStart(n, p, i) != s.Lo || counts[i] != s.Len() {
 				return false
 			}
 		}

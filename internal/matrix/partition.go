@@ -13,23 +13,22 @@ func (s Segment) Len() int { return s.Hi - s.Lo }
 
 // Partition splits the index range [0, n) into p contiguous segments whose
 // lengths differ by at most one: the first n mod p segments get ceil(n/p)
-// indices, the rest floor(n/p). It is the canonical block distribution used
-// by every distributed algorithm in this repository, and it degrades
-// gracefully when p does not divide n (segments may be empty when p > n).
+// indices, the rest floor(n/p). It is the canonical block distribution
+// used by every distributed algorithm in this repository: PartSize,
+// PartStart and PartSizes read the same split one segment or one count
+// slice at a time, and no other package splits n items over p owners. It
+// degrades gracefully when p does not divide n (segments may be empty
+// when p > n).
 func Partition(n, p int) []Segment {
 	if n < 0 || p <= 0 {
 		panic(fmt.Sprintf("matrix: Partition(%d, %d)", n, p))
 	}
 	segs := make([]Segment, p)
-	q, r := n/p, n%p
 	lo := 0
 	for i := range segs {
-		length := q
-		if i < r {
-			length++
-		}
-		segs[i] = Segment{Lo: lo, Hi: lo + length}
-		lo += length
+		hi := lo + PartSize(n, p, i)
+		segs[i] = Segment{Lo: lo, Hi: hi}
+		lo = hi
 	}
 	return segs
 }
@@ -53,10 +52,25 @@ func PartStart(n, p, i int) int {
 		panic(fmt.Sprintf("matrix: PartStart index %d of %d", i, p))
 	}
 	q, r := n/p, n%p
-	if i < r {
-		return i * (q + 1)
+	return i*q + min(i, r)
+}
+
+// PartSizes writes the segment lengths of Partition(n, len(counts)) into
+// counts and returns it: the per-owner counts of n items split over
+// len(counts) owners, without allocating. It divides once itself rather
+// than calling PartSize per owner: inlined into Algorithm 1's rank body,
+// PartSize's panic message grew that frame by 32 bytes, which took each
+// rank's deepest stack past 4 KiB and doubled every goroutine stack of a
+// 16384-rank run (64 → 128 MiB of stacks).
+func PartSizes(counts []int, n int) []int {
+	q, r := n/len(counts), n%len(counts)
+	for i := range counts {
+		counts[i] = q
+		if i < r {
+			counts[i]++
+		}
 	}
-	return r*(q+1) + (i-r)*q
+	return counts
 }
 
 // BlockOf returns the (i, j) block of m under a pr×pc balanced 2D block

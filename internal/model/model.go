@@ -45,15 +45,13 @@ func (p Prediction) String() string {
 
 // collectiveSteps returns the per-rank message count of an All-Gather or
 // Reduce-Scatter over p ranks for the given algorithm family (ring: p−1;
-// recursive doubling/halving: log₂ p; Auto dispatches like the
-// implementation).
+// recursive doubling/halving: log₂ p), choosing the family by
+// collective.UseRecursive as the groups do.
 func collectiveSteps(p int, alg collective.Algorithm) float64 {
 	if p <= 1 {
 		return 0
 	}
-	pow2 := p&(p-1) == 0
-	useRec := alg == collective.Recursive || (alg == collective.Auto && pow2)
-	if useRec {
+	if collective.UseRecursive(p, alg) {
 		return math.Log2(float64(p))
 	}
 	return float64(p - 1)

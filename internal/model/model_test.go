@@ -81,6 +81,14 @@ func TestCollectiveSteps(t *testing.T) {
 	if collectiveSteps(6, collective.Auto) != 5 {
 		t.Fatal("auto on non-power-of-two should be ring")
 	}
+	// Recursive on a non-power-of-two group is refused, as the
+	// collectives refuse it, rather than priced at a fractional log₂ p.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Recursive on 6 ranks priced instead of refused")
+		}
+	}()
+	collectiveSteps(6, collective.Recursive)
 }
 
 func TestSpeedupMonotoneThenSaturating(t *testing.T) {

@@ -21,9 +21,12 @@ import (
 	"repro/internal/topo"
 )
 
-// maxBodyBytes bounds request bodies; batch requests at the MaxBatch limit
+// maxBodyBytes bounds request bodies; batch requests at the maxBatch limit
 // fit comfortably.
 const maxBodyBytes = 1 << 20
+
+// maxBatch bounds the problem count of a batch request.
+const maxBatch = 1024
 
 // decodeJSON reads the request body into dst, answering 400 itself on
 // failure.
@@ -108,11 +111,11 @@ func (s *Server) lowerBoundOne(p Problem) (LowerBoundResponse, error) {
 	}, nil
 }
 
-// checkBatch bounds a problem-list length against MaxBatch, answering 400
+// checkBatch bounds a problem-list length against maxBatch, answering 400
 // itself when it does not fit.
 func (s *Server) checkBatch(w http.ResponseWriter, n int) bool {
-	if n > s.cfg.MaxBatch {
-		writeBadRequest(w, fmt.Sprintf("batch of %d exceeds the limit %d", n, s.cfg.MaxBatch))
+	if n > maxBatch {
+		writeBadRequest(w, fmt.Sprintf("batch of %d exceeds the limit %d", n, maxBatch))
 		return false
 	}
 	return true

@@ -48,9 +48,6 @@ type Config struct {
 	// without translation symmetry, so it gets its own ceiling below
 	// MaxSearchProcs; rejections name the limit. ≤ 0 selects 1 << 17.
 	MaxTopoProcs int
-	// MaxBatch bounds the batch length of batch requests; ≤ 0 selects
-	// 1024.
-	MaxBatch int
 	// MaxPlanPoints caps how many points a single /v1/plan problem's P
 	// range may expand to; ≤ 0 selects 1 << 20. Oversize ranges answer 400
 	// with kind "bad_plan_range".
@@ -125,9 +122,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTopoProcs <= 0 {
 		c.MaxTopoProcs = 1 << 17
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 1024
 	}
 	if c.MaxPlanPoints <= 0 {
 		c.MaxPlanPoints = 1 << 20

@@ -158,16 +158,3 @@ func (s *FS) List(prefix string) ([]string, error) {
 	sort.Strings(keys)
 	return keys, nil
 }
-
-// Delete implements Store. Empty parent directories are left in place;
-// they are harmless and avoiding them would race concurrent Puts.
-func (s *FS) Delete(key string) error {
-	p, err := s.path(key)
-	if err != nil {
-		return err
-	}
-	if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: delete %q: %w", key, err)
-	}
-	return nil
-}

@@ -7,9 +7,9 @@
 //
 //   - Store is the blob backend — a flat key → bytes namespace with atomic
 //     writes, random-access reads, and prefix listing. It is deliberately
-//     S3-shaped (PutObject/GetObject/HeadObject/ListObjects/DeleteObject),
-//     so an object-store implementation can drop in behind the same
-//     interface later; FS is the filesystem implementation shipped now.
+//     S3-shaped (PutObject/GetObject/HeadObject/ListObjects), so an
+//     object-store implementation can drop in behind the same interface
+//     later; FS is the filesystem implementation shipped now.
 //
 //   - Artifacts is the content-addressed catalog on top: blobs are stored
 //     once under their SHA-256 (identical outputs from different jobs
@@ -60,8 +60,6 @@ type Store interface {
 	Stat(key string) (int64, error)
 	// List returns every key with the given prefix, sorted.
 	List(prefix string) ([]string, error)
-	// Delete removes the object; deleting a missing key is a no-op.
-	Delete(key string) error
 }
 
 // maxKeyLen bounds a full key; generous next to the fixed-shape keys the

@@ -80,20 +80,6 @@ func TestFSMissingWrapsErrNotExist(t *testing.T) {
 	if _, err := s.Stat("nope"); !errors.Is(err, ErrNotExist) {
 		t.Fatalf("Stat missing = %v, want ErrNotExist", err)
 	}
-	if err := s.Delete("nope"); err != nil {
-		t.Fatalf("Delete missing must be a no-op, got %v", err)
-	}
-}
-
-func TestFSDelete(t *testing.T) {
-	s := newFS(t)
-	s.Put("gone", strings.NewReader("x"))
-	if err := s.Delete("gone"); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	if _, err := s.Stat("gone"); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("Stat after delete = %v", err)
-	}
 }
 
 func TestFSListSortedAndPrefixBounded(t *testing.T) {

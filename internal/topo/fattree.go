@@ -122,9 +122,6 @@ func (t *FatTree) Route(buf []int, src, dst int) []int {
 // Link returns the uniform per-cable link cost.
 func (t *FatTree) Link(int) Link { return t.link }
 
-// Diameter returns 2·levels: up to the root and back down.
-func (t *FatTree) Diameter() int { return 2 * t.levels }
-
 // LinkFlows fills the all-to-all crossing count of every link (flows must
 // be zeroed). The level-ℓ tree edge above a node with sub = radix^ℓ leaves
 // carries the sub·(p−sub) pairs crossing it in each direction, split

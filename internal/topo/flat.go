@@ -62,12 +62,3 @@ func (f *Flat) WalkCharge(effBeta []float64, src, dst int) (alpha, maxEff float6
 	}
 	return f.link.Alpha, effBeta[src*f.p+dst]
 }
-
-// Diameter returns 1: every route is one dedicated link (none exists on a
-// single endpoint).
-func (f *Flat) Diameter() int {
-	if f.p == 1 {
-		return 0
-	}
-	return 1
-}

@@ -10,12 +10,12 @@ import (
 
 // enumerateFlows routes every ordered endpoint pair of t, accumulating
 // per-link crossing counts into flows (NumLinks entries, zeroed by the
-// caller), and returns the longest route in links. It is the quadratic
-// reference the closed-form LinkFlows and Diameter are held to. The
+// caller). It is the quadratic reference the closed-form LinkFlows is held
+// to. The
 // placement does not matter: a placement is a bijection rank→endpoint, so
 // summing routes over all ordered rank pairs visits exactly the ordered
 // endpoint pairs.
-func enumerateFlows(t Topology, flows []int) (maxHops int) {
+func enumerateFlows(t Topology, flows []int) {
 	var buf []int
 	for s := 0; s < t.P(); s++ {
 		for d := 0; d < t.P(); d++ {
@@ -23,10 +23,8 @@ func enumerateFlows(t Topology, flows []int) (maxHops int) {
 			for _, l := range buf {
 				flows[l]++
 			}
-			maxHops = max(maxHops, len(buf))
 		}
 	}
-	return maxHops
 }
 
 // checkRouteCharges holds n's Charge for every sampled rank pair (sources

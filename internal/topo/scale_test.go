@@ -39,7 +39,7 @@ func mustParse(t *testing.T, spec string, p int) Topology {
 }
 
 // TestAnalyticLinkFlowsMatchEnumerated holds every fabric's closed-form
-// LinkFlows and Diameter against the all-pairs route enumeration.
+// LinkFlows against the all-pairs route enumeration.
 func TestAnalyticLinkFlowsMatchEnumerated(t *testing.T) {
 	for _, p := range []int{12, 64, 100, 256} {
 		for _, spec := range append([]string{"flat"}, scaleSpecs(p)...) {
@@ -47,14 +47,11 @@ func TestAnalyticLinkFlowsMatchEnumerated(t *testing.T) {
 			got := make([]int, tp.NumLinks())
 			tp.LinkFlows(got)
 			want := make([]int, tp.NumLinks())
-			maxHops := enumerateFlows(tp, want)
+			enumerateFlows(tp, want)
 			for l := range want {
 				if got[l] != want[l] {
 					t.Fatalf("%s at P=%d: link %d analytic flows %d, enumerated %d", spec, p, l, got[l], want[l])
 				}
-			}
-			if d := tp.Diameter(); d != maxHops {
-				t.Errorf("%s at P=%d: Diameter %d, enumerated longest route %d", spec, p, d, maxHops)
 			}
 		}
 	}
@@ -86,9 +83,9 @@ func TestWalkChargeMatchesRoute(t *testing.T) {
 
 // FuzzFabricAgreement holds every fabric Parse accepts to its route
 // enumeration: Parse fails only with ErrBadTopology, and on fabrics of at
-// most 64 ranks and 4096 links LinkFlows equals the enumerated link loads,
-// Diameter the longest route, and every pair's Charge the route-priced
-// reference, under either placement.
+// most 64 ranks and 4096 links LinkFlows equals the enumerated link loads
+// and every pair's Charge the route-priced reference, under either
+// placement.
 func FuzzFabricAgreement(f *testing.F) {
 	seeds := []struct {
 		spec string
@@ -123,9 +120,7 @@ func FuzzFabricAgreement(f *testing.F) {
 		got := make([]int, tp.NumLinks())
 		tp.LinkFlows(got)
 		want := make([]int, tp.NumLinks())
-		if d, hops := tp.Diameter(), enumerateFlows(tp, want); d != hops {
-			t.Fatalf("%s at P=%d: Diameter %d, longest route %d", spec, p, d, hops)
-		}
+		enumerateFlows(tp, want)
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s at P=%d: LinkFlows %v, enumerated %v", spec, p, got, want)
 		}

@@ -52,7 +52,7 @@ type Link struct {
 // Implementations must be immutable after construction and safe for
 // concurrent use; Route must not allocate beyond growing buf.
 //
-// LinkFlows, WalkCharge and Diameter are what let Network work at any P:
+// LinkFlows and WalkCharge are what let Network work at any P:
 // LinkFlows replaces an all-pairs route enumeration with O(links)
 // arithmetic, and WalkCharge prices one message in O(hops) with no
 // allocation. WalkCharge must price exactly the links Route would emit, in
@@ -88,9 +88,6 @@ type Topology interface {
 	// effBeta[l] over the route's links (effBeta holds β_l·χ_l, indexed by
 	// link id). It must not allocate.
 	WalkCharge(effBeta []float64, src, dst int) (alpha, maxEff float64)
-	// Diameter returns the longest route length in links over all
-	// endpoint pairs.
-	Diameter() int
 }
 
 // maxLinks bounds the link id space of the non-flat fabrics Parse builds.

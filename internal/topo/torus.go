@@ -115,15 +115,6 @@ func (t *Torus) Route(buf []int, src, dst int) []int {
 // Link returns the uniform per-hop link cost.
 func (t *Torus) Link(int) Link { return t.link }
 
-// Diameter returns Σ_d ⌊k_d/2⌋, the longest dimension-ordered route.
-func (t *Torus) Diameter() int {
-	h := 0
-	for _, k := range t.dims {
-		h += k / 2
-	}
-	return h
-}
-
 // LinkFlows fills the all-to-all crossing count of every link (flows must
 // be zeroed). On a ring of extent k, minimal routing with ties breaking
 // forward sends ordered pairs at ring distance s ≤ ⌊k/2⌋ forward and

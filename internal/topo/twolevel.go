@@ -65,18 +65,6 @@ func (t *TwoLevel) Link(id int) Link {
 	return t.intra
 }
 
-// Diameter returns the longest route: two NIC hops across nodes, one
-// intra-node hop inside a single node, zero for a single endpoint.
-func (t *TwoLevel) Diameter() int {
-	if t.nodes > 1 {
-		return 2
-	}
-	if t.perNode > 1 {
-		return 1
-	}
-	return 0
-}
-
 // LinkFlows fills the all-to-all crossing count of every link (flows must
 // be zeroed): each NIC uplink and downlink carries its node's
 // perNode·(P−perNode) cross-node pairs, and each dedicated intra-node pair

@@ -32,8 +32,10 @@ var reachAllowed = map[string]string{
 // outside internal/ (commands, examples, bench/ and the public facade) is a
 // root, as are init functions; a declaration is reached when a reached
 // declaration refers to it. A method of a reached type is also reached when
-// it satisfies an interface the program or the packages it imports
-// declare, since a dynamic call names only the interface's method.
+// it implements a method of an interface that reached code names, since a
+// dynamic call names only the interface's method. For the interfaces of
+// the standard library, whose callers are not type-checked here,
+// satisfying the interface is enough.
 func TestReachable(t *testing.T) {
 	fset := token.NewFileSet()
 	l := &reachLoader{
@@ -173,29 +175,33 @@ func TestReachable(t *testing.T) {
 	for _, p := range l.pkgs {
 		walk(p.pkg)
 	}
-	// satisfied lists the methods by which a type meets the interfaces.
-	satisfied := func(tn *types.TypeName) []types.Object {
+	// moduleMethod reports whether m was declared in this module (or in
+	// bench/), rather than in the standard library.
+	moduleMethod := func(m *types.Func) bool {
+		return m.Pkg() != nil && (m.Pkg().Path() == "repro" || strings.HasPrefix(m.Pkg().Path(), "repro/"))
+	}
+	// implementing lists tn's methods that implement the methods ms of it,
+	// when tn satisfies it.
+	implementing := func(tn *types.TypeName, it *types.Interface, ms []*types.Func) []types.Object {
 		named, ok := tn.Type().(*types.Named)
 		if !ok || types.IsInterface(named) {
 			return nil
 		}
-		var out []types.Object
 		ptr := types.NewPointer(named)
-		for _, it := range ifaces {
-			if !types.Implements(ptr, it) {
-				continue
-			}
-			for i := 0; i < it.NumMethods(); i++ {
-				m, _, _ := types.LookupFieldOrMethod(ptr, false, it.Method(i).Pkg(), it.Method(i).Name())
-				if m != nil {
-					out = append(out, reachOrigin(m))
-				}
+		if !types.Implements(ptr, it) {
+			return nil
+		}
+		var out []types.Object
+		for _, im := range ms {
+			if m, _, _ := types.LookupFieldOrMethod(ptr, false, im.Pkg(), im.Name()); m != nil {
+				out = append(out, reachOrigin(m))
 			}
 		}
 		return out
 	}
 	mark := func(roots []types.Object) map[types.Object]bool {
 		reached := map[types.Object]bool{}
+		var reachedTypes []*types.TypeName
 		work := append([]types.Object(nil), roots...)
 		for len(work) > 0 {
 			o := work[len(work)-1]
@@ -205,8 +211,30 @@ func TestReachable(t *testing.T) {
 			}
 			reached[o] = true
 			work = append(work, edges[o]...)
-			if tn, ok := o.(*types.TypeName); ok {
-				work = append(work, satisfied(tn)...)
+			switch o := o.(type) {
+			case *types.TypeName:
+				reachedTypes = append(reachedTypes, o)
+				for _, it := range ifaces {
+					var ms []*types.Func
+					for i := 0; i < it.NumMethods(); i++ {
+						if m := it.Method(i); !moduleMethod(m) || reached[m] {
+							ms = append(ms, m)
+						}
+					}
+					work = append(work, implementing(o, it, ms)...)
+				}
+			case *types.Func:
+				// A named interface method: every reached type that
+				// satisfies its interface now reaches its implementation.
+				recv := o.Type().(*types.Signature).Recv()
+				if recv == nil || !moduleMethod(o) {
+					break
+				}
+				if it, ok := recv.Type().Underlying().(*types.Interface); ok {
+					for _, tn := range reachedTypes {
+						work = append(work, implementing(tn, it, []*types.Func{o})...)
+					}
+				}
 			}
 		}
 		return reached
