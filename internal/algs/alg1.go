@@ -55,57 +55,59 @@ func run3D(name string, a, b *matrix.Dense, p int, opts Opts, reduceScatter bool
 		return nil, fmt.Errorf("algs: grid %v exceeds dims %v: %w", g, d, core.ErrGridMismatch)
 	}
 
+	// Every member of a fiber runs its collective over the same member list
+	// with the same share counts, so both are laid out once per run, fiber
+	// after fiber (see grid.Fibers), and the ranks share them read-only:
+	// beside each member sits its share of its fiber's block.
+	fibA, fibB, fibC := g.Fibers(grid.Axis3), g.Fibers(grid.Axis1), g.Fibers(grid.Axis2)
+	cntA, cntB, cntC := make([]int, p), make([]int, p), make([]int, p)
+	for id := range p {
+		i1, i2, i3 := g.Coords(id)
+		m, k, n := matrix.PartSize(d.N1, g.P1, i1), matrix.PartSize(d.N2, g.P2, i2), matrix.PartSize(d.N3, g.P3, i3)
+		cntA[g.FiberOffset(id, grid.Axis3)+i3] = matrix.PartSize(m*k, g.P3, i3)
+		cntB[g.FiberOffset(id, grid.Axis1)+i1] = matrix.PartSize(k*n, g.P1, i1)
+		cntC[g.FiberOffset(id, grid.Axis2)+i2] = matrix.PartSize(m*n, g.P2, i2)
+	}
+
 	return run(name, d, g, opts, func(r *machine.Rank) []float64 {
-		i1, i2, i3 := g.Coords(r.ID())
+		id := r.ID()
+		i1, i2, i3 := g.Coords(id)
+		oA, oB, oC := g.FiberOffset(id, grid.Axis3), g.FiberOffset(id, grid.Axis1), g.FiberOffset(id, grid.Axis2)
 
 		// Initial one-copy distribution: the A block (i1, i2) is spread
 		// evenly (as packed word ranges) over the Axis3 fiber, the B block
 		// (i2, i3) over the Axis1 fiber — exactly the layout of §5.
 		aBlk := matrix.BlockView(a, g.P1, g.P2, i1, i2)
 		bBlk := matrix.BlockView(b, g.P2, g.P3, i2, i3)
-		packedA := aBlk.PackInto(r.GetBuffer(aBlk.Size()))
-		packedB := bBlk.PackInto(r.GetBuffer(bBlk.Size()))
-		countsA := matrix.PartSizes(r.GetInts(g.P3), len(packedA))
-		countsB := matrix.PartSizes(r.GetInts(g.P1), len(packedB))
-		loA, hiA := shareRange(len(packedA), g.P3, i3)
-		loB, hiB := shareRange(len(packedB), g.P1, i1)
-		myA := packedA[loA:hiA]
-		myB := packedB[loB:hiB]
-		r.GrowMemory(float64(len(myA) + len(myB)))
+		r.GrowMemory(float64(cntA[oA+i3] + cntB[oB+i1]))
 
-		// Line 3: A_{p1'p2'} = All-Gather over (p1', p2', :). The gather
-		// output is a pooled buffer that serves directly (wrapped, no copy)
-		// as the local gathered block; groups live on the stack and return
-		// their scratch on Release.
+		// Line 3: A_{p1'p2'} = All-Gather over (p1', p2', :). The rank packs
+		// only its share of the block, straight into its slot of the gather
+		// output, and gathers in place. The output is a pooled buffer that
+		// serves directly (wrapped, no copy) as the local gathered block.
 		r.SetPhase(PhaseGatherA)
-		membersA := g.FiberInto(r.GetInts(g.P3), r.ID(), grid.Axis3)
+		fullA := r.GetBuffer(aBlk.Size())
+		loA, hiA := shareRange(len(fullA), g.P3, i3)
 		var grpA collective.Group
-		grpA.Init(r, membersA, 1, opts.Collective)
-		fullA := grpA.AllGatherVInto(myA, countsA, r.GetBuffer(len(packedA)))
-		r.GrowMemory(float64(len(fullA) - len(myA)))
-		gatheredA := matrix.Wrap(aBlk.Rows(), aBlk.Cols(), fullA)
-		grpA.Release()
-		r.PutInts(membersA)
-		r.PutInts(countsA)
-		r.PutBuffer(packedA)
+		grpA.Init(r, fibA[oA:oA+g.P3], 1, opts.Collective)
+		grpA.AllGatherVInto(aBlk.PackRangeInto(fullA[loA:hiA], loA, hiA), cntA[oA:oA+g.P3], fullA)
+		r.GrowMemory(float64(len(fullA) - (hiA - loA)))
 
 		// Line 4: B_{p2'p3'} = All-Gather over (:, p2', p3').
 		r.SetPhase(PhaseGatherB)
-		membersB := g.FiberInto(r.GetInts(g.P1), r.ID(), grid.Axis1)
+		fullB := r.GetBuffer(bBlk.Size())
+		loB, hiB := shareRange(len(fullB), g.P1, i1)
 		var grpB collective.Group
-		grpB.Init(r, membersB, 2, opts.Collective)
-		fullB := grpB.AllGatherVInto(myB, countsB, r.GetBuffer(len(packedB)))
-		r.GrowMemory(float64(len(fullB) - len(myB)))
-		gatheredB := matrix.Wrap(bBlk.Rows(), bBlk.Cols(), fullB)
-		grpB.Release()
-		r.PutInts(membersB)
-		r.PutInts(countsB)
-		r.PutBuffer(packedB)
+		grpB.Init(r, fibB[oB:oB+g.P1], 2, opts.Collective)
+		grpB.AllGatherVInto(bBlk.PackRangeInto(fullB[loB:hiB], loB, hiB), cntB[oB:oB+g.P1], fullB)
+		r.GrowMemory(float64(len(fullB) - (hiB - loB)))
 
 		// Line 6: local computation D = A_{p1'p2'} · B_{p2'p3'}. D lives in
 		// a pooled buffer that doubles as its packed form for Line 8 (a
 		// wrapped matrix is contiguous row-major by construction).
 		r.SetPhase("")
+		gatheredA := matrix.Wrap(aBlk.Rows(), aBlk.Cols(), fullA)
+		gatheredB := matrix.Wrap(bBlk.Rows(), bBlk.Cols(), fullB)
 		packedD := r.GetBuffer(gatheredA.Rows() * gatheredB.Cols())
 		dBlk := matrix.Wrap(gatheredA.Rows(), gatheredB.Cols(), packedD)
 		localMulIntoVal(r, dBlk, gatheredA, gatheredB, opts.Workers)
@@ -114,14 +116,14 @@ func run3D(name string, a, b *matrix.Dense, p int, opts Opts, reduceScatter bool
 		r.PutBuffer(fullB)
 
 		// Line 8: C contributions summed over (p1', :, p3').
-		countsC := matrix.PartSizes(r.GetInts(g.P2), len(packedD))
+		countsC := cntC[oC : oC+g.P2]
 		r.SetPhase(PhaseReduceC)
-		membersC := g.FiberInto(r.GetInts(g.P2), r.ID(), grid.Axis2)
 		var grpC collective.Group
-		grpC.Init(r, membersC, 3, opts.Collective)
-		var myC []float64
+		grpC.Init(r, fibC[oC:oC+g.P2], 3, opts.Collective)
+		myC := make([]float64, countsC[i2])
 		if reduceScatter {
-			myC = grpC.ReduceScatterV(packedD, countsC)
+			// D is dead once reduced, so it serves as its own scratch.
+			grpC.ReduceScatterVInto(packedD, countsC, myC, packedD)
 		} else {
 			// All-to-All the per-destination chunks, then sum locally.
 			blocks := make([][]float64, g.P2)
@@ -130,9 +132,7 @@ func run3D(name string, a, b *matrix.Dense, p int, opts Opts, reduceScatter bool
 				blocks[j] = packedD[off : off+c]
 				off += c
 			}
-			got := grpC.AllToAll(blocks)
-			myC = make([]float64, countsC[i2])
-			for j, blk := range got {
+			for j, blk := range grpC.AllToAll(blocks) {
 				if len(blk) != len(myC) {
 					panic(fmt.Sprintf("algs: alltoall chunk %d has %d words, want %d", j, len(blk), len(myC)))
 				}
@@ -144,9 +144,6 @@ func run3D(name string, a, b *matrix.Dense, p int, opts Opts, reduceScatter bool
 				r.Compute(float64((g.P2 - 1) * len(myC)))
 			}
 		}
-		grpC.Release()
-		r.PutInts(membersC)
-		r.PutInts(countsC)
 		r.PutBuffer(packedD)
 		r.SetPhase("")
 		r.GrowMemory(float64(len(myC)))

@@ -72,19 +72,35 @@ func toGolden(s machine.WorldStats) goldenWorldStats {
 		MaxPeakMemory:  s.MaxPeakMemory,
 	}
 	for _, r := range s.Ranks {
-		g.Ranks = append(g.Ranks, goldenRankStats{
-			WordsSent:      r.WordsSent,
-			WordsRecv:      r.WordsRecv,
-			MsgsSent:       r.MsgsSent,
-			MsgsRecv:       r.MsgsRecv,
-			Flops:          r.Flops,
-			PeakMemory:     r.PeakMemory,
-			FinalClock:     r.FinalClock,
-			PhaseRecvWords: r.PhaseRecvWords,
-			PhaseSentWords: r.PhaseSentWords,
-		})
+		gr := goldenRankStats{
+			WordsSent:  r.WordsSent,
+			WordsRecv:  r.WordsRecv,
+			MsgsSent:   r.MsgsSent,
+			MsgsRecv:   r.MsgsRecv,
+			Flops:      r.Flops,
+			PeakMemory: r.PeakMemory,
+			FinalClock: r.FinalClock,
+		}
+		// The golden file keys each direction's words by phase, listing a
+		// phase only for a direction in which a message moved under it.
+		for _, pw := range r.Phases {
+			if pw.HasRecv {
+				addGoldenPhase(&gr.PhaseRecvWords, pw.Phase, pw.Recv)
+			}
+			if pw.HasSent {
+				addGoldenPhase(&gr.PhaseSentWords, pw.Phase, pw.Sent)
+			}
+		}
+		g.Ranks = append(g.Ranks, gr)
 	}
 	return g
+}
+
+func addGoldenPhase(m *map[string]float64, phase string, w float64) {
+	if *m == nil {
+		*m = map[string]float64{}
+	}
+	(*m)[phase] = w
 }
 
 // goldenSuite runs every registered algorithm on fixed inputs under two cost

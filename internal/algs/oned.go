@@ -45,7 +45,6 @@ func OneD(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 		var grp collective.Group
 		grp.Init(r, members, 1, opts.Collective)
 		fullB := grp.AllGatherVInto(myB, countsB, r.GetBuffer(len(packedB)))
-		grp.Release()
 		r.SetPhase("")
 		r.GrowMemory(float64(len(fullB) - len(myB)))
 		bMat := matrix.New(d.N2, d.N3)

@@ -48,6 +48,9 @@ func SUMMA(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 	panelW := d.N2 / steps
 
 	g := grid.Grid{P1: pr, P2: 1, P3: pc}
+	// Processor rows (same i1, varying i3) and columns (same i3, varying
+	// i1), laid out once and shared read-only by the ranks.
+	rows, cols := g.Fibers(grid.Axis3), g.Fibers(grid.Axis1)
 	return run("SUMMA", d, g, opts, func(r *machine.Rank) []float64 {
 		i1, _, i3 := g.Coords(r.ID())
 		// Local blocks: A is distributed pr×pc (rows × contracted), B is
@@ -59,11 +62,10 @@ func SUMMA(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 		bBlk := matrix.BlockOf(b, pr, pc, i1, i3)
 		r.GrowMemory(float64(aBlk.Size() + bBlk.Size()))
 
-		rowFiber := g.FiberInto(r.GetInts(pc), r.ID(), grid.Axis3) // same i1, varying i3
-		colFiber := g.FiberInto(r.GetInts(pr), r.ID(), grid.Axis1) // same i3, varying i1
+		oRow, oCol := g.FiberOffset(r.ID(), grid.Axis3), g.FiberOffset(r.ID(), grid.Axis1)
 		var rowGrp, colGrp collective.Group
-		rowGrp.Init(r, rowFiber, 1, opts.Collective)
-		colGrp.Init(r, colFiber, 2, opts.Collective)
+		rowGrp.Init(r, rows[oRow:oRow+pc], 1, opts.Collective)
+		colGrp.Init(r, cols[oCol:oCol+pr], 2, opts.Collective)
 
 		cBlk := matrix.New(aBlk.Rows(), matrix.PartSize(d.N3, pc, i3))
 		r.GrowMemory(float64(cBlk.Size() + aBlk.Rows()*panelW + panelW*cBlk.Cols()))
@@ -106,10 +108,6 @@ func SUMMA(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 			r.SetPhase("")
 			localMulAdd(r, cBlk, aP, bP, opts.Workers)
 		}
-		rowGrp.Release()
-		colGrp.Release()
-		r.PutInts(rowFiber)
-		r.PutInts(colFiber)
 		return cBlk.Pack()
 	})
 }

@@ -56,6 +56,10 @@ func TwoPointFiveD(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 		tagShiftB = 203
 	)
 	rounds := q / c
+	// The layer fibers, and the even split of a C block over a fiber's
+	// layers (every block has (n/q)² words), shared read-only by the ranks.
+	layers := g.Fibers(grid.Axis2)
+	counts := matrix.PartSizes(make([]int, c), (n/q)*(n/q))
 	return run("TwoPointFiveD", d, g, opts, func(r *machine.Rank) []float64 {
 		i, l, j := g.Coords(r.ID())
 		blk := n / q
@@ -69,9 +73,9 @@ func TwoPointFiveD(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 			packedA = matrix.BlockOf(a, q, q, i, j).PackInto(r.GetBuffer(blk * blk))
 			packedB = matrix.BlockOf(b, q, q, i, j).PackInto(r.GetBuffer(blk * blk))
 		}
-		layerFiber := g.FiberInto(r.GetInts(c), r.ID(), grid.Axis2)
+		oLayer := g.FiberOffset(r.ID(), grid.Axis2)
 		var layerGrp collective.Group
-		layerGrp.Init(r, layerFiber, 3, opts.Collective)
+		layerGrp.Init(r, layers[oLayer:oLayer+c], 3, opts.Collective)
 		r.SetPhase("replicate")
 		packedA = layerGrp.Bcast(packedA, 0)
 		packedB = layerGrp.Bcast(packedB, 0)
@@ -118,15 +122,13 @@ func TwoPointFiveD(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 		r.PutBuffer(packedB)
 
 		// Combine the layers' partial sums: Reduce-Scatter over the layer
-		// fiber leaves C block (i, j) spread evenly across layers.
+		// fiber leaves C block (i, j) spread evenly across layers. The
+		// packed partial sum is dead once reduced, so it serves as its own
+		// scratch.
 		packedC := cBlk.PackInto(r.GetBuffer(cBlk.Size()))
-		counts := matrix.PartSizes(r.GetInts(c), len(packedC))
 		r.SetPhase(PhaseReduceC)
-		myC := layerGrp.ReduceScatterV(packedC, counts)
+		myC := layerGrp.ReduceScatterVInto(packedC, counts, make([]float64, counts[l]), packedC)
 		r.PutBuffer(packedC)
-		layerGrp.Release()
-		r.PutInts(layerFiber)
-		r.PutInts(counts)
 		r.SetPhase("")
 		return myC
 	})

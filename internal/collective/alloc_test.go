@@ -35,7 +35,6 @@ func collectiveRun(t *testing.T, iters int) func() {
 				g.AllGatherVInto(my, counts, gathered)
 				g.ReduceScatterVInto(gathered, counts, chunk, scratch)
 			}
-			g.Release()
 			r.PutBuffer(my)
 			r.PutBuffer(gathered)
 			r.PutBuffer(scratch)
@@ -51,7 +50,7 @@ func collectiveRun(t *testing.T, iters int) func() {
 // collective hot path: with caller-provided output and scratch buffers,
 // AllGatherVInto and ReduceScatterVInto must not allocate per call — the
 // ring loops receive into pooled network buffers that are recycled
-// immediately, and the group's count/offset scratch is reused.
+// immediately, and block offsets are walked rather than stored.
 func TestCollectiveSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts shift under -race instrumentation")

@@ -49,15 +49,6 @@ type Group struct {
 	me      int // index of rank within members
 	tagBase int
 	alg     Algorithm
-
-	// starts and counts are reusable integer scratch for the offset and
-	// uniform-count computations, so repeated collectives on one group do
-	// not allocate. A Group is confined to its rank's goroutine, and the
-	// scratch is only live within a single collective call, so a single
-	// buffer per kind suffices. The slices come from the machine's integer
-	// arena and go back on Release.
-	starts []int
-	counts []int
 }
 
 // opcode offsets keep concurrent-by-construction collectives on disjoint
@@ -83,7 +74,9 @@ func NewGroup(r *machine.Rank, members []int, tagBase int, alg Algorithm) *Group
 
 // Init initializes a (possibly stack-allocated) Group in place, with the
 // same semantics as NewGroup. Callers on the simulator's hot path use a
-// Group value plus Init/Release to keep communicator setup allocation-free.
+// Group value plus Init to keep communicator setup allocation-free. The
+// group reads members without copying or writing it, so every member of a
+// fiber can share one list (see grid.Fibers).
 func (g *Group) Init(r *machine.Rank, members []int, tagBase int, alg Algorithm) {
 	me := -1
 	// A strictly ascending list has no duplicates; fibers always are one,
@@ -109,19 +102,9 @@ func (g *Group) Init(r *machine.Rank, members []int, tagBase int, alg Algorithm)
 	*g = Group{rank: r, members: members, me: me, tagBase: tagBase, alg: alg}
 }
 
-// Release returns the group's pooled scratch to the machine's arena. The
-// group must not be used afterwards. Optional: a group that is never
-// released just lets the garbage collector reclaim its scratch.
-func (g *Group) Release() {
-	if g.starts != nil {
-		g.rank.PutInts(g.starts)
-		g.starts = nil
-	}
-	if g.counts != nil {
-		g.rank.PutInts(g.counts)
-		g.counts = nil
-	}
-}
+// Release ends the group's use. A Group holds no scratch of its own, so
+// there is nothing to return; callers may drop a group without it.
+func (g *Group) Release() {}
 
 // dupMember reports whether members contains a duplicate: an allocation-free
 // quadratic scan for small groups, a map for large ones.
@@ -197,40 +180,52 @@ func UseRecursive(p int, alg Algorithm) bool {
 	}
 }
 
-// offsets converts per-member counts into start offsets plus total, using
-// the group's reusable scratch. The returned slice is only valid until the
-// next offsets call on this group.
-func (g *Group) offsets(counts []int) (starts []int, total int) {
-	starts = g.ensureInts(&g.starts, len(counts))
+// layout checks counts against the group and returns their sum, the words
+// of every block together, and mine, the offset of this member's block in
+// the concatenation. The collectives walk the other offsets from these as
+// they go, so no call stores a table of them.
+func (g *Group) layout(counts []int) (total, mine int) {
+	if len(counts) != len(g.members) {
+		panic(fmt.Sprintf("collective: %d counts for group of %d", len(counts), len(g.members)))
+	}
 	for i, c := range counts {
 		if c < 0 {
 			panic(fmt.Sprintf("collective: negative count %d", c))
 		}
-		starts[i] = total
+		if i == g.me {
+			mine = total
+		}
 		total += c
 	}
-	return starts, total
+	return total, mine
 }
 
-// uniformCounts returns a counts slice of p copies of n in the group's
-// reusable scratch; valid until the next uniformCounts call on this group.
-func (g *Group) uniformCounts(p, n int) []int {
-	c := g.ensureInts(&g.counts, p)
+// sum returns the words of the blocks counts lists.
+func sum(counts []int) int {
+	s := 0
+	for _, c := range counts {
+		s += c
+	}
+	return s
+}
+
+// below returns the member before idx in ring order, (idx − 1) mod p, and
+// the offset of its block in the concatenation of total words, given at,
+// the offset of idx's block: a ring walks its blocks this way, so it
+// finds each offset from the last in O(1).
+func below(counts []int, idx, at, total int) (int, int) {
+	if idx == 0 {
+		idx, at = len(counts), total
+	}
+	return idx - 1, at - counts[idx-1]
+}
+
+// equalCounts returns p copies of n: the counts of an equal-block
+// collective.
+func equalCounts(p, n int) []int {
+	c := make([]int, p)
 	for i := range c {
 		c[i] = n
 	}
 	return c
-}
-
-// ensureInts resizes *buf to length n, reusing its backing array when it is
-// large enough and drawing replacements from the machine's integer arena.
-func (g *Group) ensureInts(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		if *buf != nil {
-			g.rank.PutInts(*buf)
-		}
-		*buf = g.rank.GetInts(n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
 }

@@ -56,9 +56,9 @@ func Figure1(n, p int) (Artifact, error) {
 			fmt.Sprintf("%d", r),
 			fmt.Sprintf("(%d,%d,%d)", i1+1, i2+1, i3+1),
 			report.Num(3*blockWords/3), // one third of each of the three blocks
-			report.Num(rs.PhaseRecvWords[algs.PhaseGatherA]),
-			report.Num(rs.PhaseRecvWords[algs.PhaseGatherB]),
-			report.Num(rs.PhaseRecvWords[algs.PhaseReduceC]),
+			report.Num(rs.Phase(algs.PhaseGatherA).Recv),
+			report.Num(rs.Phase(algs.PhaseGatherB).Recv),
+			report.Num(rs.Phase(algs.PhaseReduceC).Recv),
 			report.Num(rs.WordsRecv),
 		)
 	}

@@ -122,6 +122,37 @@ func (g Grid) FiberInto(dst []int, rank int, axis Axis) []int {
 	return dst
 }
 
+// Fibers lays out every fiber along axis in one table of Size() entries,
+// fiber after fiber: the fiber through rank r, listed as Fiber lists it,
+// is tab[o : o+FiberLen(axis)] with o = FiberOffset(r, axis). Every member
+// of a fiber communicates over the same list, so a simulation builds the
+// table once and its ranks share it read-only instead of each holding a
+// copy.
+func (g Grid) Fibers(axis Axis) []int {
+	tab := make([]int, g.Size())
+	for r := range tab {
+		i1, i2, i3 := g.Coords(r)
+		tab[g.FiberOffset(r, axis)+[3]int{i1, i2, i3}[axis]] = r
+	}
+	return tab
+}
+
+// FiberOffset returns where the fiber through rank along axis starts in the
+// table Fibers(axis) builds. Fibers are ordered by their two fixed
+// coordinates, the earlier axis first.
+func (g Grid) FiberOffset(rank int, axis Axis) int {
+	i1, i2, i3 := g.Coords(rank)
+	switch axis {
+	case Axis1:
+		return (i2*g.P3 + i3) * g.P1
+	case Axis2:
+		return (i1*g.P3 + i3) * g.P2
+	case Axis3:
+		return (i1*g.P2 + i2) * g.P3
+	}
+	panic(fmt.Sprintf("grid: unknown axis %d", axis))
+}
+
 // CommCost evaluates eq. (3) of the paper: the per-processor communication
 // volume of Algorithm 1 on this grid,
 //

@@ -3,6 +3,7 @@ package grid
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -68,6 +69,7 @@ func TestOutOfRangePanics(t *testing.T) {
 		func() { g.Coords(8) },
 		func() { g.Coords(-1) },
 		func() { g.Fiber(0, Axis(7)) },
+		func() { g.FiberOffset(0, Axis(7)) },
 	} {
 		func() {
 			defer func() {
@@ -106,6 +108,27 @@ func TestFibers(t *testing.T) {
 	}
 	if Axis1.String() != "axis1" || Axis2.String() != "axis2" || Axis3.String() != "axis3" {
 		t.Fatal("axis names")
+	}
+	// The shared table lists every fiber once, each where FiberOffset
+	// says, as Fiber lists it.
+	for _, g := range []Grid{{2, 3, 4}, {3, 1, 2}, {1, 5, 1}} {
+		for _, axis := range []Axis{Axis1, Axis2, Axis3} {
+			tab := g.Fibers(axis)
+			if len(tab) != g.Size() {
+				t.Fatalf("%v %v: table has %d entries", g, axis, len(tab))
+			}
+			seen := make([]bool, g.Size())
+			for r := 0; r < g.Size(); r++ {
+				o := g.FiberOffset(r, axis)
+				if got, want := tab[o:o+g.FiberLen(axis)], g.Fiber(r, axis); !slices.Equal(got, want) {
+					t.Fatalf("%v %v: rank %d's fiber in the table is %v, want %v", g, axis, r, got, want)
+				}
+				if seen[tab[r]] {
+					t.Fatalf("%v %v: rank %d listed twice", g, axis, tab[r])
+				}
+				seen[tab[r]] = true
+			}
+		}
 	}
 }
 

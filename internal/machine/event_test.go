@@ -126,8 +126,10 @@ func TestEventEngineStatsBitIdentical(t *testing.T) {
 		return RankStats{
 			WordsSent: sent, WordsRecv: recv, MsgsSent: 7, MsgsRecv: 7,
 			Flops: flops, PeakMemory: peak, FinalClock: clock,
-			PhaseRecvWords: map[string]float64{"exchange": 5, "shift": shiftRecv},
-			PhaseSentWords: map[string]float64{"exchange": 5, "shift": shiftSent},
+			Phases: []PhaseWords{
+				{Phase: "shift", Sent: shiftSent, Recv: shiftRecv, HasSent: true, HasRecv: true},
+				{Phase: "exchange", Sent: 5, Recv: 5, HasSent: true, HasRecv: true},
+			},
 		}
 	}
 	want := WorldStats{
@@ -316,9 +318,9 @@ func TestFanInScales(t *testing.T) {
 }
 
 // TestConcurrentWorldsShareShardCaches runs many worlds at once. Their
-// shards share the arena's shard caches by index, so buffers, integer
-// scratch and message headers pass between worlds through those caches and
-// the process-wide tier. Every world must still produce exactly the stats
+// shards share the arena's shard caches by index, so buffers and message
+// headers pass between worlds through those caches and the process-wide
+// tier. Every world must still produce exactly the stats
 // of one serial run. Under -race this is the test that checks the caches'
 // locking.
 func TestConcurrentWorldsShareShardCaches(t *testing.T) {
@@ -330,10 +332,6 @@ func TestConcurrentWorldsShareShardCaches(t *testing.T) {
 	cfg := Config{Alpha: 3, Beta: 0.5, Gamma: 0.25}
 	body := func(r *Rank) {
 		me := r.ID()
-		scratch := r.GetInts(me%7 + 1)
-		for i := range scratch {
-			scratch[i] = me
-		}
 		r.SetPhase("ring")
 		out := r.GetBuffer(me%5 + 1)
 		for i := range out {
@@ -355,13 +353,6 @@ func TestConcurrentWorldsShareShardCaches(t *testing.T) {
 			r.Compute(float64(n))
 		}
 		r.PutBuffer(buf)
-		for _, v := range scratch {
-			if v != me {
-				t.Errorf("rank %d: its integer scratch was handed to another owner", me)
-				break
-			}
-		}
-		r.PutInts(scratch)
 	}
 	run := func(workers int) (WorldStats, error) {
 		w, err := newWorld(p, cfg, workers)

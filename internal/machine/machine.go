@@ -150,8 +150,8 @@ func newWorld(p int, cfg Config, workers int) (*World, error) {
 	w := &World{p: p, cfg: cfg}
 	w.eng = newEventEngine(w, workers)
 	// Ranks are allocated in one block, each bound to its home shard's
-	// arena cache; per-phase stat maps are created lazily on first use
-	// (see addPhase).
+	// arena cache; per-phase stat entries are created lazily on first use
+	// (see phaseEntry).
 	w.ranks = make([]Rank, p)
 	for i := range w.ranks {
 		w.ranks[i] = Rank{id: i, world: w, cache: &shardCaches[w.eng.shardOf(i)%len(shardCaches)]}

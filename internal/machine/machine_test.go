@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -261,11 +262,11 @@ func TestSendRecvExchangeOverlaps(t *testing.T) {
 }
 
 // TestPhaseAccounting checks per-phase words against the per-message
-// sums: a phase re-entered after another sums both stretches, unlabelled
-// traffic is counted only in the totals, a zero-word message creates its
-// phase's keys with value 0, a phase in which a rank only sends has no
-// receive key on it (and vice versa), and a phase still open when the body
-// returns is counted.
+// sums: a phase re-entered after another sums both stretches in one entry,
+// entries follow first use, unlabelled traffic is counted only in the
+// totals, a zero-word message marks its phase's directions with 0 words, a
+// phase in which a rank only sends has no receive on it (and vice versa),
+// and a phase still open when the body returns is counted.
 func TestPhaseAccounting(t *testing.T) {
 	w := NewWorld(2, BandwidthOnly())
 	err := w.Run(func(r *Rank) {
@@ -302,23 +303,28 @@ func TestPhaseAccounting(t *testing.T) {
 		t.Errorf("max phase recv = %v", s.MaxPhaseRecv("main"))
 	}
 	for id, rs := range s.Ranks {
-		if got := rs.PhaseSentWords["warmup"]; got != 7 {
+		if got := rs.Phase("warmup").Sent; got != 7 {
 			t.Errorf("rank %d sent %v words in the re-entered phase, want 7", id, got)
 		}
-		for _, m := range []map[string]float64{rs.PhaseSentWords, rs.PhaseRecvWords} {
-			if v, ok := m["empty"]; !ok || v != 0 {
-				t.Errorf("rank %d: zero-word phase reads %v (present %v), want 0 present", id, v, ok)
-			}
-			if _, ok := m[""]; ok {
-				t.Errorf("rank %d: unlabelled traffic has a phase key", id)
-			}
+		if e := rs.Phase("empty"); e != (PhaseWords{Phase: "empty", HasSent: true, HasRecv: true}) {
+			t.Errorf("rank %d: zero-word phase reads %+v, want 0 words marked in both directions", id, e)
+		}
+		var order []string
+		for _, pw := range rs.Phases {
+			order = append(order, pw.Phase)
+		}
+		if want := []string{"warmup", "main", "empty", "oneway", "tail"}; !slices.Equal(order, want) {
+			t.Errorf("rank %d: phase entries %q, want %q (first use, unlabelled traffic absent)", id, order, want)
 		}
 	}
-	if _, ok := s.Ranks[0].PhaseRecvWords["oneway"]; ok {
-		t.Error("rank 0 only sent in phase oneway but has a receive key for it")
+	if pw := s.Ranks[0].Phase("oneway"); pw.HasRecv || !pw.HasSent {
+		t.Errorf("rank 0 only sent in phase oneway, but its entry reads %+v", pw)
 	}
-	if _, ok := s.Ranks[1].PhaseSentWords["oneway"]; ok {
-		t.Error("rank 1 only received in phase oneway but has a send key for it")
+	if pw := s.Ranks[1].Phase("oneway"); pw.HasSent || !pw.HasRecv {
+		t.Errorf("rank 1 only received in phase oneway, but its entry reads %+v", pw)
+	}
+	if pw := s.Ranks[0].Phase("absent"); pw != (PhaseWords{Phase: "absent"}) {
+		t.Errorf("a label no message moved under reads %+v, want zero words", pw)
 	}
 	if s.Ranks[0].WordsRecv != 20 || s.Ranks[1].WordsRecv != 27 {
 		t.Errorf("total words received = %v, %v; want 20, 27", s.Ranks[0].WordsRecv, s.Ranks[1].WordsRecv)
@@ -411,7 +417,7 @@ func (r *Rank) SendRecv(dst, src, tag int, data []float64) []float64 {
 func (s WorldStats) PhaseRecvTotal(phase string) float64 {
 	t := 0.0
 	for _, r := range s.Ranks {
-		t += r.PhaseRecvWords[phase]
+		t += r.Phase(phase).Recv
 	}
 	return t
 }

@@ -6,12 +6,12 @@ import (
 )
 
 // The arena recycles the simulator's hot-path allocations: message payload
-// buffers, in-flight message headers, and small integer scratch slices.
-// Buffers are grouped into power-of-two size classes; get returns a buffer
-// with at least the requested length (contents undefined), put makes a
-// buffer available for reuse. The arena only ever hands a buffer to one
-// owner at a time, so the hot path — copy-on-send into a pooled buffer,
-// recycle after receive — runs allocation-free once the free lists are warm.
+// buffers and in-flight message headers. Buffers are grouped into
+// power-of-two size classes; get returns a buffer with at least the
+// requested length (contents undefined), put makes a buffer available for
+// reuse. The arena only ever hands a buffer to one owner at a time, so the
+// hot path — copy-on-send into a pooled buffer, recycle after receive —
+// runs allocation-free once the free lists are warm.
 //
 // It has two tiers. A process-wide tier (globalArena) backs every World:
 // worlds are typically short-lived (one per experiment sweep point, one per
@@ -42,16 +42,12 @@ const (
 )
 
 // arenaClasses bounds the float64 size classes at 2^47 words — far beyond
-// any simulated payload. intClasses bounds integer scratch at 2^31 entries.
-const (
-	arenaClasses = 48
-	intClasses   = 32
-)
+// any simulated payload.
+const arenaClasses = 48
 
 // freeLists is one tier's free lists.
 type freeLists struct {
 	bufs [arenaClasses][][]float64
-	ints [intClasses][][]int
 	msgs []*message
 }
 
@@ -146,35 +142,6 @@ func (c *shardCache) put(buf []float64) {
 	c.mu.Unlock()
 }
 
-// getInts returns an integer scratch slice of length n, contents undefined.
-func (c *shardCache) getInts(n int) []int {
-	if n == 0 {
-		return nil
-	}
-	cl := classFor(n)
-	c.mu.Lock()
-	buf, ok := pop(&c.ints[cl], &globalArena.ints[cl])
-	c.mu.Unlock()
-	if !ok {
-		return make([]int, n, 1<<cl)
-	}
-	return buf[:n]
-}
-
-// putInts recycles an integer scratch slice.
-func (c *shardCache) putInts(buf []int) {
-	if cap(buf) == 0 {
-		return
-	}
-	cl := bits.Len(uint(cap(buf))) - 1
-	if cl >= intClasses {
-		return
-	}
-	c.mu.Lock()
-	push(&c.ints[cl], &globalArena.ints[cl], buf[:0:1<<cl])
-	c.mu.Unlock()
-}
-
 // getMsg returns a message header with no payload and no successor.
 func (c *shardCache) getMsg() *message {
 	c.mu.Lock()
@@ -206,10 +173,3 @@ func (r *Rank) GetBuffer(n int) []float64 { return r.cache.get(n) }
 // use the slice (or any alias of it) afterwards: the arena will hand it to
 // the next GetBuffer or Send on any rank.
 func (r *Rank) PutBuffer(buf []float64) { r.cache.put(buf) }
-
-// GetInts returns an integer scratch slice of length n from the recycling
-// arena, contents undefined. Pair with PutInts.
-func (r *Rank) GetInts(n int) []int { return r.cache.getInts(n) }
-
-// PutInts returns an integer scratch slice to the recycling arena.
-func (r *Rank) PutInts(buf []int) { r.cache.putInts(buf) }

@@ -22,8 +22,8 @@ type Rank struct {
 	phaseStart float64
 	// sentFrom, recvFrom, msgsSentFrom and msgsRecvFrom snapshot the
 	// rank's totals when the current phase label was set; leaving the
-	// phase folds the difference into the per-phase maps (see foldPhase),
-	// so messages do no phase bookkeeping of their own.
+	// phase folds the difference into the per-phase entries (see
+	// foldPhase), so messages do no phase bookkeeping of their own.
 	sentFrom, recvFrom         float64
 	msgsSentFrom, msgsRecvFrom int
 
@@ -55,19 +55,42 @@ func (r *Rank) SetPhase(name string) {
 }
 
 // foldPhase adds the words moved since the current phase label was set to
-// the per-phase maps, creating a key only for a direction in which a
-// message moved. Word counts are integers, so the differences of the
-// running totals are exact and equal the per-message sums.
+// the label's entry, marking only a direction in which a message moved
+// and creating the entry only when one did. Word counts are integers, so
+// the differences of the running totals are exact and equal the
+// per-message sums.
 func (r *Rank) foldPhase() {
-	if r.phase == "" {
+	sent, recv := r.stats.MsgsSent != r.msgsSentFrom, r.stats.MsgsRecv != r.msgsRecvFrom
+	if r.phase == "" || (!sent && !recv) {
 		return
 	}
-	if r.stats.MsgsSent != r.msgsSentFrom {
-		addPhase(&r.stats.PhaseSentWords, r.phase, r.stats.WordsSent-r.sentFrom)
+	pw := r.phaseEntry()
+	if sent {
+		pw.Sent += r.stats.WordsSent - r.sentFrom
+		pw.HasSent = true
 	}
-	if r.stats.MsgsRecv != r.msgsRecvFrom {
-		addPhase(&r.stats.PhaseRecvWords, r.phase, r.stats.WordsRecv-r.recvFrom)
+	if recv {
+		pw.Recv += r.stats.WordsRecv - r.recvFrom
+		pw.HasRecv = true
 	}
+}
+
+// phaseEntry returns the current label's entry in the rank's stats,
+// appending it on first use. The first entry allocates room for four,
+// enough for every label a registry algorithm sets, so a rank's phase
+// accounting costs one small allocation.
+func (r *Rank) phaseEntry() *PhaseWords {
+	ps := r.stats.Phases
+	for i := range ps {
+		if ps[i].Phase == r.phase {
+			return &ps[i]
+		}
+	}
+	if ps == nil {
+		ps = make([]PhaseWords, 0, 4)
+	}
+	r.stats.Phases = append(ps, PhaseWords{Phase: r.phase})
+	return &r.stats.Phases[len(ps)]
 }
 
 // endPhase closes a phase span left open when the SPMD body returns.
@@ -117,15 +140,6 @@ func (r *Rank) Send(dst, tag int, data []float64) {
 	m := r.cache.getMsg()
 	m.src, m.dst, m.tag, m.data, m.sendClock = r.id, dst, tag, cp, r.clock
 	r.world.eng.send(m)
-}
-
-// addPhase accumulates words under a phase label, creating the map on first
-// use so phase-free runs never allocate it.
-func addPhase(m *map[string]float64, phase string, w float64) {
-	if *m == nil {
-		*m = make(map[string]float64)
-	}
-	(*m)[phase] += w
 }
 
 // recvMsg blocks for a message from src with the given tag and performs the

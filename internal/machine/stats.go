@@ -16,10 +16,31 @@ type RankStats struct {
 	PeakMemory float64
 	// FinalClock is the rank's simulated time when the SPMD body returned.
 	FinalClock float64
-	// PhaseRecvWords and PhaseSentWords break communication down by the
-	// labels set with SetPhase.
-	PhaseRecvWords map[string]float64
-	PhaseSentWords map[string]float64
+	// Phases breaks communication down by the labels set with SetPhase,
+	// one entry per label in the order the rank first moved a message
+	// under it; Phase looks a label up.
+	Phases []PhaseWords
+}
+
+// PhaseWords is the traffic a rank moved under one SetPhase label.
+type PhaseWords struct {
+	Phase string
+	// Sent and Recv count the words moved in each direction. HasSent and
+	// HasRecv report whether any message, even an empty one, moved in
+	// that direction; a direction without one reads 0 and false.
+	Sent, Recv       float64
+	HasSent, HasRecv bool
+}
+
+// Phase returns the rank's traffic under label: zero words in both
+// directions when no message moved under it.
+func (s RankStats) Phase(label string) PhaseWords {
+	for _, pw := range s.Phases {
+		if pw.Phase == label {
+			return pw
+		}
+	}
+	return PhaseWords{Phase: label}
 }
 
 // WorldStats aggregates rank statistics after a Run.
@@ -49,10 +70,8 @@ func (s WorldStats) CommCost() float64 { return s.MaxWordsRecv }
 // MaxPhaseRecv returns the per-rank maximum of received words in a phase.
 func (s WorldStats) MaxPhaseRecv(phase string) float64 {
 	m := 0.0
-	for _, r := range s.Ranks {
-		if v := r.PhaseRecvWords[phase]; v > m {
-			m = v
-		}
+	for i := range s.Ranks {
+		m = max(m, s.Ranks[i].Phase(phase).Recv)
 	}
 	return m
 }

@@ -144,6 +144,21 @@ func (m *Dense) PackInto(dst []float64) []float64 {
 	return dst
 }
 
+// PackRangeInto writes words [lo, hi) of m's row-major order into dst,
+// which must hold exactly hi−lo elements, and returns dst: one owner's
+// share of a block split by packed word ranges, serialized without packing
+// the rest of the block.
+func (m *Dense) PackRangeInto(dst []float64, lo, hi int) []float64 {
+	if lo < 0 || hi < lo || hi > m.rows*m.cols || len(dst) != hi-lo {
+		panic(fmt.Sprintf("matrix: PackRangeInto got %d elements for words [%d, %d) of %dx%d", len(dst), lo, hi, m.rows, m.cols))
+	}
+	for k := lo; k < hi; {
+		i, j := k/m.cols, k%m.cols
+		k += copy(dst[k-lo:], m.data[i*m.stride+j:i*m.stride+min(m.cols, j+hi-k)])
+	}
+	return dst
+}
+
 // Unpack fills m from a row-major slice produced by Pack. The slice must
 // hold exactly Rows×Cols elements.
 func (m *Dense) Unpack(data []float64) {

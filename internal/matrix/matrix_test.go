@@ -3,6 +3,7 @@ package matrix
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -77,6 +78,38 @@ func TestViewAliasesParent(t *testing.T) {
 	p := v.Pack()
 	if len(p) != 6 || p[4] != -99 {
 		t.Fatalf("view pack = %v", p)
+	}
+}
+
+// TestPackRangeIntoMatchesPack packs every word range of a strided view
+// and of a contiguous matrix and checks each against the same range of
+// the full row-major pack; a destination of the wrong length, or a range
+// outside the matrix, panics.
+func TestPackRangeIntoMatchesPack(t *testing.T) {
+	for _, m := range []*Dense{Indexed(5, 6).View(1, 2, 3, 4), Indexed(2, 7)} {
+		full := m.Pack()
+		for lo := 0; lo <= len(full); lo++ {
+			for hi := lo; hi <= len(full); hi++ {
+				if got := m.PackRangeInto(make([]float64, hi-lo), lo, hi); !slices.Equal(got, full[lo:hi]) {
+					t.Fatalf("%dx%d words [%d, %d) packed %v, want %v", m.Rows(), m.Cols(), lo, hi, got, full[lo:hi])
+				}
+			}
+		}
+	}
+	m := Indexed(3, 3)
+	for _, fn := range []func(){
+		func() { m.PackRangeInto(make([]float64, 2), 1, 4) },
+		func() { m.PackRangeInto(make([]float64, 2), 8, 10) },
+		func() { m.PackRangeInto(nil, 2, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic")
+				}
+			}()
+			fn()
+		}()
 	}
 }
 
