@@ -307,11 +307,6 @@ func BenchmarkLocalMatMul(b *testing.B) {
 			matrix.Mul(a, bm)
 		}
 	})
-	b.Run("Parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			matrix.MulParallel(a, bm, 0)
-		}
-	})
 }
 
 // worldScalingBody is the scheduler-stress SPMD body of the P-scaling
@@ -387,7 +382,8 @@ func BenchmarkCollectiveAllGather(b *testing.B) {
 			members[j] = j
 		}
 		err = w.Run(func(r *machine.Rank) {
-			g := collective.NewGroup(r, members, 1, collective.Auto)
+			var g collective.Group
+			g.Init(r, members, 1, collective.Auto)
 			g.AllGather(make([]float64, 1024))
 		})
 		if err != nil {

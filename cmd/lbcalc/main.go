@@ -81,14 +81,14 @@ func main() {
 		fmt.Printf("  memory-dependent bound 2mnk/(P√M) = %s words\n", report.Num(md))
 		fmt.Printf("  minimum memory to hold 1/P of data = %s words\n", report.Num(core.MinLocalMemory(d, *p)))
 		fmt.Printf("  Algorithm 1 footprint (D)          = %s words (fits: %v)\n",
-			report.Num(core.Alg1LocalMemory(d, *p)), core.Alg1LocalMemory(d, *p) <= *mem)
+			report.Num(core.D(d, *p)), core.D(d, *p) <= *mem)
 		which := "memory-independent (Theorem 3)"
 		if mdBinds {
 			which = "memory-dependent"
 		}
 		fmt.Printf("  binding bound: %s\n", which)
 		fmt.Printf("  strong-scaling limit P = (8/27)·mnk/M^(3/2) = %s\n",
-			report.Num(core.PerfectStrongScalingLimit(d, *mem)))
+			report.Num(core.CrossoverP(d, *mem)))
 	}
 }
 

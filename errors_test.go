@@ -79,8 +79,8 @@ func TestErrorTaxonomy(t *testing.T) {
 			_, err := CAPS(sq(6, 1), sq(6, 2), 2, BandwidthOnly())
 			return err
 		}},
-		{"Opts negative workers", ErrBadOpts, func() error {
-			return Opts{Workers: -1}.Validate()
+		{"Opts negative layers", ErrBadOpts, func() error {
+			return Opts{Layers: -1}.Validate()
 		}},
 		{"Opts bad pinned grid", ErrGridMismatch, func() error {
 			return NewOpts(WithGrid(Grid{P1: -1, P2: 2, P3: 2})).Validate()
@@ -113,7 +113,6 @@ func TestFunctionalOptions(t *testing.T) {
 		WithConfig(BandwidthOnly()),
 		WithGrid(g),
 		WithCollective(CollectiveRing),
-		WithWorkers(2),
 		WithTrace(),
 		WithTraffic(),
 	)
@@ -121,7 +120,6 @@ func TestFunctionalOptions(t *testing.T) {
 		Config:     BandwidthOnly(),
 		Grid:       g,
 		Collective: CollectiveRing,
-		Workers:    2,
 		Trace:      true,
 		Traffic:    true,
 	}

@@ -52,10 +52,6 @@ type Opts struct {
 	// Layers is the replication factor c for TwoPointFiveD; 0 picks the
 	// largest c ≤ cbrt(P) with c | q where q = sqrt(P/c).
 	Layers int
-	// Workers bounds local matmul parallelism inside each simulated rank;
-	// 0 uses a single goroutine per rank (recommended: ranks are already
-	// concurrent).
-	Workers int
 	// Trace enables event tracing; the recorded timeline is returned in
 	// Result.Trace.
 	Trace bool
@@ -74,16 +70,13 @@ type Opts struct {
 
 // Validate reports whether the options are self-consistent, before any
 // algorithm-specific requirements: the machine costs must be non-negative
-// and finite, worker and layer counts non-negative, the collective family
-// a known value, and a non-zero grid must have positive extents. Failures
+// and finite, the layer count non-negative, the collective family a known
+// value, and a non-zero grid must have positive extents. Failures
 // wrap core.ErrBadOpts (or core.ErrGridMismatch for the grid), so callers
 // can dispatch with errors.Is.
 func (o Opts) Validate() error {
 	if err := o.Config.Validate(); err != nil {
 		return err
-	}
-	if o.Workers < 0 {
-		return fmt.Errorf("algs: negative Workers %d: %w", o.Workers, core.ErrBadOpts)
 	}
 	if o.Layers < 0 {
 		return fmt.Errorf("algs: negative Layers %d: %w", o.Layers, core.ErrBadOpts)
@@ -191,39 +184,40 @@ type Result struct {
 // words received by any rank), the quantity Theorem 3 bounds.
 func (r *Result) CommCost() float64 { return r.Stats.CommCost() }
 
-// dimsOf derives the problem shape from the input matrices.
-func dimsOf(a, b *matrix.Dense) (core.Dims, error) {
+// dimsOf derives the problem shape from the input matrices. Every algorithm
+// calls it first, so it also rejects a processor count below one, before
+// any grid divides by it.
+func dimsOf(a, b *matrix.Dense, p int) (core.Dims, error) {
+	if p < 1 {
+		return core.Dims{}, fmt.Errorf("algs: need at least one processor, got %d: %w", p, core.ErrBadProcessorCount)
+	}
 	if a.Cols() != b.Rows() {
 		return core.Dims{}, fmt.Errorf("algs: inner dimensions %d and %d disagree: %w", a.Cols(), b.Rows(), core.ErrBadDims)
 	}
 	return core.NewDims(a.Rows(), a.Cols(), b.Cols()), nil
 }
 
-// localMul multiplies a and b on rank r, charging the scalar-multiplication
-// count to the simulated clock.
-func localMul(r *machine.Rank, a, b *matrix.Dense, workers int) *matrix.Dense {
+// localMul multiplies a and b on rank r with the sequential kernel,
+// charging the scalar-multiplication count to the simulated clock. A rank
+// runs no goroutines of its own: ranks are already concurrent, and a rank
+// body blocks only in Recv.
+func localMul(r *machine.Rank, a, b *matrix.Dense) *matrix.Dense {
 	r.Compute(float64(a.Rows()) * float64(a.Cols()) * float64(b.Cols()))
-	if workers > 1 {
-		return matrix.MulParallel(a, b, workers)
-	}
 	return matrix.Mul(a, b)
 }
 
-// localMulAdd is localMul accumulating into c.
-func localMulAdd(r *machine.Rank, c, a, b *matrix.Dense, workers int) {
+// localMulAdd is localMul accumulating into c. It allocates nothing, so c,
+// a and b may be matrix headers on the caller's stack.
+func localMulAdd(r *machine.Rank, c, a, b *matrix.Dense) {
 	r.Compute(float64(a.Rows()) * float64(a.Cols()) * float64(b.Cols()))
-	if workers > 1 {
-		matrix.MulAddParallel(c, a, b, workers)
-		return
-	}
 	matrix.MulAdd(c, a, b)
 }
 
 // localMulIntoVal computes c = a·b on rank r, reusing (and zeroing) c's
 // storage, for call sites that overwrite rather than accumulate.
-func localMulIntoVal(r *machine.Rank, c, a, b matrix.Dense, workers int) {
+func localMulIntoVal(r *machine.Rank, c, a, b matrix.Dense) {
 	r.Compute(float64(a.Rows()) * float64(a.Cols()) * float64(b.Cols()))
-	matrix.MulIntoVal(c, a, b, workers)
+	matrix.MulIntoVal(c, a, b, 0)
 }
 
 // shareRange returns the packed-word range [lo, hi) owned by member idx

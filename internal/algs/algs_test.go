@@ -1,6 +1,7 @@
 package algs
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -365,6 +366,27 @@ func TestRegistryNames(t *testing.T) {
 	for _, want := range []string{"Alg1", "AllToAll3D", "OneD", "SUMMA", "Cannon", "TwoPointFiveD"} {
 		if !names[want] {
 			t.Fatalf("registry missing %s", want)
+		}
+	}
+}
+
+// TestRegistryRejectsNonPositiveP: every algorithm refuses P < 1 with
+// core.ErrBadProcessorCount before any grid divides by it, rather than
+// panicking.
+func TestRegistryRejectsNonPositiveP(t *testing.T) {
+	a, b := matrix.Random(8, 8, 1), matrix.Random(8, 8, 2)
+	for _, e := range Registry() {
+		for _, p := range []int{0, -1} {
+			func() {
+				defer func() {
+					if v := recover(); v != nil {
+						t.Errorf("%s at P=%d panicked: %v", e.Name, p, v)
+					}
+				}()
+				if _, err := e.Run(a, b, p, bwOpts()); !errors.Is(err, core.ErrBadProcessorCount) {
+					t.Errorf("%s at P=%d: err = %v, want ErrBadProcessorCount", e.Name, p, err)
+				}
+			}()
 		}
 	}
 }

@@ -39,7 +39,7 @@ func TestOneCopyAssumptionNecessity(t *testing.T) {
 		// the machine) plus its row band of A.
 		r0, h := blockRange(n1, p, r.ID())
 		aBand := a.View(r0, 0, h, n2).Clone()
-		cBand := localMul(r, aBand, b, 0)
+		cBand := localMul(r, aBand, b)
 		bands[r.ID()] = cBand.Pack()
 	})
 	if err != nil {
@@ -81,7 +81,7 @@ func TestLoadBalanceAssumptionNecessity(t *testing.T) {
 	var c *matrix.Dense
 	err := w.Run(func(r *machine.Rank) {
 		if r.ID() == 0 {
-			c = localMul(r, a, b, 0)
+			c = localMul(r, a, b)
 		}
 	})
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 // step up). It requires a square processor grid and dimensions divisible by
 // q; the 2D baseline for the comparison experiments.
 func Cannon(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
-	d, err := dimsOf(a, b)
+	d, err := dimsOf(a, b, p)
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +63,7 @@ func Cannon(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 		}
 
 		for s := 0; s < q; s++ {
-			localMulAdd(r, cBlk, aBlk, bBlk, opts.Workers)
+			localMulAdd(r, cBlk, aBlk, bBlk)
 			if s == q-1 {
 				break
 			}

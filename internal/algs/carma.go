@@ -20,7 +20,7 @@ import (
 // diverges from the analytic grid; the ablation benchmarks quantify that
 // gap.
 func CARMA(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
-	d, err := dimsOf(a, b)
+	d, err := dimsOf(a, b, p)
 	if err != nil {
 		return nil, err
 	}

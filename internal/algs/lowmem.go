@@ -22,85 +22,76 @@ import (
 // panels drops by the same factor. The C contribution buffer is unchanged —
 // in the 3D case it is the component that cannot shrink without raising
 // bandwidth, which is exactly the paper's caveat for 3D grids.
+//
+// With one chunk it moves exactly what Alg1 moves; each strip travels as
+// Alg1's whole panels do, packed into its slot of a pooled gather output
+// and gathered in place.
 func Alg1LowMem(a, b *matrix.Dense, p, chunks int, opts Opts) (*Result, error) {
-	d, err := dimsOf(a, b)
-	if err != nil {
-		return nil, err
-	}
 	if chunks < 1 {
 		return nil, fmt.Errorf("algs: Alg1LowMem needs chunks ≥ 1, got %d: %w", chunks, core.ErrBadOpts)
 	}
-	g := opts.Grid
-	if g == (grid.Grid{}) {
-		g = grid.Optimal(d, p)
-	}
-	if err := g.Validate(); err != nil {
+	l, err := newLayout3D(a, b, p, chunks, opts.Grid)
+	if err != nil {
 		return nil, err
 	}
-	if g.Size() != p {
-		return nil, fmt.Errorf("algs: grid %v has %d processors, want %d: %w", g, g.Size(), p, core.ErrGridMismatch)
-	}
-	if g.P1 > d.N1 || g.P2 > d.N2 || g.P3 > d.N3 {
-		return nil, fmt.Errorf("algs: grid %v exceeds dims %v: %w", g, d, core.ErrGridMismatch)
-	}
+	g := l.g
 
-	return run("Alg1LowMem", d, g, opts, func(r *machine.Rank) []float64 {
-		i1, i2, i3 := g.Coords(r.ID())
-		aBlk := matrix.BlockOf(a, g.P1, g.P2, i1, i2)
-		bBlk := matrix.BlockOf(b, g.P2, g.P3, i2, i3)
-		kLocal := aBlk.Cols() // == bBlk.Rows(): the local contracted extent
+	return run("Alg1LowMem", l.d, g, opts, func(r *machine.Rank) []float64 {
+		id := r.ID()
+		i1, i2, i3 := g.Coords(id)
+		oA, oB, oC := g.FiberOffset(id, grid.Axis3), g.FiberOffset(id, grid.Axis1), g.FiberOffset(id, grid.Axis2)
+		aBlk := matrix.BlockView(a, g.P1, g.P2, i1, i2)
+		bBlk := matrix.BlockView(b, g.P2, g.P3, i2, i3)
+		var grpA, grpB, grpC collective.Group
+		grpA.Init(r, l.fibA[oA:oA+g.P3], 1, opts.Collective)
+		grpB.Init(r, l.fibB[oB:oB+g.P1], 2, opts.Collective)
+		grpC.Init(r, l.fibC[oC:oC+g.P2], 3, opts.Collective)
 
-		grpA := collective.NewGroup(r, g.Fiber(r.ID(), grid.Axis3), 1, opts.Collective)
-		grpB := collective.NewGroup(r, g.Fiber(r.ID(), grid.Axis1), 2, opts.Collective)
+		// D accumulates the strips' products in a pooled buffer that
+		// doubles as its packed form for the reduction.
+		packedD := r.GetBuffer(aBlk.Rows() * bBlk.Cols())
+		clear(packedD)
+		dBlk := matrix.Wrap(aBlk.Rows(), bBlk.Cols(), packedD)
+		r.GrowMemory(float64(len(packedD)))
+		strips := min(chunks, aBlk.Cols())
+		for s := range strips {
+			// Strip s of the A panel is column block s of the A block under
+			// the balanced split of its contracted extent, and strip s of
+			// the B panel the matching row block. Each is spread over its
+			// fiber by packed word ranges, and the rank packs its share
+			// straight into its slot of the gather output.
+			aStrip := matrix.BlockView(&aBlk, 1, strips, 0, s)
+			bStrip := matrix.BlockView(&bBlk, strips, 1, s, 0)
+			at := s * p
 
-		dBlk := matrix.New(aBlk.Rows(), bBlk.Cols())
-		r.GrowMemory(float64(dBlk.Size()))
-		nChunks := chunks
-		if nChunks > kLocal {
-			nChunks = kLocal
-		}
-		if nChunks == 0 {
-			nChunks = 1
-		}
-		for s := 0; s < nChunks; s++ {
-			k0 := matrix.PartStart(kLocal, nChunks, s)
-			kw := matrix.PartSize(kLocal, nChunks, s)
-			if kw == 0 {
-				continue
-			}
-			// Strip s of the A panel: columns [k0, k0+kw) of the block,
-			// still distributed over the Axis3 fiber by packed ranges.
-			aStrip := aBlk.View(0, k0, aBlk.Rows(), kw)
-			packedA := aStrip.Pack()
-			countsA := matrix.PartSizes(make([]int, g.P3), len(packedA))
-			loA, hiA := shareRange(len(packedA), g.P3, i3)
 			r.SetPhase(PhaseGatherA)
-			fullA := grpA.AllGatherV(packedA[loA:hiA], countsA)
+			fullA := r.GetBuffer(aStrip.Size())
+			loA, hiA := shareRange(len(fullA), g.P3, i3)
+			grpA.AllGatherVInto(aStrip.PackRangeInto(fullA[loA:hiA], loA, hiA), l.cntA[at+oA:at+oA+g.P3], fullA)
 			r.GrowMemory(float64(len(fullA)))
-			gatheredA := matrix.New(aBlk.Rows(), kw)
-			gatheredA.Unpack(fullA)
 
-			bStrip := bBlk.View(k0, 0, kw, bBlk.Cols())
-			packedB := bStrip.Pack()
-			countsB := matrix.PartSizes(make([]int, g.P1), len(packedB))
-			loB, hiB := shareRange(len(packedB), g.P1, i1)
 			r.SetPhase(PhaseGatherB)
-			fullB := grpB.AllGatherV(packedB[loB:hiB], countsB)
+			fullB := r.GetBuffer(bStrip.Size())
+			loB, hiB := shareRange(len(fullB), g.P1, i1)
+			grpB.AllGatherVInto(bStrip.PackRangeInto(fullB[loB:hiB], loB, hiB), l.cntB[at+oB:at+oB+g.P1], fullB)
 			r.GrowMemory(float64(len(fullB)))
-			gatheredB := matrix.New(kw, bBlk.Cols())
-			gatheredB.Unpack(fullB)
 
 			r.SetPhase("")
-			localMulAdd(r, dBlk, gatheredA, gatheredB, opts.Workers)
+			gatheredA := matrix.Wrap(aStrip.Rows(), aStrip.Cols(), fullA)
+			gatheredB := matrix.Wrap(bStrip.Rows(), bStrip.Cols(), fullB)
+			localMulAdd(r, &dBlk, &gatheredA, &gatheredB)
 			// Strips are dead after accumulation.
+			r.PutBuffer(fullA)
+			r.PutBuffer(fullB)
 			r.ShrinkMemory(float64(len(fullA) + len(fullB)))
 		}
 
-		packedD := dBlk.Pack()
-		countsC := matrix.PartSizes(make([]int, g.P2), len(packedD))
-		grpC := collective.NewGroup(r, g.Fiber(r.ID(), grid.Axis2), 3, opts.Collective)
+		// D is dead once reduced, so it serves as its own scratch.
+		countsC := l.cntC[oC : oC+g.P2]
 		r.SetPhase(PhaseReduceC)
-		myC := grpC.ReduceScatterV(packedD, countsC)
+		myC := make([]float64, countsC[i2])
+		grpC.ReduceScatterVInto(packedD, countsC, myC, packedD)
+		r.PutBuffer(packedD)
 		r.SetPhase("")
 		return myC
 	})

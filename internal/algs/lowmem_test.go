@@ -1,11 +1,15 @@
 package algs
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/grid"
+	"repro/internal/machine"
 	"repro/internal/matrix"
 )
 
@@ -89,5 +93,53 @@ func TestAlg1LowMem3DResidualMemory(t *testing.T) {
 	dBuffer := d.SizeC() / float64(g.P1*g.P3)
 	if res.Stats.MaxPeakMemory < dBuffer {
 		t.Fatalf("peak %v below the irreducible C buffer %v", res.Stats.MaxPeakMemory, dBuffer)
+	}
+}
+
+// TestAlg1LowMemOneChunkMovesWhatAlg1Moves: with one chunk the strip is the
+// whole panel, so every rank sends and receives the same words in the same
+// messages under the same phases, computes the same flops, ends at the same
+// clock, and C comes out bit-identical. Peak memory is left out: Alg1 never
+// shrinks its count, while LowMem frees each strip after multiplying it.
+func TestAlg1LowMemOneChunkMovesWhatAlg1Moves(t *testing.T) {
+	shapes := []struct{ n1, n2, n3, p int }{
+		{16, 16, 16, 8}, // divides
+		{64, 32, 48, 16},
+		{13, 11, 9, 6}, // nothing divides
+		{13, 11, 9, 8},
+		{96, 24, 6, 36},
+	}
+	cfg := machine.Config{Alpha: 2, Beta: 0.5, Gamma: 0.125}
+	for _, fam := range []struct {
+		name string
+		alg  collective.Algorithm
+	}{{"auto", collective.Auto}, {"ring", collective.Ring}, {"recursive", collective.Recursive}} {
+		for _, s := range shapes {
+			if fam.alg == collective.Recursive && s.p&(s.p-1) != 0 {
+				continue // recursive collectives need power-of-two fibers
+			}
+			t.Run(fmt.Sprintf("%s/%dx%dx%d/p=%d", fam.name, s.n1, s.n2, s.n3, s.p), func(t *testing.T) {
+				a, b := matrix.Random(s.n1, s.n2, 5), matrix.Random(s.n2, s.n3, 6)
+				opts := Opts{Config: cfg, Collective: fam.alg}
+				want, err := Alg1(a, b, s.p, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Alg1LowMem(a, b, s.p, 1, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := got.C.MaxAbsDiff(want.C); d != 0 {
+					t.Fatalf("C differs from Alg1's by %g", d)
+				}
+				for r := range want.Stats.Ranks {
+					w, g := want.Stats.Ranks[r], got.Stats.Ranks[r]
+					w.PeakMemory, g.PeakMemory = 0, 0
+					if !reflect.DeepEqual(g, w) {
+						t.Fatalf("rank %d: LowMem %+v, Alg1 %+v", r, g, w)
+					}
+				}
+			})
+		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // with n1 the largest dimension, and is suboptimal otherwise — the
 // comparison experiments use it as the 1D baseline.
 func OneD(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
-	d, err := dimsOf(a, b)
+	d, err := dimsOf(a, b, p)
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +51,7 @@ func OneD(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 		bMat.Unpack(fullB)
 		r.PutBuffer(fullB)
 
-		cBand := localMul(r, aBand, bMat, opts.Workers)
+		cBand := localMul(r, aBand, bMat)
 		r.GrowMemory(float64(cBand.Size()))
 		return cBand.Pack()
 	})

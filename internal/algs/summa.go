@@ -22,7 +22,7 @@ import (
 // volume is chosen. The contracted dimension must be divisible by
 // lcm(pr, pc) so panels nest in both distributions.
 func SUMMA(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
-	d, err := dimsOf(a, b)
+	d, err := dimsOf(a, b, p)
 	if err != nil {
 		return nil, err
 	}
@@ -53,11 +53,9 @@ func SUMMA(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 	rows, cols := g.Fibers(grid.Axis3), g.Fibers(grid.Axis1)
 	return run("SUMMA", d, g, opts, func(r *machine.Rank) []float64 {
 		i1, _, i3 := g.Coords(r.ID())
-		// Local blocks: A is distributed pr×pc (rows × contracted), B is
-		// distributed pc... careful: B rows are the contracted dimension,
-		// distributed over pr? Standard SUMMA distributes all matrices on
-		// the pr×pc grid: A(i1, i3) is the (n1/pr)×(n2/pc) block, B(i1, i3)
-		// the (n2/pr)×(n3/pc) block, C(i1, i3) the (n1/pr)×(n3/pc) block.
+		// Every matrix is distributed over the pr×pc grid: rank (i1, i3)
+		// holds A(i1, i3), the (n1/pr)×(n2/pc) block; B(i1, i3), the
+		// (n2/pr)×(n3/pc) block; and C(i1, i3), the (n1/pr)×(n3/pc) block.
 		aBlk := matrix.BlockOf(a, pr, pc, i1, i3)
 		bBlk := matrix.BlockOf(b, pr, pc, i1, i3)
 		r.GrowMemory(float64(aBlk.Size() + bBlk.Size()))
@@ -106,7 +104,7 @@ func SUMMA(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 			r.PutBuffer(bPanel)
 
 			r.SetPhase("")
-			localMulAdd(r, cBlk, aP, bP, opts.Workers)
+			localMulAdd(r, cBlk, aP, bP)
 		}
 		return cBlk.Pack()
 	})

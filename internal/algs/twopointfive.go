@@ -22,7 +22,7 @@ import (
 // c = 1 degenerates to Cannon; c = q = P^{1/3} reaches the 3D regime.
 // Requirements: n1 = n2 = n3 = n, P = q²c with c | q and q | n.
 func TwoPointFiveD(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
-	d, err := dimsOf(a, b)
+	d, err := dimsOf(a, b, p)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +105,7 @@ func TwoPointFiveD(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 		r.GrowMemory(float64(blk * blk))
 		r.SetPhase("")
 		for s := 0; s < rounds; s++ {
-			localMulAdd(r, cBlk, aBlk, bBlk, opts.Workers)
+			localMulAdd(r, cBlk, aBlk, bBlk)
 			if s == rounds-1 {
 				break
 			}

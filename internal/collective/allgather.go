@@ -10,19 +10,14 @@ func (g *Group) AllGather(myBlock []float64) []float64 {
 	return g.AllGatherVInto(myBlock, equalCounts(len(g.members), len(myBlock)), out)
 }
 
-// AllGatherV is AllGather with per-member block sizes. counts[i] is the
-// length of member i's contribution; len(myBlock) must equal this member's
-// count.
-func (g *Group) AllGatherV(myBlock []float64, counts []int) []float64 {
-	return g.AllGatherVInto(myBlock, counts, make([]float64, sum(counts)))
-}
-
-// AllGatherVInto is AllGatherV writing the result into the caller-provided
-// out, which must have length sum(counts). Ownership of out stays with the
-// caller; the collective only borrows it for the duration of the call (its
-// slices are serialized into pooled network buffers on send). myBlock may
-// be this member's own slot of out, so a caller can place its block there
-// and gather in place. The gather loops receive directly into out and send
+// AllGatherVInto is AllGather with per-member block sizes, writing the
+// result into the caller-provided out. counts[i] is the length of member
+// i's contribution; len(myBlock) must equal this member's count, and out
+// must have length sum(counts). Ownership of out stays with the caller; the
+// collective only borrows it for the duration of the call (its slices are
+// serialized into pooled network buffers on send). myBlock may be this
+// member's own slot of out, so a caller can place its block there and
+// gather in place. The gather loops receive directly into out and send
 // slices of it, so a steady-state call performs no heap allocation.
 func (g *Group) AllGatherVInto(myBlock []float64, counts []int, out []float64) []float64 {
 	g.countOp(mOpAllGather)

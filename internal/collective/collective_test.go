@@ -19,6 +19,13 @@ func newWorld(t testing.TB, p int) *machine.World {
 	return w
 }
 
+// newGroup returns rank r's communicator over members, set up by Init.
+func newGroup(r *machine.Rank, members []int, tagBase int, alg Algorithm) *Group {
+	g := &Group{}
+	g.Init(r, members, tagBase, alg)
+	return g
+}
+
 // runAll executes body on a fresh bandwidth-only world of p ranks with a
 // whole-world group using the given algorithm, collecting per-rank results.
 func runAll(t *testing.T, p int, alg Algorithm, body func(g *Group) []float64) ([][]float64, machine.WorldStats) {
@@ -30,7 +37,7 @@ func runAll(t *testing.T, p int, alg Algorithm, body func(g *Group) []float64) (
 	}
 	results := make([][]float64, p)
 	err := w.Run(func(r *machine.Rank) {
-		g := NewGroup(r, members, 1, alg)
+		g := newGroup(r, members, 1, alg)
 		results[r.ID()] = body(g)
 	})
 	if err != nil {
@@ -99,7 +106,7 @@ func TestAllGatherVUnequalCounts(t *testing.T) {
 	counts := []int{1, 4, 0, 2}
 	for _, alg := range []Algorithm{Ring, Recursive} {
 		res, stats := runAll(t, 4, alg, func(g *Group) []float64 {
-			return g.AllGatherV(seqBlock(g.me, counts[g.me]), counts)
+			return g.AllGatherVInto(seqBlock(g.me, counts[g.me]), counts, make([]float64, sum(counts)))
 		})
 		var want []float64
 		for i, c := range counts {
@@ -262,7 +269,7 @@ func TestSubgroupFiberCollectives(t *testing.T) {
 			members = []int{1, 3, 5}
 			base = 20
 		}
-		g := NewGroup(r, members, base, Auto)
+		g := newGroup(r, members, base, Auto)
 		results[r.ID()] = g.AllGather([]float64{float64(r.ID())})
 	})
 	if err != nil {
@@ -283,7 +290,7 @@ func TestGroupValidation(t *testing.T) {
 					t.Error("expected panic for non-member")
 				}
 			}()
-			NewGroup(r, []int{1}, 0, Auto)
+			newGroup(r, []int{1}, 0, Auto)
 		} else {
 			// Duplicate members, adjacent and not.
 			for _, members := range [][]int{{1, 1}, {1, 0, 1}} {
@@ -293,7 +300,7 @@ func TestGroupValidation(t *testing.T) {
 							t.Errorf("expected panic for duplicate member in %v", members)
 						}
 					}()
-					NewGroup(r, members, 0, Auto)
+					newGroup(r, members, 0, Auto)
 				}()
 			}
 		}
@@ -306,7 +313,7 @@ func TestGroupValidation(t *testing.T) {
 func TestRecursiveRequiresPowerOfTwo(t *testing.T) {
 	w := newWorld(t, 3)
 	err := w.Run(func(r *machine.Rank) {
-		g := NewGroup(r, []int{0, 1, 2}, 0, Recursive)
+		g := newGroup(r, []int{0, 1, 2}, 0, Recursive)
 		g.AllGather([]float64{1})
 	})
 	if err == nil {

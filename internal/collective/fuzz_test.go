@@ -48,7 +48,7 @@ func FuzzAllGatherReduceScatterDuality(f *testing.F) {
 		reduced := make([][]float64, p)
 		err := world.Run(func(r *machine.Rank) {
 			me := r.ID()
-			g := NewGroup(r, members, 1, alg)
+			g := newGroup(r, members, 1, alg)
 			out := make([]float64, total)
 			block := make([]float64, counts[me])
 			if inPlace {

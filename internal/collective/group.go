@@ -41,8 +41,8 @@ const (
 )
 
 // Group is a communicator: an ordered set of machine ranks participating in
-// collectives together. Each member constructs its own Group value with the
-// same member list and tag base (like an MPI communicator).
+// collectives together. Each member initializes its own Group value with
+// the same member list and tag base (like an MPI communicator).
 type Group struct {
 	rank    *machine.Rank
 	members []int
@@ -62,21 +62,12 @@ const (
 	opAllToAll      = 5
 )
 
-// NewGroup creates the communicator for rank r over the given global rank
-// ids (identical order on every member). tagBase isolates this group's
-// traffic from other groups that share rank pairs; callers give distinct
-// bases to logically distinct communicators.
-func NewGroup(r *machine.Rank, members []int, tagBase int, alg Algorithm) *Group {
-	g := &Group{}
-	g.Init(r, members, tagBase, alg)
-	return g
-}
-
-// Init initializes a (possibly stack-allocated) Group in place, with the
-// same semantics as NewGroup. Callers on the simulator's hot path use a
-// Group value plus Init to keep communicator setup allocation-free. The
-// group reads members without copying or writing it, so every member of a
-// fiber can share one list (see grid.Fibers).
+// Init initializes a Group, typically a value on the caller's stack, as
+// rank r's communicator over the given global rank ids (identical order on
+// every member). tagBase isolates this group's traffic from other groups
+// that share rank pairs; callers give distinct bases to logically distinct
+// communicators. The group reads members without copying or writing it, so
+// every member of a fiber can share one list (see grid.Fibers).
 func (g *Group) Init(r *machine.Rank, members []int, tagBase int, alg Algorithm) {
 	me := -1
 	// A strictly ascending list has no duplicates; fibers always are one,

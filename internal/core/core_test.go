@@ -413,7 +413,7 @@ func TestAlg1LocalMemoryAtLeastMinimum(t *testing.T) {
 	f := func(aRaw, bRaw, cRaw, pRaw uint8) bool {
 		d := Dims{int(aRaw%60) + 1, int(bRaw%60) + 1, int(cRaw%60) + 1}
 		p := int(pRaw) + 1
-		return Alg1LocalMemory(d, p) >= MinLocalMemory(d, p)-1e-9
+		return D(d, p) >= MinLocalMemory(d, p)-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -444,10 +444,21 @@ func TestLemma2KKTRelativeResidualSmall(t *testing.T) {
 	}
 }
 
+// TestPerfectStrongScalingLimitEqualsCrossover: perfect strong scaling
+// ends where the memory-dependent bound meets the Case 3 memory-independent
+// one, and CrossoverP is that P. At 384³ with M = 4096 it is P = 64, where
+// both bounds are 27648 words.
 func TestPerfectStrongScalingLimitEqualsCrossover(t *testing.T) {
-	d := Square(1024)
-	if PerfectStrongScalingLimit(d, 5e4) != CrossoverP(d, 5e4) {
-		t.Fatal("limit should equal the crossover")
+	d, mem := Square(384), 4096.0
+	p := CrossoverP(d, mem)
+	if !approx(p, 64, 1e-12) {
+		t.Fatalf("CrossoverP = %v, want 64", p)
+	}
+	if CaseOf(d, 64) != Case3 {
+		t.Fatalf("P = 64 on %v is %v, want Case 3", d, CaseOf(d, 64))
+	}
+	if md, mi := MemoryDependentLeading(d, 64, mem), D(d, 64); !approx(md, 27648, 1e-12) || !approx(mi, 27648, 1e-12) {
+		t.Fatalf("at the crossover: memory-dependent %v, memory-independent %v, want both 27648", md, mi)
 	}
 }
 

@@ -21,16 +21,13 @@ func MinLocalMemory(d Dims, p int) float64 {
 	return d.InputOutputWords() / float64(p)
 }
 
-// Alg1LocalMemory returns the per-processor memory Algorithm 1 needs with
-// the optimal grid: the communicated data plus the owned data, which equals
-// D (the positive terms of eq. 3) — see §6.2.
-func Alg1LocalMemory(d Dims, p int) float64 { return D(d, p) }
-
 // CrossoverP returns the processor count below which (and above mn/k²) the
 // memory-dependent bound dominates the Case 3 memory-independent bound for
-// memory M: the §6.2 threshold P = (8/27)·mnk/M^{3/2}. For P beyond it the
-// memory-independent bound, which decays only as P^{-2/3}, is the binding
-// one — the strong-scaling limit of Ballard et al. 2012b.
+// memory M: the §6.2 threshold P = (8/27)·mnk/M^{3/2}. Up to it the
+// memory-dependent bound binds, and its total communication P·(bound) is
+// constant, which allows perfect strong scaling; beyond it the
+// memory-independent bound, which decays only as P^{-2/3}, binds, and
+// perfect strong scaling must end (Ballard et al. 2012b, §2.3).
 func CrossoverP(d Dims, mem float64) float64 {
 	return 8.0 / 27.0 * d.Flops() / math.Pow(mem, 1.5)
 }
@@ -40,16 +37,6 @@ func CrossoverP(d Dims, mem float64) float64 {
 // memory at which Algorithm 1's 3D footprint no longer fits — §6.2).
 func CriticalMemory(d Dims, p int) float64 {
 	return 4.0 / 9.0 * math.Pow(d.Flops()/float64(p), 2.0/3.0)
-}
-
-// PerfectStrongScalingLimit returns the largest P for which the
-// memory-dependent bound (whose total communication P·(bound) is constant,
-// allowing perfect strong scaling) remains the binding one given
-// per-processor memory M — beyond P = (8/27)·mnk/M^{3/2} the
-// memory-independent Case 3 bound, which decays only as P^{-2/3}, takes
-// over and perfect strong scaling must end (Ballard et al. 2012b, §2.3).
-func PerfectStrongScalingLimit(d Dims, mem float64) float64 {
-	return CrossoverP(d, mem)
 }
 
 // BindingBound returns the larger of the memory-independent bound D of

@@ -25,6 +25,8 @@ func LimitedMemory(n int, mem float64) Artifact {
 		if float64(p) < crossover/64 || float64(p) > crossover*64 {
 			continue
 		}
+		// D is both the memory-independent bound's footprint and what
+		// Algorithm 1 holds per processor on the optimal grid.
 		mi := core.D(d, p)
 		md := core.MemoryDependentLeading(d, p, mem)
 		_, mdBinds := core.BindingBound(d, p, mem)
@@ -32,21 +34,20 @@ func LimitedMemory(n int, mem float64) Artifact {
 		if mdBinds {
 			binding = "memory-dependent"
 		}
-		foot := core.Alg1LocalMemory(d, p)
 		tb.AddRow(
 			fmt.Sprintf("%d", p),
 			report.Num(mi),
 			report.Num(md),
 			binding,
-			report.Num(foot),
-			fmt.Sprintf("%v", foot <= mem),
+			report.Num(mi),
+			fmt.Sprintf("%v", mi <= mem),
 			report.Num(core.CriticalMemory(d, p)),
 		)
 	}
 	note := fmt.Sprintf(
 		"\nPerfect strong scaling (total communication flat in P) is possible only up to P = %s;\n"+
 			"beyond it the memory-independent Case 3 bound, decaying as P^(-2/3), binds (§6.2, Ballard et al. 2012b).\n",
-		report.Num(core.PerfectStrongScalingLimit(d, mem)))
+		report.Num(crossover))
 	return Artifact{
 		ID:    "E8-limited-memory",
 		Title: "§6.2: limited-memory regimes and the strong-scaling limit",

@@ -162,9 +162,10 @@ func Run(pr Problem, g Grid, seed uint64, cfg machine.Config) (*SimResult, error
 			counts := matrix.PartSizes(make([]int, g.Dims[j]), len(packed))
 			off := matrix.PartStart(len(packed), g.Dims[j], coords[j])
 			share := packed[off : off+counts[coords[j]]]
-			grp := collective.NewGroup(r, g.Fiber(r.ID(), j), j+1, collective.Auto)
+			var grp collective.Group
+			grp.Init(r, g.Fiber(r.ID(), j), j+1, collective.Auto)
 			r.SetPhase(fmt.Sprintf("gather-%d", j))
-			blocks[j] = grp.AllGatherV(share, counts)
+			blocks[j] = grp.AllGatherVInto(share, counts, make([]float64, len(packed)))
 			r.GrowMemory(float64(len(blocks[j])))
 		}
 		r.SetPhase("")
@@ -207,7 +208,8 @@ func Run(pr Problem, g Grid, seed uint64, cfg machine.Config) (*SimResult, error
 
 		// Reduce-Scatter the output block over its fiber.
 		counts := matrix.PartSizes(make([]int, g.Dims[d-1]), len(out))
-		grp := collective.NewGroup(r, g.Fiber(r.ID(), d-1), d+1, collective.Auto)
+		var grp collective.Group
+		grp.Init(r, g.Fiber(r.ID(), d-1), d+1, collective.Auto)
 		r.SetPhase("reduce-out")
 		chunks[r.ID()] = grp.ReduceScatterV(out, counts)
 		r.SetPhase("")

@@ -75,15 +75,6 @@ const (
 // String names the axis.
 func (a Axis) String() string { return [...]string{"axis1", "axis2", "axis3"}[a] }
 
-// Fiber returns the ranks obtained by fixing the other two coordinates of
-// rank and varying the given axis, in increasing coordinate order. These
-// are the communicator groups of Algorithm 1: the A All-Gather runs on the
-// Axis3 fiber, the B All-Gather on the Axis1 fiber, and the C
-// Reduce-Scatter on the Axis2 fiber.
-func (g Grid) Fiber(rank int, axis Axis) []int {
-	return g.FiberInto(make([]int, g.FiberLen(axis)), rank, axis)
-}
-
 // FiberLen returns the number of ranks in a fiber along the axis.
 func (g Grid) FiberLen(axis Axis) int {
 	switch axis {
@@ -97,9 +88,12 @@ func (g Grid) FiberLen(axis Axis) int {
 	panic(fmt.Sprintf("grid: unknown axis %d", axis))
 }
 
-// FiberInto is Fiber writing into dst, which must hold exactly
-// FiberLen(axis) entries; it returns dst. The allocation-free variant for
-// callers that recycle scratch.
+// FiberInto writes into dst, which must hold exactly FiberLen(axis)
+// entries, the ranks obtained by fixing the other two coordinates of rank
+// and varying the given axis, in increasing coordinate order, and returns
+// dst. These are the communicator groups of Algorithm 1: the A All-Gather
+// runs on the Axis3 fiber, the B All-Gather on the Axis1 fiber, and the C
+// Reduce-Scatter on the Axis2 fiber.
 func (g Grid) FiberInto(dst []int, rank int, axis Axis) []int {
 	if len(dst) != g.FiberLen(axis) {
 		panic(fmt.Sprintf("grid: FiberInto got %d entries for %v of %v", len(dst), axis, g))
@@ -123,11 +117,11 @@ func (g Grid) FiberInto(dst []int, rank int, axis Axis) []int {
 }
 
 // Fibers lays out every fiber along axis in one table of Size() entries,
-// fiber after fiber: the fiber through rank r, listed as Fiber lists it,
-// is tab[o : o+FiberLen(axis)] with o = FiberOffset(r, axis). Every member
-// of a fiber communicates over the same list, so a simulation builds the
-// table once and its ranks share it read-only instead of each holding a
-// copy.
+// fiber after fiber: the fiber through rank r, listed as FiberInto lists
+// it, is tab[o : o+FiberLen(axis)] with o = FiberOffset(r, axis). Every
+// member of a fiber communicates over the same list, so a simulation
+// builds the table once and its ranks share it read-only instead of each
+// holding a copy.
 func (g Grid) Fibers(axis Axis) []int {
 	tab := make([]int, g.Size())
 	for r := range tab {

@@ -68,7 +68,7 @@ func TestOutOfRangePanics(t *testing.T) {
 		func() { g.Rank(2, 0, 0) },
 		func() { g.Coords(8) },
 		func() { g.Coords(-1) },
-		func() { g.Fiber(0, Axis(7)) },
+		func() { g.FiberInto(nil, 0, Axis(7)) },
 		func() { g.FiberOffset(0, Axis(7)) },
 	} {
 		func() {
@@ -82,24 +82,29 @@ func TestOutOfRangePanics(t *testing.T) {
 	}
 }
 
+// fiber lists the fiber through rank r along axis in a fresh slice.
+func fiber(g Grid, r int, axis Axis) []int {
+	return g.FiberInto(make([]int, g.FiberLen(axis)), r, axis)
+}
+
 func TestFibers(t *testing.T) {
 	g := Grid{2, 3, 4}
 	r := g.Rank(1, 2, 3)
-	f1 := g.Fiber(r, Axis1)
+	f1 := fiber(g, r, Axis1)
 	if len(f1) != 2 || f1[0] != g.Rank(0, 2, 3) || f1[1] != r {
 		t.Fatalf("Axis1 fiber = %v", f1)
 	}
-	f2 := g.Fiber(r, Axis2)
+	f2 := fiber(g, r, Axis2)
 	if len(f2) != 3 || f2[0] != g.Rank(1, 0, 3) || f2[2] != r {
 		t.Fatalf("Axis2 fiber = %v", f2)
 	}
-	f3 := g.Fiber(r, Axis3)
+	f3 := fiber(g, r, Axis3)
 	if len(f3) != 4 || f3[0] != g.Rank(1, 2, 0) || f3[3] != r {
 		t.Fatalf("Axis3 fiber = %v", f3)
 	}
 	// Every rank in a fiber computes the same fiber.
 	for _, other := range f2 {
-		got := g.Fiber(other, Axis2)
+		got := fiber(g, other, Axis2)
 		for i := range got {
 			if got[i] != f2[i] {
 				t.Fatalf("fiber not shared: %v vs %v", got, f2)
@@ -110,7 +115,7 @@ func TestFibers(t *testing.T) {
 		t.Fatal("axis names")
 	}
 	// The shared table lists every fiber once, each where FiberOffset
-	// says, as Fiber lists it.
+	// says, as FiberInto lists it.
 	for _, g := range []Grid{{2, 3, 4}, {3, 1, 2}, {1, 5, 1}} {
 		for _, axis := range []Axis{Axis1, Axis2, Axis3} {
 			tab := g.Fibers(axis)
@@ -120,7 +125,7 @@ func TestFibers(t *testing.T) {
 			seen := make([]bool, g.Size())
 			for r := 0; r < g.Size(); r++ {
 				o := g.FiberOffset(r, axis)
-				if got, want := tab[o:o+g.FiberLen(axis)], g.Fiber(r, axis); !slices.Equal(got, want) {
+				if got, want := tab[o:o+g.FiberLen(axis)], fiber(g, r, axis); !slices.Equal(got, want) {
 					t.Fatalf("%v %v: rank %d's fiber in the table is %v, want %v", g, axis, r, got, want)
 				}
 				if seen[tab[r]] {

@@ -1,9 +1,9 @@
 // Package matrix provides the dense linear-algebra substrate used by the
 // parallel matrix multiplication simulator: a row-major dense matrix type,
-// sequential and blocked shared-memory parallel multiplication kernels,
-// balanced block partitioning of index ranges (the distribution logic used
-// by every distributed algorithm), and small utilities (comparisons,
-// sub-block copies).
+// one blocked sequential multiplication kernel, balanced block
+// partitioning of index ranges (the distribution logic used by every
+// distributed algorithm), and small utilities (comparisons, sub-block
+// copies).
 //
 // The package is deliberately self-contained and uses only the standard
 // library, playing the role that a BLAS implementation plays in the paper's

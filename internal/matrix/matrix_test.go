@@ -156,9 +156,6 @@ func TestMulAgainstNaive(t *testing.T) {
 		if got := Mul(a, b); !got.Equal(want, 1e-9) {
 			t.Fatalf("Mul mismatch for %dx%dx%d: max diff %g", s.m, s.n, s.k, got.MaxAbsDiff(want))
 		}
-		if got := MulParallel(a, b, 4); !got.Equal(want, 1e-9) {
-			t.Fatalf("MulParallel mismatch for %dx%dx%d", s.m, s.n, s.k)
-		}
 	}
 }
 
@@ -204,7 +201,7 @@ func TestMulIntoOverwritesDirtyDestination(t *testing.T) {
 		b := Random(s.n, s.k, uint64(s.n*100+s.k))
 		want := Mul(a, b)
 		c := Random(s.m, s.k, 99) // dirty destination must be ignored
-		MulIntoVal(*c, *a, *b, 1)
+		MulIntoVal(*c, *a, *b, 0)
 		// Bit-identical to Mul: the tiling must not reorder any summation.
 		for i := 0; i < s.m; i++ {
 			for j := 0; j < s.k; j++ {
@@ -224,16 +221,14 @@ func TestMulIntoValMatchesMulInto(t *testing.T) {
 	a := Random(20, 30, 5)
 	b := Random(30, 40, 6)
 	want := Mul(a, b)
-	for _, workers := range []int{1, 4} {
-		buf := make([]float64, 20*40)
-		for i := range buf {
-			buf[i] = -1 // dirty
-		}
-		c := Wrap(20, 40, buf)
-		MulIntoVal(c, Wrap(20, 30, a.Pack()), Wrap(30, 40, b.Pack()), workers)
-		if !c.Equal(want, 0) {
-			t.Fatalf("MulIntoVal(workers=%d) mismatch: max diff %g", workers, c.MaxAbsDiff(want))
-		}
+	buf := make([]float64, 20*40)
+	for i := range buf {
+		buf[i] = -1 // dirty
+	}
+	c := Wrap(20, 40, buf)
+	MulIntoVal(c, Wrap(20, 30, a.Pack()), Wrap(30, 40, b.Pack()), 0)
+	if !c.Equal(want, 0) {
+		t.Fatalf("MulIntoVal mismatch: max diff %g", c.MaxAbsDiff(want))
 	}
 }
 
@@ -244,17 +239,6 @@ func TestMulShapeMismatchPanics(t *testing.T) {
 		}
 	}()
 	Mul(New(2, 3), New(4, 2))
-}
-
-func TestMulParallelWorkerCounts(t *testing.T) {
-	a := Random(33, 20, 7)
-	b := Random(20, 29, 8)
-	want := MulNaive(a, b)
-	for _, w := range []int{-1, 0, 1, 2, 3, 16, 100} {
-		if got := MulParallel(a, b, w); !got.Equal(want, 1e-9) {
-			t.Fatalf("MulParallel(workers=%d) mismatch", w)
-		}
-	}
 }
 
 // BenchmarkMulInto measures the tiled local kernel that backs the simulated
@@ -269,7 +253,7 @@ func BenchmarkMulInto(b *testing.B) {
 			b.SetBytes(int64(8 * n * n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				MulIntoVal(*c, *x, *y, 1)
+				MulIntoVal(*c, *x, *y, 0)
 			}
 		})
 	}
@@ -419,4 +403,30 @@ func MulNaive(a, b *Dense) *Dense {
 		}
 	}
 	return c
+}
+
+// Segment is a half-open index range [Lo, Hi): one part of a balanced 1D
+// block partition.
+type Segment struct {
+	Lo, Hi int
+}
+
+// Len returns the number of indices in the segment.
+func (s Segment) Len() int { return s.Hi - s.Lo }
+
+// Partition materializes the split PartSize describes: [0, n) in p
+// contiguous segments whose lengths differ by at most one. It is the
+// oracle the partition tests hold PartSize, PartStart and PartSizes to.
+func Partition(n, p int) []Segment {
+	if n < 0 || p <= 0 {
+		panic(fmt.Sprintf("matrix: Partition(%d, %d)", n, p))
+	}
+	segs := make([]Segment, p)
+	lo := 0
+	for i := range segs {
+		hi := lo + PartSize(n, p, i)
+		segs[i] = Segment{Lo: lo, Hi: hi}
+		lo = hi
+	}
+	return segs
 }

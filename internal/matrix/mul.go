@@ -1,10 +1,6 @@
 package matrix
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // mulBlock is the cache-blocking tile edge used by the blocked kernels. The
 // exact value only affects local wall-clock performance, never the simulated
@@ -30,19 +26,20 @@ func Mul(a, b *Dense) *Dense {
 // innermost loop streaming over contiguous rows of b and c.
 func MulAdd(c, a, b *Dense) {
 	checkMulShapes(c, a, b)
-	mulAddRange(c, a, b, 0, a.rows)
+	mulAdd(c, a, b)
 }
 
-// mulAddRange accumulates rows [i0, i1) of the product into c with a blocked
-// i-k-j loop nest, tiled over all three dimensions. For each output element
-// the k-summands are added in ascending k order — the j tiling only narrows
-// which columns an (i,k) tile updates — so the floating-point result is
-// independent of the tile sizes.
-func mulAddRange(c, a, b *Dense, i0, i1 int) {
+// mulAdd accumulates the product into c with a blocked i-k-j loop nest,
+// tiled over all three dimensions. For each output element the k-summands
+// are added in ascending k order — the j tiling only narrows which columns
+// an (i,k) tile updates — so the floating-point result is independent of
+// the tile sizes.
+func mulAdd(c, a, b *Dense) {
+	n1 := a.rows
 	n2 := a.cols
 	n3 := b.cols
-	for ib := i0; ib < i1; ib += mulBlock {
-		iMax := min(ib+mulBlock, i1)
+	for ib := 0; ib < n1; ib += mulBlock {
+		iMax := min(ib+mulBlock, n1)
 		for jb := 0; jb < n3; jb += mulJBlock {
 			jMax := min(jb+mulJBlock, n3)
 			for kb := 0; kb < n2; kb += mulBlock {
@@ -79,63 +76,13 @@ func mulAddRange(c, a, b *Dense, i0, i1 int) {
 
 // MulIntoVal computes c = a·b with the blocked kernel, reusing c's existing
 // storage (c is zeroed first), and panics on shape mismatch. It takes
-// matrix values (typically Wrap-ped pooled buffers): because the sequential
-// path never lets the headers reach a goroutine closure, escape analysis
-// keeps them on the caller's stack. workers > 1 delegates to the parallel
-// kernel, paying the three header allocations only on that branch.
-func MulIntoVal(c, a, b Dense, workers int) {
+// matrix values (typically Wrap-ped pooled buffers), which stay on the
+// caller's stack. The int argument is ignored; it stays only because the
+// benchmark module's kernel timing passes it.
+func MulIntoVal(c, a, b Dense, _ int) {
 	checkMulShapes(&c, &a, &b)
 	c.Zero()
-	if workers > 1 {
-		mulAddParallelCopy(c, a, b, workers)
-		return
-	}
-	mulAddRange(&c, &a, &b, 0, a.rows)
-}
-
-// MulParallel returns a·b computed with up to workers goroutines splitting
-// the row range of the output. workers <= 0 selects GOMAXPROCS.
-func MulParallel(a, b *Dense, workers int) *Dense {
-	c := New(a.rows, b.cols)
-	MulAddParallel(c, a, b, workers)
-	return c
-}
-
-// MulAddParallel computes c += a·b in parallel over disjoint row bands of c,
-// so no synchronization beyond the final join is needed.
-func MulAddParallel(c, a, b *Dense, workers int) {
-	checkMulShapes(c, a, b)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > a.rows {
-		workers = a.rows
-	}
-	if workers <= 1 {
-		mulAddRange(c, a, b, 0, a.rows)
-		return
-	}
-	var wg sync.WaitGroup
-	for _, seg := range Partition(a.rows, workers) {
-		if seg.Len() == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			mulAddRange(c, a, b, lo, hi)
-		}(seg.Lo, seg.Hi)
-	}
-	wg.Wait()
-}
-
-// mulAddParallelCopy hands fresh header copies to MulAddParallel. It must
-// not be inlined: inlining would merge its escaping copies into MulIntoVal's
-// frame and force the sequential path's headers onto the heap too.
-//
-//go:noinline
-func mulAddParallelCopy(c, a, b Dense, workers int) {
-	MulAddParallel(&c, &a, &b, workers)
+	mulAdd(&c, &a, &b)
 }
 
 func checkMulShapes(c, a, b *Dense) {

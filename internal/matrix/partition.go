@@ -2,39 +2,13 @@ package matrix
 
 import "fmt"
 
-// Segment is a half-open index range [Lo, Hi) describing one part of a
-// balanced 1D block partition.
-type Segment struct {
-	Lo, Hi int
-}
-
-// Len returns the number of indices in the segment.
-func (s Segment) Len() int { return s.Hi - s.Lo }
-
-// Partition splits the index range [0, n) into p contiguous segments whose
-// lengths differ by at most one: the first n mod p segments get ceil(n/p)
-// indices, the rest floor(n/p). It is the canonical block distribution
+// PartSize returns the length of segment i when the index range [0, n) is
+// split into p contiguous segments whose lengths differ by at most one: the
+// first n mod p segments get ceil(n/p) indices, the rest floor(n/p), and
+// segments may be empty when p > n. It is the canonical block distribution
 // used by every distributed algorithm in this repository: PartSize,
 // PartStart and PartSizes read the same split one segment or one count
-// slice at a time, and no other package splits n items over p owners. It
-// degrades gracefully when p does not divide n (segments may be empty
-// when p > n).
-func Partition(n, p int) []Segment {
-	if n < 0 || p <= 0 {
-		panic(fmt.Sprintf("matrix: Partition(%d, %d)", n, p))
-	}
-	segs := make([]Segment, p)
-	lo := 0
-	for i := range segs {
-		hi := lo + PartSize(n, p, i)
-		segs[i] = Segment{Lo: lo, Hi: hi}
-		lo = hi
-	}
-	return segs
-}
-
-// PartSize returns the length of segment i of Partition(n, p) without
-// materializing the slice.
+// slice at a time, and no other package splits n items over p owners.
 func PartSize(n, p, i int) int {
 	if i < 0 || i >= p {
 		panic(fmt.Sprintf("matrix: PartSize index %d of %d", i, p))
@@ -46,7 +20,7 @@ func PartSize(n, p, i int) int {
 	return q
 }
 
-// PartStart returns the starting index of segment i of Partition(n, p).
+// PartStart returns the starting index of segment i of PartSize's split.
 func PartStart(n, p, i int) int {
 	if i < 0 || i >= p {
 		panic(fmt.Sprintf("matrix: PartStart index %d of %d", i, p))
@@ -55,13 +29,13 @@ func PartStart(n, p, i int) int {
 	return i*q + min(i, r)
 }
 
-// PartSizes writes the segment lengths of Partition(n, len(counts)) into
-// counts and returns it: the per-owner counts of n items split over
-// len(counts) owners, without allocating. It divides once itself rather
-// than calling PartSize per owner: inlined into Algorithm 1's rank body,
-// PartSize's panic message grew that frame by 32 bytes, which took each
-// rank's deepest stack past 4 KiB and doubled every goroutine stack of a
-// 16384-rank run (64 → 128 MiB of stacks).
+// PartSizes writes the per-owner counts of n items split over len(counts)
+// owners, as PartSize splits them, into counts and returns it, without
+// allocating. It divides once itself rather than calling PartSize per
+// owner: inlined into Algorithm 1's rank body, PartSize's panic message
+// grew that frame by 32 bytes, which took each rank's deepest stack past
+// 4 KiB and doubled every goroutine stack of a 16384-rank run (64 → 128 MiB
+// of stacks).
 func PartSizes(counts []int, n int) []int {
 	q, r := n/len(counts), n%len(counts)
 	for i := range counts {

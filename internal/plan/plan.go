@@ -226,8 +226,8 @@ type Summary struct {
 	// MemoryFloorP is the smallest P whose 1/P share of inputs and output
 	// fits in Mem: ⌈(mn+mk+nk)/M⌉. Below it no one-copy algorithm runs.
 	MemoryFloorP float64 `json:"memory_floor_p"`
-	// CrossoverP is the §6.2 threshold (8/27)·mnk/M^{3/2} (it equals
-	// core.PerfectStrongScalingLimit). It is where the memory-dependent
+	// CrossoverP is the §6.2 threshold (8/27)·mnk/M^{3/2}
+	// (core.CrossoverP). It is where the memory-dependent
 	// bound meets Case 3's memory-independent one, so it places the switch
 	// only when that happens in Case 3; when memory-dependence ends in
 	// Case 1 or 2 the switch lies elsewhere, and ObservedCrossoverP is the

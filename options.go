@@ -51,9 +51,6 @@ func WithCollective(alg Collective) Option { return func(o *Opts) { o.Collective
 // WithLayers sets the replication factor c for TwoPointFiveD.
 func WithLayers(c int) Option { return func(o *Opts) { o.Layers = c } }
 
-// WithWorkers bounds local matmul parallelism inside each simulated rank.
-func WithWorkers(n int) Option { return func(o *Opts) { o.Workers = n } }
-
 // WithTopology runs the simulation on a concrete interconnect (built with
 // ParseTopology): every message is priced through its route and the
 // fabric's contention factors instead of the uniform α-β charge.

@@ -95,7 +95,7 @@ func MemoryDependentLowerBound(d Dims, p int, mem float64) float64 {
 // beyond which the memory-independent bound binds and perfect strong
 // scaling must end.
 func StrongScalingLimit(d Dims, mem float64) float64 {
-	return core.PerfectStrongScalingLimit(d, mem)
+	return core.CrossoverP(d, mem)
 }
 
 // Grid is a p1×p2×p3 logical processor grid.
