@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -41,18 +42,22 @@ import (
 // the same lock), so the wakeup cannot be lost.
 //
 // The only suspension point is the machine model's one blocking
-// operation: Recv with no matching message queued. Send never suspends
-// (eager delivery).
+// operation: Recv with no matching message stored. Send never suspends
+// (eager delivery). A send that finds its receiver parked for exactly its
+// (source, tag) hands the message to that task's slot instead of storing
+// it, so the message stores hold only early arrivals, and a receive looks
+// in them only when something is stored for it.
 //
 // Deadlock detection: a worker with no poppable work counts itself parked;
 // the last worker to park (parked == W) with no live chain anywhere
 // (active == 0) verifies exactly under the detector mutex and all shard
 // locks: if every token is free, every run queue is empty, and no blocked
-// Recv has a matching queued message, the world is stuck, and every
+// Recv has a matching stored message, the world is stuck, and every
 // blocked task is requeued so it can observe the failure and abort. A task
 // that was pushed but not yet resumed keeps the verdict conservative: it
 // is neither waiting nor finished, so the state sum check fails and the
-// verifier stands down.
+// verifier stands down. A message handed to a parked task belongs to a
+// task in a run queue until it resumes, so a verdict never counts it.
 //
 // Quiescence rule: every change that can turn a stood-down verdict into a
 // deadlock passes through a parked worker. Queued work was pushed with a
@@ -93,6 +98,9 @@ type eventEngine struct {
 	failed  atomic.Bool
 	failMsg string
 	detMu   sync.Mutex
+
+	// ran is set by the first run; a World runs once.
+	ran atomic.Bool
 }
 
 // eventShard is one shard's run queue plus its execution token. head
@@ -115,10 +123,16 @@ type eventEngine struct {
 //
 // The shard also holds the message store of the ranks homed on it: one
 // map from (destination, source) to that pair's FIFO, under the same lock
-// senders and receivers already take to requeue and park. A pair's entry
-// is deleted when its queue drains, so the map holds only pairs with
-// messages in flight, and a world allocates a handful of maps rather than
-// one per rank plus one queue per peer.
+// senders and receivers already take to requeue and park. It holds only
+// messages that arrive before their receive asks for them: a message whose
+// receiver is already parked for it goes to the receiver directly. A
+// pair's entry is deleted when its queue drains, so the map holds only
+// pairs with messages stored, and a world allocates a handful of maps
+// rather than one per rank plus one queue per peer.
+//
+// cache is the arena cache the world owns for this shard while it runs
+// (see pool.go). Only the holder of the shard's token touches it, so its
+// gets and puts take no lock.
 type eventShard struct {
 	mu      sync.Mutex
 	cond    sync.Cond
@@ -130,9 +144,7 @@ type eventShard struct {
 	next    int32
 
 	queues map[uint64]msgQueue
-	// inflight counts the undelivered messages in queues; the deadlock
-	// verifier sums it across shards for diagnostics.
-	inflight int
+	cache  *arenaCache
 
 	_ [32]byte
 }
@@ -148,7 +160,6 @@ func (sh *eventShard) queueMsg(m *message) {
 	}
 	q.tail = m
 	sh.queues[k] = q
-	sh.inflight++
 }
 
 // takeMsg removes and returns the oldest message from src to dst with the
@@ -176,14 +187,13 @@ func (sh *eventShard) takeMsg(dst, src, tag int) *message {
 			sh.queues[k] = q
 		}
 		m.next = nil
-		sh.inflight--
 		return m
 	}
 	return nil
 }
 
 // peekMsg reports whether a message from src to dst with the given tag is
-// queued. Callers hold mu.
+// stored. Callers hold mu.
 func (sh *eventShard) peekMsg(dst, src, tag int) bool {
 	for m := sh.queues[pairKey(dst, src)].head; m != nil; m = m.next {
 		if m.tag == tag {
@@ -236,20 +246,26 @@ func (sh *eventShard) pop() int32 {
 	return id
 }
 
-// eventTask is the suspension state of one rank: its handoff channel and
-// the description of the Recv it is parked in, if any.
-// All fields except ch are guarded by the home shard's lock; ch is touched
-// only by the home worker and the task itself.
+// eventTask is the suspension state of one rank: its handoff channel, the
+// description of the Recv it is parked in, if any, and the message a
+// sender handed it there.
+// waiting, wantSrc, wantTag and stored are guarded by the home shard's
+// lock; ch is touched only by the home worker and the task itself, and
+// msg by the sender that clears waiting and then the task once resumed.
 type eventTask struct {
 	id      int32
 	started bool
-	// waiting/wantSrc/wantTag describe a parked Recv: senders use them to
-	// decide whether to requeue the task, and the deadlock verifier to
-	// recognize a pending wakeup (a queued matching message).
+	// waiting/wantSrc/wantTag describe a parked Recv: a sender whose
+	// message matches hands it over and requeues the task.
 	waiting bool
 	wantSrc int32
-	wantTag int32
-	ch      chan struct{}
+	wantTag int
+	// msg is the message handed to the parked Recv; stored counts this
+	// task's messages in the shard's store, which a Recv searches only
+	// when it is positive and the deadlock verifier sums as undeliverable.
+	msg    *message
+	stored int
+	ch     chan struct{}
 }
 
 // newEventEngine builds the scheduler for w with the given worker count
@@ -293,8 +309,15 @@ func (e *eventEngine) shardRange(si int) (lo, hi int) {
 }
 
 // run seeds every task runnable on its home shard and drives the pool to
-// completion.
+// completion, with an arena cache of the world's own for each shard. A
+// second run, even a concurrent one, fails at once: the tasks of the first
+// are gone, and its caches are handed back.
 func (e *eventEngine) run(body func(*Rank)) error {
+	if !e.ran.CompareAndSwap(false, true) {
+		return errors.New("machine: World.Run called twice; a World runs once")
+	}
+	claimCaches(e.shards)
+	defer returnCaches(e.shards)
 	e.body = body
 	e.remaining.Store(int64(e.w.p))
 	for si := range e.shards {
@@ -505,37 +528,46 @@ func (e *eventEngine) wakeAllBlocked() {
 	}
 }
 
-// send enqueues a message (eager, non-blocking delivery), requeueing the
-// receiver only if it is parked waiting for exactly this (src, tag). The
-// receiver's shard is woken only if its token is free; otherwise the chain
-// holding it picks the receiver up on its next handoff.
+// send delivers a message (eager, non-blocking). If the receiver is parked
+// waiting for exactly this (src, tag), the message goes to its slot and
+// the receiver is requeued; otherwise it is stored. The receiver's shard
+// is woken only if its token is free; otherwise the chain holding it picks
+// the receiver up on its next handoff.
 func (e *eventEngine) send(m *message) {
-	t := &e.tasks[m.dst]
-	sh := &e.shards[e.shardOf(m.dst)]
+	dst := m.dst // m is the receiver's once the lock drops
+	t := &e.tasks[dst]
+	sh := &e.shards[e.shardOf(dst)]
 	sh.mu.Lock()
-	sh.queueMsg(m)
-	if t.waiting && int(t.wantSrc) == m.src && int(t.wantTag) == m.tag {
-		t.waiting = false
-		// Schedule the receiver in the hot slot so it consumes m while the
-		// payload is still in cache, displacing any previous occupant into
-		// the hot queue (still ahead of the cold main queue).
-		if sh.next >= 0 {
-			sh.hotq = append(sh.hotq, sh.next)
-		}
-		sh.next = t.id
-		idle := sh.running == 0
+	if !t.waiting || int(t.wantSrc) != m.src || t.wantTag != m.tag {
+		sh.queueMsg(m)
+		t.stored++
 		sh.mu.Unlock()
-		if idle {
-			sh.cond.Signal()
-		}
 		return
 	}
+	t.waiting = false
+	t.msg = m
+	// Schedule the receiver in the hot slot so it consumes m while the
+	// payload is still in cache, displacing any previous occupant into the
+	// hot queue (still ahead of the cold main queue).
+	if sh.next >= 0 {
+		sh.hotq = append(sh.hotq, sh.next)
+	}
+	sh.next = t.id
+	idle := sh.running == 0
 	sh.mu.Unlock()
+	if obs.Enabled() {
+		mDirect.Inc(dst)
+	}
+	if idle {
+		sh.cond.Signal()
+	}
 }
 
 // recv returns the next message from src to dst with the given tag,
-// suspending the task if none is queued yet. FIFO order among same-tag
-// messages is preserved by the shard's message store.
+// suspending the task if none is stored yet. The store keeps FIFO order
+// among same-tag messages, and a message handed over while the task is
+// parked is the first with its (src, tag): a send that finds the task
+// parked found nothing of that (src, tag) stored.
 func (e *eventEngine) recv(dst, src, tag int) *message {
 	t := &e.tasks[dst]
 	sh := &e.shards[e.shardOf(dst)]
@@ -544,24 +576,27 @@ func (e *eventEngine) recv(dst, src, tag int) *message {
 		sh.mu.Unlock()
 		e.abort()
 	}
-	if m := sh.takeMsg(dst, src, tag); m != nil {
-		sh.mu.Unlock()
-		return m
+	if t.stored > 0 {
+		if m := sh.takeMsg(dst, src, tag); m != nil {
+			t.stored--
+			sh.mu.Unlock()
+			return m
+		}
 	}
 	// Park: advertise what we wait for, then suspend, passing the shard's
 	// execution token onward in the same critical section. The matching
-	// sender (or a failure path) clears waiting and requeues us; whoever
-	// holds our shard's token then resumes us — the unbuffered handoff
-	// channel holds the wakeup even if it arrives before we block.
-	t.waiting, t.wantSrc, t.wantTag = true, int32(src), int32(tag)
+	// sender hands its message to t.msg (or a failure path leaves it nil),
+	// clears waiting and requeues us; whoever holds our shard's token then
+	// resumes us — the unbuffered handoff channel holds the wakeup even if
+	// it arrives before we block — which orders the sender's write before
+	// our read.
+	t.waiting, t.wantSrc, t.wantTag = true, int32(src), tag
 	e.park(t, sh)
-	sh.mu.Lock()
 	if e.failed.Load() {
-		sh.mu.Unlock()
 		e.abort()
 	}
-	m := sh.takeMsg(dst, src, tag)
-	sh.mu.Unlock()
+	m := t.msg
+	t.msg = nil
 	if m == nil {
 		panic("machine: woken without a matching message")
 	}
@@ -576,7 +611,7 @@ func (e *eventEngine) recv(dst, src, tag int) *message {
 // not yet resumed is neither waiting nor finished, so the state sum check
 // below fails and the verdict stays conservative. Otherwise every task is
 // waiting or finished; the world is stuck unless a waiting task has a
-// matching queued message (impossible by construction here, but checked
+// matching stored message (impossible by construction here, but checked
 // for exactness). On a verified deadlock every blocked task is requeued,
 // still under the locks, to resume and abort.
 func (e *eventEngine) verifyStalled() {
@@ -603,18 +638,15 @@ func (e *eventEngine) verifyStalled() {
 			return // queued work: its worker has a pending wakeup
 		}
 	}
-	inflight := 0
-	for i := range e.shards {
-		inflight += e.shards[i].inflight
-	}
-	recvBlocked := 0
+	recvBlocked, inflight := 0, 0
 	for i := range e.tasks {
 		t := &e.tasks[i]
+		inflight += t.stored
 		if t.waiting {
 			recvBlocked++
-			if e.shards[e.shardOf(i)].peekMsg(i, int(t.wantSrc), int(t.wantTag)) {
+			if e.shards[e.shardOf(i)].peekMsg(i, int(t.wantSrc), t.wantTag) {
 				unlock()
-				return // pending wakeup: a matching message is queued
+				return // pending wakeup: a matching message is stored
 			}
 		}
 	}

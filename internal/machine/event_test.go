@@ -317,13 +317,16 @@ func TestFanInScales(t *testing.T) {
 	}
 }
 
-// TestConcurrentWorldsShareShardCaches runs many worlds at once. Their
-// shards share the arena's shard caches by index, so buffers and message
-// headers pass between worlds through those caches and the process-wide
-// tier. Every world must still produce exactly the stats
-// of one serial run. Under -race this is the test that checks the caches'
-// locking.
-func TestConcurrentWorldsShareShardCaches(t *testing.T) {
+// TestConcurrentWorldsNeverShareACache runs many worlds at once. Each
+// world claims an arena cache per shard when Run starts and hands it back
+// when Run returns, so worlds running at once never share a cache: buffers
+// and message headers pass between worlds only through caches handed back
+// and the process-wide tier. Every world must still produce exactly the
+// stats of one serial run. Under -race this is the test that checks the
+// hand-over of caches between worlds. Last, rank 0 of each of several
+// worlds holds its shard until all of them run, and their caches must
+// then be distinct.
+func TestConcurrentWorldsNeverShareACache(t *testing.T) {
 	const (
 		p          = 256
 		goroutines = 8
@@ -388,4 +391,114 @@ func TestConcurrentWorldsShareShardCaches(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+
+	// Rank 0 blocks outside Recv here on purpose: it keeps its world
+	// running, and only stalls its own shard, until every world runs.
+	var started sync.WaitGroup
+	started.Add(goroutines)
+	all := make(chan struct{})
+	caches := make([][]*arenaCache, goroutines)
+	for g := range goroutines {
+		w := testWorld(t, p, cfg, 2+g%3)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			err := w.Run(func(r *Rank) {
+				if r.ID() == 0 {
+					for si := range w.eng.shards {
+						caches[g] = append(caches[g], w.eng.shards[si].cache)
+					}
+					started.Done()
+					<-all
+				}
+				body(r)
+			})
+			if err != nil {
+				t.Errorf("world %d: %v", g, err)
+			}
+		}()
+	}
+	started.Wait()
+	owner := map[*arenaCache]int{}
+	for g, cs := range caches {
+		for _, c := range cs {
+			if o, shared := owner[c]; shared {
+				t.Errorf("worlds %d and %d run at once with cache %p", o, g, c)
+			}
+			if c == nil {
+				t.Errorf("world %d runs a shard without a cache", g)
+			}
+			owner[c] = g
+		}
+	}
+	close(all)
+	wg.Wait()
+}
+
+// TestRunTwiceFails: a World runs once. A second Run used to resume task
+// goroutines that had exited and block forever; now it fails at once, and
+// of two concurrent calls on a fresh world exactly one runs.
+func TestRunTwiceFails(t *testing.T) {
+	const p = 8
+	ring := func(r *Rank) {
+		r.Send((r.ID()+1)%p, 0, []float64{1})
+		r.PutBuffer(r.Recv((r.ID()+p-1)%p, 0))
+	}
+	// runs calls Run n times at once and returns the errors, failing the
+	// test if any call is still blocked after five seconds.
+	runs := func(w *World, n int) []error {
+		done := make(chan error, n)
+		for range n {
+			go func() { done <- w.Run(ring) }()
+		}
+		var errs []error
+		for range n {
+			select {
+			case err := <-done:
+				errs = append(errs, err)
+			case <-time.After(5 * time.Second):
+				t.Fatalf("World.Run still blocked after 5s (%d of %d calls returned)", len(errs), n)
+			}
+		}
+		return errs
+	}
+	w := testWorld(t, p, BandwidthOnly(), 2)
+	if errs := runs(w, 1); errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	if errs := runs(w, 1); errs[0] == nil {
+		t.Error("a second Run returned no error")
+	}
+	w = testWorld(t, p, BandwidthOnly(), 2)
+	errs := runs(w, 2)
+	if (errs[0] == nil) == (errs[1] == nil) {
+		t.Errorf("two concurrent Runs returned %v; want exactly one error", errs)
+	}
+	if got := w.Stats().TotalMessages; got != p {
+		t.Errorf("the world that ran moved %d messages, want %d", got, p)
+	}
+}
+
+// TestTagsBeyond32Bits matches a receive to its message on the whole tag.
+// A parked receiver once kept the low 32 bits of its tag, so a tag of
+// 2^32 + 5 never matched its own message and the run reported a deadlock.
+func TestTagsBeyond32Bits(t *testing.T) {
+	const tag = 1<<32 + 5
+	w := testWorld(t, 2, BandwidthOnly(), 1)
+	err := w.Run(func(r *Rank) {
+		if r.ID() == 0 {
+			r.Send(1, 5, []float64{5})
+			if got := r.Recv(1, tag); got[0] != tag {
+				t.Errorf("tag %d received %v", tag, got)
+			}
+			return
+		}
+		r.Send(0, tag, []float64{tag})
+		if got := r.Recv(0, 5); got[0] != 5 {
+			t.Errorf("tag 5 received %v", got)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

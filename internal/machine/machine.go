@@ -149,12 +149,12 @@ func newWorld(p int, cfg Config, workers int) (*World, error) {
 	}
 	w := &World{p: p, cfg: cfg}
 	w.eng = newEventEngine(w, workers)
-	// Ranks are allocated in one block, each bound to its home shard's
-	// arena cache; per-phase stat entries are created lazily on first use
-	// (see phaseEntry).
+	// Ranks are allocated in one block, each bound to its home shard;
+	// per-phase stat entries are created lazily on first use (see
+	// phaseEntry).
 	w.ranks = make([]Rank, p)
 	for i := range w.ranks {
-		w.ranks[i] = Rank{id: i, world: w, cache: &shardCaches[w.eng.shardOf(i)%len(shardCaches)]}
+		w.ranks[i] = Rank{id: i, world: w, home: &w.eng.shards[w.eng.shardOf(i)]}
 	}
 	if obs.Enabled() {
 		mWorlds.Inc()
@@ -180,8 +180,8 @@ func (w *World) SetNetwork(n Network) { w.net = n }
 
 // Run executes body on every rank concurrently and blocks until all ranks
 // return. It returns an error if any rank panicked (including simulator-
-// detected deadlocks). A World can be Run only once; create a fresh World
-// per experiment.
+// detected deadlocks). A World can be Run only once: a second call returns
+// an error at once. Create a fresh World per experiment.
 func (w *World) Run(body func(*Rank)) error { return w.eng.run(body) }
 
 // Stats aggregates the per-rank statistics after Run has completed.

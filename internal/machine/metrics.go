@@ -15,6 +15,8 @@ var (
 		"Point-to-point messages posted by simulated ranks.")
 	mRecvs = obs.Default.Striped("machine_recvs_total",
 		"Point-to-point messages consumed by simulated ranks.")
+	mDirect = obs.Default.Striped("machine_direct_deliveries_total",
+		"Messages handed straight to a receiver parked for them, never stored.")
 	mWordsSent = obs.Default.Striped("machine_words_sent_total",
 		"Words of payload posted by simulated ranks.")
 	mWordsRecv = obs.Default.Striped("machine_words_recv_total",

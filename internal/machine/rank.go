@@ -11,8 +11,9 @@ import (
 type Rank struct {
 	id    int
 	world *World
-	// cache is the home shard's arena cache every get and put goes to.
-	cache *shardCache
+	// home is the rank's scheduler shard; every arena get and put goes to
+	// its cache.
+	home  *eventShard
 	clock float64
 	phase string
 	stats RankStats
@@ -116,7 +117,7 @@ func (r *Rank) Send(dst, tag int, data []float64) {
 		panic("machine: self-send; keep local data local")
 	}
 	w := float64(len(data))
-	cp := r.cache.get(len(data))
+	cp := r.home.cache.get(len(data))
 	copy(cp, data)
 	start := r.clock
 	if n := r.world.net; n != nil {
@@ -137,7 +138,7 @@ func (r *Rank) Send(dst, tag int, data []float64) {
 		mSends.Inc(r.id)
 		mWordsSent.Add(r.id, uint64(len(data)))
 	}
-	m := r.cache.getMsg()
+	m := r.home.cache.getMsg()
 	m.src, m.dst, m.tag, m.data, m.sendClock = r.id, dst, tag, cp, r.clock
 	r.world.eng.send(m)
 }
@@ -180,7 +181,7 @@ func (r *Rank) recvMsg(src, tag int) *message {
 func (r *Rank) Recv(src, tag int) []float64 {
 	m := r.recvMsg(src, tag)
 	data := m.data
-	r.cache.putMsg(m)
+	r.home.cache.putMsg(m)
 	return data
 }
 
@@ -195,8 +196,8 @@ func (r *Rank) RecvInto(src, tag int, dst []float64) int {
 		panic(fmt.Sprintf("machine: RecvInto buffer holds %d words, message has %d", len(dst), n))
 	}
 	copy(dst[:n], m.data)
-	r.cache.put(m.data)
-	r.cache.putMsg(m)
+	r.home.cache.put(m.data)
+	r.home.cache.putMsg(m)
 	return n
 }
 
