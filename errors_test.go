@@ -79,6 +79,14 @@ func TestErrorTaxonomy(t *testing.T) {
 			_, err := CAPS(sq(6, 1), sq(6, 2), 2, BandwidthOnly())
 			return err
 		}},
+		{"NewCuboidProblem zero dim", ErrBadDims, func() error {
+			_, err := NewCuboidProblem(0, 3, 3)
+			return err
+		}},
+		{"NewCuboidProblem one dim", ErrBadDims, func() error {
+			_, err := NewCuboidProblem(5)
+			return err
+		}},
 		{"Opts negative layers", ErrBadOpts, func() error {
 			return Opts{Layers: -1}.Validate()
 		}},

@@ -82,8 +82,9 @@ func run3D(name string, a, b *matrix.Dense, p int, opts Opts, reduceScatter bool
 		gatheredA := matrix.Wrap(aBlk.Rows(), aBlk.Cols(), fullA)
 		gatheredB := matrix.Wrap(bBlk.Rows(), bBlk.Cols(), fullB)
 		packedD := r.GetBuffer(gatheredA.Rows() * gatheredB.Cols())
+		clear(packedD)
 		dBlk := matrix.Wrap(gatheredA.Rows(), gatheredB.Cols(), packedD)
-		localMulIntoVal(r, dBlk, gatheredA, gatheredB)
+		localMulAdd(r, &dBlk, &gatheredA, &gatheredB)
 		r.GrowMemory(float64(dBlk.Size()))
 		r.PutBuffer(fullA)
 		r.PutBuffer(fullB)
@@ -98,21 +99,16 @@ func run3D(name string, a, b *matrix.Dense, p int, opts Opts, reduceScatter bool
 			// D is dead once reduced, so it serves as its own scratch.
 			grpC.ReduceScatterVInto(packedD, countsC, myC, packedD)
 		} else {
-			// All-to-All the per-destination chunks, then sum locally.
-			blocks := make([][]float64, g.P2)
-			off := 0
-			for j, c := range countsC {
-				blocks[j] = packedD[off : off+c]
-				off += c
-			}
-			for j, blk := range grpC.AllToAll(blocks) {
-				if len(blk) != len(myC) {
-					panic(fmt.Sprintf("algs: alltoall chunk %d has %d words, want %d", j, len(blk), len(myC)))
-				}
-				for i, v := range blk {
+			// All-to-All the per-destination chunks, then sum them locally
+			// in member order.
+			recvd := r.GetBuffer(g.P2 * len(myC))
+			grpC.AllToAllVInto(packedD, countsC, recvd)
+			for j := range g.P2 {
+				for i, v := range recvd[j*len(myC) : (j+1)*len(myC)] {
 					myC[i] += v
 				}
 			}
+			r.PutBuffer(recvd)
 			if g.P2 > 1 {
 				r.Compute(float64((g.P2 - 1) * len(myC)))
 			}

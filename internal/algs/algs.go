@@ -197,27 +197,15 @@ func dimsOf(a, b *matrix.Dense, p int) (core.Dims, error) {
 	return core.NewDims(a.Rows(), a.Cols(), b.Cols()), nil
 }
 
-// localMul multiplies a and b on rank r with the sequential kernel,
-// charging the scalar-multiplication count to the simulated clock. A rank
-// runs no goroutines of its own: ranks are already concurrent, and a rank
-// body blocks only in Recv.
-func localMul(r *machine.Rank, a, b *matrix.Dense) *matrix.Dense {
-	r.Compute(float64(a.Rows()) * float64(a.Cols()) * float64(b.Cols()))
-	return matrix.Mul(a, b)
-}
-
-// localMulAdd is localMul accumulating into c. It allocates nothing, so c,
-// a and b may be matrix headers on the caller's stack.
+// localMulAdd computes c += a·b on rank r with the sequential kernel,
+// charging the scalar-multiplication count to the simulated clock. It is
+// the one way a rank body multiplies, and it allocates nothing, so c, a and
+// b may be matrix headers on the caller's stack wrapping pooled buffers. A
+// rank runs no goroutines of its own: ranks are already concurrent, and a
+// rank body blocks only in Recv.
 func localMulAdd(r *machine.Rank, c, a, b *matrix.Dense) {
 	r.Compute(float64(a.Rows()) * float64(a.Cols()) * float64(b.Cols()))
 	matrix.MulAdd(c, a, b)
-}
-
-// localMulIntoVal computes c = a·b on rank r, reusing (and zeroing) c's
-// storage, for call sites that overwrite rather than accumulate.
-func localMulIntoVal(r *machine.Rank, c, a, b matrix.Dense) {
-	r.Compute(float64(a.Rows()) * float64(a.Cols()) * float64(b.Cols()))
-	matrix.MulIntoVal(c, a, b, 0)
 }
 
 // shareRange returns the packed-word range [lo, hi) owned by member idx

@@ -38,8 +38,8 @@ func TestOneCopyAssumptionNecessity(t *testing.T) {
 		// Cheating start: every rank already holds all of B (P copies in
 		// the machine) plus its row band of A.
 		r0, h := blockRange(n1, p, r.ID())
-		aBand := a.View(r0, 0, h, n2).Clone()
-		cBand := localMul(r, aBand, b)
+		cBand := matrix.New(h, n3)
+		localMulAdd(r, cBand, a.View(r0, 0, h, n2), b)
 		bands[r.ID()] = cBand.Pack()
 	})
 	if err != nil {
@@ -81,7 +81,8 @@ func TestLoadBalanceAssumptionNecessity(t *testing.T) {
 	var c *matrix.Dense
 	err := w.Run(func(r *machine.Rank) {
 		if r.ID() == 0 {
-			c = localMul(r, a, b)
+			c = matrix.New(n, n)
+			localMulAdd(r, c, a, b)
 		}
 	})
 	if err != nil {

@@ -37,16 +37,18 @@ func Cannon(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 	)
 	return run("Cannon", d, g, opts, func(r *machine.Rank) []float64 {
 		i, _, j := g.Coords(r.ID())
-		aBlk := matrix.BlockOf(a, q, q, i, j)
-		bBlk := matrix.BlockOf(b, q, q, i, j)
+		// Each block lives packed in one pooled buffer, which the skew and
+		// the shifts overwrite in place and the multiply reads wrapped.
+		aView := matrix.BlockView(a, q, q, i, j)
+		bView := matrix.BlockView(b, q, q, i, j)
+		aBuf := aView.PackInto(r.GetBuffer(aView.Size()))
+		bBuf := bView.PackInto(r.GetBuffer(bView.Size()))
+		aBlk := matrix.Wrap(aView.Rows(), aView.Cols(), aBuf)
+		bBlk := matrix.Wrap(bView.Rows(), bView.Cols(), bBuf)
 		r.GrowMemory(float64(2 * (aBlk.Size() + bBlk.Size()))) // blocks + shift buffers
-		cBlk := matrix.New(d.N1/q, d.N3/q)
+		myC := make([]float64, (d.N1/q)*(d.N3/q))
+		cBlk := matrix.Wrap(d.N1/q, d.N3/q, myC)
 		r.GrowMemory(float64(cBlk.Size()))
-
-		// Pooled serialization buffers reused for every skew and shift
-		// exchange; Send copies out of them before RecvInto overwrites.
-		aBuf := r.GetBuffer(aBlk.Size())
-		bBuf := r.GetBuffer(bBlk.Size())
 
 		// Initial skew: processor (i, j) must hold A(i, (j+i) mod q) and
 		// B((i+j) mod q, j). Each processor sends its canonical block to
@@ -54,16 +56,16 @@ func Cannon(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 		if q > 1 && i != 0 {
 			dst := g.Rank(i, 0, (j-i+q)%q) // A(i,j) is needed at column j-i
 			src := g.Rank(i, 0, (j+i)%q)
-			exchangeBlock(r, dst, src, tagSkewA, aBlk, aBuf)
+			exchangeBlock(r, dst, src, tagSkewA, aBuf)
 		}
 		if q > 1 && j != 0 {
 			dst := g.Rank((i-j+q)%q, 0, j) // B(i,j) is needed at row i-j
 			src := g.Rank((i+j)%q, 0, j)
-			exchangeBlock(r, dst, src, tagSkewB, bBlk, bBuf)
+			exchangeBlock(r, dst, src, tagSkewB, bBuf)
 		}
 
 		for s := 0; s < q; s++ {
-			localMulAdd(r, cBlk, aBlk, bBlk)
+			localMulAdd(r, &cBlk, &aBlk, &bBlk)
 			if s == q-1 {
 				break
 			}
@@ -71,28 +73,25 @@ func Cannon(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 			// up (receive from below).
 			leftRank := g.Rank(i, 0, (j-1+q)%q)
 			rightRank := g.Rank(i, 0, (j+1)%q)
-			exchangeBlock(r, leftRank, rightRank, tagShiftA, aBlk, aBuf)
+			exchangeBlock(r, leftRank, rightRank, tagShiftA, aBuf)
 			upRank := g.Rank((i-1+q)%q, 0, j)
 			downRank := g.Rank((i+1)%q, 0, j)
-			exchangeBlock(r, upRank, downRank, tagShiftB, bBlk, bBuf)
+			exchangeBlock(r, upRank, downRank, tagShiftB, bBuf)
 		}
 		r.PutBuffer(aBuf)
 		r.PutBuffer(bBuf)
-		return cBlk.Pack()
+		return myC
 	})
 }
 
-// exchangeBlock sends blk's contents to dst and replaces them with the block
-// received from src, serializing through the caller-owned buf (len must equal
-// blk.Size()) so the exchange allocates nothing. Packing buf, sending from it,
-// and receiving back into it is safe because Send copies the payload into the
-// network before RecvInto overwrites buf. When both peers are this rank
+// exchangeBlock sends the packed block buf to dst and overwrites it with the
+// block received from src, which has the same shape. Sending from buf and
+// receiving back into it is safe because Send copies the payload into the
+// network before the receive overwrites buf. When both peers are this rank
 // (shift distance 0 in a degenerate grid) the block is left unchanged.
-func exchangeBlock(r *machine.Rank, dst, src, tag int, blk *matrix.Dense, buf []float64) {
+func exchangeBlock(r *machine.Rank, dst, src, tag int, buf []float64) {
 	if dst == r.ID() && src == r.ID() {
 		return
 	}
-	blk.PackInto(buf)
 	r.SendRecvInto(dst, src, tag, buf, buf)
-	blk.Unpack(buf)
 }

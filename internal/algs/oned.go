@@ -29,30 +29,32 @@ func OneD(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 	for i := range members {
 		members[i] = i
 	}
-	packedB := b.Pack()
-	countsB := matrix.PartSizes(make([]int, p), len(packedB))
+	countsB := matrix.PartSizes(make([]int, p), d.N2*d.N3)
 	return run("OneD", d, grid.Grid{P1: p, P2: 1, P3: 1}, opts, func(r *machine.Rank) []float64 {
 		me := r.ID()
 		// Initial distribution: row band of A (and later C) is local; B is
-		// spread evenly across all processors.
-		r0, h := blockRange(d.N1, p, me)
-		aBand := a.View(r0, 0, h, d.N2).Clone()
-		loB, hiB := shareRange(len(packedB), p, me)
-		myB := packedB[loB:hiB]
-		r.GrowMemory(float64(aBand.Size() + len(myB)))
+		// spread evenly, as packed word ranges, across all processors. The
+		// rank packs its share of B straight into its slot of the gather
+		// output and gathers in place.
+		aBand := matrix.BlockView(a, p, 1, me, 0)
+		fullB := r.GetBuffer(d.N2 * d.N3)
+		loB, hiB := shareRange(len(fullB), p, me)
+		r.GrowMemory(float64(aBand.Size() + hiB - loB))
 
 		r.SetPhase(PhaseGatherB)
 		var grp collective.Group
 		grp.Init(r, members, 1, opts.Collective)
-		fullB := grp.AllGatherVInto(myB, countsB, r.GetBuffer(len(packedB)))
+		grp.AllGatherVInto(b.PackRangeInto(fullB[loB:hiB], loB, hiB), countsB, fullB)
 		r.SetPhase("")
-		r.GrowMemory(float64(len(fullB) - len(myB)))
-		bMat := matrix.New(d.N2, d.N3)
-		bMat.Unpack(fullB)
-		r.PutBuffer(fullB)
+		r.GrowMemory(float64(len(fullB) - (hiB - loB)))
 
-		cBand := localMul(r, aBand, bMat)
-		r.GrowMemory(float64(cBand.Size()))
-		return cBand.Pack()
+		// C's band accumulates straight into the chunk the rank returns.
+		gatheredB := matrix.Wrap(d.N2, d.N3, fullB)
+		myC := make([]float64, aBand.Rows()*d.N3)
+		cBand := matrix.Wrap(aBand.Rows(), d.N3, myC)
+		localMulAdd(r, &cBand, &aBand, &gatheredB)
+		r.PutBuffer(fullB)
+		r.GrowMemory(float64(len(myC)))
+		return myC
 	})
 }

@@ -56,8 +56,8 @@ func SUMMA(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 		// Every matrix is distributed over the pr×pc grid: rank (i1, i3)
 		// holds A(i1, i3), the (n1/pr)×(n2/pc) block; B(i1, i3), the
 		// (n2/pr)×(n3/pc) block; and C(i1, i3), the (n1/pr)×(n3/pc) block.
-		aBlk := matrix.BlockOf(a, pr, pc, i1, i3)
-		bBlk := matrix.BlockOf(b, pr, pc, i1, i3)
+		aBlk := matrix.BlockView(a, pr, pc, i1, i3)
+		bBlk := matrix.BlockView(b, pr, pc, i1, i3)
 		r.GrowMemory(float64(aBlk.Size() + bBlk.Size()))
 
 		oRow, oCol := g.FiberOffset(r.ID(), grid.Axis3), g.FiberOffset(r.ID(), grid.Axis1)
@@ -65,48 +65,47 @@ func SUMMA(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 		rowGrp.Init(r, rows[oRow:oRow+pc], 1, opts.Collective)
 		colGrp.Init(r, cols[oCol:oCol+pr], 2, opts.Collective)
 
-		cBlk := matrix.New(aBlk.Rows(), matrix.PartSize(d.N3, pc, i3))
-		r.GrowMemory(float64(cBlk.Size() + aBlk.Rows()*panelW + panelW*cBlk.Cols()))
+		// C accumulates straight into the chunk the rank returns.
+		h, wd := aBlk.Rows(), matrix.PartSize(d.N3, pc, i3)
+		myC := make([]float64, h*wd)
+		cBlk := matrix.Wrap(h, wd, myC)
+		r.GrowMemory(float64(h*wd + h*panelW + panelW*wd))
 
-		aColStart := matrix.PartStart(d.N2, pc, i3) // my A block's global col range
-		bRowStart := matrix.PartStart(d.N2, pr, i1)
-
-		// The panel matrices are reused across steps; the packed panels
-		// travel in pooled buffers recycled after each unpack.
-		aP := matrix.New(aBlk.Rows(), panelW)
-		bP := matrix.New(panelW, cBlk.Cols())
 		for s := 0; s < steps; s++ {
-			k0 := s * panelW // global start of the contracted panel
-			// A panel: columns [k0, k0+panelW) live on processor column
-			// k0*pc/n2; the owner broadcasts its (n1/pr)×panelW slice
-			// within the processor row.
-			ownerCol := k0 * pc / d.N2
+			// Step s's panels are column block s of A and row block s of B
+			// when the contracted dimension splits into steps panels. A's
+			// lies in the block of processor column s·pc/steps, whose rank
+			// packs it from a view value (View's pointer would cost an
+			// object a step) and broadcasts it within the processor row;
+			// B's lies in the block of processor row s·pr/steps and
+			// travels within the processor column. The rank multiplies
+			// both pooled panels in place, then recycles them.
+			ownerCol := s * pc / steps
 			var aPanel []float64
 			if i3 == ownerCol {
-				aPanel = aBlk.View(0, k0-aColStart, aBlk.Rows(), panelW).PackInto(r.GetBuffer(aBlk.Rows() * panelW))
+				src := matrix.BlockView(a, pr, steps, i1, s)
+				aPanel = src.PackInto(r.GetBuffer(src.Size()))
 			}
 			r.SetPhase(PhaseGatherA)
 			aPanel = rowGrp.Bcast(aPanel, ownerCol)
-			aP.Unpack(aPanel)
-			r.PutBuffer(aPanel)
 
-			// B panel: rows [k0, k0+panelW) live on processor row
-			// k0*pr/n2; the owner broadcasts its panelW×(n3/pc) slice
-			// within the processor column.
-			ownerRow := k0 * pr / d.N2
+			ownerRow := s * pr / steps
 			var bPanel []float64
 			if i1 == ownerRow {
-				bPanel = bBlk.View(k0-bRowStart, 0, panelW, bBlk.Cols()).PackInto(r.GetBuffer(panelW * bBlk.Cols()))
+				src := matrix.BlockView(b, steps, pc, s, i3)
+				bPanel = src.PackInto(r.GetBuffer(src.Size()))
 			}
 			r.SetPhase(PhaseGatherB)
 			bPanel = colGrp.Bcast(bPanel, ownerRow)
-			bP.Unpack(bPanel)
-			r.PutBuffer(bPanel)
 
 			r.SetPhase("")
-			localMulAdd(r, cBlk, aP, bP)
+			aP := matrix.Wrap(h, panelW, aPanel)
+			bP := matrix.Wrap(panelW, wd, bPanel)
+			localMulAdd(r, &cBlk, &aP, &bP)
+			r.PutBuffer(aPanel)
+			r.PutBuffer(bPanel)
 		}
-		return cBlk.Pack()
+		return myC
 	})
 }
 

@@ -65,13 +65,16 @@ func TwoPointFiveD(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 		blk := n / q
 
 		// Replication: layer 0 owns the canonical block distribution; the
-		// layer fiber broadcasts A and B blocks to all layers. Both the
-		// root's pack buffer and the non-roots' received payloads are pooled,
-		// and double as the align/shift exchange scratch below.
+		// layer fiber broadcasts A and B blocks to all layers. Each block
+		// lives packed in one pooled buffer, the root's pack buffer or the
+		// payload a non-root receives, which the align and shift exchanges
+		// below overwrite in place and the multiply reads wrapped.
 		var packedA, packedB []float64
 		if l == 0 {
-			packedA = matrix.BlockOf(a, q, q, i, j).PackInto(r.GetBuffer(blk * blk))
-			packedB = matrix.BlockOf(b, q, q, i, j).PackInto(r.GetBuffer(blk * blk))
+			aView := matrix.BlockView(a, q, q, i, j)
+			bView := matrix.BlockView(b, q, q, i, j)
+			packedA = aView.PackInto(r.GetBuffer(blk * blk))
+			packedB = bView.PackInto(r.GetBuffer(blk * blk))
 		}
 		oLayer := g.FiberOffset(r.ID(), grid.Axis2)
 		var layerGrp collective.Group
@@ -79,10 +82,8 @@ func TwoPointFiveD(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 		r.SetPhase("replicate")
 		packedA = layerGrp.Bcast(packedA, 0)
 		packedB = layerGrp.Bcast(packedB, 0)
-		aBlk := matrix.New(blk, blk)
-		aBlk.Unpack(packedA)
-		bBlk := matrix.New(blk, blk)
-		bBlk.Unpack(packedB)
+		aBlk := matrix.Wrap(blk, blk, packedA)
+		bBlk := matrix.Wrap(blk, blk, packedB)
 		r.GrowMemory(float64(2 * 2 * blk * blk)) // blocks + shift buffers
 
 		// Alignment: layer l starts its Cannon rounds at contraction
@@ -93,29 +94,33 @@ func TwoPointFiveD(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 		if q > 1 && (i+o)%q != 0 {
 			dst := g.Rank(i, l, ((j-i-o)%q+q)%q)
 			src := g.Rank(i, l, (j+i+o)%q)
-			exchangeBlock(r, dst, src, tagAlignA, aBlk, packedA)
+			exchangeBlock(r, dst, src, tagAlignA, packedA)
 		}
 		if q > 1 && (j+o)%q != 0 {
 			dst := g.Rank(((i-j-o)%q+q)%q, l, j)
 			src := g.Rank((i+j+o)%q, l, j)
-			exchangeBlock(r, dst, src, tagAlignB, bBlk, packedB)
+			exchangeBlock(r, dst, src, tagAlignB, packedB)
 		}
 
-		cBlk := matrix.New(blk, blk)
+		// The layer's partial sum accumulates in a pooled buffer, packed
+		// as the Reduce-Scatter reads it.
+		packedC := r.GetBuffer(blk * blk)
+		clear(packedC)
+		cBlk := matrix.Wrap(blk, blk, packedC)
 		r.GrowMemory(float64(blk * blk))
 		r.SetPhase("")
 		for s := 0; s < rounds; s++ {
-			localMulAdd(r, cBlk, aBlk, bBlk)
+			localMulAdd(r, &cBlk, &aBlk, &bBlk)
 			if s == rounds-1 {
 				break
 			}
 			r.SetPhase("shift")
 			left := g.Rank(i, l, (j-1+q)%q)
 			right := g.Rank(i, l, (j+1)%q)
-			exchangeBlock(r, left, right, tagShiftA, aBlk, packedA)
+			exchangeBlock(r, left, right, tagShiftA, packedA)
 			up := g.Rank((i-1+q)%q, l, j)
 			down := g.Rank((i+1)%q, l, j)
-			exchangeBlock(r, up, down, tagShiftB, bBlk, packedB)
+			exchangeBlock(r, up, down, tagShiftB, packedB)
 			r.SetPhase("")
 		}
 		r.PutBuffer(packedA)
@@ -123,9 +128,8 @@ func TwoPointFiveD(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 
 		// Combine the layers' partial sums: Reduce-Scatter over the layer
 		// fiber leaves C block (i, j) spread evenly across layers. The
-		// packed partial sum is dead once reduced, so it serves as its own
+		// partial sum is dead once reduced, so it serves as its own
 		// scratch.
-		packedC := cBlk.PackInto(r.GetBuffer(cBlk.Size()))
 		r.SetPhase(PhaseReduceC)
 		myC := layerGrp.ReduceScatterVInto(packedC, counts, make([]float64, counts[l]), packedC)
 		r.PutBuffer(packedC)

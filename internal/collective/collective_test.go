@@ -229,16 +229,11 @@ func TestBcast(t *testing.T) {
 func TestAllToAll(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		res, stats := runAll(t, p, Auto, func(g *Group) []float64 {
-			blocks := make([][]float64, p)
-			for i := range blocks {
-				blocks[i] = []float64{float64(g.me*100 + i)}
+			data := make([]float64, p)
+			for i := range data {
+				data[i] = float64(g.me*100 + i)
 			}
-			got := g.AllToAll(blocks)
-			flat := make([]float64, 0, p)
-			for _, b := range got {
-				flat = append(flat, b...)
-			}
-			return flat
+			return g.AllToAllVInto(data, equalCounts(p, 1), make([]float64, p))
 		})
 		for r := 0; r < p; r++ {
 			for i := 0; i < p; i++ {
@@ -326,8 +321,8 @@ func TestSingletonGroupOps(t *testing.T) {
 		a := g.AllGather([]float64{1, 2})
 		b := g.ReduceScatter([]float64{3, 4})
 		d := g.Bcast([]float64{6}, 0)
-		e := g.AllToAll([][]float64{{7}})
-		return []float64{a[0], a[1], b[0], b[1], d[0], e[0][0]}
+		e := g.AllToAllVInto([]float64{7}, []int{1}, make([]float64, 1))
+		return []float64{a[0], a[1], b[0], b[1], d[0], e[0]}
 	})
 	if !reflect.DeepEqual(res[0], []float64{1, 2, 3, 4, 6, 7}) {
 		t.Fatalf("singleton ops: %v", res[0])

@@ -8,13 +8,15 @@ import (
 
 // FuzzAllGatherReduceScatterDuality fuzzes group sizes, per-member counts
 // (zero allowed), algorithm families and the in-place forms Algorithm 1
-// uses against a naive oracle. All-Gather must concatenate exactly and
-// Reduce-Scatter must sum exactly. Every rank must receive exactly the
-// words its family moves: W − counts[me] for the gather; for the
-// reduction, W − counts[(me−1) mod p] on the ring and the words of every
-// half it keeps under recursive halving. In place, a member's block is its
-// own slot of the gather output and the reduction's data is its own
-// scratch; otherwise the reduction must leave data untouched.
+// uses against a naive oracle. All-Gather must concatenate exactly,
+// All-to-All must deliver every sender's chunk exactly, and Reduce-Scatter
+// must sum exactly. Every rank must receive exactly the words each
+// collective moves: W − counts[me] for the gather; (p − 1)·counts[me] for
+// the All-to-All; for the reduction, W − counts[(me−1) mod p] on the ring
+// and the words of every half it keeps under recursive halving. In place,
+// a member's block is its own slot of the gather output and the
+// reduction's data is its own scratch; otherwise the reduction must leave
+// data untouched.
 func FuzzAllGatherReduceScatterDuality(f *testing.F) {
 	f.Add(uint8(4), []byte{3}, true, false)
 	f.Add(uint8(7), []byte{2}, false, false)
@@ -45,6 +47,7 @@ func FuzzAllGatherReduceScatterDuality(f *testing.F) {
 		}
 		world := newWorld(t, p)
 		gathered := make([][]float64, p)
+		exchanged := make([][]float64, p)
 		reduced := make([][]float64, p)
 		err := world.Run(func(r *machine.Rank) {
 			me := r.ID()
@@ -62,6 +65,7 @@ func FuzzAllGatherReduceScatterDuality(f *testing.F) {
 			for j := range data {
 				data[j] = float64(me*1000 + j)
 			}
+			exchanged[me] = g.AllToAllVInto(data, counts, make([]float64, p*counts[me]))
 			scratch := data
 			if !inPlace {
 				scratch = make([]float64, total)
@@ -87,6 +91,13 @@ func FuzzAllGatherReduceScatterDuality(f *testing.F) {
 					}
 				}
 			}
+			for m := 0; m < p; m++ {
+				for i := 0; i < counts[rank]; i++ {
+					if got := exchanged[rank][m*counts[rank]+i]; got != float64(m*1000+starts[rank]+i) {
+						t.Fatalf("rank %d: word %d of member %d's chunk is %v", rank, i, m, got)
+					}
+				}
+			}
 			for i, v := range reduced[rank] {
 				if want := float64(1000*p*(p-1)/2 + p*(starts[rank]+i)); v != want {
 					t.Fatalf("rank %d: reduced word %d is %v, want %v", rank, i, v, want)
@@ -98,7 +109,7 @@ func FuzzAllGatherReduceScatterDuality(f *testing.F) {
 			if alg == Recursive {
 				rsWords = halvingRecv(counts, rank)
 			}
-			if want := float64(total - counts[rank] + rsWords); rs.WordsRecv != want {
+			if want := float64(total - counts[rank] + (p-1)*counts[rank] + rsWords); rs.WordsRecv != want {
 				t.Fatalf("%v counts %v: rank %d received %v words, want %v", alg, counts, rank, rs.WordsRecv, want)
 			}
 		}

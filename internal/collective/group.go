@@ -138,13 +138,8 @@ func (g *Group) recvInto(peerIdx, op int, dst []float64) int {
 	return g.rank.RecvInto(g.members[peerIdx], g.tag(op), dst)
 }
 
-func (g *Group) sendRecv(dstIdx, srcIdx, op int, data []float64) []float64 {
-	g.send(dstIdx, op, data)
-	return g.recv(srcIdx, op)
-}
-
-// sendRecvInto is sendRecv receiving into dst (data and dst may alias; the
-// send serializes first).
+// sendRecvInto sends data to member dstIdx, then receives from member
+// srcIdx into dst (data and dst may alias; the send serializes first).
 func (g *Group) sendRecvInto(dstIdx, srcIdx, op int, data, dst []float64) int {
 	g.send(dstIdx, op, data)
 	return g.recvInto(srcIdx, op, dst)

@@ -38,24 +38,39 @@ func (g *Group) Bcast(data []float64, root int) []float64 {
 	return data
 }
 
-// AllToAll performs a personalized exchange: blocks[i] is sent to member i,
-// and the returned slice holds, per member index, the block received from
-// that member. Own block is passed through locally. The pairwise-exchange
-// schedule uses p−1 steps with send-to (me+s), receive-from (me−s).
-func (g *Group) AllToAll(blocks [][]float64) [][]float64 {
+// AllToAllVInto performs a personalized exchange: data holds one chunk per
+// member, in member order, chunk i of counts[i] words for member i, and out
+// receives one chunk from every member, in member order, each of
+// counts[me] words, so len(out) must be p·counts[me]. Every member passes
+// the same counts. The own chunk is copied locally; the pairwise-exchange
+// schedule uses p−1 steps with send-to (me+s), receive-from (me−s), and
+// receives straight into out, so a steady-state call allocates nothing.
+func (g *Group) AllToAllVInto(data []float64, counts []int, out []float64) []float64 {
 	g.countOp(mOpAllToAll)
 	p := len(g.members)
-	if len(blocks) != p {
-		panic(fmt.Sprintf("collective: AllToAll got %d blocks for group of %d", len(blocks), p))
+	total, mine := g.layout(counts)
+	n := counts[g.me]
+	if len(data) != total {
+		panic(fmt.Sprintf("collective: alltoall data has %d words, counts sum %d", len(data), total))
 	}
-	out := make([][]float64, p)
-	own := make([]float64, len(blocks[g.me]))
-	copy(own, blocks[g.me])
-	out[g.me] = own
+	if len(out) != p*n {
+		panic(fmt.Sprintf("collective: alltoall out has %d words, want %d", len(out), p*n))
+	}
+	copy(out[g.me*n:], data[mine:mine+n])
+	// The destinations run me+1, …, p−1, 0, …, me−1, so each chunk's
+	// offset in data follows from the last.
+	at := mine + n
 	for s := 1; s < p; s++ {
 		dst := (g.me + s) % p
 		src := (g.me - s + p) % p
-		out[src] = g.sendRecv(dst, src, opAllToAll, blocks[dst])
+		if dst == 0 {
+			at = 0
+		}
+		g.send(dst, opAllToAll, data[at:at+counts[dst]])
+		at += counts[dst]
+		if got := g.recvInto(src, opAllToAll, out[src*n:(src+1)*n]); got != n {
+			panic(fmt.Sprintf("collective: alltoall got %d words from member %d, want %d", got, src, n))
+		}
 	}
 	return out
 }

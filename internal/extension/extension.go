@@ -26,6 +26,7 @@ package extension
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/kkt"
 )
 
@@ -38,14 +39,15 @@ type Problem struct {
 	N []int
 }
 
-// NewProblem validates and constructs a Problem.
+// NewProblem validates and constructs a Problem. Fewer than two dimensions,
+// or a non-positive one, wraps core.ErrBadDims.
 func NewProblem(dims ...int) (Problem, error) {
 	if len(dims) < 2 {
-		return Problem{}, fmt.Errorf("extension: need at least 2 dimensions, got %d", len(dims))
+		return Problem{}, fmt.Errorf("extension: need at least 2 dimensions, got %d: %w", len(dims), core.ErrBadDims)
 	}
 	for _, n := range dims {
 		if n <= 0 {
-			return Problem{}, fmt.Errorf("extension: dimensions must be positive, got %v", dims)
+			return Problem{}, fmt.Errorf("extension: dimensions must be positive, got %v: %w", dims, core.ErrBadDims)
 		}
 	}
 	n := make([]int, len(dims))

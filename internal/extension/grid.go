@@ -47,30 +47,30 @@ func (g Grid) Rank(coords []int) int {
 	return r
 }
 
-// Coords inverts Rank.
-func (g Grid) Coords(rank int) []int {
-	if rank < 0 || rank >= g.Size() {
-		panic(fmt.Sprintf("extension: rank %d out of %v", rank, g))
-	}
-	out := make([]int, len(g.Dims))
+// coordsOf writes the coordinates of rank into c and returns it, inverting
+// Rank.
+func (g Grid) coordsOf(rank int, c []int) []int {
 	for i := len(g.Dims) - 1; i >= 0; i-- {
-		out[i] = rank % g.Dims[i]
+		c[i] = rank % g.Dims[i]
 		rank /= g.Dims[i]
 	}
-	return out
+	return c
 }
 
-// Fiber returns the ranks sharing all of rank's coordinates except axis,
-// in increasing coordinate order — the communicator for array axis's
+// fiberOf writes into members, which holds Dims[axis] entries, the ranks
+// whose coordinates equal coords except along axis, in increasing
+// coordinate order, and returns it: the communicator for array axis's
 // collective.
-func (g Grid) Fiber(rank, axis int) []int {
-	coords := g.Coords(rank)
-	out := make([]int, g.Dims[axis])
-	for v := 0; v < g.Dims[axis]; v++ {
-		coords[axis] = v
-		out[v] = g.Rank(coords)
+func (g Grid) fiberOf(coords []int, axis int, members []int) []int {
+	stride := 1
+	for _, p := range g.Dims[axis+1:] {
+		stride *= p
 	}
-	return out
+	at := g.Rank(coords) - coords[axis]*stride
+	for v := range members {
+		members[v] = at + v*stride
+	}
+	return members
 }
 
 // CommCost generalizes eq. (3): the per-processor communication of the

@@ -2,6 +2,7 @@ package extension
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/collective"
 	"repro/internal/core"
@@ -38,66 +39,24 @@ func (a *Arrays) Randomize(seed uint64) {
 	}
 }
 
-// arrayDims returns the dimension extents of array j (all dims except j).
-func arrayDims(pr Problem, j int) []int {
-	var out []int
-	for i, n := range pr.N {
-		if i != j {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// strides returns row-major strides for the given extents.
-func strides(dims []int) []int {
-	s := make([]int, len(dims))
-	acc := 1
-	for i := len(dims) - 1; i >= 0; i-- {
-		s[i] = acc
-		acc *= dims[i]
-	}
-	return s
-}
-
 // Serial computes the reference result: for every lattice point, multiply
 // the d−1 input values and accumulate into the output array.
 func Serial(pr Problem, seed uint64) *Arrays {
 	a := NewArrays(pr)
 	a.Randomize(seed)
 	d := pr.D()
+	s := make([]int, d*d)
+	for j := range d {
+		blockStrides(s[j*d:(j+1)*d], pr.N, j)
+	}
 	point := make([]int, d)
-	strideOf := make([][]int, d)
-	for j := 0; j < d; j++ {
-		strideOf[j] = strides(arrayDims(pr, j))
-	}
-	offset := func(j int) int {
-		o, s := 0, 0
-		for i := 0; i < d; i++ {
-			if i == j {
-				continue
-			}
-			o += point[i] * strideOf[j][s]
-			s++
-		}
-		return o
-	}
 	for {
 		prod := 1.0
-		for j := 0; j < d-1; j++ {
-			prod *= a.Data[j][offset(j)]
+		for j := range d - 1 {
+			prod *= a.Data[j][dot(point, s[j*d:(j+1)*d])]
 		}
-		a.Data[d-1][offset(d-1)] += prod
-		// Odometer increment.
-		i := d - 1
-		for ; i >= 0; i-- {
-			point[i]++
-			if point[i] < pr.N[i] {
-				break
-			}
-			point[i] = 0
-		}
-		if i < 0 {
+		a.Data[d-1][dot(point, s[(d-1)*d:])] += prod
+		if !next(point, pr.N) {
 			return a
 		}
 	}
@@ -118,18 +77,26 @@ type SimResult struct {
 // every rank All-Gathers each input-array block over that array's fiber,
 // multiplies over its local brick, and Reduce-Scatters the output block
 // over the output fiber. Inputs start distributed one-copy (each block
-// spread evenly over its fiber); the output ends one-copy.
+// spread evenly over its fiber); the output ends one-copy. A grid of the
+// wrong order, or one that splits a dimension finer than its extent, wraps
+// core.ErrGridMismatch.
+//
+// Each rank packs only its share of each input block, straight into its
+// slot of a pooled gather output, and gathers in place; the gathered blocks
+// and the output block sit end to end in one pooled buffer, and the output
+// block is reduced in place. Its coordinates, brick, block strides, fiber
+// members and share counts all live in one int slab.
 func Run(pr Problem, g Grid, seed uint64, cfg machine.Config) (*SimResult, error) {
 	d := pr.D()
 	if len(g.Dims) != d {
-		return nil, fmt.Errorf("extension: %d-d grid for %d-d problem", len(g.Dims), d)
+		return nil, fmt.Errorf("extension: %d-d grid for %d-d problem: %w", len(g.Dims), d, core.ErrGridMismatch)
 	}
 	for i := range pr.N {
 		if g.Dims[i] < 1 {
 			return nil, fmt.Errorf("extension: grid %v has a non-positive extent: %w", g, core.ErrBadProcessorCount)
 		}
 		if g.Dims[i] > pr.N[i] {
-			return nil, fmt.Errorf("extension: grid %v exceeds dims %v", g, pr.N)
+			return nil, fmt.Errorf("extension: grid %v exceeds dims %v: %w", g, pr.N, core.ErrGridMismatch)
 		}
 	}
 	full := NewArrays(pr)
@@ -140,79 +107,88 @@ func Run(pr Problem, g Grid, seed uint64, cfg machine.Config) (*SimResult, error
 	if err != nil {
 		return nil, err
 	}
+	// Shared read-only by the ranks: array j's row-major strides over the
+	// dimensions it spans, at arrStrides[j*d:], with 0 at dimension j, the
+	// phase labels, and the largest fiber.
+	arrStrides := make([]int, d*d)
+	for j := range d {
+		blockStrides(arrStrides[j*d:(j+1)*d], pr.N, j)
+	}
+	phases := make([]string, d)
+	for j := range d - 1 {
+		phases[j] = fmt.Sprintf("gather-%d", j)
+	}
+	phases[d-1] = "reduce-out"
+	maxFiber := slices.Max(g.Dims)
 	chunks := make([][]float64, p)
 	runErr := w.Run(func(r *machine.Rank) {
-		coords := g.Coords(r.ID())
-		// Brick ranges per dimension.
-		lo := make([]int, d)
-		sz := make([]int, d)
-		for i := 0; i < d; i++ {
-			lo[i] = matrix.PartStart(pr.N[i], g.Dims[i], coords[i])
-			sz[i] = matrix.PartSize(pr.N[i], g.Dims[i], coords[i])
+		// The slab holds the rank's coordinates, its brick's start and
+		// size, each block's strides over the brick (laid out as
+		// arrStrides) and offset in the float buffer, a point of the
+		// brick, and one fiber's members and share counts.
+		slab := make([]int, d*d+5*d+2*maxFiber)
+		coords, slab := g.coordsOf(r.ID(), slab[:d]), slab[d:]
+		lo, slab := slab[:d], slab[d:]
+		sz, slab := slab[:d], slab[d:]
+		blkStrides, slab := slab[:d*d], slab[d*d:]
+		base, slab := slab[:d], slab[d:]
+		point, slab := slab[:d], slab[d:]
+		members, counts := slab[:maxFiber], slab[maxFiber:]
+		brick(pr, g, coords, lo, sz)
+		size := 0
+		for j := range d {
+			base[j] = size
+			size += blockStrides(blkStrides[j*d:(j+1)*d], sz, j)
 		}
+		buf := r.GetBuffer(size)
 
 		// Gather each input-array block over its fiber.
-		blocks := make([][]float64, d)
-		blockDims := make([][]int, d)
-		for j := 0; j < d; j++ {
-			blockDims[j] = blockExtents(sz, j)
-		}
-		for j := 0; j < d-1; j++ {
-			packed := extractBlock(full.Data[j], arrayDims(pr, j), bounds(lo, sz, j))
-			counts := matrix.PartSizes(make([]int, g.Dims[j]), len(packed))
-			off := matrix.PartStart(len(packed), g.Dims[j], coords[j])
-			share := packed[off : off+counts[coords[j]]]
+		for j := range d - 1 {
+			blk := buf[base[j]:base[j+1]]
+			cnt := matrix.PartSizes(counts[:g.Dims[j]], len(blk))
+			at := matrix.PartStart(len(blk), g.Dims[j], coords[j])
+			end := at + cnt[coords[j]]
+			for k := at; k < end; k++ {
+				blk[k] = full.Data[j][blockWord(k, arrStrides[j*d:(j+1)*d], lo, sz, j)]
+			}
 			var grp collective.Group
-			grp.Init(r, g.Fiber(r.ID(), j), j+1, collective.Auto)
-			r.SetPhase(fmt.Sprintf("gather-%d", j))
-			blocks[j] = grp.AllGatherVInto(share, counts, make([]float64, len(packed)))
-			r.GrowMemory(float64(len(blocks[j])))
+			grp.Init(r, g.fiberOf(coords, j, members[:g.Dims[j]]), j+1, collective.Auto)
+			r.SetPhase(phases[j])
+			grp.AllGatherVInto(blk[at:end], cnt, blk)
+			r.GrowMemory(float64(len(blk)))
 		}
 		r.SetPhase("")
 
-		// Local computation over the brick.
-		outDims := blockDims[d-1]
-		outStrides := strides(outDims)
-		out := make([]float64, volume(outDims))
+		// Local computation over the brick, accumulating the output block.
+		out := buf[base[d-1]:]
+		clear(out)
 		r.GrowMemory(float64(len(out)))
-		inStrides := make([][]int, d-1)
-		for j := 0; j < d-1; j++ {
-			inStrides[j] = strides(blockDims[j])
-		}
-		point := make([]int, d)
 		flops := 1.0
 		for _, s := range sz {
 			flops *= float64(s)
 		}
 		r.Compute(flops * float64(d-1))
-		if flops > 0 {
-			for {
-				prod := 1.0
-				for j := 0; j < d-1; j++ {
-					prod *= blocks[j][localOffset(point, j, inStrides[j])]
-				}
-				out[localOffset(point, d-1, outStrides)] += prod
-				i := d - 1
-				for ; i >= 0; i-- {
-					point[i]++
-					if point[i] < sz[i] {
-						break
-					}
-					point[i] = 0
-				}
-				if i < 0 {
-					break
-				}
+		for {
+			prod := 1.0
+			for j := range d - 1 {
+				prod *= buf[base[j]+dot(point, blkStrides[j*d:(j+1)*d])]
+			}
+			out[dot(point, blkStrides[(d-1)*d:])] += prod
+			if !next(point, sz) {
+				break
 			}
 		}
 
-		// Reduce-Scatter the output block over its fiber.
-		counts := matrix.PartSizes(make([]int, g.Dims[d-1]), len(out))
+		// Reduce-Scatter the output block over its fiber; it is dead once
+		// reduced, so it serves as its own scratch.
+		cnt := matrix.PartSizes(counts[:g.Dims[d-1]], len(out))
+		mine := make([]float64, cnt[coords[d-1]])
 		var grp collective.Group
-		grp.Init(r, g.Fiber(r.ID(), d-1), d+1, collective.Auto)
-		r.SetPhase("reduce-out")
-		chunks[r.ID()] = grp.ReduceScatterV(out, counts)
+		grp.Init(r, g.fiberOf(coords, d-1, members[:g.Dims[d-1]]), d+1, collective.Auto)
+		r.SetPhase(phases[d-1])
+		chunks[r.ID()] = grp.ReduceScatterVInto(out, cnt, mine, out)
 		r.SetPhase("")
+		r.PutBuffer(buf)
 	})
 	if runErr != nil {
 		return nil, runErr
@@ -223,154 +199,85 @@ func Run(pr Problem, g Grid, seed uint64, cfg machine.Config) (*SimResult, error
 	return &SimResult{Output: output, Stats: w.Stats(), Grid: g}, nil
 }
 
-// bounds returns per-dimension (lo, size) pairs of array j's block,
-// skipping dimension j.
-func bounds(lo, sz []int, j int) [][2]int {
-	var out [][2]int
-	for i := range lo {
+// brick writes into lo and sz the start and extent, per dimension, of the
+// brick of the iteration space that the rank at coords computes.
+func brick(pr Problem, g Grid, coords, lo, sz []int) {
+	for i := range coords {
+		lo[i] = matrix.PartStart(pr.N[i], g.Dims[i], coords[i])
+		sz[i] = matrix.PartSize(pr.N[i], g.Dims[i], coords[i])
+	}
+}
+
+// blockStrides writes into s the row-major strides of the cuboid with
+// extents ext less dimension j, one per dimension and 0 at j, and returns
+// the cuboid's size: the layout of array j over the whole space, or of its
+// block over a brick.
+func blockStrides(s, ext []int, j int) int {
+	acc := 1
+	for i := len(ext) - 1; i >= 0; i-- {
+		s[i] = 0
 		if i != j {
-			out = append(out, [2]int{lo[i], sz[i]})
+			s[i] = acc
+			acc *= ext[i]
 		}
 	}
-	return out
+	return acc
 }
 
-// blockExtents returns sz with entry j removed.
-func blockExtents(sz []int, j int) []int {
-	var out []int
-	for i, s := range sz {
+// blockWord returns the offset, in array j with strides s, of word w of the
+// array's block that the brick (lo, sz) spans.
+func blockWord(w int, s, lo, sz []int, j int) int {
+	off := 0
+	for i := len(sz) - 1; i >= 0; i-- {
 		if i != j {
-			out = append(out, s)
+			off += (lo[i] + w%sz[i]) * s[i]
+			w /= sz[i]
 		}
 	}
-	return out
+	return off
 }
 
-// volume multiplies extents.
-func volume(dims []int) int {
-	v := 1
-	for _, d := range dims {
-		v *= d
-	}
-	return v
-}
-
-// localOffset maps brick-local point coordinates to the offset within the
-// block of array j (which omits dimension j).
-func localOffset(point []int, j int, strd []int) int {
-	o, s := 0, 0
-	for i := range point {
-		if i == j {
-			continue
-		}
-		o += point[i] * strd[s]
-		s++
+// dot returns the offset of point under strides s.
+func dot(point, s []int) int {
+	o := 0
+	for i, v := range point {
+		o += v * s[i]
 	}
 	return o
 }
 
-// extractBlock copies the sub-cuboid of a flat row-major array given
-// per-dimension (lo, size) bounds.
-func extractBlock(data []float64, dims []int, b [][2]int) []float64 {
-	strd := strides(dims)
-	out := make([]float64, 0, volumeOfBounds(b))
-	point := make([]int, len(b))
-	if volumeOfBounds(b) == 0 {
-		return out
+// next advances point to the next point of the cuboid with extents ext,
+// last dimension fastest, and reports false once it wraps back to the
+// origin.
+func next(point, ext []int) bool {
+	for i := len(point) - 1; i >= 0; i-- {
+		point[i]++
+		if point[i] < ext[i] {
+			return true
+		}
+		point[i] = 0
 	}
-	for {
-		o := 0
-		for i := range point {
-			o += (b[i][0] + point[i]) * strd[i]
-		}
-		out = append(out, data[o])
-		i := len(point) - 1
-		for ; i >= 0; i-- {
-			point[i]++
-			if point[i] < b[i][1] {
-				break
-			}
-			point[i] = 0
-		}
-		if i < 0 {
-			return out
-		}
-	}
+	return false
 }
 
-func volumeOfBounds(b [][2]int) int {
-	v := 1
-	for _, x := range b {
-		v *= x[1]
-	}
-	return v
-}
-
-// writeBlock writes packed into the sub-cuboid of a flat row-major array.
-func writeBlock(data []float64, dims []int, b [][2]int, packed []float64) {
-	strd := strides(dims)
-	if volumeOfBounds(b) == 0 {
-		return
-	}
-	point := make([]int, len(b))
-	idx := 0
-	for {
-		o := 0
-		for i := range point {
-			o += (b[i][0] + point[i]) * strd[i]
-		}
-		data[o] = packed[idx]
-		idx++
-		i := len(point) - 1
-		for ; i >= 0; i-- {
-			point[i]++
-			if point[i] < b[i][1] {
-				break
-			}
-			point[i] = 0
-		}
-		if i < 0 {
-			return
-		}
-	}
-}
-
-// assembleOutput reconstructs the global output array from per-rank
-// reduce-scatter chunks: for each output block (fixed coords on all axes
-// except d−1), concatenate the chunks of the axis-(d−1) fiber in order.
+// assembleOutput reconstructs the global output array from the ranks'
+// Reduce-Scatter chunks: each rank's chunk is its share, by packed word
+// range over its output fiber, of the output block its brick spans.
 func assembleOutput(pr Problem, g Grid, chunks [][]float64) []float64 {
 	d := pr.D()
-	outDims := arrayDims(pr, d-1)
-	output := make([]float64, int(pr.ArraySize(d-1)))
-	// Iterate over all grid cells with coords[d-1] = 0; each defines one
-	// output block.
-	coords := make([]int, d)
-	for {
-		// Compute the block bounds of this cell.
-		lo := make([]int, d)
-		sz := make([]int, d)
-		for i := 0; i < d; i++ {
-			lo[i] = matrix.PartStart(pr.N[i], g.Dims[i], coords[i])
-			sz[i] = matrix.PartSize(pr.N[i], g.Dims[i], coords[i])
+	scratch := make([]int, 4*d)
+	s, coords, lo, sz := scratch[:d], scratch[d:2*d], scratch[2*d:3*d], scratch[3*d:]
+	output := make([]float64, blockStrides(s, pr.N, d-1))
+	for r, chunk := range chunks {
+		brick(pr, g, g.coordsOf(r, coords), lo, sz)
+		size := 1
+		for _, n := range sz[:d-1] {
+			size *= n
 		}
-		var packed []float64
-		for v := 0; v < g.Dims[d-1]; v++ {
-			coords[d-1] = v
-			packed = append(packed, chunks[g.Rank(coords)]...)
-		}
-		coords[d-1] = 0
-		writeBlock(output, outDims, bounds(lo, sz, d-1), packed)
-		// Next cell (skip axis d-1).
-		i := d - 2
-		for ; i >= 0; i-- {
-			coords[i]++
-			if coords[i] < g.Dims[i] {
-				break
-			}
-			coords[i] = 0
-		}
-		if i < 0 {
-			return output
+		at := matrix.PartStart(size, g.Dims[d-1], coords[d-1])
+		for k, v := range chunk {
+			output[blockWord(at+k, s, lo, sz, d-1)] = v
 		}
 	}
+	return output
 }

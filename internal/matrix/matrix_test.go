@@ -311,14 +311,19 @@ func TestPartSizeStartAgreeWithPartition(t *testing.T) {
 	}
 }
 
-func TestBlockOfSetBlockRoundTrip(t *testing.T) {
+// TestBlockViewTilesMatrix: the blocks of a balanced partition, copied
+// back at their offsets, rebuild the matrix, and each one aliases it.
+func TestBlockViewTilesMatrix(t *testing.T) {
 	m := Indexed(10, 13)
 	out := New(10, 13)
 	pr, pc := 3, 4
 	for i := 0; i < pr; i++ {
 		for j := 0; j < pc; j++ {
-			blk := BlockOf(m, pr, pc, i, j)
-			out.View(PartStart(10, pr, i), PartStart(13, pc, j), blk.Rows(), blk.Cols()).CopyFrom(blk)
+			blk := BlockView(m, pr, pc, i, j)
+			out.View(PartStart(10, pr, i), PartStart(13, pc, j), blk.Rows(), blk.Cols()).CopyFrom(&blk)
+			if &blk.Row(0)[0] != &m.Row(PartStart(10, pr, i))[PartStart(13, pc, j)] {
+				t.Fatalf("block (%d, %d) does not alias the matrix", i, j)
+			}
 		}
 	}
 	if !out.Equal(m, 0) {

@@ -47,17 +47,9 @@ func PartSizes(counts []int, n int) []int {
 	return counts
 }
 
-// BlockOf returns the (i, j) block of m under a pr×pc balanced 2D block
-// partition, as a copy with contiguous storage.
-func BlockOf(m *Dense, pr, pc, i, j int) *Dense {
-	r0 := PartStart(m.Rows(), pr, i)
-	c0 := PartStart(m.Cols(), pc, j)
-	return m.View(r0, c0, PartSize(m.Rows(), pr, i), PartSize(m.Cols(), pc, j)).Clone()
-}
-
 // BlockView returns block (i, j) of the balanced pr×pc partition of m as a
-// view value: it aliases m's storage without copying or allocating. The
-// allocation-free counterpart of BlockOf for read-only block access.
+// view value: it aliases m's storage without copying or allocating, so a
+// rank body can hold it on its stack and pack from it.
 func BlockView(m *Dense, pr, pc, i, j int) Dense {
 	r0 := PartStart(m.Rows(), pr, i)
 	c0 := PartStart(m.Cols(), pc, j)
