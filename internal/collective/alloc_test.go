@@ -7,9 +7,9 @@ import (
 )
 
 // collectiveRun returns a closure running a fresh 8-rank world in which
-// every rank performs iters AllGatherVInto + ReduceScatterVInto rounds with
-// caller-held pooled buffers and a stack-allocated Group — the
-// steady-state pattern of the 3D algorithms.
+// every rank performs iters AllGatherVInto + AllToAllVInto +
+// ReduceScatterVInto rounds with caller-held pooled buffers and a
+// stack-allocated Group — the steady-state pattern of the 3D algorithms.
 func collectiveRun(t *testing.T, iters int) func() {
 	const p = 8
 	const blockLen = 64
@@ -33,6 +33,7 @@ func collectiveRun(t *testing.T, iters int) func() {
 			}
 			for i := 0; i < iters; i++ {
 				g.AllGatherVInto(my, counts, gathered)
+				g.AllToAllVInto(gathered, counts, scratch)
 				g.ReduceScatterVInto(gathered, counts, chunk, scratch)
 			}
 			r.PutBuffer(my)
@@ -48,9 +49,10 @@ func collectiveRun(t *testing.T, iters int) func() {
 
 // TestCollectiveSteadyStateAllocs pins the allocation cost of the
 // collective hot path: with caller-provided output and scratch buffers,
-// AllGatherVInto and ReduceScatterVInto must not allocate per call — the
-// ring loops receive into pooled network buffers that are recycled
-// immediately, and block offsets are walked rather than stored.
+// AllGatherVInto, AllToAllVInto and ReduceScatterVInto must not allocate
+// per call — the loops receive into pooled network buffers that are
+// recycled immediately, or straight into the output, and block offsets
+// are walked rather than stored.
 func TestCollectiveSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts shift under -race instrumentation")
@@ -59,10 +61,10 @@ func TestCollectiveSteadyStateAllocs(t *testing.T) {
 	heavy := testing.AllocsPerRun(10, collectiveRun(t, 18))
 	perIter := (heavy - base) / 16
 	if perIter > 0.1 {
-		t.Errorf("steady-state AllGatherVInto+ReduceScatterVInto allocates %.3f allocs/round (base run %.1f, heavy run %.1f); want ~0", perIter, base, heavy)
+		t.Errorf("steady-state AllGatherVInto+AllToAllVInto+ReduceScatterVInto allocates %.3f allocs/round (base run %.1f, heavy run %.1f); want ~0", perIter, base, heavy)
 	}
 	// Absolute ceiling for the whole 8-rank run: world construction plus
-	// per-rank group setup. Each round moves 2·(p-1)·64 words through 14
+	// per-rank group setup. Each round moves 3·(p-1)·64 words through 21
 	// messages per rank; pre-pooling those cost hundreds of allocs.
 	if heavy > 400 {
 		t.Errorf("8-rank world with 18 collective rounds costs %.1f allocs, want <= 400", heavy)
