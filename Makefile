@@ -9,7 +9,7 @@ test:
 	$(GO) test ./...
 
 # The scheduler and the algorithms on it run at -cpu 1,4, so the
-# multi-worker pool paths (the golden suite included) are raced on any host.
+# multi-shard paths (the golden suite included) are raced on any host.
 race:
 	$(GO) test -race -cpu 1,4 ./internal/machine/... ./internal/algs/...
 	$(GO) test -race ./internal/collective/... \

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/algs"
 	"repro/internal/benchrec"
-	"repro/internal/caps"
 	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -496,7 +495,7 @@ func BenchmarkCAPS(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(caps.FastLeadingTerm(56, 49), "fast-floor-words")
+	b.ReportMetric(core.FastMatmulLeading(56, 49, core.OmegaStrassen), "fast-floor-words")
 }
 
 // BenchmarkModelRobustness regenerates the αβγ/BSP/LPRAM artifact (E14).

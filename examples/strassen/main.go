@@ -41,7 +41,7 @@ func main() {
 			classical = 3 * core.LeadingTerm(core.Square(n), p)
 		}
 		fmt.Printf("%-4d %-8d %20.0f %20.0f %24.0f\n",
-			p, levels, res.CommCost(), caps.FastLeadingTerm(n, p), classical)
+			p, levels, res.CommCost(), core.FastMatmulLeading(n, p, core.OmegaStrassen), classical)
 		p *= 7
 	}
 	fmt.Println("\nper-rank volumes equal the BFS schedule's counting twin exactly, and the")

@@ -146,18 +146,24 @@ func run(name string, d core.Dims, g grid.Grid, opts Opts, body func(*machine.Ra
 // (i1, i3) block of C under the balanced P1×P3 partition is the
 // concatenation, in Axis2 fiber order, of the chunks held by ranks
 // (i1, ·, i3). The 2D and 1D algorithms are the P2 = 1 case: each rank's
-// chunk is its whole block.
+// chunk is its whole block. Each chunk is copied straight into its rows of
+// C, continuing where the previous chunk of the block stopped.
 func assembleC(d core.Dims, g grid.Grid, chunks [][]float64) *matrix.Dense {
 	c := matrix.New(d.N1, d.N3)
 	for i1 := 0; i1 < g.P1; i1++ {
 		for i3 := 0; i3 < g.P3; i3++ {
 			r0, h := blockRange(d.N1, g.P1, i1)
 			c0, wd := blockRange(d.N3, g.P3, i3)
-			packed := make([]float64, 0, h*wd)
+			k := 0 // words of the block written, in row-major order
 			for i2 := 0; i2 < g.P2; i2++ {
-				packed = append(packed, chunks[g.Rank(i1, i2, i3)]...)
+				for chunk := chunks[g.Rank(i1, i2, i3)]; len(chunk) > 0; {
+					n := copy(c.Row(r0 + k/wd)[c0+k%wd:c0+wd], chunk)
+					chunk, k = chunk[n:], k+n
+				}
 			}
-			c.View(r0, c0, h, wd).Unpack(packed)
+			if k != h*wd {
+				panic(fmt.Sprintf("algs: block (%d, %d) of C got %d words, want %d", i1, i3, k, h*wd))
+			}
 		}
 	}
 	return c

@@ -30,7 +30,6 @@ package caps
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -165,10 +164,4 @@ func countNode(groupStart, q, n int, recv []float64) {
 			}
 		}
 	}
-}
-
-// FastLeadingTerm returns n²/P^{2/ω0}, the fast memory-independent leading
-// term CAPS tracks (Ballard et al. 2012b).
-func FastLeadingTerm(n, p int) float64 {
-	return float64(n) * float64(n) / math.Pow(float64(p), 2/math.Log2(7))
 }

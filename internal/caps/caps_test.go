@@ -170,7 +170,7 @@ func TestCAPSBeatsClassicalBoundShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast := FastLeadingTerm(n, p)
+	fast := core.FastMatmulLeading(n, p, core.OmegaStrassen)
 	classical := 3 * core.LeadingTerm(core.Square(n), p)
 	if fast >= classical {
 		t.Fatalf("fast floor %v not below classical bound %v", fast, classical)
@@ -197,7 +197,7 @@ func TestCAPSScalesLikeFastExponent(t *testing.T) {
 		t.Fatal(err)
 	}
 	gotRatio := r1.CommCost() / r2.CommCost()
-	fastRatio := FastLeadingTerm(n, 7) / FastLeadingTerm(n, 49)
+	fastRatio := core.FastMatmulLeading(n, 7, core.OmegaStrassen) / core.FastMatmulLeading(n, 49, core.OmegaStrassen)
 	if math.Abs(gotRatio-fastRatio)/fastRatio > 0.6 {
 		t.Fatalf("volume ratio P7/P49 = %.3f, fast-exponent prediction %.3f", gotRatio, fastRatio)
 	}

@@ -53,7 +53,7 @@ func CAPSExperiment(n int) (Artifact, error) {
 			fmt.Sprintf("%d", levels),
 			report.Num(res.CommCost()),
 			report.Num(maxPred),
-			report.Num(caps.FastLeadingTerm(n, p)),
+			report.Num(core.FastMatmulLeading(n, p, core.OmegaStrassen)),
 			report.Num(classical),
 			fmt.Sprintf("%.3f", mults/(float64(n)*float64(n)*float64(n))),
 		)

@@ -7,9 +7,10 @@ import (
 )
 
 // TestRunAllocsPerRank pins what a whole Run allocates per rank once the
-// arena is warm, about 5.7 objects at d = 3 and d = 4: the rank's task
+// arena is warm, about 5.6 objects at d = 3 and d = 4: the rank's task
 // goroutine and channel, its phase entries, its int slab and its chunk of
-// the output, plus the run's share of the arrays it builds and assembles.
+// the output, plus the run's share of the input arrays it draws and the
+// output it assembles.
 // Each rank packs only its share of each input block into a pooled buffer,
 // gathers and reduces in place, and reads its tables from the slab; a
 // packed copy of a block, a fresh gather output or member list, or an

@@ -31,12 +31,17 @@ func NewArrays(pr Problem) *Arrays {
 // zeroes the output.
 func (a *Arrays) Randomize(seed uint64) {
 	for j := 0; j < a.pr.D()-1; j++ {
-		m := matrix.Random(1, len(a.Data[j]), seed+uint64(j))
-		copy(a.Data[j], m.Row(0))
+		copy(a.Data[j], input(a.pr, j, seed))
 	}
 	for i := range a.Data[a.pr.D()-1] {
 		a.Data[a.pr.D()-1][i] = 0
 	}
+}
+
+// input returns input array j of pr drawn from seed: the values Randomize
+// fills in and Run distributes.
+func input(pr Problem, j int, seed uint64) []float64 {
+	return matrix.Random(1, int(pr.ArraySize(j)), seed+uint64(j)).Row(0)
 }
 
 // Serial computes the reference result: for every lattice point, multiply
@@ -99,8 +104,12 @@ func Run(pr Problem, g Grid, seed uint64, cfg machine.Config) (*SimResult, error
 			return nil, fmt.Errorf("extension: grid %v exceeds dims %v: %w", g, pr.N, core.ErrGridMismatch)
 		}
 	}
-	full := NewArrays(pr)
-	full.Randomize(seed)
+	// Only the inputs are drawn; the output is assembled from the ranks'
+	// chunks.
+	inputs := make([][]float64, d-1)
+	for j := range inputs {
+		inputs[j] = input(pr, j, seed)
+	}
 
 	p := g.Size()
 	w, err := machine.New(p, cfg)
@@ -149,7 +158,7 @@ func Run(pr Problem, g Grid, seed uint64, cfg machine.Config) (*SimResult, error
 			at := matrix.PartStart(len(blk), g.Dims[j], coords[j])
 			end := at + cnt[coords[j]]
 			for k := at; k < end; k++ {
-				blk[k] = full.Data[j][blockWord(k, arrStrides[j*d:(j+1)*d], lo, sz, j)]
+				blk[k] = inputs[j][blockWord(k, arrStrides[j*d:(j+1)*d], lo, sz, j)]
 			}
 			var grp collective.Group
 			grp.Init(r, g.fiberOf(coords, j, members[:g.Dims[j]]), j+1, collective.Auto)

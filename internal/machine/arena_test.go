@@ -18,7 +18,7 @@ import (
 // block, 64 words each here) stays under three block buffers (2.36);
 // packing whole blocks beside the gathered panels, and reducing through
 // extra scratch, held about four, and holding one more block per rank
-// reads 3.25. The pool is one wide: each further shard's cache can strand
+// reads 3.25. The world has one shard: each further shard's cache can strand
 // buffers another shard then allocates afresh, which moved the reading by
 // up to 0.3 from run to run.
 func TestAlg1RankHoldsOnlyItsBlocks(t *testing.T) {

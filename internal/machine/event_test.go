@@ -10,16 +10,17 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 )
 
-// testWorld creates a world on a scheduler pool of the given width (below
+// testWorld creates a world on a scheduler of the given shard count (below
 // one: GOMAXPROCS), failing the test on construction errors. Pinning the
-// width exercises the multi-worker paths on any host.
-func testWorld(t *testing.T, p int, cfg Config, workers int) *World {
+// count exercises the multi-shard paths on any host.
+func testWorld(t *testing.T, p int, cfg Config, shards int) *World {
 	t.Helper()
-	w, err := newWorld(p, cfg, workers)
+	w, err := newWorld(p, cfg, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,13 +53,15 @@ func TestNewValidatesCosts(t *testing.T) {
 	}
 }
 
-// TestIdleWorkerDoesNotSpin is the regression test for a busy-spin in the
-// worker pool. A verifier that stood down for another shard's pending
-// wakeup used to re-park and re-verify in a loop until that shard's worker
-// got a CPU, so with every P busy each cross-shard handoff cost about one
-// preemption slice (~10 ms). One P, two workers and a cross-shard
-// ping-pong put every round trip on that path: 50 round trips took over
-// two seconds with the spin and take well under a millisecond without it.
+// TestIdleWorkerDoesNotSpin pins the cost of a cross-shard handoff with
+// every P busy. It was written for a busy-spin in the worker pool an
+// earlier scheduler kept beside the tasks: a deadlock verifier that stood
+// down for another shard's pending wakeup re-verified in a loop until that
+// shard's worker got a CPU, so each cross-shard handoff cost about one
+// preemption slice (~10 ms). One P, two shards and a cross-shard
+// ping-pong put every round trip on a handoff: 50 round trips took over
+// two seconds with the spin and take well under a millisecond when the
+// sender resumes the receiver itself.
 func TestIdleWorkerDoesNotSpin(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const rounds = 50
@@ -84,15 +87,15 @@ func TestIdleWorkerDoesNotSpin(t *testing.T) {
 		t.Errorf("total messages = %v, want %d", got, 2*rounds)
 	}
 	if elapsed > 200*time.Millisecond {
-		t.Fatalf("%d cross-shard round trips on one P took %v, want < 200ms: idle workers are spinning", rounds, elapsed)
+		t.Fatalf("%d cross-shard round trips on one P took %v, want < 200ms: a cross-shard handoff waits for the Go scheduler", rounds, elapsed)
 	}
 }
 
 // TestEventEngineStatsBitIdentical runs a body exercising every Rank
 // operation — tagged sends consumed out of order, SendRecv exchanges,
 // phases, compute, memory accounting — and requires the full WorldStats to
-// match, bit for bit, the stats pinned below, on a one-worker and a
-// multi-worker pool. They were captured by running this body on the
+// match, bit for bit, the stats pinned below, on a one-shard and a
+// multi-shard scheduler. They were captured by running this body on the
 // scheduler before Barrier was removed, so they also pin that the removal
 // changed nothing else.
 func TestEventEngineStatsBitIdentical(t *testing.T) {
@@ -154,21 +157,21 @@ func TestEventEngineStatsBitIdentical(t *testing.T) {
 		MaxWordsSent:   28,
 		MaxPeakMemory:  96,
 	}
-	for _, workers := range []int{1, 4} {
-		w := testWorld(t, p, Config{Alpha: 2, Beta: 0.5, Gamma: 0.125}, workers)
+	for _, shards := range []int{1, 4} {
+		w := testWorld(t, p, Config{Alpha: 2, Beta: 0.5, Gamma: 0.125}, shards)
 		if err := w.Run(body); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		if got := w.Stats(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: WorldStats diverge from the pinned reference:\ngot:  %+v\nwant: %+v", workers, got, want)
+			t.Fatalf("shards=%d: WorldStats diverge from the pinned reference:\ngot:  %+v\nwant: %+v", shards, got, want)
 		}
 	}
 }
 
 // TestEventEngineDeadlockParity drives the deadlock suites and requires
 // the exact diagnostics pinned below: the verdict from the shared message
-// formatter, reported by the lowest panicking rank, on a one-worker and a
-// multi-worker pool.
+// formatter, reported by the lowest panicking rank, on a one-shard and a
+// multi-shard scheduler.
 func TestEventEngineDeadlockParity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -194,29 +197,30 @@ func TestEventEngineDeadlockParity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, workers := range []int{1, 4} {
-				err := testWorld(t, tc.p, BandwidthOnly(), workers).Run(tc.body)
+			for _, shards := range []int{1, 4} {
+				err := testWorld(t, tc.p, BandwidthOnly(), shards).Run(tc.body)
 				if err == nil || err.Error() != tc.want {
-					t.Fatalf("workers=%d: diagnostic\ngot:  %v\nwant: %s", workers, err, tc.want)
+					t.Fatalf("shards=%d: diagnostic\ngot:  %v\nwant: %s", shards, err, tc.want)
 				}
 			}
 		})
 	}
 }
 
-// TestEventEngineWorkerPoolStress forces a multi-worker pool (the default
-// on a single-CPU host is one worker, which would serialize everything)
-// and floods it with cross-shard traffic and out-of-order tag consumption.
-// Run under -race in CI, this is the test that exercises the scheduler's
-// cross-worker handoffs: senders on one shard requeueing receivers pinned
-// to another, and the parked-counter quiescence protocol.
+// TestEventEngineWorkerPoolStress forces a multi-shard scheduler (the
+// default on a single-CPU host is one shard, which would serialize
+// everything) and floods it with cross-shard traffic and out-of-order tag
+// consumption. Run under -race in CI, this is the test that exercises the
+// scheduler's cross-shard handoffs: senders on one shard resuming or
+// queueing receivers pinned to another, and tokens freed and taken as
+// shards go idle and wake.
 func TestEventEngineWorkerPoolStress(t *testing.T) {
 	const (
 		p      = 32
 		rounds = 6
 	)
-	for _, workers := range []int{2, 4, 7} {
-		w := testWorld(t, p, BandwidthOnly(), workers)
+	for _, shards := range []int{2, 4, 7} {
+		w := testWorld(t, p, BandwidthOnly(), shards)
 		err := w.Run(func(r *Rank) {
 			me := r.ID()
 			for round := 0; round < rounds; round++ {
@@ -233,17 +237,18 @@ func TestEventEngineWorkerPoolStress(t *testing.T) {
 			}
 		})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		if got := w.Stats().TotalMessages; got != p*rounds*3 {
-			t.Errorf("workers=%d: total messages = %v, want %d", workers, got, p*rounds*3)
+			t.Errorf("shards=%d: total messages = %v, want %d", shards, got, p*rounds*3)
 		}
 	}
 }
 
-// TestEventEngineDeadlockUnderManyWorkers verifies quiescence detection
-// with a pool wider than one: the last parking worker must verify and
-// abort the world even when the blocked tasks span several shards.
+// TestEventEngineDeadlockUnderManyWorkers verifies deadlock detection on
+// several shards: the task that frees the last held token must declare
+// the deadlock and abort the world even when the blocked tasks span
+// several shards.
 func TestEventEngineDeadlockUnderManyWorkers(t *testing.T) {
 	w := testWorld(t, 16, BandwidthOnly(), 4)
 	err := w.Run(func(r *Rank) {
@@ -251,6 +256,42 @@ func TestEventEngineDeadlockUnderManyWorkers(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("expected deadlock error, got %v", err)
+	}
+}
+
+// TestPanicResumesPeersOnIdleShards: rank 7 of 8 panics once ranks 0–6
+// have sent to it and parked in Recv, most of them on shards whose token is
+// free. fail must requeue each parked rank and hand every idle shard's
+// token to its first requeued task, so all of them abort on the panic. A
+// fail that requeues them without handing the token over leaves them
+// queued on idle shards until the last token is released, and the world
+// ends on a deadlock verdict instead.
+func TestPanicResumesPeersOnIdleShards(t *testing.T) {
+	const p = 8
+	const want = "rank 0: machine: aborted: rank 7 panicked: boom"
+	for _, shards := range []int{1, 2, 4, 7} {
+		err := testWorld(t, p, BandwidthOnly(), shards).Run(func(r *Rank) {
+			if r.ID() < p-1 {
+				r.Send(p-1, 0, []float64{1})
+				r.Recv(p-1, 1)
+				return
+			}
+			for src := 0; src < p-1; src++ {
+				r.PutBuffer(r.Recv(src, 0))
+			}
+			panic("boom")
+		})
+		if err == nil || err.Error() != want {
+			t.Errorf("shards=%d: Run error\ngot:  %v\nwant: %s", shards, err, want)
+		}
+	}
+}
+
+// TestShardsFillWholeCacheLines: each shard is padded to whole 64-byte
+// cache lines, so tasks running on adjacent shards never write to one line.
+func TestShardsFillWholeCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(eventShard{}); size%64 != 0 {
+		t.Errorf("eventShard is %d bytes, not a whole number of 64-byte cache lines", size)
 	}
 }
 
@@ -357,8 +398,8 @@ func TestConcurrentWorldsNeverShareACache(t *testing.T) {
 		}
 		r.PutBuffer(buf)
 	}
-	run := func(workers int) (WorldStats, error) {
-		w, err := newWorld(p, cfg, workers)
+	run := func(shards int) (WorldStats, error) {
+		w, err := newWorld(p, cfg, shards)
 		if err != nil {
 			return WorldStats{}, err
 		}
@@ -377,14 +418,14 @@ func TestConcurrentWorldsNeverShareACache(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < worlds; i++ {
-				workers := 2 + 2*((g+i)%2)
-				got, err := run(workers)
+				shards := 2 + 2*((g+i)%2)
+				got, err := run(shards)
 				if err != nil {
-					t.Errorf("goroutine %d world %d (workers=%d): %v", g, i, workers, err)
+					t.Errorf("goroutine %d world %d (shards=%d): %v", g, i, shards, err)
 					return
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("goroutine %d world %d (workers=%d): stats differ from the serial run", g, i, workers)
+					t.Errorf("goroutine %d world %d (shards=%d): stats differ from the serial run", g, i, shards)
 					return
 				}
 			}

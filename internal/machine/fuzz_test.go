@@ -8,8 +8,8 @@ import (
 )
 
 // FuzzScheduler holds the engine to its contract against a sequential
-// reference. It decodes a round-based rank program, runs it on pools of
-// width 1, 2, 3 and 8 and through interpret, and requires every rank's
+// reference. It decodes a round-based rank program, runs it on schedulers
+// of 1, 2, 3 and 8 shards and through interpret, and requires every rank's
 // stats and clock, the message each receive got, and the Run error to
 // agree exactly. The program never deadlocks; the same program with one
 // send dropped must deadlock with exactly the interpreter's verdict.
@@ -278,10 +278,10 @@ func interpret(prog *program) reference {
 	return ref
 }
 
-// runProgram runs prog on a pool of the given width and returns what
-// interpret returns, read off the engine.
-func runProgram(t *testing.T, prog *program, workers int) reference {
-	w := testWorld(t, prog.p, prog.cfg, workers)
+// runProgram runs prog on a scheduler of the given shard count and returns
+// what interpret returns, read off the engine.
+func runProgram(t *testing.T, prog *program, shards int) reference {
+	w := testWorld(t, prog.p, prog.cfg, shards)
 	got := make([][]int, prog.p)
 	err := w.Run(func(r *Rank) {
 		me := r.ID()
@@ -326,21 +326,21 @@ func runProgram(t *testing.T, prog *program, workers int) reference {
 	return out
 }
 
-// checkProgram runs prog on pools of width 1, 2, 3 and 8, fails t unless
-// each run matches interpret exactly, and returns the reference.
+// checkProgram runs prog on schedulers of 1, 2, 3 and 8 shards, fails t
+// unless each run matches interpret exactly, and returns the reference.
 func checkProgram(t *testing.T, prog *program) reference {
 	t.Helper()
 	want := interpret(prog)
-	for _, workers := range []int{1, 2, 3, 8} {
-		got := runProgram(t, prog, workers)
+	for _, shards := range []int{1, 2, 3, 8} {
+		got := runProgram(t, prog, shards)
 		if got.err != want.err {
-			t.Fatalf("workers=%d: Run error %q, want %q", workers, got.err, want.err)
+			t.Fatalf("shards=%d: Run error %q, want %q", shards, got.err, want.err)
 		}
 		if !reflect.DeepEqual(got.got, want.got) {
-			t.Fatalf("workers=%d: received message ids\ngot:  %v\nwant: %v", workers, got.got, want.got)
+			t.Fatalf("shards=%d: received message ids\ngot:  %v\nwant: %v", shards, got.got, want.got)
 		}
 		if !reflect.DeepEqual(got.stats, want.stats) {
-			t.Fatalf("workers=%d: rank stats\ngot:  %+v\nwant: %+v", workers, got.stats, want.stats)
+			t.Fatalf("shards=%d: rank stats\ngot:  %+v\nwant: %+v", shards, got.stats, want.stats)
 		}
 	}
 	return want
@@ -395,7 +395,7 @@ func seedProgram(p, cost, drop, book int, rounds ...seedRound) []byte {
 	return data
 }
 
-// schedulerSeeds are FuzzScheduler's seed programs. On a one-wide pool the
+// schedulerSeeds are FuzzScheduler's seed programs. On one shard the
 // ranks first run in id order, so a lower rank that receives before a
 // higher one sends is parked when the message arrives.
 func schedulerSeeds() [][]byte {

@@ -26,15 +26,17 @@
 //
 // # Scheduler
 //
-// Ranks run as cooperatively scheduled tasks multiplexed onto a small
-// worker pool (one worker per GOMAXPROCS, capped at P), suspending in Recv
-// and resuming when a matching message is delivered: as in the model,
-// ranks interact only through point-to-point messages. The Go scheduler
-// never sees more than a handful of runnable goroutines, there are no
-// per-rank condition variables, and deadlock detection is an exact, nearly
-// free check when the worker pool goes idle. A rank body may block only in
-// Recv: anything else that waits on another rank (a channel, a mutex held
-// across ranks) stalls its whole shard. See event_engine.go.
+// Ranks run as cooperatively scheduled tasks, suspending in Recv and
+// resuming when a matching message is delivered: as in the model, ranks
+// interact only through point-to-point messages. They are pinned to W
+// shards (W = GOMAXPROCS, capped at P), each with one execution token, and
+// the tasks pass the tokens among themselves, so the Go scheduler never
+// sees more than W runnable goroutines and the simulator starts no
+// goroutine but one per rank. Deadlock detection is exact and free: the
+// task that releases the last held token with ranks unfinished declares
+// it. A rank body may block only in Recv: anything else that waits on
+// another rank (a channel, a mutex held across ranks) stalls its whole
+// shard. See event_engine.go.
 package machine
 
 import (
@@ -137,10 +139,10 @@ type World struct {
 // core.ErrBadOpts.
 func New(p int, cfg Config) (*World, error) { return newWorld(p, cfg, 0) }
 
-// newWorld is New with an explicit scheduler pool width; workers below one
-// select GOMAXPROCS. Tests pin the width to exercise multi-worker paths on
+// newWorld is New with an explicit scheduler shard count; shards below one
+// select GOMAXPROCS. Tests pin the count to exercise multi-shard paths on
 // any host.
-func newWorld(p int, cfg Config, workers int) (*World, error) {
+func newWorld(p int, cfg Config, shards int) (*World, error) {
 	if err := checkRankCount(p); err != nil {
 		return nil, err
 	}
@@ -148,7 +150,7 @@ func newWorld(p int, cfg Config, workers int) (*World, error) {
 		return nil, err
 	}
 	w := &World{p: p, cfg: cfg}
-	w.eng = newEventEngine(w, workers)
+	w.eng = newEventEngine(w, shards)
 	// Ranks are allocated in one block, each bound to its home shard;
 	// per-phase stat entries are created lazily on first use (see
 	// phaseEntry).

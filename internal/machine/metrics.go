@@ -10,7 +10,7 @@ var (
 	mWorlds = obs.Default.Counter("machine_worlds_total",
 		"Simulated worlds created.")
 	mDeadlocks = obs.Default.Counter("machine_deadlocks_total",
-		"Simulations aborted by the exact deadlock verifier.")
+		"Simulations aborted on an exact deadlock verdict.")
 	mSends = obs.Default.Striped("machine_sends_total",
 		"Point-to-point messages posted by simulated ranks.")
 	mRecvs = obs.Default.Striped("machine_recvs_total",

@@ -11,7 +11,7 @@ import (
 )
 
 // TestDirectDeliveriesAlg1 pins machine_direct_deliveries_total for
-// Algorithm 1 at 64³ on P = 64 on a one-wide pool, where the schedule, and
+// Algorithm 1 at 64³ on P = 64 on one shard, where the schedule, and
 // so which messages find their receiver parked for them, is fixed.
 func TestDirectDeliveriesAlg1(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

@@ -22,9 +22,9 @@ import (
 // returns, so worlds running at once never share a cache. Every get and
 // put of a rank goes to its home shard's cache, and only the holder of the
 // shard's execution token can reach it, so a cache takes no lock. With the
-// process-wide lock alone, every worker took that one mutex four to six
-// times per message, and spinning on it cost Algorithm 1 at P = 16384 29%
-// of its CPU.
+// process-wide lock alone, every running task took that one mutex four to
+// six times per message, and spinning on it cost Algorithm 1 at P = 16384
+// 29% of its CPU.
 //
 // A cache that misses refills up to refillBatch entries of the class from
 // the process-wide tier under its lock, and a put that grows a class past

@@ -220,8 +220,8 @@ func TestTraceNilAccessors(t *testing.T) {
 
 // TestRecordingIndependentOfPoolWidth: each rank appends to its own event
 // and phase-span logs and writes only its own traffic row, without a lock,
-// so a world records the same events, spans and traffic at every pool
-// width and on every run. Compute is free here, so its events tie in time
+// so a world records the same events, spans and traffic at every shard
+// count and on every run. Compute is free here, so its events tie in time
 // with their neighbours. Under -race this checks the lock-free recorders.
 func TestRecordingIndependentOfPoolWidth(t *testing.T) {
 	const p = 16
@@ -230,8 +230,8 @@ func TestRecordingIndependentOfPoolWidth(t *testing.T) {
 		phases  []PhaseSpan
 		traffic []float64
 	}
-	record := func(workers int) recording {
-		w := testWorld(t, p, Config{Beta: 1}, workers)
+	record := func(shards int) recording {
+		w := testWorld(t, p, Config{Beta: 1}, shards)
 		tr := w.EnableTracing()
 		tm := w.EnableTraffic()
 		err := w.Run(func(r *Rank) {
@@ -248,7 +248,7 @@ func TestRecordingIndependentOfPoolWidth(t *testing.T) {
 			}
 		})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		return recording{tr.Events(), tr.Phases(), tm.words}
 	}
@@ -256,9 +256,9 @@ func TestRecordingIndependentOfPoolWidth(t *testing.T) {
 	if len(want.events) != p*4*9 || len(want.phases) != p*4 {
 		t.Fatalf("recorded %d events and %d spans, want %d and %d", len(want.events), len(want.phases), p*4*9, p*4)
 	}
-	for _, workers := range []int{1, 2, 4, 7, 4} {
-		if got := record(workers); !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: recording differs from the one-worker run", workers)
+	for _, shards := range []int{1, 2, 4, 7, 4} {
+		if got := record(shards); !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d: recording differs from the one-shard run", shards)
 		}
 	}
 }
