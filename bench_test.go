@@ -137,7 +137,7 @@ func BenchmarkFigure2(b *testing.B) {
 func BenchmarkTightness(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Tightness(); err != nil {
+		if _, err := experiments.Tightness(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -177,7 +177,7 @@ func BenchmarkAlgorithms(b *testing.B) {
 func BenchmarkStrongScaling(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.StrongScaling(experiments.DefaultRectDims, []int{1, 4, 16, 64, 256}); err != nil {
+		if _, err := experiments.StrongScaling(context.Background(), experiments.DefaultRectDims, []int{1, 4, 16, 64, 256}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -423,8 +423,8 @@ func BenchmarkAblationLowMemChunks(b *testing.B) {
 	}
 }
 
-// BenchmarkFastMatmulContext regenerates the §2.3 fast-matmul artifact and
-// measures the Strassen kernel against the classical one.
+// BenchmarkFastMatmulContext regenerates the §2.3 fast-matmul artifact,
+// whose product check runs CAPS at two levels (49 ranks).
 func BenchmarkFastMatmulContext(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.FastMatmul(4096, []int{1, 64, 4096}); err != nil {
@@ -464,27 +464,10 @@ func BenchmarkCARMA(b *testing.B) {
 // BenchmarkRuntimeModel regenerates the model-vs-simulation artifact.
 func BenchmarkRuntimeModel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RuntimeModelContext(context.Background(), experiments.DefaultRectDims, experiments.DefaultRuntimeConfig, []int{1, 16, 512}); err != nil {
+		if _, err := experiments.RuntimeModel(context.Background(), experiments.DefaultRectDims, experiments.DefaultRuntimeConfig, []int{1, 16, 512}); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkStrassenKernel compares the local Strassen and classical
-// kernels' wall-clock at a size where the crossover is visible.
-func BenchmarkStrassenKernel(b *testing.B) {
-	a := matrix.Random(256, 256, 1)
-	bm := matrix.Random(256, 256, 2)
-	b.Run("Classical", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			matrix.Mul(a, bm)
-		}
-	})
-	b.Run("Strassen2", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			matrix.MulStrassen(a, bm, 2)
-		}
-	})
 }
 
 // BenchmarkCAPS runs the parallel-Strassen experiment (E15), reporting the

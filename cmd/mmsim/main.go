@@ -67,8 +67,8 @@ func parseFlags(args []string, errOut io.Writer) (cliConfig, error) {
 	return c, nil
 }
 
-// maxTrafficP bounds -traffic: the recorder holds a P×P float64 matrix
-// from the start of the run, 128 MiB at this P.
+// maxTrafficP bounds -traffic, which traces the run and sums the trace
+// into a P×P float64 matrix, 128 MiB at this P.
 const maxTrafficP = 4096
 
 // runSpec is a fully validated invocation: everything run needs, resolved
@@ -120,10 +120,9 @@ func resolve(c cliConfig) (runSpec, error) {
 			maxTrafficP, c.p, core.ErrBadOpts)
 	}
 	s.opts = algs.Opts{
-		Config:  machine.Config{Alpha: c.alpha, Beta: c.beta, Gamma: c.gamma},
-		Layers:  c.layers,
-		Trace:   c.trace != "" || c.timeline,
-		Traffic: c.traffic,
+		Config: machine.Config{Alpha: c.alpha, Beta: c.beta, Gamma: c.gamma},
+		Layers: c.layers,
+		Trace:  c.trace != "" || c.timeline || c.traffic,
 	}
 	if err := s.opts.Config.Validate(); err != nil {
 		return s, err
@@ -177,7 +176,6 @@ func run(s runSpec, out, errOut io.Writer) int {
 	tb := report.NewTable("", "algorithm", "grid", "words/proc", "ratio", "msgs/proc", "flops/proc", "peak mem", "critical path", "correct")
 	failed := false
 	var lastTrace *machine.Trace
-	var lastTraffic *machine.TrafficMatrix
 	for _, e := range s.entries {
 		res, err := e.Run(a, b, s.p, s.opts)
 		if err != nil {
@@ -190,7 +188,6 @@ func run(s runSpec, out, errOut io.Writer) int {
 			failed = true
 		}
 		lastTrace = res.Trace
-		lastTraffic = res.Traffic
 		maxMsgs, maxFlops := 0, 0.0
 		for _, rs := range res.Stats.Ranks {
 			if rs.MsgsRecv > maxMsgs {
@@ -215,10 +212,11 @@ func run(s runSpec, out, errOut io.Writer) int {
 	fmt.Fprint(out, tb.String())
 	// resolve admits the recording flags with one algorithm only; a failed
 	// run has nothing recorded.
-	if s.traffic && lastTraffic != nil {
+	if s.traffic && lastTrace != nil {
+		tm := lastTrace.Traffic()
 		fmt.Fprintln(out)
-		fmt.Fprint(out, lastTraffic.Heatmap())
-		fmt.Fprintf(out, "active pairs: %d of %d\n", lastTraffic.ActivePairs(), s.p*(s.p-1))
+		fmt.Fprint(out, tm.Heatmap())
+		fmt.Fprintf(out, "active pairs: %d of %d\n", tm.ActivePairs(), s.p*(s.p-1))
 	}
 	if s.timeline && lastTrace != nil {
 		fmt.Fprintln(out)

@@ -149,7 +149,7 @@ func TestFlagParsing(t *testing.T) {
 			name: "traffic at the P limit",
 			args: []string{"-traffic", "-n1", "64", "-n2", "64", "-n3", "64", "-p", "4096"},
 			check: func(t *testing.T, s runSpec) {
-				if !s.traffic || !s.opts.Traffic {
+				if !s.traffic || !s.opts.Trace {
 					t.Fatalf("traffic not recorded: %+v", s.opts)
 				}
 			},

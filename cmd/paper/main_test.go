@@ -9,9 +9,9 @@ import (
 )
 
 // artifactSHA256 pins the SHA-256 of each artifact's Text and CSV, in the
-// order paper prints them with no -only flag: experiments.All followed by
-// its two extras. A change that alters any table, chart or CSV of the
-// paper must update the digest it moves, on purpose.
+// order paper prints them with no -only flag, which is experiments.All's.
+// A change that alters any table, chart or CSV of the paper must update the
+// digest it moves, on purpose.
 var artifactSHA256 = []struct{ id, text, csv string }{
 	{"E1-table1", "eb3d43fddb2a860f22a6b4190baf816ede6303c8e2ba4f90deed667d26cfbc4a", "a627c9ac8669beb0814c95adbb0c3a1c691faee024c4e5717534490730076241"},
 	{"E2-lemma2", "14388a21612cafa1128743dc58fd47fd68c9e930f0473cff9e6f3432bd2a72d5", "bc701acf383006dacd1b826bb320f2038cd6d930a293af46710412d59c0b4897"},
@@ -68,6 +68,49 @@ func TestArtifactBytes(t *testing.T) {
 			if got := digest(a.CSV); got != want.csv {
 				t.Errorf("workers=%d %s: CSV SHA-256 %s, recorded %s", workers, a.ID, got, want.csv)
 			}
+		}
+	}
+}
+
+// TestOnlyMatchesDefaultRun: every -only name but fabricscale, which the
+// default run leaves out, selects artifacts the default run prints with
+// the same ID, Text and CSV, and each artifact of the default run answers
+// to exactly one name.
+func TestOnlyMatchesDefaultRun(t *testing.T) {
+	all, err := selectArtifacts("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := map[string]experiments.Artifact{}
+	for _, a := range all {
+		byID[a.ID] = a
+	}
+	selected := map[string]bool{}
+	for _, name := range experiments.Names() {
+		if name == "fabricscale" {
+			continue
+		}
+		arts, err := selectArtifacts(name)
+		if err != nil {
+			t.Errorf("-only %s: %v", name, err)
+			continue
+		}
+		if len(arts) == 0 {
+			t.Errorf("-only %s selects nothing", name)
+		}
+		for _, a := range arts {
+			if want, ok := byID[a.ID]; !ok || a != want {
+				t.Errorf("-only %s: %s differs from the default run's", name, a.ID)
+			}
+			if selected[a.ID] {
+				t.Errorf("-only %s: %s is listed under two names", name, a.ID)
+			}
+			selected[a.ID] = true
+		}
+	}
+	for _, a := range all {
+		if !selected[a.ID] {
+			t.Errorf("no -only name selects %s", a.ID)
 		}
 	}
 }

@@ -145,6 +145,9 @@ func main() {
 	os.Exit(exitCode)
 }
 
+// parseDims parses a comma-separated list of n1xn2xn3 shapes. A shape
+// core.Dims.Validate refuses, non-positive or too large for exact float64
+// products, is an error wrapping core.ErrBadDims.
 func parseDims(s string) ([]core.Dims, error) {
 	var out []core.Dims
 	for _, part := range strings.Split(s, ",") {
@@ -155,12 +158,16 @@ func parseDims(s string) ([]core.Dims, error) {
 		var v [3]int
 		for i, f := range fields {
 			n, err := strconv.Atoi(f)
-			if err != nil || n <= 0 {
+			if err != nil {
 				return nil, fmt.Errorf("sweep: bad dimension %q in %q", f, part)
 			}
 			v[i] = n
 		}
-		out = append(out, core.NewDims(v[0], v[1], v[2]))
+		d := core.NewDims(v[0], v[1], v[2])
+		if err := d.Validate(); err != nil {
+			return nil, fmt.Errorf("sweep: bad dims %q: %w", part, err)
+		}
+		out = append(out, d)
 	}
 	return out, nil
 }

@@ -122,14 +122,12 @@ func TestFunctionalOptions(t *testing.T) {
 		WithGrid(g),
 		WithCollective(CollectiveRing),
 		WithTrace(),
-		WithTraffic(),
 	)
 	literal := Opts{
 		Config:     BandwidthOnly(),
 		Grid:       g,
 		Collective: CollectiveRing,
 		Trace:      true,
-		Traffic:    true,
 	}
 	if built != literal {
 		t.Fatalf("NewOpts built %+v, struct literal %+v", built, literal)

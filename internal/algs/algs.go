@@ -25,7 +25,7 @@
 // along with the machine statistics, so tests can verify numerical
 // correctness against a serial product and experiments can compare measured
 // communication against the bounds. All of them run through one harness
-// (run), which honors the topology, tracing and traffic options alike.
+// (run), which honors the topology and tracing options alike.
 package algs
 
 import (
@@ -53,11 +53,8 @@ type Opts struct {
 	// largest c ≤ cbrt(P) with c | q where q = sqrt(P/c).
 	Layers int
 	// Trace enables event tracing; the recorded timeline is returned in
-	// Result.Trace.
+	// Result.Trace, whose Traffic method sums its per-pair traffic.
 	Trace bool
-	// Traffic enables per-pair traffic accounting; the matrix is returned
-	// in Result.Traffic.
-	Traffic bool
 	// Topo, when non-nil, prices every message through an interconnect
 	// topology (see internal/topo) instead of the uniform α/β of Config;
 	// its endpoint count must equal the run's processor count. The Flat
@@ -98,10 +95,10 @@ func (o Opts) Validate() error {
 }
 
 // run is the harness every algorithm runs through. It builds the simulated
-// machine for the ranks of g, honoring the topology, tracing and traffic
-// options; runs body on every rank; and assembles C from the chunk each
-// body returns, which holds the rank's share of its (i1, i3) block of C
-// (see assembleC). With a topology set, ranks are placed onto its
+// machine for the ranks of g, honoring the topology and tracing options;
+// runs body on every rank; and assembles C from the chunk each body
+// returns, which holds the rank's share of its (i1, i3) block of C (see
+// assembleC). With a topology set, ranks are placed onto its
 // endpoints and every send is priced through the resulting Network; a
 // topology whose endpoint count differs from the rank count wraps
 // core.ErrBadTopology.
@@ -129,9 +126,6 @@ func run(name string, d core.Dims, g grid.Grid, opts Opts, body func(*machine.Ra
 	res := &Result{Name: name, Grid: g}
 	if opts.Trace {
 		res.Trace = w.EnableTracing()
-	}
-	if opts.Traffic {
-		res.Traffic = w.EnableTraffic()
 	}
 	chunks := make([][]float64, p)
 	if err := w.Run(func(r *machine.Rank) { chunks[r.ID()] = body(r) }); err != nil {
@@ -181,9 +175,6 @@ type Result struct {
 	Stats machine.WorldStats
 	// Trace holds the event timeline when Opts.Trace was set, else nil.
 	Trace *machine.Trace
-	// Traffic holds the per-pair traffic matrix when Opts.Traffic was
-	// set, else nil.
-	Traffic *machine.TrafficMatrix
 }
 
 // CommCost returns the per-processor communication volume of the run (max

@@ -22,12 +22,12 @@ func TestAlg1TrafficStaysOnFibers(t *testing.T) {
 	}
 	opts := bwOpts()
 	opts.Grid = g
-	opts.Traffic = true
+	opts.Trace = true
 	res, err := Alg1(matrix.Random(24, 24, 1), matrix.Random(24, 24, 2), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm := res.Traffic
+	tm := res.Trace.Traffic()
 
 	sameFiber := func(x, y int) bool {
 		x1, x2, x3 := g.Coords(x)
@@ -64,56 +64,30 @@ func TestAlg1TrafficStaysOnFibers(t *testing.T) {
 	}
 }
 
-// TestAlg1TrafficOption exposes the traffic matrix through the algorithm
-// API and checks the fiber-locality property end to end.
-func TestAlg1TrafficOption(t *testing.T) {
-	a := matrix.Random(24, 24, 3)
-	b := matrix.Random(24, 24, 4)
-	opts := bwOpts()
-	opts.Traffic = true
-	res, err := Alg1(a, b, 27, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Traffic == nil {
-		t.Fatal("traffic matrix missing")
-	}
-	if res.Traffic.ActivePairs() == 0 || res.Traffic.ActivePairs() >= 27*26 {
-		t.Fatalf("active pairs = %d", res.Traffic.ActivePairs())
-	}
-	// Without the option the field stays nil.
-	res2, err := Alg1(a, b, 27, bwOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Traffic != nil {
-		t.Fatal("traffic attached without the option")
-	}
-}
-
-// TestTrafficEveryAlgorithm runs every registry algorithm with
-// Opts.Traffic: each must return a traffic matrix whose row src sums to
-// the words rank src sent, and whose cells sum to the run's total.
+// TestTrafficEveryAlgorithm traces every registry algorithm: the traffic
+// matrix its trace sums must have row src sum to the words rank src sent,
+// and its cells sum to the run's total.
 func TestTrafficEveryAlgorithm(t *testing.T) {
 	const p = 4
 	a := matrix.Random(16, 16, 1)
 	b := matrix.Random(16, 16, 2)
 	opts := bwOpts()
-	opts.Traffic = true
+	opts.Trace = true
 	for _, e := range Registry() {
 		res, err := e.Run(a, b, p, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
-		if res.Traffic == nil {
-			t.Errorf("%s: Opts.Traffic set but Result.Traffic is nil", e.Name)
+		if res.Trace == nil {
+			t.Errorf("%s: Opts.Trace set but Result.Trace is nil", e.Name)
 			continue
 		}
+		tm := res.Trace.Traffic()
 		total := 0.0
 		for src := 0; src < p; src++ {
 			row := 0.0
 			for dst := 0; dst < p; dst++ {
-				row += res.Traffic.Words(src, dst)
+				row += tm.Words(src, dst)
 			}
 			if row != res.Stats.Ranks[src].WordsSent {
 				t.Errorf("%s: rank %d row sums to %v words, rank sent %v", e.Name, src, row, res.Stats.Ranks[src].WordsSent)

@@ -14,12 +14,12 @@ import (
 	"repro/internal/report"
 )
 
-// RuntimeModelContext validates the closed-form α-β-γ execution-time model
+// RuntimeModel validates the closed-form α-β-γ execution-time model
 // against the simulator and derives the strong-scaling consequences the
 // lower bounds impose: predicted == simulated on conforming grids, speedup
 // saturates, and efficiency decays once P passes the communication-bound
 // threshold (γ/3β)³·mnk. It honors cancellation between sweep points.
-func RuntimeModelContext(ctx context.Context, d core.Dims, cfg machine.Config, ps []int) (Artifact, error) {
+func RuntimeModel(ctx context.Context, d core.Dims, cfg machine.Config, ps []int) (Artifact, error) {
 	a := matrix.Random(d.N1, d.N2, 31)
 	b := matrix.Random(d.N2, d.N3, 32)
 	serial := model.SerialTime(d, cfg)

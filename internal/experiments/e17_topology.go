@@ -14,10 +14,7 @@ import (
 	"repro/internal/topo"
 )
 
-// TopologySweep is TopologySweepContext without cancellation.
-func TopologySweep() (Artifact, error) { return TopologySweepContext(context.Background()) }
-
-// TopologySweepContext asks where the paper's model stops describing real
+// TopologySweep asks where the paper's model stops describing real
 // machines. Theorem 3's bound — and Algorithm 1's matching constant 3 — are
 // proved on a fully connected network where every processor pair owns a
 // dedicated link. This experiment runs the same Algorithm 1 schedule, same
@@ -34,8 +31,9 @@ func TopologySweep() (Artifact, error) { return TopologySweepContext(context.Bac
 // critical path — the factor by which the memory-independent constant
 // degrades on that fabric. The χ column is the static congestion bound from
 // the all-pairs route analysis, and sim/topo shows how much of the gap the
-// worst-route model already explains.
-func TopologySweepContext(ctx context.Context) (Artifact, error) {
+// worst-route model already explains. It honors cancellation between
+// cells.
+func TopologySweep(ctx context.Context) (Artifact, error) {
 	const n, p = 64, 64
 	d := core.Square(n)
 	g := grid.Grid{P1: 4, P2: 4, P3: 4}

@@ -28,10 +28,7 @@ var fabricScaleCases = map[int]fabricScaleCase{
 	65536: {grid.Grid{P1: 64, P2: 32, P3: 32}, []string{"flat", "twolevel=64", "torus=16x16x16x16", "fattree=4x8"}},
 }
 
-// FabricScale is FabricScaleContext without cancellation.
-func FabricScale(p int) (Artifact, error) { return FabricScaleContext(context.Background(), p) }
-
-// FabricScaleContext is E17's question asked at datacenter scale: what does
+// FabricScale is E17's question asked at datacenter scale: what does
 // link contention do to the paper's memory-independent constant when P is
 // 65536 rather than 64? The run only became possible in this form — the
 // event engine schedules the ranks (PR 6) and the charge oracle prices
@@ -45,7 +42,7 @@ func FabricScale(p int) (Artifact, error) { return FabricScaleContext(context.Ba
 // degradation of the constant 3) and the topology-aware prediction
 // (sim/topo, how much the worst-route model explains). Supported P values
 // are the keys of fabricScaleCases (4096 and 65536).
-func FabricScaleContext(ctx context.Context, p int) (Artifact, error) {
+func FabricScale(ctx context.Context, p int) (Artifact, error) {
 	fc, ok := fabricScaleCases[p]
 	if !ok {
 		return Artifact{}, fmt.Errorf("fabric scale: unsupported P=%d (have 4096, 65536)", p)

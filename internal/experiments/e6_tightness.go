@@ -22,11 +22,9 @@ var TightnessPoints = []int{1, 2, 3, 4, 16, 36, 64, 512}
 // with the case-optimal grid on the scaled Figure 2 shape, at P values
 // covering all three cases. For each P it reports the measured per-rank
 // communication, the eq. (3) prediction, and Theorem 3's bound — all three
-// agree to the word — plus the product-correctness check.
-func Tightness() (Artifact, error) { return TightnessContext(context.Background()) }
-
-// TightnessContext is Tightness honoring cancellation between sweep points.
-func TightnessContext(ctx context.Context) (Artifact, error) {
+// agree to the word — plus the product-correctness check. It honors
+// cancellation between sweep points.
+func Tightness(ctx context.Context) (Artifact, error) {
 	d := DefaultRectDims
 	a := matrix.Random(d.N1, d.N2, 7)
 	b := matrix.Random(d.N2, d.N3, 8)

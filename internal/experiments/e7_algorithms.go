@@ -15,14 +15,9 @@ import (
 // n×n problem with P processors and compares measured per-processor
 // communication, message counts, peak memory, and the ratio to Theorem 3's
 // bound. On a square problem all P > 1 fall in Case 3, so the 3D
-// algorithms win and the 1D/2D baselines pay the predicted factors.
-func AlgorithmComparison(n, p int) (Artifact, error) {
-	return AlgorithmComparisonContext(context.Background(), n, p)
-}
-
-// AlgorithmComparisonContext is AlgorithmComparison honoring cancellation
-// between algorithms.
-func AlgorithmComparisonContext(ctx context.Context, n, p int) (Artifact, error) {
+// algorithms win and the 1D/2D baselines pay the predicted factors. It
+// honors cancellation between algorithms.
+func AlgorithmComparison(ctx context.Context, n, p int) (Artifact, error) {
 	d := core.Square(n)
 	a := matrix.Random(n, n, 17)
 	b := matrix.Random(n, n, 18)
@@ -77,14 +72,9 @@ func AlgorithmComparisonContext(ctx context.Context, n, p int) (Artifact, error)
 // StrongScaling sweeps P for a fixed rectangular problem, running Algorithm
 // 1 with the exhaustively optimal grid at every P (dividing or not) and
 // reporting measured communication against the bound — showing the regime
-// transitions of Theorem 3 on measured data.
-func StrongScaling(d core.Dims, ps []int) (Artifact, error) {
-	return StrongScalingContext(context.Background(), d, ps)
-}
-
-// StrongScalingContext is StrongScaling honoring cancellation between sweep
-// points.
-func StrongScalingContext(ctx context.Context, d core.Dims, ps []int) (Artifact, error) {
+// transitions of Theorem 3 on measured data. It honors cancellation
+// between sweep points.
+func StrongScaling(ctx context.Context, d core.Dims, ps []int) (Artifact, error) {
 	a := matrix.Random(d.N1, d.N2, 23)
 	b := matrix.Random(d.N2, d.N3, 29)
 	want := matrix.Mul(a, b)

@@ -11,6 +11,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 )
 
 // Artifact is one regenerated table or figure.
@@ -30,45 +32,93 @@ func (a Artifact) String() string {
 	return fmt.Sprintf("== %s: %s ==\n%s", a.ID, a.Title, a.Text)
 }
 
-// All runs every experiment at its default (paper) parameters and returns
-// the artifacts in paper order. Simulation-backed experiments use the
-// scaled dimensions documented in DESIGN.md so the whole suite runs in
-// seconds.
-func All() ([]Artifact, error) { return AllContext(context.Background()) }
+// entry is one artifact of the paper: the name cmd/paper's -only flag
+// selects it by, whether the default run prints it, and how to build it at
+// the paper's parameters.
+type entry struct {
+	name      string
+	inDefault bool
+	build     func(context.Context) (Artifact, error)
+}
 
-// AllContext is All honoring cancellation: ctx is checked between
-// experiments and threaded into the sweep-based ones, so a long run stops
-// within one experiment step (or one sweep point) of ctx being done. The
-// error is then ctx.Err().
-func AllContext(ctx context.Context) ([]Artifact, error) {
-	var out []Artifact
-	steps := []func() (Artifact, error){
-		func() (Artifact, error) { return Table1(), nil },
-		func() (Artifact, error) { return Lemma2Cases(DefaultRectDims), nil },
-		func() (Artifact, error) { return BoundCurves(DefaultRectDims, 1<<20), nil },
-		func() (Artifact, error) { return Figure2(), nil },
-		func() (Artifact, error) { return LimitedMemory(DefaultSquareN, DefaultMemoryWords), nil },
-		func() (Artifact, error) { return Figure1(DefaultFig1N, 27) },
-		func() (Artifact, error) { return TightnessContext(ctx) },
-		func() (Artifact, error) { return AlgorithmComparisonContext(ctx, DefaultCompareN, DefaultCompareP) },
-		func() (Artifact, error) { return Geometry() },
-		func() (Artifact, error) { return CARMAComparison(), nil },
-		func() (Artifact, error) { return Extension() },
-		func() (Artifact, error) {
-			return RuntimeModelContext(ctx, DefaultRectDims, DefaultRuntimeConfig, []int{1, 4, 16, 64, 512})
-		},
-		func() (Artifact, error) { return FastMatmul(4096, []int{1, 8, 64, 512, 4096}) },
-		func() (Artifact, error) { return ModelRobustness() },
-		func() (Artifact, error) { return CAPSExperiment(56) },
-		func() (Artifact, error) { return MemoryTradeoff(DefaultRectDims, 512) },
-		func() (Artifact, error) { return TopologySweepContext(ctx) },
-		func() (Artifact, error) { return HBLPrograms() },
+// entries lists every artifact in the order the default run prints them,
+// each with its parameters. E1 and E1b share the name table1; E18 runs only
+// when named, since it takes tens of seconds where the rest take
+// milliseconds. Simulation-backed experiments use the scaled dimensions
+// documented in DESIGN.md, so the default run takes seconds.
+var entries = []entry{
+	{"table1", true, func(context.Context) (Artifact, error) { return Table1(), nil }},
+	{"lemma2", true, func(context.Context) (Artifact, error) { return Lemma2Cases(DefaultRectDims), nil }},
+	{"bounds", true, func(context.Context) (Artifact, error) { return BoundCurves(DefaultRectDims, 1<<20), nil }},
+	{"fig2", true, func(context.Context) (Artifact, error) { return Figure2(), nil }},
+	{"memory", true, func(context.Context) (Artifact, error) {
+		return LimitedMemory(DefaultSquareN, DefaultMemoryWords), nil
+	}},
+	{"fig1", true, func(context.Context) (Artifact, error) { return Figure1(DefaultFig1N, 27) }},
+	{"tight", true, Tightness},
+	{"algs", true, func(ctx context.Context) (Artifact, error) {
+		return AlgorithmComparison(ctx, DefaultCompareN, DefaultCompareP)
+	}},
+	{"geometry", true, func(context.Context) (Artifact, error) { return Geometry() }},
+	{"carma", true, func(context.Context) (Artifact, error) { return CARMAComparison(), nil }},
+	{"extension", true, func(context.Context) (Artifact, error) { return Extension() }},
+	{"runtime", true, func(ctx context.Context) (Artifact, error) {
+		return RuntimeModel(ctx, DefaultRectDims, DefaultRuntimeConfig, []int{1, 4, 16, 64, 512})
+	}},
+	{"fastmm", true, func(context.Context) (Artifact, error) { return FastMatmul(4096, []int{1, 8, 64, 512, 4096}) }},
+	{"models", true, func(context.Context) (Artifact, error) { return ModelRobustness() }},
+	{"caps", true, func(context.Context) (Artifact, error) { return CAPSExperiment(56) }},
+	{"memtradeoff", true, func(context.Context) (Artifact, error) { return MemoryTradeoff(DefaultRectDims, 512) }},
+	{"topology", true, TopologySweep},
+	{"hbl", true, func(context.Context) (Artifact, error) { return HBLPrograms() }},
+	{"table1", true, func(context.Context) (Artifact, error) {
+		return Table1Numeric(PaperRectDims, []int{1, 3, 4, 16, 36, 64, 256, 512, 4096}), nil
+	}},
+	{"scaling", true, func(ctx context.Context) (Artifact, error) {
+		return StrongScaling(ctx, DefaultRectDims, []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512})
+	}},
+	{"fabricscale", false, func(ctx context.Context) (Artifact, error) { return FabricScale(ctx, 65536) }},
+}
+
+// Names returns the artifact names in print order, each once.
+func Names() []string {
+	var out []string
+	for _, e := range entries {
+		if !slices.Contains(out, e.name) {
+			out = append(out, e.name)
+		}
 	}
-	for _, step := range steps {
+	return out
+}
+
+// All builds the artifacts of the default run in print order. ctx is
+// checked between experiments and threaded into the sweep-based ones, so a
+// long run stops within one experiment step (or one sweep point) of ctx
+// being done; the error is then ctx.Err().
+func All(ctx context.Context) ([]Artifact, error) {
+	return build(ctx, func(e entry) bool { return e.inDefault })
+}
+
+// Named builds the artifacts called name in print order, honoring ctx as
+// All does. A name Names does not list is an error.
+func Named(ctx context.Context, name string) ([]Artifact, error) {
+	if !slices.Contains(Names(), name) {
+		return nil, fmt.Errorf("unknown artifact %q (valid: %s)", name, strings.Join(Names(), ", "))
+	}
+	return build(ctx, func(e entry) bool { return e.name == name })
+}
+
+// build builds the entries keep selects, in list order.
+func build(ctx context.Context, keep func(entry) bool) ([]Artifact, error) {
+	var out []Artifact
+	for _, e := range entries {
+		if !keep(e) {
+			continue
+		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		a, err := step()
+		a, err := e.build(ctx)
 		if err != nil {
 			return nil, err
 		}

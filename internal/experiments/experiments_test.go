@@ -132,7 +132,7 @@ func TestFigure2GridsAndCosts(t *testing.T) {
 }
 
 func TestTightnessRatiosAreOne(t *testing.T) {
-	a, err := Tightness()
+	a, err := Tightness(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestTightnessRatiosAreOne(t *testing.T) {
 }
 
 func TestAlgorithmComparison(t *testing.T) {
-	a, err := AlgorithmComparison(DefaultCompareN, DefaultCompareP)
+	a, err := AlgorithmComparison(context.Background(), DefaultCompareN, DefaultCompareP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestAlgorithmComparison(t *testing.T) {
 }
 
 func TestStrongScaling(t *testing.T) {
-	a, err := StrongScaling(core.NewDims(64, 32, 16), []int{1, 2, 4, 8, 16, 32})
+	a, err := StrongScaling(context.Background(), core.NewDims(64, 32, 16), []int{1, 2, 4, 8, 16, 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestFabricScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("4096-rank simulations")
 	}
-	a, err := FabricScale(4096)
+	a, err := FabricScale(context.Background(), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,17 +219,17 @@ func TestFabricScale(t *testing.T) {
 
 // TestFabricScaleRejectsUnknownP pins the parameterization contract.
 func TestFabricScaleRejectsUnknownP(t *testing.T) {
-	if _, err := FabricScale(1000); err == nil {
+	if _, err := FabricScale(context.Background(), 1000); err == nil {
 		t.Fatal("P=1000 accepted")
 	}
 }
 
 func TestAllRuns(t *testing.T) {
-	arts, err := All()
+	arts, err := All(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(arts) != 18 {
+	if len(arts) != 20 {
 		t.Fatalf("All returned %d artifacts", len(arts))
 	}
 	seen := map[string]bool{}
@@ -287,7 +287,7 @@ func TestExtensionExperiment(t *testing.T) {
 }
 
 func TestRuntimeModelExperiment(t *testing.T) {
-	a, err := RuntimeModelContext(context.Background(), DefaultRectDims, DefaultRuntimeConfig, []int{1, 16, 512})
+	a, err := RuntimeModel(context.Background(), DefaultRectDims, DefaultRuntimeConfig, []int{1, 16, 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,11 +350,11 @@ func TestMemoryTradeoffExperiment(t *testing.T) {
 // stably — the property that makes EXPERIMENTS.md's recorded numbers
 // reproducible.
 func TestSuiteDeterminism(t *testing.T) {
-	first, err := All()
+	first, err := All(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := All()
+	second, err := All(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestSuiteDeterminism(t *testing.T) {
 }
 
 func TestTopologySweep(t *testing.T) {
-	a, err := TopologySweep()
+	a, err := TopologySweep(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,15 +110,15 @@ func TestParallelSweepByteIdentical(t *testing.T) {
 	defer SetWorkers(0)
 	run := func(w int) []Artifact {
 		SetWorkers(w)
-		tight, err := Tightness()
+		tight, err := Tightness(context.Background())
 		if err != nil {
 			t.Fatalf("workers=%d: Tightness: %v", w, err)
 		}
-		algs, err := AlgorithmComparison(DefaultCompareN, DefaultCompareP)
+		algs, err := AlgorithmComparison(context.Background(), DefaultCompareN, DefaultCompareP)
 		if err != nil {
 			t.Fatalf("workers=%d: AlgorithmComparison: %v", w, err)
 		}
-		scale, err := StrongScaling(DefaultRectDims, []int{1, 2, 4, 8, 16})
+		scale, err := StrongScaling(context.Background(), DefaultRectDims, []int{1, 2, 4, 8, 16})
 		if err != nil {
 			t.Fatalf("workers=%d: StrongScaling: %v", w, err)
 		}

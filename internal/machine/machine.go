@@ -121,8 +121,7 @@ type World struct {
 	// eng executes the SPMD bodies and implements the blocking points.
 	eng *eventEngine
 
-	trace   *Trace
-	traffic *TrafficMatrix
+	trace *Trace
 
 	// net, when non-nil, prices each send per (src, dst) pair instead of
 	// the uniform cfg.Alpha/cfg.Beta. Nil worlds keep the original scalar

@@ -129,9 +129,6 @@ func (r *Rank) Send(dst, tag int, data []float64) {
 	if t := r.world.trace; t != nil {
 		t.add(Event{Rank: r.id, Kind: EventSend, Peer: dst, Tag: tag, Words: w, Start: start, End: r.clock, Phase: r.phase})
 	}
-	if tm := r.world.traffic; tm != nil {
-		tm.add(r.id, dst, w)
-	}
 	r.stats.WordsSent += w
 	r.stats.MsgsSent++
 	if obs.Enabled() {

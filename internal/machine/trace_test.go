@@ -93,9 +93,11 @@ func TestTracingDisabledByDefault(t *testing.T) {
 	}
 }
 
+// TestTrafficMatrix sums a traced run's sends per (source, destination)
+// pair.
 func TestTrafficMatrix(t *testing.T) {
 	w := NewWorld(3, BandwidthOnly())
-	tm := w.EnableTraffic()
+	tr := w.EnableTracing()
 	err := w.Run(func(r *Rank) {
 		if r.ID() == 0 {
 			r.Send(1, 0, make([]float64, 10))
@@ -107,6 +109,7 @@ func TestTrafficMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tm := tr.Traffic()
 	if tm.Words(0, 1) != 10 || tm.Words(0, 2) != 5 || tm.Words(1, 0) != 0 {
 		t.Fatalf("traffic wrong: %v %v %v", tm.Words(0, 1), tm.Words(0, 2), tm.Words(1, 0))
 	}
@@ -119,16 +122,15 @@ func TestTrafficMatrix(t *testing.T) {
 	}
 }
 
-// TestTrafficLocalityOfAlg1Fibers: Algorithm 1's traffic stays on grid
-// fibers — far fewer active pairs than an all-to-all pattern would use.
-// (Uses raw sends shaped like the fiber pattern to keep the machine
-// package dependency-free; the algs-level check lives in that package.)
+// TestTrafficHeatmapAllZero: a traced run that sends nothing has no
+// active pair and renders an empty heatmap.
 func TestTrafficHeatmapAllZero(t *testing.T) {
 	w := NewWorld(2, BandwidthOnly())
-	tm := w.EnableTraffic()
+	tr := w.EnableTracing()
 	if err := w.Run(func(r *Rank) {}); err != nil {
 		t.Fatal(err)
 	}
+	tm := tr.Traffic()
 	if tm.ActivePairs() != 0 {
 		t.Fatal("no traffic expected")
 	}
@@ -216,13 +218,16 @@ func TestTraceNilAccessors(t *testing.T) {
 	if got := tr.Phases(); got != nil {
 		t.Errorf("nil Phases = %v", got)
 	}
+	if tm := tr.Traffic(); tm.p != 0 || len(tm.words) != 0 {
+		t.Errorf("nil Traffic = %+v, want an empty matrix", tm)
+	}
 }
 
 // TestRecordingIndependentOfPoolWidth: each rank appends to its own event
-// and phase-span logs and writes only its own traffic row, without a lock,
-// so a world records the same events, spans and traffic at every shard
-// count and on every run. Compute is free here, so its events tie in time
-// with their neighbours. Under -race this checks the lock-free recorders.
+// and phase-span logs without a lock, so a world records the same events,
+// spans and traffic at every shard count and on every run. Compute is free
+// here, so its events tie in time with their neighbours. Under -race this
+// checks the lock-free recorder.
 func TestRecordingIndependentOfPoolWidth(t *testing.T) {
 	const p = 16
 	type recording struct {
@@ -233,7 +238,6 @@ func TestRecordingIndependentOfPoolWidth(t *testing.T) {
 	record := func(shards int) recording {
 		w := testWorld(t, p, Config{Beta: 1}, shards)
 		tr := w.EnableTracing()
-		tm := w.EnableTraffic()
 		err := w.Run(func(r *Rank) {
 			me := r.ID()
 			for round := 0; round < 4; round++ {
@@ -250,7 +254,7 @@ func TestRecordingIndependentOfPoolWidth(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		return recording{tr.Events(), tr.Phases(), tm.words}
+		return recording{tr.Events(), tr.Phases(), tr.Traffic().words}
 	}
 	want := record(1)
 	if len(want.events) != p*4*9 || len(want.phases) != p*4 {

@@ -5,25 +5,28 @@ import (
 	"strings"
 )
 
-// TrafficMatrix accumulates per-(source, destination) word counts — the
+// TrafficMatrix holds per-(source, destination) word counts — the
 // network's full traffic pattern, useful for checking that an algorithm's
 // communication stays on its intended fibers and for visualizing locality.
-// Row src is written only by rank src's sends, so recording takes no lock;
-// read the matrix after Run.
+// Trace.Traffic builds one from a traced run.
 type TrafficMatrix struct {
 	p     int
 	words []float64 // p×p, row-major [src*p+dst]
 }
 
-// EnableTraffic attaches a traffic matrix to the world; call before Run.
-func (w *World) EnableTraffic() *TrafficMatrix {
-	w.traffic = &TrafficMatrix{p: w.p, words: make([]float64, w.p*w.p)}
-	return w.traffic
-}
-
-// add records a message (called from the body of rank src).
-func (t *TrafficMatrix) add(src, dst int, words float64) {
-	t.words[src*t.p+dst] += words
+// Traffic sums the trace's send events into a TrafficMatrix, each rank's
+// in program order. A nil trace gives an empty matrix.
+func (t *Trace) Traffic() *TrafficMatrix {
+	p := t.Ranks()
+	tm := &TrafficMatrix{p: p, words: make([]float64, p*p)}
+	for r := 0; r < p; r++ {
+		for _, e := range t.events[r] {
+			if e.Kind == EventSend {
+				tm.words[r*p+e.Peer] += e.Words
+			}
+		}
+	}
+	return tm
 }
 
 // Words returns the total words sent from src to dst.

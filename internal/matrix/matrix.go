@@ -90,25 +90,6 @@ func (m *Dense) View(i, j, r, c int) *Dense {
 	return &Dense{rows: r, cols: c, stride: m.stride, data: m.data[i*m.stride+j:]}
 }
 
-// Clone returns a deep copy of m with contiguous storage.
-func (m *Dense) Clone() *Dense {
-	out := New(m.rows, m.cols)
-	for i := 0; i < m.rows; i++ {
-		copy(out.Row(i), m.Row(i))
-	}
-	return out
-}
-
-// CopyFrom copies src into m; dimensions must match exactly.
-func (m *Dense) CopyFrom(src *Dense) {
-	if m.rows != src.rows || m.cols != src.cols {
-		panic(fmt.Sprintf("matrix: CopyFrom shape mismatch %dx%d <- %dx%d", m.rows, m.cols, src.rows, src.cols))
-	}
-	for i := 0; i < m.rows; i++ {
-		copy(m.Row(i), src.Row(i))
-	}
-}
-
 // Zero sets every element of m to zero.
 func (m *Dense) Zero() {
 	for i := 0; i < m.rows; i++ {
@@ -167,29 +148,6 @@ func (m *Dense) Unpack(data []float64) {
 	}
 	for i := 0; i < m.rows; i++ {
 		copy(m.Row(i), data[i*m.cols:(i+1)*m.cols])
-	}
-}
-
-// Scale multiplies every element of m by s in place.
-func (m *Dense) Scale(s float64) {
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j := range row {
-			row[j] *= s
-		}
-	}
-}
-
-// AddInto accumulates src into m element-wise; shapes must match.
-func (m *Dense) AddInto(src *Dense) {
-	if m.rows != src.rows || m.cols != src.cols {
-		panic(fmt.Sprintf("matrix: AddInto shape mismatch %dx%d += %dx%d", m.rows, m.cols, src.rows, src.cols))
-	}
-	for i := 0; i < m.rows; i++ {
-		dst, s := m.Row(i), src.Row(i)
-		for j := range dst {
-			dst[j] += s[j]
-		}
 	}
 }
 

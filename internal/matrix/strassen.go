@@ -1,35 +1,5 @@
 package matrix
 
-// MulStrassen multiplies a and b with Strassen's algorithm (7
-// multiplications per 2×2 block split, O(n^{log2 7}) ≈ O(n^{2.81}) scalar
-// multiplications), recursing `levels` times before falling back to the
-// blocked classical kernel. Inputs of any shape are padded to multiples of
-// 2^levels and the result trimmed. It exists as the fast-matmul context of
-// the paper's §2.3: memory-independent communication lower bounds for
-// Strassen-like algorithms scale as n²/P^{2/ω0} with ω0 = log2 7 (Ballard
-// et al. 2012b), versus n²/P^{2/3} classically; see core.FastMatmulLeading.
-func MulStrassen(a, b *Dense, levels int) *Dense {
-	if a.Cols() != b.Rows() {
-		panic("matrix: MulStrassen inner dimension mismatch")
-	}
-	if levels < 0 {
-		panic("matrix: MulStrassen negative levels")
-	}
-	if levels == 0 {
-		return Mul(a, b)
-	}
-	unit := 1 << levels
-	m := roundUp(a.Rows(), unit)
-	k := roundUp(a.Cols(), unit)
-	n := roundUp(b.Cols(), unit)
-	ap := padTo(a, m, k)
-	bp := padTo(b, k, n)
-	cp := strassenRec(ap, bp, levels)
-	out := New(a.Rows(), b.Cols())
-	out.CopyFrom(cp.View(0, 0, a.Rows(), b.Cols()))
-	return out
-}
-
 // StrassenFlops returns the number of scalar multiplications Strassen
 // performs for an n×n×n product with the given recursion depth:
 // 7^levels · (n/2^levels)³ — the quantity whose reduction lowers the
@@ -41,86 +11,4 @@ func StrassenFlops(n, levels int) float64 {
 		f *= 7
 	}
 	return f
-}
-
-func roundUp(n, unit int) int {
-	if n%unit == 0 {
-		return n
-	}
-	return (n/unit + 1) * unit
-}
-
-func padTo(m *Dense, r, c int) *Dense {
-	if m.Rows() == r && m.Cols() == c {
-		return m
-	}
-	out := New(r, c)
-	out.View(0, 0, m.Rows(), m.Cols()).CopyFrom(m)
-	return out
-}
-
-// strassenRec multiplies matrices whose dimensions are all even (guaranteed
-// by padding) with one Strassen step per level.
-func strassenRec(a, b *Dense, levels int) *Dense {
-	if levels == 0 {
-		return Mul(a, b)
-	}
-	mh := a.Rows() / 2
-	kh := a.Cols() / 2
-	nh := b.Cols() / 2
-	a11 := a.View(0, 0, mh, kh)
-	a12 := a.View(0, kh, mh, kh)
-	a21 := a.View(mh, 0, mh, kh)
-	a22 := a.View(mh, kh, mh, kh)
-	b11 := b.View(0, 0, kh, nh)
-	b12 := b.View(0, nh, kh, nh)
-	b21 := b.View(kh, 0, kh, nh)
-	b22 := b.View(kh, nh, kh, nh)
-
-	add := func(x, y *Dense) *Dense {
-		out := x.Clone()
-		out.AddInto(y)
-		return out
-	}
-	sub := func(x, y *Dense) *Dense {
-		out := y.Clone()
-		out.Scale(-1)
-		out.AddInto(x)
-		return out
-	}
-
-	m1 := strassenRec(add(a11, a22), add(b11, b22), levels-1)
-	m2 := strassenRec(add(a21, a22), b11.Clone(), levels-1)
-	m3 := strassenRec(a11.Clone(), sub(b12, b22), levels-1)
-	m4 := strassenRec(a22.Clone(), sub(b21, b11), levels-1)
-	m5 := strassenRec(add(a11, a12), b22.Clone(), levels-1)
-	m6 := strassenRec(sub(a21, a11), add(b11, b12), levels-1)
-	m7 := strassenRec(sub(a12, a22), add(b21, b22), levels-1)
-
-	c := New(a.Rows(), b.Cols())
-	c11 := c.View(0, 0, mh, nh)
-	c12 := c.View(0, nh, mh, nh)
-	c21 := c.View(mh, 0, mh, nh)
-	c22 := c.View(mh, nh, mh, nh)
-	// C11 = M1 + M4 − M5 + M7
-	c11.CopyFrom(m1)
-	c11.AddInto(m4)
-	m5neg := m5.Clone()
-	m5neg.Scale(-1)
-	c11.AddInto(m5neg)
-	c11.AddInto(m7)
-	// C12 = M3 + M5
-	c12.CopyFrom(m3)
-	c12.AddInto(m5)
-	// C21 = M2 + M4
-	c21.CopyFrom(m2)
-	c21.AddInto(m4)
-	// C22 = M1 − M2 + M3 + M6
-	c22.CopyFrom(m1)
-	m2neg := m2.Clone()
-	m2neg.Scale(-1)
-	c22.AddInto(m2neg)
-	c22.AddInto(m3)
-	c22.AddInto(m6)
-	return c
 }

@@ -5,42 +5,6 @@ import (
 	"testing"
 )
 
-func TestMulStrassenMatchesClassical(t *testing.T) {
-	cases := []struct{ m, k, n, levels int }{
-		{8, 8, 8, 1}, {8, 8, 8, 2}, {8, 8, 8, 3},
-		{16, 16, 16, 2},
-		{7, 9, 5, 2},   // odd dims, padded
-		{1, 1, 1, 3},   // degenerate
-		{32, 8, 16, 2}, // rectangular
-		{20, 20, 20, 0},
-	}
-	for _, c := range cases {
-		a := Random(c.m, c.k, uint64(c.m*100+c.k))
-		b := Random(c.k, c.n, uint64(c.k*100+c.n))
-		want := Mul(a, b)
-		got := MulStrassen(a, b, c.levels)
-		if diff := got.MaxAbsDiff(want); diff > 1e-9*float64(c.k+1) {
-			t.Errorf("Strassen %dx%dx%d levels=%d: max diff %g", c.m, c.k, c.n, c.levels, diff)
-		}
-	}
-}
-
-func TestMulStrassenPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { MulStrassen(New(2, 3), New(4, 2), 1) },
-		func() { MulStrassen(New(2, 2), New(2, 2), -1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestStrassenFlops(t *testing.T) {
 	// levels=0: classical n³.
 	if StrassenFlops(8, 0) != 512 {

@@ -61,9 +61,6 @@ func WithTopology(t Topology) Option { return func(o *Opts) { o.Topo = t } }
 // WithTopology.
 func WithPlacement(p Placement) Option { return func(o *Opts) { o.Place = p } }
 
-// WithTrace enables event tracing (returned in Result.Trace).
+// WithTrace enables event tracing (returned in Result.Trace, whose Traffic
+// method sums the per-pair traffic).
 func WithTrace() Option { return func(o *Opts) { o.Trace = true } }
-
-// WithTraffic enables per-pair traffic accounting (returned in
-// Result.Traffic).
-func WithTraffic() Option { return func(o *Opts) { o.Traffic = true } }

@@ -174,14 +174,14 @@ type Experiment = experiments.Artifact
 
 // RunAllExperiments regenerates every table and figure at the default
 // (scaled) parameters.
-func RunAllExperiments() ([]Experiment, error) { return experiments.All() }
+func RunAllExperiments() ([]Experiment, error) { return experiments.All(context.Background()) }
 
 // RunAllExperimentsContext is RunAllExperiments honoring cancellation: ctx
 // is checked between experiments and between sweep points inside the
 // simulation-heavy ones, so a long run stops promptly when ctx is done and
 // returns ctx's error.
 func RunAllExperimentsContext(ctx context.Context) ([]Experiment, error) {
-	return experiments.AllContext(ctx)
+	return experiments.All(ctx)
 }
 
 // --- Fast (Strassen-like) regime: §2.3 ---
