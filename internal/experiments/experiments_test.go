@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"regexp"
 	"strings"
 	"testing"
@@ -192,10 +194,19 @@ func TestLimitedMemoryShowsCrossover(t *testing.T) {
 	}
 }
 
+// fabricScale4096SHA256 pins the SHA-256 of E18's Text and CSV at P = 4096.
+// A change that alters any of its rows or its note must update it, on
+// purpose.
+var fabricScale4096SHA256 = struct{ text, csv string }{
+	"ae91f0f6a16ad4654a9113c6026a608dd3046f563c983a33fe10b08d8f32abaa",
+	"5be65aa8ef7faf84521b1ba30c264618f2854bfb01a5baf66514896be9964795",
+}
+
 // TestFabricScale runs the datacenter fabric study at its smaller
 // supported size (P = 4096, still well above the charge oracle's table
-// threshold) and checks the structural invariants: flat rows exact, every
-// fabric × placement cell present, some fabric congested.
+// threshold), checks the structural invariants (flat rows exact, every
+// fabric × placement cell present, some fabric congested) and pins the
+// artifact's bytes.
 func TestFabricScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("4096-rank simulations")
@@ -214,6 +225,16 @@ func TestFabricScale(t *testing.T) {
 	}
 	if strings.Count(a.CSV, "\n") < 8 {
 		t.Fatalf("expected 8 data rows:\n%s", a.CSV)
+	}
+	digest := func(s string) string {
+		sum := sha256.Sum256([]byte(s))
+		return hex.EncodeToString(sum[:])
+	}
+	if got := digest(a.Text); got != fabricScale4096SHA256.text {
+		t.Errorf("Text SHA-256 %s, recorded %s", got, fabricScale4096SHA256.text)
+	}
+	if got := digest(a.CSV); got != fabricScale4096SHA256.csv {
+		t.Errorf("CSV SHA-256 %s, recorded %s", got, fabricScale4096SHA256.csv)
 	}
 }
 
