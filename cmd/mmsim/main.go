@@ -102,14 +102,15 @@ func resolve(c cliConfig) (runSpec, error) {
 	if c.p < 1 {
 		return s, fmt.Errorf("P must be ≥ 1, got %d: %w", c.p, core.ErrBadProcessorCount)
 	}
-	for _, e := range algs.Registry() {
-		if strings.EqualFold(c.alg, "all") || strings.EqualFold(c.alg, e.Name) {
-			s.entries = append(s.entries, e)
+	if strings.EqualFold(c.alg, "all") {
+		s.entries = algs.Registry()
+	} else {
+		e, err := algs.Lookup(c.alg)
+		if err != nil {
+			return s, fmt.Errorf("unknown algorithm %q (valid: %s, or \"all\"): %w",
+				c.alg, strings.Join(algs.Names(), ", "), core.ErrUnsupportedAlg)
 		}
-	}
-	if len(s.entries) == 0 {
-		return s, fmt.Errorf("unknown algorithm %q (valid: %s, or \"all\"): %w",
-			c.alg, strings.Join(algs.Names(), ", "), core.ErrUnsupportedAlg)
+		s.entries = []algs.Entry{e}
 	}
 	if len(s.entries) > 1 && (c.trace != "" || c.timeline || c.traffic) {
 		return s, fmt.Errorf("-trace, -timeline and -traffic record a single algorithm, but -alg %s selects %d: %w",

@@ -188,15 +188,12 @@ func parseAlgs(s string) ([]algs.Entry, error) {
 	if strings.EqualFold(s, "all") {
 		return algs.Registry(), nil
 	}
-	byName := map[string]algs.Entry{}
-	for _, e := range algs.Registry() {
-		byName[strings.ToLower(e.Name)] = e
-	}
 	var out []algs.Entry
 	for _, part := range strings.Split(s, ",") {
-		e, ok := byName[strings.ToLower(strings.TrimSpace(part))]
-		if !ok {
-			return nil, fmt.Errorf("sweep: unknown algorithm %q", part)
+		e, err := algs.Lookup(strings.TrimSpace(part))
+		if err != nil {
+			return nil, fmt.Errorf("sweep: unknown algorithm %q (valid: %s, or \"all\")",
+				part, strings.Join(algs.Names(), ", "))
 		}
 		out = append(out, e)
 	}

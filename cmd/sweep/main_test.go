@@ -3,8 +3,10 @@ package main
 import (
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/algs"
 	"repro/internal/core"
 )
 
@@ -24,5 +26,25 @@ func TestParseDimsValidates(t *testing.T) {
 	}
 	if want := []core.Dims{core.Square(64), core.NewDims(768, 192, 48)}; !slices.Equal(got, want) {
 		t.Fatalf("parseDims = %v, want %v", got, want)
+	}
+}
+
+// TestParseAlgs: names resolve case-insensitively through algs.Lookup, in
+// the order given; "all" gives the registry; an unknown name fails listing
+// the valid ones.
+func TestParseAlgs(t *testing.T) {
+	got, err := parseAlgs("cannon, ALG1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Name != "Cannon" || got[1].Name != "Alg1" {
+		t.Fatalf("parseAlgs = %+v", got)
+	}
+	if all, err := parseAlgs("All"); err != nil || len(all) != len(algs.Registry()) {
+		t.Fatalf("parseAlgs(All) = %d entries, %v", len(all), err)
+	}
+	_, err = parseAlgs("Alg1,Strassen9000")
+	if err == nil || !strings.Contains(err.Error(), "TwoPointFiveD") {
+		t.Fatalf("unknown name = %v, want the valid names listed", err)
 	}
 }

@@ -3,7 +3,6 @@ package parmm
 import (
 	"context"
 	"errors"
-	"math"
 	"testing"
 )
 
@@ -13,6 +12,7 @@ import (
 // string-error site.
 func TestErrorTaxonomy(t *testing.T) {
 	bw := Opts{Config: BandwidthOnly()}
+	rec := Opts{Config: BandwidthOnly(), Collective: CollectiveRecursive}
 	sq := func(n int, seed uint64) *Matrix { return RandomMatrix(n, n, seed) }
 	cases := []struct {
 		name string
@@ -67,6 +67,29 @@ func TestErrorTaxonomy(t *testing.T) {
 			_, err := Alg1LowMem(sq(8, 1), sq(8, 2), 4, 0, bw)
 			return err
 		}},
+		// Forced recursive collectives need power-of-two groups: at P = 6
+		// the 3D algorithms' grids have a fiber of 3, OneD gathers over all
+		// 6 ranks, and 2.5D at P = 27 reduces over c = 3 layers.
+		{"Alg1 recursive collective on a group of 3", ErrBadOpts, func() error {
+			_, err := Alg1(sq(12, 1), sq(12, 2), 6, rec)
+			return err
+		}},
+		{"AllToAll3D recursive collective on a group of 3", ErrBadOpts, func() error {
+			_, err := AllToAll3D(sq(12, 1), sq(12, 2), 6, rec)
+			return err
+		}},
+		{"Alg1LowMem recursive collective on a group of 3", ErrBadOpts, func() error {
+			_, err := Alg1LowMem(sq(12, 1), sq(12, 2), 6, 2, rec)
+			return err
+		}},
+		{"OneD recursive collective on a group of 6", ErrBadOpts, func() error {
+			_, err := OneD(sq(12, 1), sq(12, 2), 6, rec)
+			return err
+		}},
+		{"TwoPointFiveD recursive collective on 3 layers", ErrBadOpts, func() error {
+			_, err := TwoPointFiveD(sq(9, 1), sq(9, 2), 27, Opts{Config: BandwidthOnly(), Collective: CollectiveRecursive, Layers: 3})
+			return err
+		}},
 		{"CAPS non-square dims", ErrBadDims, func() error {
 			_, err := CAPS(RandomMatrix(4, 8, 1), RandomMatrix(8, 4, 2), 1, BandwidthOnly())
 			return err
@@ -91,7 +114,7 @@ func TestErrorTaxonomy(t *testing.T) {
 			return Opts{Layers: -1}.Validate()
 		}},
 		{"Opts bad pinned grid", ErrGridMismatch, func() error {
-			return NewOpts(WithGrid(Grid{P1: -1, P2: 2, P3: 2})).Validate()
+			return Opts{Grid: Grid{P1: -1, P2: 2, P3: 2}}.Validate()
 		}},
 	}
 	for _, tc := range cases {
@@ -104,56 +127,6 @@ func TestErrorTaxonomy(t *testing.T) {
 				t.Fatalf("errors.Is(%v, %v) = false", err, tc.want)
 			}
 		})
-	}
-}
-
-// TestFunctionalOptions: NewOpts with the With* options must build the same
-// Opts as the low-level struct literal, and the two paths must drive the
-// simulator to bit-identical costs.
-func TestFunctionalOptions(t *testing.T) {
-	d := NewDims(768, 192, 48)
-	p := 512
-	g, err := CaseGrid(d, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	built := NewOpts(
-		WithConfig(BandwidthOnly()),
-		WithGrid(g),
-		WithCollective(CollectiveRing),
-		WithTrace(),
-	)
-	literal := Opts{
-		Config:     BandwidthOnly(),
-		Grid:       g,
-		Collective: CollectiveRing,
-		Trace:      true,
-	}
-	if built != literal {
-		t.Fatalf("NewOpts built %+v, struct literal %+v", built, literal)
-	}
-	if err := built.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if o := NewOpts(WithLayers(3)); o.Layers != 3 {
-		t.Fatalf("WithLayers: %+v", o)
-	}
-
-	a := RandomMatrix(768, 192, 1)
-	b := RandomMatrix(192, 48, 2)
-	r1, err := Alg1(a, b, p, built)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Alg1(a, b, p, literal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.CommCost() != r2.CommCost() {
-		t.Fatalf("option-built run cost %v, struct-built %v", r1.CommCost(), r2.CommCost())
-	}
-	if math.IsNaN(r1.CommCost()) || r1.CommCost() <= 0 {
-		t.Fatalf("degenerate cost %v", r1.CommCost())
 	}
 }
 

@@ -42,6 +42,14 @@ func run3D(name string, a, b *matrix.Dense, p int, opts Opts, reduceScatter bool
 		return nil, err
 	}
 	g := l.g
+	// AllToAll3D sums C with an All-to-All, which every family runs alike.
+	reduced := g.P2
+	if !reduceScatter {
+		reduced = 1
+	}
+	if err := collective.CheckGroups(opts.Collective, g.P3, g.P1, reduced); err != nil {
+		return nil, err
+	}
 	return run(name, l.d, g, opts, func(r *machine.Rank) []float64 {
 		id := r.ID()
 		i1, i2, i3 := g.Coords(id)

@@ -113,11 +113,7 @@ func run(name string, d core.Dims, g grid.Grid, opts Opts, body func(*machine.Ra
 			return nil, fmt.Errorf("algs: topology %s has %d endpoints, run uses %d processors: %w",
 				opts.Topo.Name(), opts.Topo.P(), p, core.ErrBadTopology)
 		}
-		pl, err := topo.PlaceRanks(p, opts.Topo, opts.Place)
-		if err != nil {
-			return nil, err
-		}
-		net, err := topo.NewNetwork(opts.Topo, pl)
+		net, err := topo.NewNetwork(opts.Topo, opts.Place)
 		if err != nil {
 			return nil, err
 		}

@@ -35,6 +35,9 @@ func Alg1LowMem(a, b *matrix.Dense, p, chunks int, opts Opts) (*Result, error) {
 		return nil, err
 	}
 	g := l.g
+	if err := collective.CheckGroups(opts.Collective, g.P3, g.P1, g.P2); err != nil {
+		return nil, err
+	}
 
 	return run("Alg1LowMem", l.d, g, opts, func(r *machine.Rank) []float64 {
 		id := r.ID()

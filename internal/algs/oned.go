@@ -24,6 +24,9 @@ func OneD(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 	if p > d.N1 {
 		return nil, fmt.Errorf("algs: OneD needs P ≤ n1, got P=%d n1=%d: %w", p, d.N1, core.ErrBadProcessorCount)
 	}
+	if err := collective.CheckGroups(opts.Collective, p); err != nil {
+		return nil, err
+	}
 
 	members := make([]int, p)
 	for i := range members {

@@ -47,6 +47,9 @@ func TwoPointFiveD(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 	if n%q != 0 {
 		return nil, fmt.Errorf("algs: TwoPointFiveD needs q | n, got n=%d q=%d: %w", n, q, core.ErrGridMismatch)
 	}
+	if err := collective.CheckGroups(opts.Collective, c); err != nil {
+		return nil, err
+	}
 
 	g := grid.Grid{P1: q, P2: c, P3: q} // Axis2 indexes the replication layer
 	const (

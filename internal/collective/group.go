@@ -23,6 +23,7 @@ package collective
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/machine"
 )
 
@@ -36,7 +37,7 @@ const (
 	// Ring forces the ring algorithms.
 	Ring
 	// Recursive forces recursive doubling/halving (panics if the group
-	// size is not a power of two).
+	// size is not a power of two; CheckGroups tells beforehand).
 	Recursive
 )
 
@@ -164,6 +165,24 @@ func UseRecursive(p int, alg Algorithm) bool {
 	default:
 		return pow2
 	}
+}
+
+// CheckGroups reports whether the family alg can run an All-Gather or
+// Reduce-Scatter over groups of each of the sizes: Recursive needs powers
+// of two, where UseRecursive would panic. An algorithm calls it once its
+// grid is fixed, on every group it gathers or reduces over, so a forced
+// family it cannot honor fails before any rank runs. The error wraps
+// core.ErrBadOpts.
+func CheckGroups(alg Algorithm, sizes ...int) error {
+	if alg != Recursive {
+		return nil
+	}
+	for _, p := range sizes {
+		if p&(p-1) != 0 {
+			return fmt.Errorf("collective: Recursive algorithms need power-of-two groups, got %d: %w", p, core.ErrBadOpts)
+		}
+	}
+	return nil
 }
 
 // layout checks counts against the group and returns their sum, the words

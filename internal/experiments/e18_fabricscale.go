@@ -4,14 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/algs"
-	"repro/internal/collective"
-	"repro/internal/core"
 	"repro/internal/grid"
-	"repro/internal/matrix"
-	"repro/internal/model"
-	"repro/internal/report"
-	"repro/internal/topo"
 )
 
 // fabricScaleCase pins the grid and fabric specs for one supported P. The
@@ -47,87 +40,18 @@ func FabricScale(ctx context.Context, p int) (Artifact, error) {
 	if !ok {
 		return Artifact{}, fmt.Errorf("fabric scale: unsupported P=%d (have 4096, 65536)", p)
 	}
-	const n = 256
-	d := core.Square(n)
-	g := fc.g
-	cfg := DefaultRuntimeConfig
-	link := topo.Link{Alpha: cfg.Alpha, Beta: cfg.Beta}
-
-	a := matrix.Random(n, n, 181)
-	b := matrix.Random(n, n, 182)
-	want := matrix.Mul(a, b)
-	flatPred := model.Alg1Time(d, g, cfg, collective.Auto)
-
-	tb := report.NewTable(
-		fmt.Sprintf("Algorithm 1 on datacenter fabrics (event engine): %v, P = %d, grid %v, α=%g β=%g γ=%g (flat prediction %s)",
-			d, p, g, cfg.Alpha, cfg.Beta, cfg.Gamma, report.Num(flatPred.Total())),
-		"topology", "placement", "oracle", "max χ", "simulated", "sim/flat", "topo-predicted", "sim/topo",
-	)
-
-	worstGap := 1.0
-	for _, spec := range fc.specs {
-		fabric, err := topo.Parse(spec, p, link)
-		if err != nil {
-			return Artifact{}, fmt.Errorf("fabric scale: %w", err)
-		}
-		for _, place := range []topo.Policy{topo.Contiguous, topo.RoundRobin} {
-			if err := ctx.Err(); err != nil {
-				return Artifact{}, err
-			}
-			pl, err := topo.Map(g, fabric, place)
-			if err != nil {
-				return Artifact{}, fmt.Errorf("fabric scale %s/%v: %w", spec, place, err)
-			}
-			net, err := topo.NewNetwork(fabric, pl)
-			if err != nil {
-				return Artifact{}, fmt.Errorf("fabric scale %s/%v: %w", spec, place, err)
-			}
-			mode := "walk"
-			if net.Uniform() {
-				mode = "uniform"
-			}
-			congest, err := topo.Congest(g, fabric, pl)
-			if err != nil {
-				return Artifact{}, fmt.Errorf("fabric scale %s/%v: %w", spec, place, err)
-			}
-			topoPred, err := model.Alg1TimeTopo(d, g, cfg, collective.Auto, net)
-			if err != nil {
-				return Artifact{}, fmt.Errorf("fabric scale %s/%v: %w", spec, place, err)
-			}
-			res, err := algs.Alg1(a, b, p, algs.Opts{
-				Config: cfg, Grid: g, Topo: fabric, Place: place,
-			})
-			if err != nil {
-				return Artifact{}, fmt.Errorf("fabric scale %s/%v: %w", spec, place, err)
-			}
-			if res.C.MaxAbsDiff(want) > 1e-8 {
-				return Artifact{}, fmt.Errorf("fabric scale %s/%v: wrong product", spec, place)
-			}
-			sim := res.Stats.CriticalPath
-			gap := sim / flatPred.Total()
-			if gap > worstGap {
-				worstGap = gap
-			}
-			tb.AddRow(
-				fabric.Name(),
-				place.String(),
-				mode,
-				fmt.Sprintf("%.2f", congest.MaxChi()),
-				report.Num(sim),
-				fmt.Sprintf("%.3f", gap),
-				report.Num(topoPred.Total()),
-				fmt.Sprintf("%.3f", sim/topoPred.Total()),
-			)
-			// The flat rows anchor the experiment: dedicated links keep the
-			// §5.1 accounting exact at any P, so any deviation here is an
-			// engine or oracle bug, not congestion.
-			if fabric.NodeSize() == 1 && sim != flatPred.Total() {
-				return Artifact{}, fmt.Errorf("fabric scale: flat simulation %v != prediction %v", sim, flatPred.Total())
-			}
-		}
+	study := fabricStudy{
+		what:    "fabric scale",
+		heading: "Algorithm 1 on datacenter fabrics (event engine)",
+		n:       256,
+		g:       fc.g,
+		specs:   fc.specs,
+		seed:    181,
+		oracle:  true,
 	}
-	if worstGap <= 1 {
-		return Artifact{}, fmt.Errorf("fabric scale: no fabric showed congestion (worst sim/flat %.3f)", worstGap)
+	tb, worstGap, err := study.run(ctx)
+	if err != nil {
+		return Artifact{}, err
 	}
 
 	note := fmt.Sprintf("\nAt P = %d every message is priced by the walk-mode charge oracle —\n"+

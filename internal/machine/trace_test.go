@@ -139,6 +139,39 @@ func TestTrafficHeatmapAllZero(t *testing.T) {
 	}
 }
 
+// TestTrafficHeatmapFixedWidth: past 64 ranks the heatmap bins the ranks
+// into 64 groups per axis, so its grid has 64 rows of 64 glyphs at any P.
+// On a ring of 100 ranks each cell on the group diagonal or just above it
+// carries one 4-word send, and no other cell carries any.
+func TestTrafficHeatmapFixedWidth(t *testing.T) {
+	const p = 100
+	w := NewWorld(p, BandwidthOnly())
+	tr := w.EnableTracing()
+	err := w.Run(func(r *Rank) {
+		r.Send((r.ID()+1)%p, 0, make([]float64, 4))
+		r.Recv((r.ID()+p-1)%p, 0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hm := tr.Traffic().Heatmap()
+	lines := strings.Split(strings.TrimSuffix(hm, "\n"), "\n")
+	if want := "traffic heatmap (100 ranks in 64 groups per axis, max cell 4 words)"; lines[0] != want {
+		t.Fatalf("header %q, want %q", lines[0], want)
+	}
+	if len(lines) != 1+64 {
+		t.Fatalf("%d grid rows, want 64:\n%s", len(lines)-1, hm)
+	}
+	for i, line := range lines[1:] {
+		if len(line) != 66 || line[0] != '|' || line[65] != '|' {
+			t.Fatalf("row %d is %q, want 64 glyphs between bars", i, line)
+		}
+		if n := strings.Count(line, "#"); n < 1 || n > 2 {
+			t.Fatalf("row %d has %d busy cells, want 1 or 2: %q", i, n, line)
+		}
+	}
+}
+
 // TestChromeTraceEmpty pins the degenerate exports: a nil trace, a zero
 // Trace, and an enabled trace of a world that never ran must all emit valid
 // JSON whose traceEvents is an array, never null — downstream viewers

@@ -47,22 +47,39 @@ func (t *TrafficMatrix) ActivePairs() int {
 	return n
 }
 
+// heatmapCells caps the heatmap's cells per axis.
+const heatmapCells = 64
+
 // Heatmap renders the matrix as an ASCII density grid (rows = sources,
 // columns = destinations; ' ' none, '.' light, '+' medium, '#' heavy,
-// scaled to the maximum cell). Intended for small P.
+// scaled to the maximum cell). Past 64 ranks it bins them into 64 groups
+// of consecutive ranks per axis, rank r falling in group ⌊64·r/P⌋, and
+// each cell sums the words between its two groups, so the grid stays 64
+// glyphs wide at any P.
 func (t *TrafficMatrix) Heatmap() string {
+	n := min(t.p, heatmapCells)
+	cells := make([]float64, n*n)
+	for s := 0; s < t.p; s++ {
+		row := cells[s*n/t.p*n:][:n]
+		for d, v := range t.words[s*t.p : (s+1)*t.p] {
+			row[d*n/t.p] += v
+		}
+	}
 	max := 0.0
-	for _, v := range t.words {
+	for _, v := range cells {
 		if v > max {
 			max = v
 		}
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "traffic heatmap (%d ranks, max cell %.4g words)\n", t.p, max)
-	for s := 0; s < t.p; s++ {
+	if n < t.p {
+		fmt.Fprintf(&b, "traffic heatmap (%d ranks in %d groups per axis, max cell %.4g words)\n", t.p, n, max)
+	} else {
+		fmt.Fprintf(&b, "traffic heatmap (%d ranks, max cell %.4g words)\n", t.p, max)
+	}
+	for s := 0; s < n; s++ {
 		b.WriteString("|")
-		for d := 0; d < t.p; d++ {
-			v := t.words[s*t.p+d]
+		for _, v := range cells[s*n : (s+1)*n] {
 			switch {
 			case v == 0:
 				b.WriteByte(' ')

@@ -128,7 +128,7 @@ func worstFiberCharge(g grid.Grid, axis grid.Axis, net *topo.Network) (alpha, be
 		for _, m := range fiber {
 			seen[m] = true
 		}
-		if key, ok := topo.FiberClassKey(net.Topology(), net.Placement(), fiber); ok {
+		if key, ok := topo.FiberClassKey(net, fiber); ok {
 			if _, dup := classes[key]; dup {
 				continue
 			}

@@ -17,11 +17,7 @@ func testNetwork(t *testing.T, spec string, p int, cfg machine.Config, pol topo.
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := topo.PlaceRanks(p, fabric, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := topo.NewNetwork(fabric, pl)
+	net, err := topo.NewNetwork(fabric, pol)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -365,11 +365,7 @@ func (s *sweeper) compute(p int) (Point, error) {
 		if err != nil {
 			return Point{}, err
 		}
-		pl, err := topo.Map(g, fabric, s.policy)
-		if err != nil {
-			return Point{}, err
-		}
-		net, err := topo.NewNetwork(fabric, pl)
+		net, err := topo.NewNetwork(fabric, s.policy)
 		if err != nil {
 			return Point{}, err
 		}

@@ -50,11 +50,7 @@ func (s *Server) predictTopo(d core.Dims, g grid.Grid, cfg machine.Config, fabri
 	key := fmt.Sprintf("pt:%s:%d:%d:%d:%g:%g:%g:%s:%s",
 		dimsKey(d, g.Size()), g.P1, g.P2, g.P3, cfg.Alpha, cfg.Beta, cfg.Gamma, fabric.Name(), place)
 	r := s.cache.GetOrCompute(key, func() any {
-		pl, err := topo.Map(g, fabric, place)
-		if err != nil {
-			return topoPredictResult{err: err}
-		}
-		net, err := topo.NewNetwork(fabric, pl)
+		net, err := topo.NewNetwork(fabric, place)
 		if err != nil {
 			return topoPredictResult{err: err}
 		}

@@ -54,9 +54,9 @@ func TestChargeDoesNotAllocateAtScale(t *testing.T) {
 }
 
 // TestNewNetworkAllocation pins the charge oracle's construction to
-// O(links) memory: at P=2048 a network holds one flow count and one
-// effective β per link, well under 2 MiB on each fabric kind, while any
-// per-pair (P²) state would need tens of MiB.
+// O(links) memory: at P=2048 a network holds its placement, one flow count
+// and one effective β per link, well under 2 MiB on each fabric kind,
+// while any per-pair (P²) state would need tens of MiB.
 func TestNewNetworkAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts shift under -race instrumentation")
@@ -64,13 +64,9 @@ func TestNewNetworkAllocation(t *testing.T) {
 	const p = 2048
 	for _, spec := range []string{"torus=8x16x16", "twolevel=32", "fattree=2x11"} {
 		tp := mustParse(t, spec, p)
-		pl, err := PlaceRanks(p, tp, Contiguous)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := NewNetwork(tp, pl); err != nil {
+		if _, err := NewNetwork(tp, Contiguous); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)

@@ -23,7 +23,7 @@ func benchFabrics(p int) []string {
 }
 
 // BenchmarkNewNetwork measures charge-oracle construction across fabrics
-// and rank counts: the O(links) analytic flow pass.
+// and rank counts: the rank placement and the O(links) analytic flow pass.
 func BenchmarkNewNetwork(b *testing.B) {
 	for _, p := range []int{64, 1024, 4096, 1 << 16} {
 		for _, spec := range benchFabrics(p) {
@@ -31,14 +31,10 @@ func BenchmarkNewNetwork(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			pl, err := PlaceRanks(p, tp, Contiguous)
-			if err != nil {
-				b.Fatal(err)
-			}
 			b.Run(fmt.Sprintf("%s/P=%d", spec, p), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := NewNetwork(tp, pl); err != nil {
+					if _, err := NewNetwork(tp, Contiguous); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -57,11 +53,7 @@ func BenchmarkChargeScaling(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			pl, err := PlaceRanks(p, tp, Contiguous)
-			if err != nil {
-				b.Fatal(err)
-			}
-			n, err := NewNetwork(tp, pl)
+			n, err := NewNetwork(tp, Contiguous)
 			if err != nil {
 				b.Fatal(err)
 			}

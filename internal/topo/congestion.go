@@ -63,9 +63,9 @@ var alg1Phases = []struct {
 }
 
 // Congest analyzes Algorithm 1's three collective phases on grid g embedded
-// into topology t by placement pl, returning the per-phase busiest-link
-// load and route-length statistics. The placement must cover g.Size()
-// ranks; a mismatch wraps core.ErrBadTopology.
+// into net's topology under net's placement, returning the per-phase
+// busiest-link load and route-length statistics. The network must have
+// g.Size() ranks; a mismatch wraps core.ErrBadTopology.
 //
 // On Translatable fabrics, fibers are grouped into translation-symmetry
 // classes and only one representative per class is routed; the
@@ -78,13 +78,14 @@ var alg1Phases = []struct {
 // breaks translation symmetry) are enumerated fiber by fiber, which stays
 // O(P·k·hops) — linear in P — because loads only ever accumulate into an
 // O(links) array.
-func Congest(g grid.Grid, t Topology, pl Placement) (CongestionReport, error) {
+func Congest(g grid.Grid, net *Network) (CongestionReport, error) {
 	if err := g.Validate(); err != nil {
 		return CongestionReport{}, err
 	}
-	if g.Size() != t.P() || len(pl.ToEndpoint) != t.P() {
-		return CongestionReport{}, fmt.Errorf("topo: grid %v (%d ranks), topology %s (%d endpoints), placement (%d ranks) disagree: %w",
-			g, g.Size(), t.Name(), t.P(), len(pl.ToEndpoint), core.ErrBadTopology)
+	t, pl := net.topo, net.pl
+	if g.Size() != net.p {
+		return CongestionReport{}, fmt.Errorf("topo: grid %v has %d ranks, network on %s has %d: %w",
+			g, g.Size(), t.Name(), net.p, core.ErrBadTopology)
 	}
 	rep := CongestionReport{
 		Topology:  t.Name(),

@@ -120,7 +120,7 @@ func (t *FatTree) Route(buf []int, src, dst int) []int {
 }
 
 // Link returns the uniform per-cable link cost.
-func (t *FatTree) Link(int) Link { return t.link }
+func (t *FatTree) Link() Link { return t.link }
 
 // LinkFlows fills the all-to-all crossing count of every link (flows must
 // be zeroed). The level-ℓ tree edge above a node with sub = radix^ℓ leaves

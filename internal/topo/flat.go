@@ -43,7 +43,7 @@ func (f *Flat) Route(buf []int, src, dst int) []int {
 }
 
 // Link returns the uniform link cost.
-func (f *Flat) Link(int) Link { return f.link }
+func (f *Flat) Link() Link { return f.link }
 
 // LinkFlows gives every dedicated link its one pair. The unused diagonal
 // ids s·p+s are exactly the multiples of p+1 below p².

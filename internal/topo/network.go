@@ -1,27 +1,21 @@
 package topo
 
-import (
-	"fmt"
-
-	"repro/internal/core"
-)
-
 // Network is the cost oracle the machine simulator charges sends through:
 // for every ordered rank pair it answers the effective (α, β) of one
 // message, under the max-congested-link model.
 //
-// Latency is additive over the route: α(s, d) = Σ_{l ∈ route} Link(l).Alpha.
-// Bandwidth is throttled by the route's most contended link:
-// β(s, d) = max_{l ∈ route} Link(l).Beta · χ_l, where the concurrent-use
-// factor χ_l = max(1, flows_l / (p−1)) counts the ordered endpoint pairs
-// whose route crosses l, normalized so that a dedicated per-pair link — each
-// endpoint talking to its p−1 peers over p−1 private links — has χ = 1.
-// The factors are static, keeping the simulator deterministic: charges
-// never depend on goroutine timing.
+// Every link of the fabric costs Link()'s (α, β). Latency is additive over
+// the route: α(s, d) adds α once per hop. Bandwidth is throttled by the
+// route's most contended link: β(s, d) = max_{l ∈ route} β · χ_l, where
+// the concurrent-use factor χ_l = max(1, flows_l / (p−1)) counts the
+// ordered endpoint pairs whose route crosses l, normalized so that a
+// dedicated per-pair link — each endpoint talking to its p−1 peers over p−1
+// private links — has χ = 1. The factors are static, keeping the
+// simulator deterministic: charges never depend on goroutine timing.
 //
 // Construction is O(links): the fabric supplies its all-to-all flow
 // counts in closed form (Topology.LinkFlows), and the only per-link state
-// kept is the effective-β table effBeta[l] = β_l·χ_l. Charge walks the
+// kept is the effective-β table effBeta[l] = β·χ_l. Charge walks the
 // route arithmetically via Topology.WalkCharge — O(hops) and
 // allocation-free. A Flat topology is special-cased to a uniform charge
 // with no per-link state at all, so the paper's model runs unchanged at
@@ -35,24 +29,25 @@ type Network struct {
 	uniform     bool
 	alpha, beta float64
 
-	// effBeta[l] = Link(l).Beta · χ_l, the only O(links) state the charge
-	// model needs.
+	// effBeta[l] = β · χ_l, the only O(links) state the charge model
+	// needs.
 	effBeta []float64
 }
 
-// NewNetwork builds the charge oracle for topology t under placement pl.
-// The placement must cover exactly t.P() ranks; a mismatch wraps
-// core.ErrBadTopology.
-func NewNetwork(t Topology, pl Placement) (*Network, error) {
-	p := t.P()
-	if len(pl.ToEndpoint) != p {
-		return nil, fmt.Errorf("topo: placement covers %d ranks, %s has %d endpoints: %w",
-			len(pl.ToEndpoint), t.Name(), p, core.ErrBadTopology)
+// NewNetwork builds the charge oracle for topology t, laying its t.P()
+// ranks onto the endpoints under policy (see Policy). An unknown policy
+// wraps core.ErrBadTopology.
+func NewNetwork(t Topology, policy Policy) (*Network, error) {
+	pl, err := placeRanks(t, policy)
+	if err != nil {
+		return nil, err
 	}
+	p := t.P()
 	n := &Network{p: p, topo: t, pl: pl}
-	if f, ok := t.(*Flat); ok {
+	link := t.Link()
+	if _, ok := t.(*Flat); ok {
 		n.uniform = true
-		n.alpha, n.beta = f.link.Alpha, f.link.Beta
+		n.alpha, n.beta = link.Alpha, link.Beta
 		return n, nil
 	}
 
@@ -70,7 +65,7 @@ func NewNetwork(t Topology, pl Placement) (*Network, error) {
 		if c < 1 {
 			c = 1
 		}
-		n.effBeta[l] = t.Link(l).Beta * c
+		n.effBeta[l] = link.Beta * c
 	}
 	return n, nil
 }

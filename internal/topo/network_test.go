@@ -15,11 +15,7 @@ func mustNetwork(t *testing.T, spec string, p int, pol Policy) *Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := PlaceRanks(p, topo, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := NewNetwork(topo, pl)
+	n, err := NewNetwork(topo, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +41,7 @@ func TestFlatChargeIsExactBase(t *testing.T) {
 	}
 	// Flat takes the uniform path at any size — its p² link ids are never
 	// materialized.
-	big, err := NewNetwork(NewFlat(1<<16, testLink), Placement{Policy: Contiguous, ToEndpoint: make([]int, 1<<16)})
+	big, err := NewNetwork(NewFlat(1<<16, testLink), Contiguous)
 	if err != nil {
 		t.Fatalf("flat at 65536 ranks: %v", err)
 	}
@@ -100,10 +96,11 @@ func TestTorusChargeSymmetry(t *testing.T) {
 	}
 }
 
-// TestNetworkPlacementMismatch checks a short placement is rejected.
-func TestNetworkPlacementMismatch(t *testing.T) {
-	if _, err := NewNetwork(NewFlat(8, testLink), Placement{ToEndpoint: make([]int, 4)}); !errors.Is(err, core.ErrBadTopology) {
-		t.Errorf("short placement = %v, want ErrBadTopology", err)
+// TestNetworkUnknownPolicy checks a placement policy outside the enum is
+// rejected.
+func TestNetworkUnknownPolicy(t *testing.T) {
+	if _, err := NewNetwork(NewFlat(8, testLink), Policy(7)); !errors.Is(err, core.ErrBadTopology) {
+		t.Errorf("unknown policy = %v, want ErrBadTopology", err)
 	}
 }
 
@@ -111,12 +108,11 @@ func TestNetworkPlacementMismatch(t *testing.T) {
 // on the paper's dedicated-link model for every phase.
 func TestCongestFlatIsUncontended(t *testing.T) {
 	g := grid.Grid{P1: 4, P2: 4, P3: 4}
-	topo := NewFlat(64, testLink)
-	pl, err := Map(g, topo, Contiguous)
+	n, err := NewNetwork(NewFlat(64, testLink), Contiguous)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Congest(g, topo, pl)
+	rep, err := Congest(g, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +146,11 @@ func TestCongestPlacementMatters(t *testing.T) {
 		t.Fatal(err)
 	}
 	report := func(pol Policy) CongestionReport {
-		pl, err := Map(g, topo, pol)
+		n, err := NewNetwork(topo, pol)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Congest(g, topo, pl)
+		rep, err := Congest(g, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,9 +182,11 @@ func TestCongestPlacementMatters(t *testing.T) {
 // TestCongestSizeMismatch checks disagreeing sizes wrap core.ErrBadTopology.
 func TestCongestSizeMismatch(t *testing.T) {
 	g := grid.Grid{P1: 2, P2: 2, P3: 2}
-	topo := NewFlat(16, testLink)
-	pl := Placement{ToEndpoint: make([]int, 16)}
-	if _, err := Congest(g, topo, pl); !errors.Is(err, core.ErrBadTopology) {
+	n, err := NewNetwork(NewFlat(16, testLink), Contiguous)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Congest(g, n); !errors.Is(err, core.ErrBadTopology) {
 		t.Errorf("Congest size mismatch = %v, want ErrBadTopology", err)
 	}
 }

@@ -1,10 +1,8 @@
 package topo
 
 import (
-	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/grid"
 )
 
@@ -29,7 +27,7 @@ func enumerateFlows(t Topology, flows []int) {
 
 // checkRouteCharges holds n's Charge for every sampled rank pair (sources
 // stepped by ss, destinations by ds) to the price of Route's links taken
-// in order: per-link α summed, β_l·max(1, flows_l/(p−1)) maximized, with
+// in order: α summed per link, β·max(1, flows_l/(p−1)) maximized, with
 // flows the reference all-to-all link loads.
 func checkRouteCharges(t *testing.T, n *Network, flows []int, ss, ds int) {
 	t.Helper()
@@ -44,8 +42,8 @@ func checkRouteCharges(t *testing.T, n *Network, flows []int, ss, ds int) {
 			var wa, wb float64
 			route = tp.Route(route[:0], eps[s], eps[d])
 			for _, l := range route {
-				wa += tp.Link(l).Alpha
-				wb = max(wb, tp.Link(l).Beta*max(float64(flows[l])/norm, 1))
+				wa += tp.Link().Alpha
+				wb = max(wb, tp.Link().Beta*max(float64(flows[l])/norm, 1))
 			}
 			if a, b := n.Charge(s, d); a != wa || b != wb {
 				t.Fatalf("%s/%v at P=%d: Charge(%d, %d) = (%v, %v), route-priced (%v, %v)",
@@ -58,15 +56,10 @@ func checkRouteCharges(t *testing.T, n *Network, flows []int, ss, ds int) {
 // congestExhaustive is the original fiber-by-fiber enumeration, the
 // small-P equivalence oracle TestCongestMatchesExhaustive holds Congest's
 // symmetry-class path against. It materializes load over the full link id
-// space (p² for Flat), so it is only affordable at small P.
-func congestExhaustive(g grid.Grid, t Topology, pl Placement) (CongestionReport, error) {
-	if err := g.Validate(); err != nil {
-		return CongestionReport{}, err
-	}
-	if g.Size() != t.P() || len(pl.ToEndpoint) != t.P() {
-		return CongestionReport{}, fmt.Errorf("topo: grid %v (%d ranks), topology %s (%d endpoints), placement (%d ranks) disagree: %w",
-			g, g.Size(), t.Name(), t.P(), len(pl.ToEndpoint), core.ErrBadTopology)
-	}
+// space (p² for Flat), so it is only affordable at small P. The grid must
+// be valid and cover n's ranks.
+func congestExhaustive(g grid.Grid, n *Network) CongestionReport {
+	t, pl := n.Topology(), n.Placement()
 	rep := CongestionReport{
 		Topology:  t.Name(),
 		Placement: pl.Policy.String(),
@@ -132,5 +125,5 @@ func congestExhaustive(g grid.Grid, t Topology, pl Placement) (CongestionReport,
 		}
 		rep.Phases = append(rep.Phases, ph)
 	}
-	return rep, nil
+	return rep
 }

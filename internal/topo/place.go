@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/grid"
 )
 
 // Policy selects how machine ranks are laid out on a topology's endpoints.
@@ -61,14 +60,11 @@ type Placement struct {
 	ToEndpoint []int
 }
 
-// PlaceRanks lays p machine ranks onto t's endpoints under the policy. The
-// rank count must equal the endpoint count (the simulator identifies ranks
-// with network attachment points); a mismatch wraps core.ErrBadTopology.
-func PlaceRanks(p int, t Topology, policy Policy) (Placement, error) {
-	if t.P() != p {
-		return Placement{}, fmt.Errorf("topo: %s has %d endpoints, machine has %d ranks: %w",
-			t.Name(), t.P(), p, core.ErrBadTopology)
-	}
+// placeRanks lays t's P() ranks onto its endpoints under the policy; an
+// unknown policy wraps core.ErrBadTopology. The simulator identifies ranks
+// with network attachment points, so the rank count is the endpoint count.
+func placeRanks(t Topology, policy Policy) (Placement, error) {
+	p := t.P()
 	pl := Placement{Policy: policy, ToEndpoint: make([]int, p)}
 	switch policy {
 	case Contiguous:
@@ -95,17 +91,4 @@ func PlaceRanks(p int, t Topology, policy Policy) (Placement, error) {
 		return Placement{}, fmt.Errorf("topo: unknown placement policy %d: %w", int(policy), core.ErrBadTopology)
 	}
 	return pl, nil
-}
-
-// Map embeds the logical p1×p2×p3 grid onto the topology: machine rank
-// g.Rank(i1,i2,i3) (i3 fastest) is assigned a topology endpoint under the
-// policy. The grid size must equal the endpoint count. Contiguous keeps
-// each Axis3 fiber — the partners of Algorithm 1's A All-Gather — within
-// consecutive endpoints; RoundRobin scatters every fiber across locality
-// units.
-func Map(g grid.Grid, t Topology, policy Policy) (Placement, error) {
-	if err := g.Validate(); err != nil {
-		return Placement{}, err
-	}
-	return PlaceRanks(g.Size(), t, policy)
 }

@@ -39,38 +39,37 @@ func smallestDivisor(p int) int {
 }
 
 // TestPlacementBijection is the property test of the placement mapper:
-// for every divisor triple of every P ≤ 512, every policy on every
-// applicable topology yields a permutation of the ranks — no grid cell is
-// dropped or doubled on the fabric.
+// for every P ≤ 512, every policy on every applicable topology — each
+// divisor triple's shape doubling as a torus — yields a permutation of the
+// ranks: no grid cell is dropped or doubled on the fabric.
 func TestPlacementBijection(t *testing.T) {
 	for p := 1; p <= 512; p++ {
-		triples := divisorTriples(p)
 		topos := []Topology{NewFlat(p, testLink)}
 		if g := smallestDivisor(p); g > 1 && g < p {
-			topos = append(topos, NewTwoLevel(p/g, g, testLink, testLink))
+			topos = append(topos, NewTwoLevel(p/g, g, testLink))
 		}
-		for _, g := range triples {
-			// The grid's own shape doubles as a torus of the same size.
+		for _, g := range divisorTriples(p) {
 			torus, err := NewTorus([]int{g.P1, g.P2, g.P3}, testLink)
 			if err != nil {
 				t.Fatalf("P=%d torus %v: %v", p, g, err)
 			}
-			for _, topo := range append(topos, Topology(torus)) {
-				for _, pol := range []Policy{Contiguous, RoundRobin} {
-					pl, err := Map(g, topo, pol)
-					if err != nil {
-						t.Fatalf("Map(%v, %s, %v): %v", g, topo.Name(), pol, err)
+			topos = append(topos, torus)
+		}
+		for _, topo := range topos {
+			for _, pol := range []Policy{Contiguous, RoundRobin} {
+				pl, err := placeRanks(topo, pol)
+				if err != nil {
+					t.Fatalf("placeRanks(%s, %v) at P=%d: %v", topo.Name(), pol, p, err)
+				}
+				if len(pl.ToEndpoint) != p {
+					t.Fatalf("placeRanks(%s, %v): %d entries, want %d", topo.Name(), pol, len(pl.ToEndpoint), p)
+				}
+				seen := make([]bool, p)
+				for r, e := range pl.ToEndpoint {
+					if e < 0 || e >= p || seen[e] {
+						t.Fatalf("placeRanks(%s, %v) at P=%d: rank %d → endpoint %d is out of range or duplicated", topo.Name(), pol, p, r, e)
 					}
-					if len(pl.ToEndpoint) != p {
-						t.Fatalf("Map(%v, %s, %v): %d entries, want %d", g, topo.Name(), pol, len(pl.ToEndpoint), p)
-					}
-					seen := make([]bool, p)
-					for r, e := range pl.ToEndpoint {
-						if e < 0 || e >= p || seen[e] {
-							t.Fatalf("Map(%v, %s, %v): rank %d → endpoint %d is out of range or duplicated", g, topo.Name(), pol, r, e)
-						}
-						seen[e] = true
-					}
+					seen[e] = true
 				}
 			}
 		}
@@ -80,7 +79,7 @@ func TestPlacementBijection(t *testing.T) {
 // TestPlaceRanksContiguousIsIdentity pins the contiguous embedding: rank i
 // sits on endpoint i, so Flat + contiguous is exactly the paper's machine.
 func TestPlaceRanksContiguousIsIdentity(t *testing.T) {
-	pl, err := PlaceRanks(16, NewFlat(16, testLink), Contiguous)
+	pl, err := placeRanks(NewFlat(16, testLink), Contiguous)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +93,8 @@ func TestPlaceRanksContiguousIsIdentity(t *testing.T) {
 // TestPlaceRanksRoundRobinScatters checks round-robin deals consecutive
 // ranks onto distinct locality units.
 func TestPlaceRanksRoundRobinScatters(t *testing.T) {
-	topo := NewTwoLevel(8, 8, testLink, testLink) // 64 ranks, nodes of 8
-	pl, err := PlaceRanks(64, topo, RoundRobin)
+	topo := NewTwoLevel(8, 8, testLink) // 64 ranks, nodes of 8
+	pl, err := placeRanks(topo, RoundRobin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,17 +103,6 @@ func TestPlaceRanksRoundRobinScatters(t *testing.T) {
 		if a == b {
 			t.Fatalf("round-robin put consecutive ranks %d, %d on the same node %d", i, i+1, a)
 		}
-	}
-}
-
-// TestPlaceRanksMismatch checks a rank/endpoint count mismatch wraps
-// core.ErrBadTopology.
-func TestPlaceRanksMismatch(t *testing.T) {
-	if _, err := PlaceRanks(8, NewFlat(16, testLink), Contiguous); !errors.Is(err, core.ErrBadTopology) {
-		t.Errorf("PlaceRanks size mismatch = %v, want ErrBadTopology", err)
-	}
-	if _, err := Map(grid.Grid{P1: 2, P2: 2, P3: 2}, NewFlat(16, testLink), Contiguous); !errors.Is(err, core.ErrBadTopology) {
-		t.Errorf("Map size mismatch = %v, want ErrBadTopology", err)
 	}
 }
 

@@ -51,20 +51,21 @@ func canonicalFiber(tr Translatable, eps []int) (key string, canon []int, inv in
 }
 
 // FiberClassKey returns a key identifying the translation-symmetry class
-// of the given ranks' endpoint images, and whether the fabric has the
-// symmetry at all. Fibers with equal keys are exact translates: their
-// routes cross translated links with identical per-link α and flow counts,
-// so any aggregate of Network charges over a fiber's pairs is identical
-// across the class. Callers use this to visit one fiber per class;
-// ok=false means no symmetry is available and every fiber must be visited.
-func FiberClassKey(t Topology, pl Placement, ranks []int) (string, bool) {
-	tr, ok := t.(Translatable)
+// of the given ranks' endpoint images under net's placement, and whether
+// net's fabric has the symmetry at all. Fibers with equal keys are exact
+// translates: their routes cross translated links with identical flow
+// counts, so any aggregate of net's charges over a fiber's pairs is
+// identical across the class. Callers use this to visit one fiber per
+// class; ok=false means no symmetry is available and every fiber must be
+// visited.
+func FiberClassKey(net *Network, ranks []int) (string, bool) {
+	tr, ok := net.topo.(Translatable)
 	if !ok || len(ranks) == 0 {
 		return "", false
 	}
 	eps := make([]int, len(ranks))
 	for i, r := range ranks {
-		eps[i] = pl.ToEndpoint[r]
+		eps[i] = net.pl.ToEndpoint[r]
 	}
 	key, _, _, ok := canonicalFiber(tr, eps)
 	return key, ok

@@ -128,11 +128,7 @@ func FuzzFabricAgreement(f *testing.F) {
 		if rr {
 			pol = RoundRobin
 		}
-		pl, err := PlaceRanks(p, tp, pol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := NewNetwork(tp, pl)
+		n, err := NewNetwork(tp, pol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,18 +188,15 @@ func TestCongestMatchesExhaustive(t *testing.T) {
 			for _, spec := range specs {
 				tp := mustParse(t, spec, p)
 				for _, pol := range []Policy{Contiguous, RoundRobin} {
-					pl, err := Map(g, tp, pol)
+					n, err := NewNetwork(tp, pol)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := Congest(g, tp, pl)
+					got, err := Congest(g, n)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := congestExhaustive(g, tp, pl)
-					if err != nil {
-						t.Fatal(err)
-					}
+					want := congestExhaustive(g, n)
 					if len(got.Phases) != len(want.Phases) {
 						t.Fatalf("%s/%v on %v: phase count %d != %d", spec, pol, g, len(got.Phases), len(want.Phases))
 					}
@@ -229,12 +222,11 @@ func TestCongestAtScale(t *testing.T) {
 	const p = 1 << 16
 	g := grid.Grid{P1: 64, P2: 32, P3: 32}
 	for _, spec := range []string{"twolevel=32", "torus=16x16x16x16", "fattree=4x8", "flat"} {
-		tp := mustParse(t, spec, p)
-		pl, err := Map(g, tp, Contiguous)
+		n, err := NewNetwork(mustParse(t, spec, p), Contiguous)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Congest(g, tp, pl)
+		rep, err := Congest(g, n)
 		if err != nil {
 			t.Fatal(err)
 		}

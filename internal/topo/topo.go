@@ -7,16 +7,16 @@
 // and the question the topology subsystem answers is *when the paper's
 // tight constants survive contention and locality*.
 //
-// A Topology describes the fabric as a set of directed links, each with its
-// own per-message latency α and per-word cost β, plus a deterministic
+// A Topology describes the fabric as a set of directed links, all with one
+// per-message latency α and one per-word cost β, plus a deterministic
 // routing function mapping every ordered endpoint pair to the sequence of
 // links its messages traverse. On top of it:
 //
-//   - Placement (place.go) embeds the machine's ranks — in particular the
-//     §5.2 optimal p1×p2×p3 grid — onto the topology's endpoints, either
-//     contiguously (consecutive ranks share a locality unit) or round-robin
-//     (consecutive ranks scattered across locality units).
-//   - Network (network.go) prices every message under the
+//   - Network (network.go) embeds the machine's ranks — in particular the
+//     §5.2 optimal p1×p2×p3 grid — onto the topology's endpoints under a
+//     placement policy (place.go), either contiguously (consecutive ranks
+//     share a locality unit) or round-robin (consecutive ranks scattered
+//     across locality units), and prices every message under the
 //     max-congested-link model: latency is the route's total α, bandwidth
 //     is the words times the largest β·χ over the route's links, where χ
 //     is the link's concurrent-use factor (its all-to-all flow count
@@ -38,7 +38,8 @@ import (
 	"repro/internal/core"
 )
 
-// Link is one directed communication channel of a topology.
+// Link is the cost of one directed communication channel of a topology;
+// every link of a fabric costs the same.
 type Link struct {
 	// Alpha is the per-message latency of traversing the link.
 	Alpha float64
@@ -47,8 +48,8 @@ type Link struct {
 }
 
 // Topology is an interconnect fabric: endpoints (one per machine rank),
-// directed links with individual costs, a deterministic routing function,
-// and the closed forms that price routes without enumerating them.
+// directed links of one cost, a deterministic routing function, and the
+// closed forms that price routes without enumerating them.
 // Implementations must be immutable after construction and safe for
 // concurrent use; Route must not allocate beyond growing buf.
 //
@@ -76,16 +77,16 @@ type Topology interface {
 	// dst to buf and returns it. src == dst yields no links. Routing is
 	// deterministic and minimal for every implementation in this package.
 	Route(buf []int, src, dst int) []int
-	// Link returns the cost parameters of one link.
-	Link(id int) Link
+	// Link returns the cost parameters every link shares.
+	Link() Link
 	// LinkFlows fills flows[l] with the number of ordered endpoint pairs
 	// whose route crosses link l — the same counts enumerating Route over
 	// all P(P−1) pairs would produce. flows has NumLinks entries and must
 	// be zeroed by the caller.
 	LinkFlows(flows []int)
 	// WalkCharge prices one message from endpoint src to endpoint dst:
-	// alpha is the route's summed per-link α, maxEff the largest
-	// effBeta[l] over the route's links (effBeta holds β_l·χ_l, indexed by
+	// alpha is α summed over the route's links, maxEff the largest
+	// effBeta[l] over the route's links (effBeta holds β·χ_l, indexed by
 	// link id). It must not allocate.
 	WalkCharge(effBeta []float64, src, dst int) (alpha, maxEff float64)
 }
@@ -150,7 +151,7 @@ func Parse(spec string, p int, base Link) (Topology, error) {
 		if g > maxLinks/g || p/g > maxLinks/(g*g+2) {
 			return nil, tooManyLinks(spec, p)
 		}
-		return NewTwoLevel(p/g, g, base, base), nil
+		return NewTwoLevel(p/g, g, base), nil
 	case "torus":
 		dims, err := parseExtents(arg)
 		if err != nil {

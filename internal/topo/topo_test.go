@@ -126,7 +126,7 @@ func TestRouteLinkIDsInRange(t *testing.T) {
 // TestTwoLevelRoutes checks the node/NIC route shapes: one dedicated link
 // within a node, exactly up-then-down across nodes.
 func TestTwoLevelRoutes(t *testing.T) {
-	tl := NewTwoLevel(4, 4, testLink, testLink)
+	tl := NewTwoLevel(4, 4, testLink)
 	if got := tl.Route(nil, 1, 3); len(got) != 1 {
 		t.Errorf("intra-node route = %v, want one link", got)
 	}

@@ -113,7 +113,7 @@ func (t *Torus) Route(buf []int, src, dst int) []int {
 }
 
 // Link returns the uniform per-hop link cost.
-func (t *Torus) Link(int) Link { return t.link }
+func (t *Torus) Link() Link { return t.link }
 
 // LinkFlows fills the all-to-all crossing count of every link (flows must
 // be zeroed). On a ring of extent k, minimal routing with ties breaking

@@ -4,23 +4,23 @@ import "fmt"
 
 // TwoLevel is the node/NIC hierarchy of a commodity cluster: endpoints are
 // grouped into nodes of perNode ranks; ranks on the same node exchange over
-// dedicated intra-node links (one per ordered pair, cost intra), while
-// every inter-node message traverses exactly two shared links — the source
-// node's NIC uplink and the destination node's NIC downlink (cost nic
-// each). The uplink of a node is shared by all of its ranks' outbound
+// dedicated intra-node links (one per ordered pair), while every
+// inter-node message traverses exactly two shared links — the source
+// node's NIC uplink and the destination node's NIC downlink. Every link
+// costs link. The uplink of a node is shared by all of its ranks' outbound
 // traffic, which is where NIC oversubscription (χ ≈ ranks-per-node under
 // uniform traffic) comes from.
 type TwoLevel struct {
 	nodes, perNode int
-	intra, nic     Link
+	link           Link
 }
 
 // NewTwoLevel builds a cluster of nodes × perNode endpoints.
-func NewTwoLevel(nodes, perNode int, intra, nic Link) *TwoLevel {
+func NewTwoLevel(nodes, perNode int, link Link) *TwoLevel {
 	if nodes <= 0 || perNode <= 0 {
 		panic(fmt.Sprintf("topo: twolevel %d nodes x %d ranks", nodes, perNode))
 	}
-	return &TwoLevel{nodes: nodes, perNode: perNode, intra: intra, nic: nic}
+	return &TwoLevel{nodes: nodes, perNode: perNode, link: link}
 }
 
 // Name returns the spec string.
@@ -56,14 +56,8 @@ func (t *TwoLevel) Route(buf []int, src, dst int) []int {
 	return append(buf, t.up(sn), t.down(dn))
 }
 
-// Link returns nic for the shared NIC links and intra for the dedicated
-// intra-node links.
-func (t *TwoLevel) Link(id int) Link {
-	if id < 2*t.nodes {
-		return t.nic
-	}
-	return t.intra
-}
+// Link returns the uniform link cost.
+func (t *TwoLevel) Link() Link { return t.link }
 
 // LinkFlows fills the all-to-all crossing count of every link (flows must
 // be zeroed): each NIC uplink and downlink carries its node's
@@ -96,9 +90,9 @@ func (t *TwoLevel) WalkCharge(effBeta []float64, src, dst int) (alpha, maxEff fl
 	sn, dn := src/t.perNode, dst/t.perNode
 	if sn == dn {
 		id := 2*t.nodes + (sn*t.perNode+src%t.perNode)*t.perNode + dst%t.perNode
-		return t.intra.Alpha, effBeta[id]
+		return t.link.Alpha, effBeta[id]
 	}
-	alpha = t.nic.Alpha + t.nic.Alpha
+	alpha = t.link.Alpha + t.link.Alpha
 	maxEff = effBeta[t.up(sn)]
 	if e := effBeta[t.down(dn)]; e > maxEff {
 		maxEff = e

@@ -134,11 +134,11 @@ type MachineConfig = machine.Config
 // else, so costs read directly in words.
 func BandwidthOnly() MachineConfig { return machine.BandwidthOnly() }
 
-// Opts configures a simulated algorithm run. Build it with NewOpts and the
-// With* functional options (the recommended path), or fill the struct
-// directly (the low-level path; see internal/algs for field semantics).
-// Opts.Validate reports taxonomy errors (ErrBadOpts, ErrGridMismatch) for
-// inconsistent values.
+// Opts configures a simulated algorithm run: fill the fields it needs (see
+// internal/algs for their semantics); the zero Opts charges nothing per
+// word, so most callers set Config to BandwidthOnly() or an explicit α-β-γ
+// model. Opts.Validate reports taxonomy errors (ErrBadOpts,
+// ErrGridMismatch) for inconsistent values.
 type Opts = algs.Opts
 
 // Result is the outcome of a simulated run: the assembled product, the
@@ -275,11 +275,10 @@ type TopoPrediction = model.TopoPrediction
 // Slowdown 1; elsewhere Slowdown is the factor by which the paper's
 // dedicated-link constant degrades.
 func PredictAlg1TimeOnTopology(d Dims, g Grid, cfg MachineConfig, t Topology, place Placement) (TopoPrediction, error) {
-	pl, err := topo.Map(g, t, place)
-	if err != nil {
+	if err := g.Validate(); err != nil {
 		return TopoPrediction{}, err
 	}
-	net, err := topo.NewNetwork(t, pl)
+	net, err := topo.NewNetwork(t, place)
 	if err != nil {
 		return TopoPrediction{}, err
 	}

@@ -6,8 +6,8 @@ import (
 )
 
 // TestTopologyFacade drives the topology surface end-to-end through the
-// public API: parse a fabric, run Algorithm 1 on it via functional options,
-// and check the topology-aware prediction brackets the flat one.
+// public API: parse a fabric, run Algorithm 1 on it, and check the
+// topology-aware prediction brackets the flat one.
 func TestTopologyFacade(t *testing.T) {
 	const n, p = 48, 16
 	d := SquareDims(n)
@@ -15,7 +15,7 @@ func TestTopologyFacade(t *testing.T) {
 	a := RandomMatrix(n, n, 5)
 	b := RandomMatrix(n, n, 6)
 
-	flatRes, err := Alg1(a, b, p, NewOpts(WithConfig(cfg)))
+	flatRes, err := Alg1(a, b, p, Opts{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,8 +24,7 @@ func TestTopologyFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Alg1(a, b, p, NewOpts(
-		WithConfig(cfg), WithTopology(fabric), WithPlacement(PlaceContiguous)))
+	res, err := Alg1(a, b, p, Opts{Config: cfg, Topo: fabric, Place: PlaceContiguous})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +71,17 @@ func TestTopologyFacadeErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := RandomMatrix(8, 8, 1), RandomMatrix(8, 8, 2)
-	if _, err := Alg1(a, b, 4, NewOpts(WithConfig(BandwidthOnly()), WithTopology(fabric))); !errors.Is(err, ErrBadTopology) {
+	if _, err := Alg1(a, b, 4, Opts{Config: BandwidthOnly(), Topo: fabric}); !errors.Is(err, ErrBadTopology) {
 		t.Fatalf("rank-count mismatch: %v", err)
+	}
+	d := SquareDims(8)
+	if _, err := PredictAlg1TimeOnTopology(d, Grid{P1: 2, P2: 2, P3: 1}, BandwidthOnly(), fabric, PlaceContiguous); !errors.Is(err, ErrBadTopology) {
+		t.Fatalf("prediction grid-size mismatch: %v", err)
+	}
+	if _, err := PredictAlg1TimeOnTopology(d, Grid{P1: -2, P2: -2, P3: 2}, BandwidthOnly(), fabric, PlaceContiguous); !errors.Is(err, ErrGridMismatch) {
+		t.Fatalf("prediction on an invalid grid: %v", err)
+	}
+	if _, err := PredictAlg1TimeOnTopology(d, Grid{P1: 2, P2: 2, P3: 2}, BandwidthOnly(), fabric, Placement(7)); !errors.Is(err, ErrBadTopology) {
+		t.Fatalf("prediction under an unknown placement: %v", err)
 	}
 }
