@@ -2,13 +2,17 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"errors"
+	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/algs"
 	"repro/internal/core"
+	"repro/internal/matrix"
 	"repro/internal/topo"
 )
 
@@ -16,7 +20,7 @@ import (
 // algorithm resolves case-insensitively, unknown names fail listing the
 // valid ones, and the topology flags produce typed taxonomy errors.
 func TestFlagParsing(t *testing.T) {
-	small := []string{"-n1", "16", "-n2", "16", "-n3", "16", "-p", "4"}
+	small := []string{"-dims", "16x16x16", "-p", "4"}
 	cases := []struct {
 		name    string
 		args    []string
@@ -31,8 +35,8 @@ func TestFlagParsing(t *testing.T) {
 				if len(s.entries) != 1 || s.entries[0].Name != "Alg1" {
 					t.Fatalf("entries = %+v", s.entries)
 				}
-				if s.opts.Topo != nil {
-					t.Fatalf("default run got a topology: %v", s.opts.Topo)
+				if s.fabrics != nil {
+					t.Fatalf("default run got a topology: %v", s.fabrics)
 				}
 			},
 		},
@@ -62,10 +66,10 @@ func TestFlagParsing(t *testing.T) {
 		},
 		{
 			name: "topology and placement",
-			args: []string{"-n1", "64", "-n2", "64", "-n3", "64", "-p", "64", "-topo", "torus=4x4x4", "-place", "roundrobin"},
+			args: []string{"-dims", "64x64x64", "-p", "64", "-topo", "torus=4x4x4", "-place", "roundrobin"},
 			check: func(t *testing.T, s runSpec) {
-				if s.opts.Topo == nil || s.opts.Topo.Name() != "torus=4x4x4" {
-					t.Fatalf("topo = %v", s.opts.Topo)
+				if len(s.fabrics) != 1 || s.fabrics[0].Name() != "torus=4x4x4" {
+					t.Fatalf("fabrics = %v", s.fabrics)
 				}
 				if s.opts.Place != topo.RoundRobin {
 					t.Fatalf("place = %v", s.opts.Place)
@@ -94,14 +98,40 @@ func TestFlagParsing(t *testing.T) {
 			wantErr: core.ErrBadTopology,
 		},
 		{
+			name:    "topology that does not fit every P",
+			args:    []string{"-dims", "16x16x16", "-p", "4,8", "-topo", "torus=2x2"},
+			wantErr: core.ErrBadTopology,
+			errHas:  "8 ranks",
+		},
+		{
 			name:    "bad dims",
-			args:    []string{"-n1", "0"},
+			args:    []string{"-dims", "0x16x16"},
 			wantErr: core.ErrBadDims,
 		},
 		{
 			name:    "bad processor count",
 			args:    []string{"-p", "0"},
 			wantErr: core.ErrBadProcessorCount,
+		},
+		{
+			name:    "bad processor count in a list",
+			args:    []string{"-p", "4,0"},
+			wantErr: core.ErrBadProcessorCount,
+		},
+		{
+			name: "shapes, processor counts and algorithms in order",
+			args: []string{"-dims", "16x16x16, 32x8x4", "-p", "8,1", "-alg", "SUMMA,alg1"},
+			check: func(t *testing.T, s runSpec) {
+				if want := []core.Dims{core.Square(16), core.NewDims(32, 8, 4)}; !slices.Equal(s.shapes, want) {
+					t.Fatalf("shapes = %v, want %v", s.shapes, want)
+				}
+				if !slices.Equal(s.procs, []int{8, 1}) {
+					t.Fatalf("procs = %v", s.procs)
+				}
+				if len(s.entries) != 2 || s.entries[0].Name != "SUMMA" || s.entries[1].Name != "Alg1" {
+					t.Fatalf("entries = %+v", s.entries)
+				}
+			},
 		},
 		{
 			name:    "negative beta",
@@ -127,7 +157,18 @@ func TestFlagParsing(t *testing.T) {
 			name:    "trace with all algorithms",
 			args:    append([]string{"-alg", "all", "-trace", "t.json"}, small...),
 			wantErr: core.ErrBadOpts,
-			errHas:  "single algorithm",
+			errHas:  "single run",
+		},
+		{
+			name:    "trace over two processor counts",
+			args:    []string{"-trace", "t.json", "-p", "4,8"},
+			wantErr: core.ErrBadOpts,
+			errHas:  "single run",
+		},
+		{
+			name:    "traffic beside CSV",
+			args:    append([]string{"-traffic", "-csv"}, small...),
+			wantErr: core.ErrBadOpts,
 		},
 		{
 			name:    "timeline with all algorithms",
@@ -141,13 +182,13 @@ func TestFlagParsing(t *testing.T) {
 		},
 		{
 			name:    "traffic past the P limit",
-			args:    []string{"-traffic", "-n1", "256", "-n2", "256", "-n3", "256", "-p", "65536"},
+			args:    []string{"-traffic", "-dims", "256x256x256", "-p", "65536"},
 			wantErr: core.ErrBadOpts,
 			errHas:  "4096",
 		},
 		{
 			name: "traffic at the P limit",
-			args: []string{"-traffic", "-n1", "64", "-n2", "64", "-n3", "64", "-p", "4096"},
+			args: []string{"-traffic", "-dims", "64x64x64", "-p", "4096"},
 			check: func(t *testing.T, s runSpec) {
 				if !s.traffic || !s.opts.Trace {
 					t.Fatalf("traffic not recorded: %+v", s.opts)
@@ -185,8 +226,8 @@ func TestFlagParsing(t *testing.T) {
 // then exits 2) instead of panicking or exiting from inside the parser.
 func TestFlagSyntaxError(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := parseFlags([]string{"-p", "not-a-number"}, &buf); err == nil {
-		t.Fatal("bad -p value parsed")
+	if _, err := parseFlags([]string{"-layers", "not-a-number"}, &buf); err == nil {
+		t.Fatal("bad -layers value parsed")
 	}
 	if _, err := parseFlags([]string{"-definitely-not-a-flag"}, &buf); err == nil {
 		t.Fatal("unknown flag parsed")
@@ -197,7 +238,7 @@ func TestFlagSyntaxError(t *testing.T) {
 // problem with and without a fabric: same words, longer critical path, both
 // verified, exit code 0.
 func TestRunTopologySmoke(t *testing.T) {
-	args := []string{"-alg", "Alg1", "-n1", "32", "-n2", "32", "-n3", "32", "-p", "8", "-alpha", "2", "-beta", "1"}
+	args := []string{"-alg", "Alg1", "-dims", "32x32x32", "-p", "8", "-alpha", "2", "-beta", "1"}
 	runOut := func(extra ...string) (string, int) {
 		t.Helper()
 		cfg, err := parseFlags(append(args, extra...), io.Discard)
@@ -235,7 +276,7 @@ func TestRunTopologySmoke(t *testing.T) {
 // registry algorithm, the 2D and 1D ones included.
 func TestRunTrafficEveryAlgorithm(t *testing.T) {
 	for _, name := range algs.Names() {
-		cfg, err := parseFlags([]string{"-alg", name, "-n1", "16", "-n2", "16", "-n3", "16", "-p", "4", "-traffic"}, io.Discard)
+		cfg, err := parseFlags([]string{"-alg", name, "-dims", "16x16x16", "-p", "4", "-traffic"}, io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,6 +290,136 @@ func TestRunTrafficEveryAlgorithm(t *testing.T) {
 		}
 		if !strings.Contains(out.String(), "traffic heatmap (4 ranks") || !strings.Contains(out.String(), "active pairs: ") {
 			t.Errorf("%s -traffic printed no heatmap:\n%s", name, out.String())
+		}
+	}
+}
+
+// TestParseDimsValidates: parseDims refuses the shapes core.Dims.Validate
+// refuses with core.ErrBadDims, among them one whose n1·n2 overflows the
+// exact float64 range (matrix.New would panic allocating it), and accepts
+// a list of valid shapes in order.
+func TestParseDimsValidates(t *testing.T) {
+	for _, s := range []string{"3037000500x3037000500x1", "64x0x64", "64x64x64,-1x2x3", "64x64", "64xax64"} {
+		if _, err := parseDims(s); !errors.Is(err, core.ErrBadDims) {
+			t.Errorf("parseDims(%q) = %v, want core.ErrBadDims", s, err)
+		}
+	}
+	got, err := parseDims("64x64x64, 768x192x48")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []core.Dims{core.Square(64), core.NewDims(768, 192, 48)}; !slices.Equal(got, want) {
+		t.Fatalf("parseDims = %v, want %v", got, want)
+	}
+}
+
+// TestParseAlgs: names resolve case-insensitively through algs.Lookup, in
+// the order given; "all" gives the registry; an unknown name fails listing
+// the valid ones.
+func TestParseAlgs(t *testing.T) {
+	got, err := parseAlgs("cannon, ALG1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Name != "Cannon" || got[1].Name != "Alg1" {
+		t.Fatalf("parseAlgs = %+v", got)
+	}
+	if all, err := parseAlgs("All"); err != nil || len(all) != len(algs.Registry()) {
+		t.Fatalf("parseAlgs(All) = %d entries, %v", len(all), err)
+	}
+	_, err = parseAlgs("Alg1,Strassen9000")
+	if !errors.Is(err, core.ErrUnsupportedAlg) || !strings.Contains(err.Error(), "TwoPointFiveD") {
+		t.Fatalf("unknown name = %v, want the valid names listed", err)
+	}
+}
+
+// runCSV resolves args with -csv added, runs them in-process and returns
+// the exit code and the CSV rows after the header.
+func runCSV(t *testing.T, args ...string) (int, [][]string) {
+	t.Helper()
+	cfg, err := parseFlags(append(args, "-csv"), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := resolve(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut bytes.Buffer
+	code := run(s, &out, &errOut)
+	rows, err := csv.NewReader(&out).ReadAll()
+	if err != nil {
+		t.Fatalf("output is not CSV: %v\n%s", err, out.String())
+	}
+	return code, rows[1:]
+}
+
+// TestRunSweepRows: -alg all over two processor counts prints one row per
+// P × algorithm, in that order; Cannon, which refuses P = 8, prints an
+// n/a row, every other run verifies, and the exit status is 0.
+func TestRunSweepRows(t *testing.T) {
+	code, rows := runCSV(t, "-alg", "all", "-dims", "16x16x16", "-p", "1,8")
+	names := algs.Names()
+	if len(rows) != 2*len(names) {
+		t.Fatalf("%d rows, want %d", len(rows), 2*len(names))
+	}
+	for i, r := range rows {
+		p, name := []string{"1", "8"}[i/len(names)], names[i%len(names)]
+		if r[0] != "16x16x16" || r[1] != p || r[3] != name {
+			t.Errorf("row %d = %v, want %s at P = %s", i, r[:4], name, p)
+		}
+		correct := r[len(r)-1]
+		if name == "Cannon" && p == "8" {
+			if !strings.HasPrefix(correct, "n/a: ") {
+				t.Errorf("Cannon at P = 8: %q, want an n/a row", correct)
+			}
+		} else if correct != "true" {
+			t.Errorf("%s at P = %s: correct = %q", name, p, correct)
+		}
+	}
+	if code != 0 {
+		t.Fatalf("exit %d, want 0", code)
+	}
+}
+
+// TestRunExitRule: a refusal (an error wrapping a core sentinel) prints an
+// n/a row and exits 0, while any other error, such as an aborted
+// simulation, and a wrong product exit 1.
+func TestRunExitRule(t *testing.T) {
+	cfg, err := parseFlags([]string{"-dims", "8x8x8", "-p", "4"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := resolve(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fails := func(err error) algs.Runner {
+		return func(a, b *matrix.Dense, p int, opts algs.Opts) (*algs.Result, error) { return nil, err }
+	}
+	cases := []struct {
+		name   string
+		run    algs.Runner
+		status string
+		code   int
+	}{
+		{"refusal", fails(fmt.Errorf("needs a square P: %w", core.ErrBadProcessorCount)),
+			"n/a: needs a square P: invalid processor count", 0},
+		{"aborted simulation", fails(errors.New("rank 2: boom")), "rank 2: boom", 1},
+		{"wrong product", func(a, b *matrix.Dense, p int, opts algs.Opts) (*algs.Result, error) {
+			res, err := algs.Alg1(a, b, p, opts)
+			if err == nil {
+				res.C.Row(0)[0]++
+			}
+			return res, err
+		}, "false", 1},
+	}
+	for _, tc := range cases {
+		s.entries = []algs.Entry{{Name: tc.name, Run: tc.run}}
+		var out, errOut bytes.Buffer
+		code := run(s, &out, &errOut)
+		if code != tc.code || !strings.Contains(out.String(), tc.status) {
+			t.Errorf("%s: exit %d, want %d, with %q in:\n%s", tc.name, code, tc.code, tc.status, out.String())
 		}
 	}
 }

@@ -6,11 +6,10 @@
 //	paper -list          # print the names -only takes and exit
 //	paper -json          # emit the artifacts as a JSON array
 //	paper -csv out/      # additionally write <id>.csv files
-//	paper -workers 4     # evaluate sweep points on 4 goroutines
 //
-// The simulation-backed experiments fan their sweep points across -workers
-// goroutines (default GOMAXPROCS); the artifacts are byte-identical for
-// every worker count.
+// The simulation-backed experiments fan their sweep points across
+// GOMAXPROCS goroutines; the artifacts are byte-identical at every
+// GOMAXPROCS.
 package main
 
 import (
@@ -20,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 
 	"repro/internal/experiments"
@@ -31,10 +29,7 @@ func main() {
 	csvDir := flag.String("csv", "", "directory to write <id>.csv files into")
 	jsonOut := flag.Bool("json", false, "emit the artifacts as a JSON array instead of text")
 	list := flag.Bool("list", false, "list the available artifact names and exit")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
-		"sweep points evaluated concurrently; output is identical for every value")
 	flag.Parse()
-	experiments.SetWorkers(*workers)
 
 	if *list {
 		fmt.Println(strings.Join(experiments.Names(), "\n"))

@@ -3,6 +3,7 @@ package main
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"runtime"
 	"testing"
 
 	"repro/internal/experiments"
@@ -36,22 +37,23 @@ var artifactSHA256 = []struct{ id, text, csv string }{
 }
 
 // TestArtifactBytes regenerates every artifact paper prints by default and
-// compares the digests of its Text and CSV with the recorded ones, on one
-// worker and on four: the sweep pool must not change a byte.
+// compares the digests of its Text and CSV with the recorded ones, at
+// GOMAXPROCS 1 and 4: neither the sweep pool's width nor the simulator's
+// shard count, which both follow it, may change a byte.
 func TestArtifactBytes(t *testing.T) {
 	digest := func(s string) string {
 		sum := sha256.Sum256([]byte(s))
 		return hex.EncodeToString(sum[:])
 	}
-	defer experiments.SetWorkers(0)
-	for _, workers := range []int{1, 4} {
-		experiments.SetWorkers(workers)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
 		arts, err := selectArtifacts("")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(arts) != len(artifactSHA256) {
-			t.Errorf("workers=%d: %d artifacts, recorded %d", workers, len(arts), len(artifactSHA256))
+			t.Errorf("GOMAXPROCS=%d: %d artifacts, recorded %d", procs, len(arts), len(artifactSHA256))
 		}
 		for i, a := range arts {
 			if i >= len(artifactSHA256) {
@@ -60,13 +62,13 @@ func TestArtifactBytes(t *testing.T) {
 			}
 			want := artifactSHA256[i]
 			if a.ID != want.id {
-				t.Errorf("workers=%d: artifact %d is %s, recorded %s", workers, i, a.ID, want.id)
+				t.Errorf("GOMAXPROCS=%d: artifact %d is %s, recorded %s", procs, i, a.ID, want.id)
 			}
 			if got := digest(a.Text); got != want.text {
-				t.Errorf("workers=%d %s: Text SHA-256 %s, recorded %s", workers, a.ID, got, want.text)
+				t.Errorf("GOMAXPROCS=%d %s: Text SHA-256 %s, recorded %s", procs, a.ID, got, want.text)
 			}
 			if got := digest(a.CSV); got != want.csv {
-				t.Errorf("workers=%d %s: CSV SHA-256 %s, recorded %s", workers, a.ID, got, want.csv)
+				t.Errorf("GOMAXPROCS=%d %s: CSV SHA-256 %s, recorded %s", procs, a.ID, got, want.csv)
 			}
 		}
 	}

@@ -44,7 +44,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/store"
@@ -81,7 +80,6 @@ func main() {
 	// observing.
 	obs.SetEnabled(true)
 
-	experiments.SetWorkers(*workers)
 	cfg := service.Config{
 		CacheSize:          *cacheSize,
 		Workers:            *workers,

@@ -117,6 +117,37 @@ func TestErrorTaxonomy(t *testing.T) {
 			return Opts{Grid: Grid{P1: -1, P2: 2, P3: 2}}.Validate()
 		}},
 	}
+	// Every algorithm refuses the options Opts.Validate refuses, on an
+	// 8×8 product at P = 4 that each of them runs with valid options.
+	runners := []struct {
+		name string
+		run  func(a, b *Matrix, p int, opts Opts) (*Result, error)
+	}{
+		{"Alg1", Alg1}, {"AllToAll3D", AllToAll3D}, {"CARMA", CARMA},
+		{"Alg1LowMem", func(a, b *Matrix, p int, opts Opts) (*Result, error) { return Alg1LowMem(a, b, p, 4, opts) }},
+		{"OneD", OneD}, {"SUMMA", SUMMA}, {"Cannon", Cannon}, {"TwoPointFiveD", TwoPointFiveD},
+	}
+	probes := []struct {
+		name string
+		want error
+		opts Opts
+	}{
+		{"unknown collective family", ErrBadOpts, Opts{Config: BandwidthOnly(), Collective: Collective(9)}},
+		{"unknown placement without a topology", ErrBadTopology, Opts{Config: BandwidthOnly(), Place: Placement(7)}},
+		{"negative layers", ErrBadOpts, Opts{Config: BandwidthOnly(), Layers: -1}},
+	}
+	for _, r := range runners {
+		for _, pr := range probes {
+			cases = append(cases, struct {
+				name string
+				want error
+				run  func() error
+			}{r.name + " " + pr.name, pr.want, func() error {
+				_, err := r.run(sq(8, 1), sq(8, 2), 4, pr.opts)
+				return err
+			}})
+		}
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.run()

@@ -37,7 +37,7 @@ func AllToAll3D(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
 }
 
 func run3D(name string, a, b *matrix.Dense, p int, opts Opts, reduceScatter bool) (*Result, error) {
-	l, err := newLayout3D(a, b, p, 1, opts.Grid)
+	l, err := newLayout3D(a, b, p, 1, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -145,21 +145,19 @@ type layout3D struct {
 }
 
 // newLayout3D checks a 3D run of a·b on p ≥ 1 processors and lays out its
-// tables. The grid is g, or grid.Optimal when g is zero; it must validate,
-// have p processors, and split no dimension finer than its extent. A rank
-// whose block has k columns of A splits them into min(strips, k) strips
-// under the balanced partition, as do the other members of its A and B
-// fibers, which share its k.
-func newLayout3D(a, b *matrix.Dense, p, strips int, g grid.Grid) (*layout3D, error) {
-	d, err := dimsOf(a, b, p)
+// tables. The grid is opts.Grid, which dimsOf validates, or grid.Optimal
+// when that is zero; it must have p processors and split no dimension
+// finer than its extent. A rank whose block has k columns of A splits them
+// into min(strips, k) strips under the balanced partition, as do the other
+// members of its A and B fibers, which share its k.
+func newLayout3D(a, b *matrix.Dense, p, strips int, opts Opts) (*layout3D, error) {
+	d, err := dimsOf(a, b, p, opts)
 	if err != nil {
 		return nil, err
 	}
+	g := opts.Grid
 	if g == (grid.Grid{}) {
 		g = grid.Optimal(d, p)
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
 	}
 	if g.Size() != p {
 		return nil, fmt.Errorf("algs: grid %v has %d processors, want %d: %w", g, g.Size(), p, core.ErrGridMismatch)

@@ -179,13 +179,16 @@ func (r *Result) CommCost() float64 { return r.Stats.CommCost() }
 
 // dimsOf derives the problem shape from the input matrices. Every algorithm
 // calls it first, so it also rejects a processor count below one, before
-// any grid divides by it.
-func dimsOf(a, b *matrix.Dense, p int) (core.Dims, error) {
+// any grid divides by it, and options Opts.Validate refuses.
+func dimsOf(a, b *matrix.Dense, p int, opts Opts) (core.Dims, error) {
 	if p < 1 {
 		return core.Dims{}, fmt.Errorf("algs: need at least one processor, got %d: %w", p, core.ErrBadProcessorCount)
 	}
 	if a.Cols() != b.Rows() {
 		return core.Dims{}, fmt.Errorf("algs: inner dimensions %d and %d disagree: %w", a.Cols(), b.Rows(), core.ErrBadDims)
+	}
+	if err := opts.Validate(); err != nil {
+		return core.Dims{}, err
 	}
 	return core.NewDims(a.Rows(), a.Cols(), b.Cols()), nil
 }

@@ -16,7 +16,7 @@ import (
 // step up). It requires a square processor grid and dimensions divisible by
 // q; the 2D baseline for the comparison experiments.
 func Cannon(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
-	d, err := dimsOf(a, b, p)
+	d, err := dimsOf(a, b, p, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -30,7 +30,7 @@ func Alg1LowMem(a, b *matrix.Dense, p, chunks int, opts Opts) (*Result, error) {
 	if chunks < 1 {
 		return nil, fmt.Errorf("algs: Alg1LowMem needs chunks ≥ 1, got %d: %w", chunks, core.ErrBadOpts)
 	}
-	l, err := newLayout3D(a, b, p, chunks, opts.Grid)
+	l, err := newLayout3D(a, b, p, chunks, opts)
 	if err != nil {
 		return nil, err
 	}

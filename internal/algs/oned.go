@@ -17,7 +17,7 @@ import (
 // with n1 the largest dimension, and is suboptimal otherwise — the
 // comparison experiments use it as the 1D baseline.
 func OneD(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
-	d, err := dimsOf(a, b, p)
+	d, err := dimsOf(a, b, p, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,7 @@ import (
 // volume is chosen. The contracted dimension must be divisible by
 // lcm(pr, pc) so panels nest in both distributions.
 func SUMMA(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
-	d, err := dimsOf(a, b, p)
+	d, err := dimsOf(a, b, p, opts)
 	if err != nil {
 		return nil, err
 	}

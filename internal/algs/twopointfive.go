@@ -22,7 +22,7 @@ import (
 // c = 1 degenerates to Cannon; c = q = P^{1/3} reaches the 3D regime.
 // Requirements: n1 = n2 = n3 = n, P = q²c with c | q and q | n.
 func TwoPointFiveD(a, b *matrix.Dense, p int, opts Opts) (*Result, error) {
-	d, err := dimsOf(a, b, p)
+	d, err := dimsOf(a, b, p, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -7,31 +7,9 @@ import (
 	"sync/atomic"
 )
 
-// workerCount is the configured fan-out width for Map; 0 means "use
-// runtime.GOMAXPROCS(0) at call time".
-var workerCount atomic.Int32
-
-// SetWorkers sets how many goroutines Map uses to evaluate sweep points.
-// n ≤ 0 restores the default (runtime.GOMAXPROCS(0)). The cmd/sweep and
-// cmd/paper binaries expose this as their -workers flag.
-func SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	workerCount.Store(int32(n))
-}
-
-// Workers reports the fan-out width Map will use.
-func Workers() int {
-	if n := int(workerCount.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Map evaluates fn(0), …, fn(n-1) across Workers() goroutines and returns
-// the results in index order, so output built from them is byte-identical
-// regardless of the worker count. fn must therefore be safe to call
+// Map evaluates fn(0), …, fn(n-1) across runtime.GOMAXPROCS(0) goroutines
+// and returns the results in index order, so output built from them is
+// byte-identical at every GOMAXPROCS. fn must therefore be safe to call
 // concurrently (the experiment sweeps qualify: every point builds its own
 // simulated World and only reads the shared input matrices).
 //
@@ -57,10 +35,7 @@ func MapContext[T any](ctx context.Context, n int, fn func(int) (T, error)) ([]T
 		return nil, err
 	}
 	out := make([]T, n)
-	w := Workers()
-	if w > n {
-		w = n
-	}
+	w := min(runtime.GOMAXPROCS(0), n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {

@@ -4,17 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// TestMapOrdering checks that results come back in index order regardless
-// of worker count, including with far more points than workers.
+// TestMapOrdering checks that results come back in index order at every
+// GOMAXPROCS, including with far more points than workers.
 func TestMapOrdering(t *testing.T) {
-	defer SetWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, w := range []int{1, 2, 8, 64} {
-		SetWorkers(w)
+		runtime.GOMAXPROCS(w)
 		out, err := Map(100, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
@@ -30,9 +31,9 @@ func TestMapOrdering(t *testing.T) {
 // TestMapFirstErrorByIndex checks the error returned is that of the lowest
 // failing index, independent of scheduling.
 func TestMapFirstErrorByIndex(t *testing.T) {
-	defer SetWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, w := range []int{1, 8} {
-		SetWorkers(w)
+		runtime.GOMAXPROCS(w)
 		_, err := Map(50, func(i int) (int, error) {
 			if i%7 == 3 { // fails at 3, 10, 17, ...
 				return 0, fmt.Errorf("point %d", i)
@@ -48,11 +49,11 @@ func TestMapFirstErrorByIndex(t *testing.T) {
 // TestMapContextPreCancelled: a context that is already done stops the
 // sweep before fn ever runs, in both the sequential and parallel drivers.
 func TestMapContextPreCancelled(t *testing.T) {
-	defer SetWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, w := range []int{1, 8} {
-		SetWorkers(w)
+		runtime.GOMAXPROCS(w)
 		var calls atomic.Int64
 		out, err := MapContext(ctx, 50, func(i int) (int, error) {
 			calls.Add(1)
@@ -70,9 +71,9 @@ func TestMapContextPreCancelled(t *testing.T) {
 // TestMapContextMidSweepCancel cancels from inside a point and checks the
 // sweep stops early: the context error wins and far fewer than n points run.
 func TestMapContextMidSweepCancel(t *testing.T) {
-	defer SetWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, w := range []int{1, 8} {
-		SetWorkers(w)
+		runtime.GOMAXPROCS(w)
 		ctx, cancel := context.WithCancel(context.Background())
 		var calls atomic.Int64
 		_, err := MapContext(ctx, 10_000, func(i int) (int, error) {
@@ -102,14 +103,14 @@ func TestMapZeroPoints(t *testing.T) {
 }
 
 // TestParallelSweepByteIdentical runs simulation-backed experiments with
-// the sequential driver and with a wide worker pool and requires the
-// rendered artifacts to match byte for byte — the determinism contract the
-// -workers flag advertises. Under -race this also exercises concurrent
-// Worlds sharing the global buffer arena.
+// the sequential driver (GOMAXPROCS 1) and with a wide worker pool
+// (GOMAXPROCS 8) and requires the rendered artifacts to match byte for
+// byte — the determinism contract Map advertises. Under -race this also
+// exercises concurrent Worlds sharing the global buffer arena.
 func TestParallelSweepByteIdentical(t *testing.T) {
-	defer SetWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	run := func(w int) []Artifact {
-		SetWorkers(w)
+		runtime.GOMAXPROCS(w)
 		tight, err := Tightness(context.Background())
 		if err != nil {
 			t.Fatalf("workers=%d: Tightness: %v", w, err)
@@ -161,9 +162,9 @@ func (c *failureGate) Err() error {
 // gate opens only after the failure is recorded, so each released worker
 // finds the failure at its next claim: exactly one point per worker runs.
 func TestMapStopsClaimingAfterFailure(t *testing.T) {
-	defer SetWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const workers, n = 8, 10_000
-	SetWorkers(workers)
+	runtime.GOMAXPROCS(workers)
 	ctx := &failureGate{Context: context.Background(), gate: make(chan struct{})}
 	var calls atomic.Int64
 	parked := make(chan struct{}, n) // room for every point: a send never blocks

@@ -181,6 +181,6 @@ func (s *Server) handleArtifactGet(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("ETag", `"sha256-`+info.SHA256+`"`)
 	w.Header().Set("X-Checksum-Sha256", info.SHA256)
 	// ServeContent handles Range (206 with the byte window), precondition
-	// headers, and HEAD; the blob Object is an io.ReadSeeker by contract.
+	// headers, and HEAD, seeking in the blob's file.
 	http.ServeContent(w, r, "", info.Created, obj)
 }

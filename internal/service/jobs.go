@@ -40,7 +40,8 @@ var ErrRunnerClosed = errors.New("job runner closed")
 // guarded by the owning runner's mutex; read them through Snapshot.
 type Job struct {
 	id       string
-	num      int64 // monotone submit sequence; the listing cursor orders by it
+	num      int64   // monotone submit sequence; the listing cursor orders by it
+	fn       JobFunc // the work; nil once a worker takes it or the job is cancelled
 	status   JobStatus
 	result   any
 	err      error
@@ -90,8 +91,7 @@ type Runner struct {
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	queue    chan *Job
-	run      map[string]JobFunc // pending work, keyed by job id
-	terminal []*Job             // terminal jobs in retirement order (oldest first)
+	terminal []*Job // terminal jobs in retirement order (oldest first)
 	evicted  int64
 	timeout  time.Duration
 	retain   time.Duration
@@ -103,60 +103,18 @@ type Runner struct {
 	stop     chan struct{} // closes the janitor on Shutdown
 }
 
-// RunnerConfig tunes a Runner. The zero value selects the defaults noted on
-// each field.
-type RunnerConfig struct {
-	// Workers is the pool width; ≤ 0 selects 2.
-	Workers int
-	// QueueDepth bounds the job queue; ≤ 0 selects 64.
-	QueueDepth int
-	// Timeout is the per-job deadline; 0 disables it.
-	Timeout time.Duration
-	// Retention is how long a finished job stays queryable before it is
-	// evicted. 0 selects ten minutes; negative retains forever. Without a
-	// bound, every job the service ever ran would sit in memory for the
-	// life of the process.
-	Retention time.Duration
-	// MaxRetained caps the number of finished jobs kept regardless of age,
-	// evicting oldest-first. 0 selects 4096; negative removes the cap.
-	MaxRetained int
-}
-
-// withDefaults fills the zero fields and normalizes the sentinels:
-// Retention < 0 and MaxRetained < 0 become "disabled" (stored as zero).
-func (c RunnerConfig) withDefaults() RunnerConfig {
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
-	if c.Retention == 0 {
-		c.Retention = 10 * time.Minute
-	}
-	if c.Retention < 0 {
-		c.Retention = 0
-	}
-	if c.MaxRetained == 0 {
-		c.MaxRetained = 4096
-	}
-	if c.MaxRetained < 0 {
-		c.MaxRetained = 0
-	}
-	return c
-}
-
-// NewRunnerConfig starts a runner with the full configuration, including
-// the finished-job retention policy.
-func NewRunnerConfig(cfg RunnerConfig) *Runner {
+// NewRunner starts a job pool configured by cfg's Workers, QueueDepth,
+// JobTimeout, JobRetention and MaxJobsRetained, with their zero values
+// filled by Config's defaults. A negative JobTimeout, JobRetention or
+// MaxJobsRetained disables the deadline, the age limit or the cap.
+func NewRunner(cfg Config) *Runner {
 	cfg = cfg.withDefaults()
 	r := &Runner{
 		jobs:    make(map[string]*Job),
-		run:     make(map[string]JobFunc),
 		queue:   make(chan *Job, cfg.QueueDepth),
-		timeout: cfg.Timeout,
-		retain:  cfg.Retention,
-		maxKeep: cfg.MaxRetained,
+		timeout: cfg.JobTimeout,
+		retain:  cfg.JobRetention,
+		maxKeep: cfg.MaxJobsRetained,
 		stop:    make(chan struct{}),
 	}
 	r.wg.Add(cfg.Workers)
@@ -235,7 +193,7 @@ func (r *Runner) Submit(fn JobFunc) (string, error) {
 	r.evictLocked(time.Now())
 	num := r.nextID.Add(1)
 	id := fmt.Sprintf("j%d", num)
-	j := &Job{id: id, num: num, status: JobQueued, done: make(chan struct{}), created: time.Now()}
+	j := &Job{id: id, num: num, fn: fn, status: JobQueued, done: make(chan struct{}), created: time.Now()}
 	select {
 	case r.queue <- j:
 	default:
@@ -243,7 +201,6 @@ func (r *Runner) Submit(fn JobFunc) (string, error) {
 		return "", ErrJobQueueFull
 	}
 	r.jobs[id] = j
-	r.run[id] = fn
 	r.mu.Unlock()
 	return id, nil
 }
@@ -259,12 +216,12 @@ func (r *Runner) worker() {
 // execute runs one job under its own context.
 func (r *Runner) execute(j *Job) {
 	r.mu.Lock()
-	fn := r.run[j.id]
-	delete(r.run, j.id)
 	if j.status == JobCancelled { // cancelled while queued
 		r.mu.Unlock()
 		return
 	}
+	fn := j.fn
+	j.fn = nil
 	ctx := context.WithValue(context.Background(), jobIDKey{}, j.id)
 	var cancel context.CancelFunc
 	if r.timeout > 0 {
@@ -323,7 +280,7 @@ func (r *Runner) Cancel(id string) bool {
 	}
 	switch j.status {
 	case JobQueued:
-		delete(r.run, id)
+		j.fn = nil
 		j.status = JobCancelled
 		j.err = context.Canceled
 		close(j.done)
@@ -429,10 +386,10 @@ func (r *Runner) Shutdown(ctx context.Context) error {
 	}
 	// Deadline passed: cancel everything still alive and wait it out.
 	r.mu.Lock()
-	for id, j := range r.jobs {
+	for _, j := range r.jobs {
 		switch j.status {
 		case JobQueued:
-			delete(r.run, id)
+			j.fn = nil
 			j.status = JobCancelled
 			j.err = context.Canceled
 			close(j.done)

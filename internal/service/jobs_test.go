@@ -24,7 +24,7 @@ func waitStatus(t *testing.T, r *Runner, id string) JobView {
 }
 
 func TestRunnerLifecycle(t *testing.T) {
-	r := NewRunnerConfig(RunnerConfig{Workers: 2, QueueDepth: 8})
+	r := NewRunner(Config{Workers: 2, QueueDepth: 8})
 	defer r.Shutdown(context.Background())
 	id, err := r.Submit(func(context.Context) (any, error) { return 7, nil })
 	if err != nil {
@@ -43,7 +43,7 @@ func TestRunnerLifecycle(t *testing.T) {
 }
 
 func TestRunnerCancelRunning(t *testing.T) {
-	r := NewRunnerConfig(RunnerConfig{Workers: 1, QueueDepth: 8})
+	r := NewRunner(Config{Workers: 1, QueueDepth: 8})
 	defer r.Shutdown(context.Background())
 	started := make(chan struct{})
 	id, err := r.Submit(func(ctx context.Context) (any, error) {
@@ -64,7 +64,7 @@ func TestRunnerCancelRunning(t *testing.T) {
 }
 
 func TestRunnerCancelQueued(t *testing.T) {
-	r := NewRunnerConfig(RunnerConfig{Workers: 1, QueueDepth: 8})
+	r := NewRunner(Config{Workers: 1, QueueDepth: 8})
 	defer r.Shutdown(context.Background())
 	release := make(chan struct{})
 	blocker, _ := r.Submit(func(context.Context) (any, error) { <-release; return nil, nil })
@@ -86,7 +86,7 @@ func TestRunnerCancelQueued(t *testing.T) {
 }
 
 func TestRunnerTimeout(t *testing.T) {
-	r := NewRunnerConfig(RunnerConfig{Workers: 1, QueueDepth: 8, Timeout: 20 * time.Millisecond})
+	r := NewRunner(Config{Workers: 1, QueueDepth: 8, JobTimeout: 20 * time.Millisecond})
 	defer r.Shutdown(context.Background())
 	id, _ := r.Submit(func(ctx context.Context) (any, error) {
 		<-ctx.Done()
@@ -98,7 +98,7 @@ func TestRunnerTimeout(t *testing.T) {
 }
 
 func TestRunnerQueueFull(t *testing.T) {
-	r := NewRunnerConfig(RunnerConfig{Workers: 1, QueueDepth: 1})
+	r := NewRunner(Config{Workers: 1, QueueDepth: 1})
 	defer r.Shutdown(context.Background())
 	release := make(chan struct{})
 	defer close(release)
@@ -125,7 +125,7 @@ func TestRunnerQueueFull(t *testing.T) {
 // TestRunnerShutdownDrains: jobs in flight at shutdown complete when they
 // finish within the drain budget.
 func TestRunnerShutdownDrains(t *testing.T) {
-	r := NewRunnerConfig(RunnerConfig{Workers: 2, QueueDepth: 8})
+	r := NewRunner(Config{Workers: 2, QueueDepth: 8})
 	release := make(chan struct{})
 	id, _ := r.Submit(func(context.Context) (any, error) { <-release; return "drained", nil })
 	go func() {
@@ -147,7 +147,7 @@ func TestRunnerShutdownDrains(t *testing.T) {
 // TestRunnerShutdownCancels: a job outliving the drain budget has its
 // context cancelled and ends JobCancelled.
 func TestRunnerShutdownCancels(t *testing.T) {
-	r := NewRunnerConfig(RunnerConfig{Workers: 1, QueueDepth: 8})
+	r := NewRunner(Config{Workers: 1, QueueDepth: 8})
 	started := make(chan struct{})
 	id, _ := r.Submit(func(ctx context.Context) (any, error) {
 		close(started)
@@ -169,7 +169,7 @@ func TestRunnerShutdownCancels(t *testing.T) {
 // TestRunnerConcurrent floods the runner from many goroutines; with -race
 // this is the locking correctness test.
 func TestRunnerConcurrent(t *testing.T) {
-	r := NewRunnerConfig(RunnerConfig{Workers: 4, QueueDepth: 256})
+	r := NewRunner(Config{Workers: 4, QueueDepth: 256})
 	defer r.Shutdown(context.Background())
 	var wg sync.WaitGroup
 	ids := make([][]string, 8)
@@ -212,7 +212,7 @@ func submitAndWait(t *testing.T, r *Runner, v int) string {
 // finished jobs used to stay in the runner's map forever. With a TTL, a
 // finished job is queryable within the window and evicted after it.
 func TestRunnerRetentionTTL(t *testing.T) {
-	r := NewRunnerConfig(RunnerConfig{Workers: 1, Retention: 40 * time.Millisecond})
+	r := NewRunner(Config{Workers: 1, JobRetention: 40 * time.Millisecond})
 	defer r.Shutdown(context.Background())
 	id := submitAndWait(t, r, 1)
 	if _, ok := r.Get(id); !ok {
@@ -244,7 +244,7 @@ func TestRunnerWaitAppliesRetention(t *testing.T) {
 	// An hour-long TTL keeps the janitor (which ticks at retain/4, capped
 	// at 30s) out of the test: backdating the finish time makes lazy
 	// eviction inside the accessor under test the only possible path.
-	r := NewRunnerConfig(RunnerConfig{Workers: 1, Retention: time.Hour})
+	r := NewRunner(Config{Workers: 1, JobRetention: time.Hour})
 	defer r.Shutdown(context.Background())
 	id := submitAndWait(t, r, 1)
 	if _, ok := r.Wait(id); !ok {
@@ -270,7 +270,7 @@ func TestRunnerWaitAppliesRetention(t *testing.T) {
 // TestRunnerRetentionCap: with age-based eviction disabled, the cap bounds
 // the retained set and evicts oldest-first.
 func TestRunnerRetentionCap(t *testing.T) {
-	r := NewRunnerConfig(RunnerConfig{Workers: 1, Retention: -1, MaxRetained: 3})
+	r := NewRunner(Config{Workers: 1, JobRetention: -1, MaxJobsRetained: 3})
 	defer r.Shutdown(context.Background())
 	ids := make([]string, 5)
 	for i := range ids {
@@ -299,7 +299,7 @@ func TestRunnerRetentionCap(t *testing.T) {
 // janitor even when nothing calls Get/Len/Submit to trigger the lazy path.
 // Evicted() takes the lock but does not itself evict.
 func TestRunnerJanitorEvicts(t *testing.T) {
-	r := NewRunnerConfig(RunnerConfig{Workers: 1, Retention: 30 * time.Millisecond})
+	r := NewRunner(Config{Workers: 1, JobRetention: 30 * time.Millisecond})
 	defer r.Shutdown(context.Background())
 	submitAndWait(t, r, 1)
 	deadline := time.Now().Add(5 * time.Second)
@@ -314,7 +314,7 @@ func TestRunnerJanitorEvicts(t *testing.T) {
 // TestRunnerList: the listing walks jobs in submission order with a
 // sequence-number cursor and an optional state filter.
 func TestRunnerList(t *testing.T) {
-	r := NewRunnerConfig(RunnerConfig{Workers: 1, Retention: -1})
+	r := NewRunner(Config{Workers: 1, JobRetention: -1})
 	defer r.Shutdown(context.Background())
 	ids := make([]string, 5)
 	for i := range ids {
@@ -365,7 +365,7 @@ func TestRunnerList(t *testing.T) {
 // TestRunnerCountsByState: Counts tracks the lifecycle states of the
 // remembered jobs.
 func TestRunnerCountsByState(t *testing.T) {
-	r := NewRunnerConfig(RunnerConfig{Workers: 1, Retention: -1})
+	r := NewRunner(Config{Workers: 1, JobRetention: -1})
 	defer r.Shutdown(context.Background())
 	submitAndWait(t, r, 1)
 	boom := errors.New("boom")

@@ -7,11 +7,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"runtime"
 	"strconv"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -21,8 +21,7 @@ import (
 type Config struct {
 	// CacheSize bounds the memo cache (total entries); ≤ 0 selects 4096.
 	CacheSize int
-	// Workers is the job pool width; ≤ 0 selects the experiment driver's
-	// width (experiments.Workers, i.e. GOMAXPROCS unless overridden).
+	// Workers is the job pool width; ≤ 0 selects GOMAXPROCS.
 	Workers int
 	// QueueDepth bounds the job queue; ≤ 0 selects 64. A full queue makes
 	// /v1/simulate answer 503 rather than buffering without bound.
@@ -88,19 +87,21 @@ type Config struct {
 	// Range support — and, unlike job metadata, surviving retention
 	// eviction. Nil disables artifacts; requests that need them (e.g.
 	// "trace": true) then answer 400.
-	ArtifactStore store.Store
+	ArtifactStore *store.FS
 	// MaxArtifactBytes caps a single artifact; ≤ 0 selects
 	// store.DefaultMaxArtifactBytes (64 MiB).
 	MaxArtifactBytes int64
 }
 
-// withDefaults fills the zero fields.
+// withDefaults fills the zero fields. It leaves the negative values that
+// disable a job deadline, retention age or cap as they are, so filling a
+// filled Config changes nothing.
 func (c Config) withDefaults() Config {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 4096
 	}
 	if c.Workers <= 0 {
-		c.Workers = experiments.Workers()
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
@@ -108,8 +109,11 @@ func (c Config) withDefaults() Config {
 	if c.JobTimeout == 0 {
 		c.JobTimeout = time.Minute
 	}
-	if c.JobTimeout < 0 {
-		c.JobTimeout = 0
+	if c.JobRetention == 0 {
+		c.JobRetention = 10 * time.Minute
+	}
+	if c.MaxJobsRetained == 0 {
+		c.MaxJobsRetained = 4096
 	}
 	if c.MaxSimFlops <= 0 {
 		c.MaxSimFlops = 1e9
@@ -201,15 +205,9 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:   cfg,
-		cache: NewCache(cfg.CacheSize),
-		jobs: NewRunnerConfig(RunnerConfig{
-			Workers:     cfg.Workers,
-			QueueDepth:  cfg.QueueDepth,
-			Timeout:     cfg.JobTimeout,
-			Retention:   cfg.JobRetention,
-			MaxRetained: cfg.MaxJobsRetained,
-		}),
+		cfg:          cfg,
+		cache:        NewCache(cfg.CacheSize),
+		jobs:         NewRunner(cfg),
 		reg:          obs.NewRegistry(),
 		planLimit:    newLimiter(cfg.PlanConcurrency),
 		computeLimit: newLimiter(cfg.ComputeConcurrency),

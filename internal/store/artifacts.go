@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"time"
 )
@@ -33,19 +34,19 @@ type Info struct {
 	Created time.Time `json:"created"`
 }
 
-// Artifacts is the content-addressed catalog over a Store. Content lives
+// Artifacts is the content-addressed catalog over an FS. Content lives
 // once under blobs/sha256/<aa>/<hash> (identical outputs share bytes);
 // each (job, name) pair gets a small JSON manifest under
 // manifests/<job>/<name> pointing at its blob. The catalog never deletes
 // on job eviction — artifact durability past retention is the point.
 type Artifacts struct {
-	store    Store
+	store    *FS
 	maxBytes int64
 }
 
-// NewArtifacts wraps a Store. maxBytes caps a single artifact's size;
+// NewArtifacts wraps an FS. maxBytes caps a single artifact's size;
 // zero or negative selects DefaultMaxArtifactBytes.
-func NewArtifacts(s Store, maxBytes int64) *Artifacts {
+func NewArtifacts(s *FS, maxBytes int64) *Artifacts {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxArtifactBytes
 	}
@@ -84,7 +85,7 @@ func (cw *capWriter) Write(p []byte) (int, error) {
 // recorded in the job's manifest. Returns the resulting Info.
 //
 // Spooling in memory is deliberate: the cap bounds the buffer, and it
-// lets the blob be addressed by its final hash in a single Store.Put.
+// lets the blob be addressed by its final hash in a single FS.Put.
 func (a *Artifacts) Write(job, name, contentType string, write func(io.Writer) error) (Info, error) {
 	if err := ValidateName(job); err != nil {
 		return Info{}, fmt.Errorf("store: job id: %w", err)
@@ -149,9 +150,9 @@ func (a *Artifacts) List(job string) ([]Info, error) {
 	return infos, nil
 }
 
-// Open returns the artifact's Info and a random-access reader over its
-// content. A missing artifact wraps ErrNotExist.
-func (a *Artifacts) Open(job, name string) (Info, Object, error) {
+// Open returns the artifact's Info and its content's file, which the
+// caller closes. A missing artifact wraps ErrNotExist.
+func (a *Artifacts) Open(job, name string) (Info, *os.File, error) {
 	if err := ValidateName(job); err != nil {
 		return Info{}, nil, fmt.Errorf("store: job id: %w", err)
 	}

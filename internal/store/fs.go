@@ -10,10 +10,11 @@ import (
 	"strings"
 )
 
-// FS is the filesystem Store: each key maps to a file under the root
-// directory, with the key's slash-separated segments as path components.
-// Put is atomic (temp file + rename in the destination directory), so a
-// crash or a concurrent reader never observes a partial object.
+// FS is the blob store: each key maps to a file under the root directory,
+// with the key's slash-separated segments as path components (see
+// ValidateKey). Put is atomic (temp file + rename in the destination
+// directory), so a crash or a concurrent Open never observes a partial
+// object.
 type FS struct {
 	root string
 }
@@ -41,7 +42,8 @@ func (s *FS) path(key string) (string, error) {
 	return filepath.Join(s.root, filepath.FromSlash(key)), nil
 }
 
-// Put implements Store. The object is staged in a temp file in the final
+// Put writes r under key, replacing any existing object, and returns the
+// byte count written. The object is staged in a temp file in the final
 // directory and renamed into place, which is atomic on POSIX filesystems.
 func (s *FS) Put(key string, r io.Reader) (int64, error) {
 	p, err := s.path(key)
@@ -72,8 +74,9 @@ func (s *FS) Put(key string, r io.Reader) (int64, error) {
 	return n, nil
 }
 
-// Open implements Store.
-func (s *FS) Open(key string) (Object, int64, error) {
+// Open returns the object's file, which the caller closes, and its size; a
+// missing key wraps ErrNotExist.
+func (s *FS) Open(key string) (*os.File, int64, error) {
 	p, err := s.path(key)
 	if err != nil {
 		return nil, 0, err
@@ -93,7 +96,7 @@ func (s *FS) Open(key string) (Object, int64, error) {
 	return f, fi.Size(), nil
 }
 
-// Stat implements Store.
+// Stat returns the object's size; a missing key wraps ErrNotExist.
 func (s *FS) Stat(key string) (int64, error) {
 	p, err := s.path(key)
 	if err != nil {
@@ -112,7 +115,8 @@ func (s *FS) Stat(key string) (int64, error) {
 	return fi.Size(), nil
 }
 
-// List implements Store. The prefix is matched against whole keys, so
+// List returns every key with the given prefix, sorted. The prefix is
+// matched against whole keys, so
 // "manifests/j1" matches "manifests/j1/a" but not "manifests/j10/a" —
 // prefix boundaries fall on path segments unless the prefix itself ends
 // mid-segment, in which case it must name an existing directory prefix.

@@ -5,11 +5,9 @@
 //
 // The package splits in two:
 //
-//   - Store is the blob backend — a flat key → bytes namespace with atomic
-//     writes, random-access reads, and prefix listing. It is deliberately
-//     S3-shaped (PutObject/GetObject/HeadObject/ListObjects), so an
-//     object-store implementation can drop in behind the same interface
-//     later; FS is the filesystem implementation shipped now.
+//   - FS is the blob backend — a flat key → bytes namespace in a
+//     directory, with atomic writes, random-access reads, and prefix
+//     listing.
 //
 //   - Artifacts is the content-addressed catalog on top: blobs are stored
 //     once under their SHA-256 (identical outputs from different jobs
@@ -21,7 +19,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 )
 
@@ -37,31 +34,6 @@ var ErrTooLarge = errors.New("store: artifact exceeds the size cap")
 // names, or job ids.
 var ErrBadKey = errors.New("store: malformed key")
 
-// Object is a readable blob: random access for HTTP Range serving, closed
-// by the caller.
-type Object interface {
-	io.Reader
-	io.Seeker
-	io.Closer
-}
-
-// Store is the blob backend. Keys are slash-separated paths of simple
-// segments (see ValidateKey); implementations must make Put atomic — a
-// concurrent Open sees either the old object or the complete new one,
-// never a partial write.
-type Store interface {
-	// Put writes r under key, replacing any existing object, and returns
-	// the byte count written.
-	Put(key string, r io.Reader) (int64, error)
-	// Open returns a random-access reader over the object and its size;
-	// a missing key wraps ErrNotExist.
-	Open(key string) (Object, int64, error)
-	// Stat returns the object's size; a missing key wraps ErrNotExist.
-	Stat(key string) (int64, error)
-	// List returns every key with the given prefix, sorted.
-	List(prefix string) ([]string, error)
-}
-
 // maxKeyLen bounds a full key; generous next to the fixed-shape keys the
 // catalog builds (a 64-hex-digit hash plus short prefixes).
 const maxKeyLen = 512
@@ -69,8 +41,8 @@ const maxKeyLen = 512
 // ValidateKey checks that key is a slash-separated path of segments each
 // matching [A-Za-z0-9._-]+ with no "." or ".." segments — the grammar that
 // is simultaneously a safe relative filesystem path and a safe object-store
-// key. Every Store implementation applies it, so path traversal is refused
-// before any backend sees the key.
+// key. FS applies it to every key, so path traversal is refused before any
+// file is touched.
 func ValidateKey(key string) error {
 	if key == "" || len(key) > maxKeyLen {
 		return fmt.Errorf("store: key %q is empty or over %d bytes: %w", key, maxKeyLen, ErrBadKey)
